@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .conditions import cond_classic, cond_icx, cond_new, is_comonotone
+from .conditions import cond_classic, cond_icx, cond_new, is_comonotone, tail_condition
 from .dists import (
     DiscreteDist,
     Dist,
@@ -289,8 +289,7 @@ def improver_check(j: JointDist) -> ImproverFlags:
     total = joint_sum(j)
     in_s = check_ssd(total, marg).holds
     # anchor on the sum with the sign of Z flipped: E[-Z | X+Z <= x] <= 0
-    flipped = normalize_joint((w + z, -z, p) for w, z, p in j.atoms)
-    in_n = cond_new(flipped).holds
+    in_n = tail_condition(((w + z, -z, p) for w, z, p in j.atoms), "lower").holds
     return ImproverFlags(in_s=in_s, in_n=in_n)
 
 

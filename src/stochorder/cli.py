@@ -3,7 +3,8 @@
 Every subcommand reads JSON laws, dispatches to the library, and emits a
 machine-readable report on stdout plus a one-line human summary on stderr.
 Exit codes: 0 the checked property holds (or the computation succeeded),
-1 the property fails (the witness is in the report), 2 input or usage error.
+1 the property fails (the witness is in the report), 2 input or usage error,
+3 internal error (two routes that must agree did not; no report).
 Tables default to CSV on stdout; pass --format json for the full report.
 """
 
@@ -27,6 +28,7 @@ from .conditions import (
 from .coupling import coupling_to_joint, synth_martingale, synth_supermartingale
 from .dists import (
     InputError,
+    InternalError,
     as_fraction,
     discretize,
     dist_from_json,
@@ -428,6 +430,9 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
     if inputs is None and result is None and summary is None:
         return code  # table formats that bypass the JSON report
     report = {

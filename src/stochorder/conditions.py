@@ -1,8 +1,8 @@
 """Sufficient dependence conditions on a finite joint law of (W, Z).
 
-Each checker inspects conditional expectations of Z over tail events of an
-anchor variable, exactly in rational arithmetic.  Thresholds are "relevant"
-when the conditioning event has positive probability; only those are checked.
+Each checker inspects conditional expectations of Z over events of an
+anchor variable, exactly.  Thresholds are "relevant" when the conditioning
+event has positive probability; only those are checked.
 
 cond_new:            E[Z | W <= x] <= 0 at every relevant x  (implies W + Z <=ssd W)
 cond_classic:        E[Z | W = w] <= 0 at every atom w of W  (pointwise; stronger anchor)
@@ -12,20 +12,31 @@ cond_on_difference:  E[Z | Y - Z <= x] <= 0 at every relevant x, for a joint of
                      (Y, Z); the anchor is the difference Y - Z itself
                      (implies Y <=ssd Y - Z)
 
+The events {W <= x}, {W >= x} and {W = x} change only at atoms of the
+anchor, so its distinct values are a complete test set, and
+E[Z | event] has the sign of E[Z; event].  All five conditions are one
+kernel, tail_condition: it sums z * p and p over the cells of each anchor
+value, in integers over the common denominators of the cells, and walks the
+anchors once, ascending, with a prefix sum (the lower tail), a suffix sum
+(the upper tail) or the group sums alone (the point events).  It reports the
+first failing threshold, as a direct evaluation at each threshold would.
+
 is_comonotone decides whether a finite set of weighted points can be the law
 of a comonotone pair: no two support points may move in opposite directions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .dists import JointDist, RationalLike, as_fraction
+from .dists import InternalError, JointDist, RationalLike, as_fraction
 from .orders import OrderVerdict, Witness
 
 __all__ = [
     "relevant_thresholds",
+    "tail_condition",
     "cond_new",
     "cond_classic",
     "cond_icx",
@@ -38,6 +49,8 @@ _ZERO = Fraction(0)
 
 _HOLDS = OrderVerdict(True, None)
 
+Cells = Iterable[tuple[Fraction, Fraction, Fraction]]
+
 
 def relevant_thresholds(j: JointDist) -> list[Fraction]:
     """Distinct values of the anchor (first) coordinate, ascending.
@@ -48,47 +61,76 @@ def relevant_thresholds(j: JointDist) -> list[Fraction]:
     return sorted({w for w, _, _ in j.atoms})
 
 
+class _Groups:
+    """The cells of a joint law summed per anchor value, as integers.
+
+    anchors holds the distinct anchors ascending, each as a / va; sums holds
+    (sum of z * p, sum of p) for each, in units of 1 / (vz d) and 1 / d.
+    """
+
+    def __init__(self, cells: Cells) -> None:
+        cells = list(cells)
+        self.va = math.lcm(*(a.denominator for a, _, _ in cells))
+        self.vz = math.lcm(*(z.denominator for _, z, _ in cells))
+        self.d = math.lcm(*(p.denominator for _, _, p in cells))
+        acc: dict[int, list[int]] = {}
+        for a, z, p in cells:
+            w = p.numerator * (self.d // p.denominator)
+            g = acc.setdefault(a.numerator * (self.va // a.denominator), [0, 0])
+            g[0] += z.numerator * (self.vz // z.denominator) * w
+            g[1] += w
+        self.anchors = sorted(acc)
+        self.sums = [acc[a] for a in self.anchors]
+
+    def first_failure(self, tail: str) -> OrderVerdict:
+        """The first anchor x, ascending, at which E[Z | event] has the wrong sign.
+
+        tail "lower": event W <= x, fails above 0; "upper": W >= x, fails
+        below 0; "point": W = x, fails above 0.
+        """
+        total_num = sum(n for n, _ in self.sums)
+        total_den = sum(d for _, d in self.sums)
+        below_num = below_den = 0  # sums over the anchors below x
+        for a, (gn, gd) in zip(self.anchors, self.sums):
+            if tail == "lower":
+                en, ed = below_num + gn, below_den + gd
+            elif tail == "upper":
+                en, ed = total_num - below_num, total_den - below_den
+            else:
+                en, ed = gn, gd
+            if en < 0 if tail == "upper" else en > 0:
+                x, ratio = Fraction(a, self.va), Fraction(en, self.vz * ed)
+                return OrderVerdict(False, Witness("threshold_x", x, ratio, _ZERO))
+            below_num += gn
+            below_den += gd
+        return _HOLDS
+
+
+def tail_condition(cells: Cells, tail: str) -> OrderVerdict:
+    """Sign condition on E[Z | event] over (anchor, z, p) cells in any order.
+
+    tail "lower" checks E[Z | A <= x] <= 0, "upper" checks E[Z | A >= x] >= 0
+    and "point" checks E[Z | A = x] <= 0, at every anchor value x.  The
+    cells need not be sorted; repeated cells add up.
+    """
+    if tail not in ("lower", "upper", "point"):
+        raise ValueError(f"unknown tail {tail!r}")
+    return _Groups(cells).first_failure(tail)
+
+
 def cond_new(j: JointDist) -> OrderVerdict:
     """E[Z | W <= x] <= 0 for every relevant threshold x."""
-    for x in relevant_thresholds(j):
-        num = _ZERO
-        den = _ZERO
-        for w, z, p in j.atoms:
-            if w <= x:
-                num += z * p
-                den += p
-        # den > 0: x is an atom of W
-        if num / den > 0:
-            return OrderVerdict(False, Witness("threshold_x", x, num / den, _ZERO))
-    return _HOLDS
+    return tail_condition(j.atoms, "lower")
 
 
 def cond_classic(j: JointDist) -> OrderVerdict:
     """E[Z | W = w] <= 0 at every atom w of W."""
-    for x in relevant_thresholds(j):
-        num = _ZERO
-        den = _ZERO
-        for w, z, p in j.atoms:
-            if w == x:
-                num += z * p
-                den += p
-        if num / den > 0:
-            return OrderVerdict(False, Witness("threshold_x", x, num / den, _ZERO))
-    return _HOLDS
+    return tail_condition(j.atoms, "point")
 
 
 def cond_icx(j: JointDist) -> OrderVerdict:
     """E[Z | W >= x] >= 0 for every relevant threshold x."""
-    for x in relevant_thresholds(j):
-        num = _ZERO
-        den = _ZERO
-        for w, z, p in j.atoms:
-            if w >= x:
-                num += z * p
-                den += p
-        if num / den < 0:
-            return OrderVerdict(False, Witness("threshold_x", x, num / den, _ZERO))
-    return _HOLDS
+    return tail_condition(j.atoms, "upper")
 
 
 def cond_cx_pair(j: JointDist) -> OrderVerdict:
@@ -99,14 +141,21 @@ def cond_cx_pair(j: JointDist) -> OrderVerdict:
     certifies the spread; both are computed and must agree.  A witness at the
     top threshold with nonzero lhs exhibits the mean failure.
     """
-    mean_z = sum((z * p for _, z, p in j.atoms), _ZERO)
-    if mean_z != 0:
-        top = relevant_thresholds(j)[-1]
-        return OrderVerdict(False, Witness("threshold_x", top, mean_z, _ZERO))
-    lower = cond_new(j)
-    upper = cond_icx(j)
+    g = _Groups(j.atoms)
+    mean_num = sum(n for n, _ in g.sums)
+    if mean_num != 0:
+        top = Fraction(g.anchors[-1], g.va)
+        return OrderVerdict(
+            False, Witness("threshold_x", top, Fraction(mean_num, g.vz * g.d), _ZERO)
+        )
+    lower = g.first_failure("lower")
+    upper = g.first_failure("upper")
     if lower.holds != upper.holds:
-        raise RuntimeError("internal: zero-mean tail conditions disagree")
+        raise InternalError(
+            "zero-mean tail conditions disagree",
+            routes={"lower_tail": lower, "upper_tail": upper},
+            inputs=j,
+        )
     return lower
 
 
@@ -116,17 +165,7 @@ def cond_on_difference(j: JointDist) -> OrderVerdict:
     The anchor is the difference V = Y - Z; relevant thresholds are V's
     atoms.  Holding, it certifies Y <=ssd Y - Z.
     """
-    diffs = sorted({y - z for y, z, _ in j.atoms})
-    for x in diffs:
-        num = _ZERO
-        den = _ZERO
-        for y, z, p in j.atoms:
-            if y - z <= x:
-                num += z * p
-                den += p
-        if num / den > 0:
-            return OrderVerdict(False, Witness("threshold_x", x, num / den, _ZERO))
-    return _HOLDS
+    return tail_condition(((y - z, z, p) for y, z, p in j.atoms), "lower")
 
 
 def is_comonotone(

@@ -27,6 +27,7 @@ __all__ = [
     "InputError",
     "IrrelevantThresholdError",
     "UnsupportedPairingError",
+    "InternalError",
     "as_fraction",
     "DiscreteDist",
     "Normal",
@@ -82,6 +83,19 @@ class IrrelevantThresholdError(InputError):
 
 class UnsupportedPairingError(InputError):
     """The operation is not defined for this combination of distribution kinds."""
+
+
+class InternalError(StochOrderError, RuntimeError):
+    """Two routes that must agree did not: a defect here, not in the input.
+
+    routes maps each route's name to its output (for a Normal tail scan that
+    found no witness: the closed form's holds flag and None); inputs holds
+    the arguments.
+    """
+
+    def __init__(self, message: str, routes: dict[str, object], inputs: object) -> None:
+        super().__init__(message)
+        self.routes, self.inputs = routes, inputs
 
 
 def as_fraction(x: RationalLike) -> Fraction:

@@ -5,37 +5,48 @@ weakly prefers X), check_icx decides X >=icx Y (increasing convex), check_cx
 decides X <=cx Y (convex order: Y is a mean-preserving spread of X), and
 check_st decides X >=st Y (survival-function dominance).
 
-Finite-support pairs are decided exactly through the piecewise-linear
-expected-shortfall envelope: two envelopes on a merged breakpoint grid are
-ordered everywhere iff they are ordered at the breakpoints.  Normal pairs use
-mean/deviation closed forms.  Every negative verdict carries a witness whose
-lhs/rhs re-evaluate to the reported violation; witnesses for finite laws are
-exact rationals.
+Finite pairs are decided by one linear merge walk.  G_X(p), the integral of
+the right quantile Q_X over (0, p), is piecewise linear with knots only at
+the cumulative probabilities of X, so G_X - G_Y is linear between the levels
+of the merged grid of both laws and is ordered on [0, 1] iff it is ordered
+there: the grid is a complete finite test set (Dentcheva and Ruszczynski,
+SIAM J. Optim. 2003; Mueller and Stoyan 2002, section 1.5).  ssd compares
+G_X >= G_Y on the grid; icx compares E[X] - G_X >= E[Y] - G_Y below p = 1,
+which is (1 - p) times the expected-shortfall gap; cx adds equal means to
+ssd.  Survival functions are steps that change only at atoms, so st is
+decided on the merged support.  Each pair is scaled once to integers (values
+over the lcm V of all value denominators, probabilities over the lcm D of
+all probability denominators) and only a witness is turned back into exact
+Fractions.  Normal pairs use mean/deviation closed forms.  Every negative
+verdict carries a witness whose lhs/rhs re-evaluate to the violation.
 
 oracle_ssd and oracle_icx decide the same discrete relations through an
 unrelated finite family of test functions (E[min(X, t)] and E[(X - t)+] over
-the merged support), for cross-validation.
+the merged support, as Fraction prefix sums), for cross-validation.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from itertools import chain, groupby, repeat
+from operator import itemgetter
+from typing import Callable, Iterator, Union
 
 from .dists import (
     DiscreteDist,
     Dist,
+    InternalError,
     Normal,
     UnsupportedPairingError,
     as_discrete,
-    cdf,
     mean,
-    negate,
     norm_cdf,
     norm_pdf,
 )
-from .risk import PhiEnvelope, es, phi_envelope, stop_loss
+from .risk import stop_loss
 
 __all__ = [
     "Witness",
@@ -91,65 +102,147 @@ class OrderVerdict:
 _HOLDS = OrderVerdict(True, None)
 
 
-def _exact_pair(x: Dist, y: Dist) -> tuple[DiscreteDist, DiscreteDist] | None:
+def _fails(kind: str, value: Number, lhs: Number, rhs: Number) -> OrderVerdict:
+    return OrderVerdict(False, Witness(kind, value, lhs, rhs))
+
+
+def _decide(
+    op: str,
+    x: Dist,
+    y: Dist,
+    finite: Callable[[DiscreteDist, DiscreteDist], OrderVerdict],
+    normal: Callable[[Normal, Normal], OrderVerdict],
+) -> OrderVerdict:
+    """Run the exact route on a finite-support pair, the closed form on a Normal pair."""
     dx, dy = as_discrete(x), as_discrete(y)
     if dx is not None and dy is not None:
-        return dx, dy
-    return None
-
-
-def _normal_pair(x: Dist, y: Dist) -> tuple[Normal, Normal] | None:
+        return finite(dx, dy)
     if isinstance(x, Normal) and isinstance(y, Normal):
-        return x, y
-    return None
-
-
-def _reject(op: str, x: Dist, y: Dist) -> None:
+        return normal(x, y)
     raise UnsupportedPairingError(
         f"{op} is defined for finite-support pairs and Normal/Normal pairs; "
         f"got {type(x).__name__} vs {type(y).__name__} (discretize first)"
     )
 
 
-def _merged_levels(ex: PhiEnvelope, ey: PhiEnvelope) -> list[Fraction]:
-    return sorted(set(ex.levels) | set(ey.levels))
+# ---------------------------------------------------------------------------
+# Integer merge walks over a scaled finite pair
+# ---------------------------------------------------------------------------
+
+# a law as integer lists (values, weights): value k is values[k] / V and its
+# probability weights[k] / D, with V and D shared by both laws of a pair
+_IntLaw = tuple[list[int], list[int]]
 
 
-def _integrated_lower_quantile(env: PhiEnvelope, p: Fraction) -> Fraction:
-    # integral of Q over (0, p) = mean - integral over (p, 1)
-    return env.points[0][1] - env.value_at(p)
+def _scale(dx: DiscreteDist, dy: DiscreteDist) -> tuple[_IntLaw, _IntLaw, int, int]:
+    """Both laws over the lcms V and D of their value and probability denominators."""
+    atoms = dx.atoms + dy.atoms
+    V = math.lcm(*(v.denominator for v, _ in atoms))
+    D = math.lcm(*(p.denominator for _, p in atoms))
+
+    def ints(d: DiscreteDist) -> _IntLaw:
+        return ([v.numerator * (V // v.denominator) for v, _ in d.atoms],
+                [p.numerator * (D // p.denominator) for _, p in d.atoms])
+
+    return ints(dx), ints(dy), V, D
+
+
+def _negated(x: _IntLaw) -> _IntLaw:
+    """The law of -X, values again ascending."""
+    return [-v for v in reversed(x[0])], x[1][::-1]
+
+
+def _mean(x: _IntLaw) -> int:
+    return sum(v * w for v, w in zip(*x))
+
+
+def _walk(x: _IntLaw, y: _IntLaw) -> Iterator[tuple[int, int, int]]:
+    """(P, G_X, G_Y) at every merged cumulative level P, ascending, ending at D.
+
+    G is the integrated lower quantile in units of 1 / (V D): the sum of
+    value times weight over the lowest mass P.
+    """
+    (xv, xw), (yv, yw) = x, y
+    i = j = p = gx = gy = 0
+    cx, cy = xw[0], yw[0]
+    while True:
+        nxt = cx if cx < cy else cy
+        gx += xv[i] * (nxt - p)
+        gy += yv[j] * (nxt - p)
+        p = nxt
+        yield p, gx, gy
+        if cx == p:
+            i += 1
+            if i == len(xv):
+                return  # both laws end at P = D
+            cx += xw[i]
+        if cy == p:
+            j += 1
+            cy += yw[j]
+
+
+def _ssd_walk(x: _IntLaw, y: _IntLaw, V: int, D: int) -> OrderVerdict:
+    """X >=ssd Y: G_X >= G_Y at every merged level (p = 1 compares the means)."""
+    for p, gx, gy in _walk(x, y):
+        if gx < gy:
+            return _fails("level_p", Fraction(p, D), Fraction(gx, V * D), Fraction(gy, V * D))
+    return _HOLDS
+
+
+def _icx_walk(x: _IntLaw, y: _IntLaw, V: int, D: int) -> OrderVerdict:
+    """X >=icx Y: the same walk down from the means, at the levels below p = 1."""
+    mx, my = _mean(x), _mean(y)
+    for p, gx, gy in chain(((0, 0, 0),), _walk(x, y)):
+        if p < D and mx - gx < my - gy:
+            s = V * (D - p)
+            return _fails("level_p", Fraction(p, D), Fraction(mx - gx, s), Fraction(my - gy, s))
+    return _HOLDS
+
+
+def _ssd_exact(
+    dx: DiscreteDist, dy: DiscreteDist, x: _IntLaw, y: _IntLaw, V: int, D: int
+) -> OrderVerdict:
+    """Both exact ssd routes, which must agree: integrated lower quantiles, and
+    the increasing convex comparison of the negated pair."""
+    verdict = _ssd_walk(x, y, V, D)
+    dual = _icx_walk(_negated(y), _negated(x), V, D)
+    if dual.holds != verdict.holds:
+        raise InternalError(
+            "ssd decision routes disagree",
+            {"integrated_quantiles": verdict, "negated_icx": dual},
+            (dx, dy),
+        )
+    return verdict
+
+
+def _st_walk(x: _IntLaw, y: _IntLaw, V: int, D: int) -> OrderVerdict:
+    """X >=st Y: P(X > t) >= P(Y > t) at every atom t of either law, ascending."""
+    fx = fy = 0  # mass at or below t
+    atoms = heapq.merge(zip(x[0], x[1], repeat(0)), zip(y[0], repeat(0), y[1]))
+    for t, at_t in groupby(atoms, key=itemgetter(0)):
+        for _, wx, wy in at_t:
+            fx, fy = fx + wx, fy + wy
+        if fx > fy:
+            return _fails("threshold_x", Fraction(t, V), Fraction(D - fx, D), Fraction(D - fy, D))
+    return _HOLDS
 
 
 # ---------------------------------------------------------------------------
-# Increasing convex order
+# The four deciders
 # ---------------------------------------------------------------------------
 
 
 def check_icx(x: Dist, y: Dist) -> OrderVerdict:
     """Decide X >=icx Y, i.e. ES_p(X) >= ES_p(Y) for every p in [0, 1)."""
-    pair = _exact_pair(x, y)
-    if pair is not None:
-        dx, dy = pair
-        ex, ey = phi_envelope(dx), phi_envelope(dy)
-        for p in _merged_levels(ex, ey):
-            if p == 1:
-                continue  # both envelopes vanish there
-            vx, vy = ex.value_at(p), ey.value_at(p)
-            if vx < vy:
-                return OrderVerdict(
-                    False, Witness("level_p", p, vx / (1 - p), vy / (1 - p))
-                )
+    return _decide("icx order check", x, y, lambda dx, dy: _icx_walk(*_scale(dx, dy)), _icx_normal)
+
+
+def _icx_normal(nx: Normal, ny: Normal) -> OrderVerdict:
+    if nx.mu >= ny.mu and nx.sigma >= ny.sigma:
         return _HOLDS
-    np_ = _normal_pair(x, y)
-    if np_ is not None:
-        nx, ny = np_
-        if nx.mu >= ny.mu and nx.sigma >= ny.sigma:
-            return _HOLDS
-        if nx.mu < ny.mu:
-            return OrderVerdict(False, Witness("level_p", 0.0, nx.mu, ny.mu))
-        return OrderVerdict(False, _normal_tail_witness(nx, ny))
-    _reject("icx order check", x, y)
-    raise AssertionError  # unreachable
+    if nx.mu < ny.mu:
+        return _fails("level_p", 0.0, nx.mu, ny.mu)
+    return OrderVerdict(False, _normal_tail_witness(nx, ny))
 
 
 def _normal_tail_witness(nx: Normal, ny: Normal) -> Witness:
@@ -165,14 +258,11 @@ def _normal_tail_witness(nx: Normal, ny: Normal) -> Witness:
         lhs, rhs = stop_loss(nx, t), stop_loss(ny, t)
         if lhs < rhs:
             return Witness("angle_t", t, lhs, rhs)
-    raise RuntimeError(
-        "icx violation exists but lies beyond binary64 tail resolution"
+    raise InternalError(
+        "icx violation exists but lies beyond binary64 tail resolution",
+        {"closed_form": False, "tail_scan": None},
+        (nx, ny),
     )
-
-
-# ---------------------------------------------------------------------------
-# Second-order stochastic dominance
-# ---------------------------------------------------------------------------
 
 
 def check_ssd(x: Dist, y: Dist) -> OrderVerdict:
@@ -184,34 +274,17 @@ def check_ssd(x: Dist, y: Dist) -> OrderVerdict:
     lower quantile comparison at the first violating level (p = 1 compares
     the means).
     """
-    pair = _exact_pair(x, y)
-    if pair is not None:
-        dx, dy = pair
-        ex, ey = phi_envelope(dx), phi_envelope(dy)
-        verdict = _HOLDS
-        for p in _merged_levels(ex, ey):
-            if p == 0:
-                continue  # both integrals vanish there
-            vx = _integrated_lower_quantile(ex, p)
-            vy = _integrated_lower_quantile(ey, p)
-            if vx < vy:
-                verdict = OrderVerdict(False, Witness("level_p", p, vx, vy))
-                break
-        dual = check_icx(negate(dy), negate(dx))
-        if dual.holds != verdict.holds:
-            raise RuntimeError("internal: ssd decision routes disagree")
-        return verdict
-    np_ = _normal_pair(x, y)
-    if np_ is not None:
-        nx, ny = np_
-        if nx.mu >= ny.mu and nx.sigma <= ny.sigma:
-            return _HOLDS
-        if nx.mu < ny.mu:
-            # integrated quantile at p = 1 is the mean
-            return OrderVerdict(False, Witness("level_p", 1.0, nx.mu, ny.mu))
-        return OrderVerdict(False, _normal_lower_witness(nx, ny))
-    _reject("ssd order check", x, y)
-    raise AssertionError  # unreachable
+    return _decide("ssd order check", x, y,
+                   lambda dx, dy: _ssd_exact(dx, dy, *_scale(dx, dy)), _ssd_normal)
+
+
+def _ssd_normal(nx: Normal, ny: Normal) -> OrderVerdict:
+    if nx.mu >= ny.mu and nx.sigma <= ny.sigma:
+        return _HOLDS
+    if nx.mu < ny.mu:
+        # integrated quantile at p = 1 is the mean
+        return _fails("level_p", 1.0, nx.mu, ny.mu)
+    return OrderVerdict(False, _normal_lower_witness(nx, ny))
 
 
 def _normal_lower_witness(nx: Normal, ny: Normal) -> Witness:
@@ -229,75 +302,73 @@ def _normal_lower_witness(nx: Normal, ny: Normal) -> Witness:
         rhs = ny.mu * p - ny.sigma * norm_pdf(zstep)
         if lhs < rhs:
             return Witness("level_p", p, lhs, rhs)
-    raise RuntimeError(
-        "ssd violation exists but lies beyond binary64 tail resolution"
+    raise InternalError(
+        "ssd violation exists but lies beyond binary64 tail resolution",
+        {"closed_form": False, "tail_scan": None},
+        (nx, ny),
     )
-
-
-# ---------------------------------------------------------------------------
-# Convex order
-# ---------------------------------------------------------------------------
 
 
 def check_cx(x: Dist, y: Dist) -> OrderVerdict:
     """Decide X <=cx Y: equal means and X >=ssd Y (Y spreads X)."""
-    pair = _exact_pair(x, y)
-    if pair is not None:
-        dx, dy = pair
-        mx, my = mean(dx), mean(dy)
-        if mx != my:
-            return OrderVerdict(False, Witness("level_p", Fraction(1), mx, my))
-        return check_ssd(dx, dy)
-    np_ = _normal_pair(x, y)
-    if np_ is not None:
-        nx, ny = np_
-        if abs(nx.mu - ny.mu) > 1e-12:
-            return OrderVerdict(False, Witness("level_p", 1.0, nx.mu, ny.mu))
-        if nx.sigma <= ny.sigma:
-            return _HOLDS
-        return OrderVerdict(False, _normal_lower_witness(nx, ny))
-    _reject("cx order check", x, y)
-    raise AssertionError  # unreachable
+    return _decide("cx order check", x, y, _cx_exact, _cx_normal)
 
 
-# ---------------------------------------------------------------------------
-# Usual (first-order) stochastic order
-# ---------------------------------------------------------------------------
+def _cx_exact(dx: DiscreteDist, dy: DiscreteDist) -> OrderVerdict:
+    x, y, V, D = _scale(dx, dy)
+    mx, my = _mean(x), _mean(y)
+    if mx != my:
+        return _fails("level_p", Fraction(1), Fraction(mx, V * D), Fraction(my, V * D))
+    return _ssd_exact(dx, dy, x, y, V, D)
+
+
+def _cx_normal(nx: Normal, ny: Normal) -> OrderVerdict:
+    if abs(nx.mu - ny.mu) > 1e-12:
+        return _fails("level_p", 1.0, nx.mu, ny.mu)
+    if nx.sigma <= ny.sigma:
+        return _HOLDS
+    return OrderVerdict(False, _normal_lower_witness(nx, ny))
 
 
 def check_st(x: Dist, y: Dist) -> OrderVerdict:
     """Decide X >=st Y: P(X > t) >= P(Y > t) for every t."""
-    pair = _exact_pair(x, y)
-    if pair is not None:
-        dx, dy = pair
-        ts = sorted(set(dx.values) | set(dy.values))
-        # survival functions are right-continuous steps; atoms suffice
-        for t in ts:
-            sx = 1 - cdf(dx, t)
-            sy = 1 - cdf(dy, t)
-            if sx < sy:
-                return OrderVerdict(False, Witness("threshold_x", t, sx, sy))
+    return _decide("st order check", x, y, lambda dx, dy: _st_walk(*_scale(dx, dy)), _st_normal)
+
+
+def _st_normal(nx: Normal, ny: Normal) -> OrderVerdict:
+    if nx.sigma != ny.sigma:
+        raise UnsupportedPairingError(
+            "st order for Normal pairs needs equal sigma; discretize first"
+        )
+    if nx.mu >= ny.mu:
         return _HOLDS
-    np_ = _normal_pair(x, y)
-    if np_ is not None:
-        nx, ny = np_
-        if nx.sigma != ny.sigma:
-            raise UnsupportedPairingError(
-                "st order for Normal pairs needs equal sigma; discretize first"
-            )
-        if nx.mu >= ny.mu:
-            return _HOLDS
-        t = 0.5 * (nx.mu + ny.mu)
-        sx = 1.0 - norm_cdf((t - nx.mu) / nx.sigma)
-        sy = 1.0 - norm_cdf((t - ny.mu) / ny.sigma)
-        return OrderVerdict(False, Witness("threshold_x", t, sx, sy))
-    _reject("st order check", x, y)
-    raise AssertionError  # unreachable
+    t = 0.5 * (nx.mu + ny.mu)
+    sx = 1.0 - norm_cdf((t - nx.mu) / nx.sigma)
+    sy = 1.0 - norm_cdf((t - ny.mu) / ny.sigma)
+    return _fails("threshold_x", t, sx, sy)
 
 
 # ---------------------------------------------------------------------------
 # Independent oracles over finite test-function families
 # ---------------------------------------------------------------------------
+
+
+def _oracle_pair(x: Dist, y: Dist, name: str) -> tuple[DiscreteDist, DiscreteDist, list[Fraction]]:
+    """The finite pair and its merged support, ascending."""
+    dx, dy = as_discrete(x), as_discrete(y)
+    if dx is None or dy is None:
+        raise UnsupportedPairingError(f"{name} is defined for finite-support pairs")
+    return dx, dy, sorted(set(dx.values) | set(dy.values))
+
+
+def _min_means(d: DiscreteDist, ts: list[Fraction]) -> Iterator[Fraction]:
+    """E[min(X, t)] for each t of the ascending list ts, in one pass over the atoms."""
+    below, above, k = Fraction(0), Fraction(1), 0  # E[X; X <= t] and P(X > t)
+    for t in ts:
+        while k < len(d.atoms) and d.atoms[k][0] <= t:
+            v, p = d.atoms[k]
+            below, above, k = below + v * p, above - p, k + 1
+        yield below + t * above
 
 
 def oracle_ssd(x: Dist, y: Dist) -> OrderVerdict:
@@ -307,27 +378,19 @@ def oracle_ssd(x: Dist, y: Dist) -> OrderVerdict:
     smallest and above the largest, so the merged support is a complete test
     set.  Shares no code with check_ssd.
     """
-    pair = _exact_pair(x, y)
-    if pair is None:
-        raise UnsupportedPairingError("oracle_ssd is defined for finite-support pairs")
-    dx, dy = pair
-    for t in sorted(set(dx.values) | set(dy.values)):
-        lhs = sum((min(v, t) * p for v, p in dx.atoms), Fraction(0))
-        rhs = sum((min(v, t) * p for v, p in dy.atoms), Fraction(0))
+    dx, dy, ts = _oracle_pair(x, y, "oracle_ssd")
+    for t, lhs, rhs in zip(ts, _min_means(dx, ts), _min_means(dy, ts)):
         if lhs < rhs:
-            return OrderVerdict(False, Witness("angle_t", t, lhs, rhs))
+            return _fails("angle_t", t, lhs, rhs)
     return _HOLDS
 
 
 def oracle_icx(x: Dist, y: Dist) -> OrderVerdict:
-    """Decide X >=icx Y via stop-loss premiums on the merged support."""
-    pair = _exact_pair(x, y)
-    if pair is None:
-        raise UnsupportedPairingError("oracle_icx is defined for finite-support pairs")
-    dx, dy = pair
-    for t in sorted(set(dx.values) | set(dy.values)):
-        lhs = sum(((v - t) * p for v, p in dx.atoms if v > t), Fraction(0))
-        rhs = sum(((v - t) * p for v, p in dy.atoms if v > t), Fraction(0))
-        if lhs < rhs:
-            return OrderVerdict(False, Witness("angle_t", t, lhs, rhs))
+    """Decide X >=icx Y via stop-loss premiums E[(X - t)+] = E[X] - E[min(X, t)]
+    on the merged support."""
+    dx, dy, ts = _oracle_pair(x, y, "oracle_icx")
+    mx, my = mean(dx), mean(dy)
+    for t, lx, ly in zip(ts, _min_means(dx, ts), _min_means(dy, ts)):
+        if mx - lx < my - ly:
+            return _fails("angle_t", t, mx - lx, my - ly)
     return _HOLDS

@@ -16,6 +16,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .dists import (
     Bernoulli,
@@ -78,9 +79,8 @@ class PhiEnvelope:
         pf = as_fraction(p)
         if not 0 <= pf <= 1:
             raise InputError(f"level must lie in [0, 1], got {pf}")
-        ps = self.levels
-        k = bisect_right(ps, pf) - 1
-        if k == len(ps) - 1:
+        k = bisect_right(self.points, pf, key=itemgetter(0)) - 1
+        if k == len(self.points) - 1:
             return self.points[-1][1]
         p0, v0 = self.points[k]
         p1, v1 = self.points[k + 1]

@@ -326,3 +326,26 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestInternalErrors:
+    def test_normal_icx_beyond_tail_resolution_exits_three(self, run, tmp_path):
+        x = _write(tmp_path / "x.json", {"type": "normal", "mu": 100, "sigma": 1})
+        y = _write(tmp_path / "y.json", {"type": "normal", "mu": 0, "sigma": 2})
+        code, report, cap = run("check-order", "--relation", "icx", x, y)
+        assert code == 3
+        assert report is None and cap.out == ""
+        assert cap.err.startswith("error: internal:")
+        assert "binary64 tail resolution" in cap.err
+        assert "Traceback" not in cap.err
+
+    def test_route_disagreement_exits_three(self, run, tmp_path, monkeypatch):
+        from stochorder import orders
+        from stochorder.orders import OrderVerdict
+
+        monkeypatch.setattr(orders, "_icx_walk", lambda *args: OrderVerdict(True))
+        x = _write(tmp_path / "x.json", _discrete([0, 2]))
+        y = _write(tmp_path / "y.json", _discrete([1]))
+        code, report, cap = run("check-order", "--relation", "ssd", x, y)
+        assert code == 3 and report is None
+        assert cap.err.startswith("error: internal: ssd decision routes disagree")

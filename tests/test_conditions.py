@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from stochorder import (
+    InternalError,
     check_cx,
     check_icx,
     check_ssd,
@@ -25,6 +26,7 @@ from stochorder import (
     relevant_thresholds,
 )
 from stochorder.gen import random_joint
+from stochorder.orders import OrderVerdict, Witness
 
 
 def J(*cells):
@@ -135,6 +137,25 @@ class TestImplications:
             assert cond_cx_pair(j).holds == cond_new(j).holds
             # with a centered move the two one-sided tail conditions coincide
             assert cond_new(j).holds == cond_icx(j).holds
+
+
+    def test_cx_pair_tail_disagreement_raises_with_both_verdicts(self, monkeypatch):
+        from stochorder import conditions
+
+        first_failure = conditions._Groups.first_failure
+
+        def upper_always_holds(self, tail):
+            return OrderVerdict(True) if tail == "upper" else first_failure(self, tail)
+
+        monkeypatch.setattr(conditions._Groups, "first_failure", upper_always_holds)
+        j = J((0, 1, F(1, 2)), (1, -1, F(1, 2)))
+        with pytest.raises(InternalError) as exc:
+            cond_cx_pair(j)
+        assert exc.value.routes == {
+            "lower_tail": OrderVerdict(False, Witness("threshold_x", F(0), F(1), F(0))),
+            "upper_tail": OrderVerdict(True),
+        }
+        assert exc.value.inputs == j
 
 
 class TestCouplingTransport:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochorder import (
+    InternalError,
     Normal,
     UnsupportedPairingError,
     affine,
@@ -204,11 +205,34 @@ class TestNormalPairs:
         with pytest.raises(UnsupportedPairingError):
             check_st(Normal(0.0, 1.0), Normal(0.0, 2.0))
 
+    def test_tail_beyond_binary64_is_internal_error(self):
+        with pytest.raises(InternalError) as exc:
+            check_icx(Normal(100.0, 1.0), Normal(0.0, 2.0))
+        assert isinstance(exc.value, RuntimeError)
+        assert exc.value.routes == {"closed_form": False, "tail_scan": None}
+        assert exc.value.inputs == (Normal(100.0, 1.0), Normal(0.0, 2.0))
+
     def test_mixed_kind_rejected(self):
         with pytest.raises(UnsupportedPairingError):
             check_ssd(Normal(0.0, 1.0), uniform(0, 1))
         with pytest.raises(UnsupportedPairingError):
             oracle_ssd(Normal(0.0, 1.0), Normal(0.0, 1.0))
+
+
+class TestRouteDisagreement:
+    def test_ssd_dual_route_disagreement_raises_with_both_verdicts(self, monkeypatch):
+        from stochorder import orders
+
+        monkeypatch.setattr(orders, "_icx_walk", lambda *args: OrderVerdict(True))
+        x, y = uniform(0, 2), uniform(1)
+        with pytest.raises(InternalError) as exc:
+            check_ssd(x, y)
+        routes = exc.value.routes
+        assert routes["integrated_quantiles"] == OrderVerdict(
+            False, Witness("level_p", F(1, 2), F(0), F(1, 2))
+        )
+        assert routes["negated_icx"].holds
+        assert exc.value.inputs == (x, y)
 
 
 class TestVerdictInvariants:

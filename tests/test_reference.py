@@ -1,0 +1,156 @@
+"""The linear walks return exactly what the direct Fraction routes return.
+
+Every order checker, both oracles and all five dependence conditions are
+compared with the per-point evaluations in `tests/reference.py`: the whole
+verdict must be equal, witness included, and every witness field must be
+an exact Fraction.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stochorder import (
+    JointDist,
+    check_cx,
+    check_icx,
+    check_ssd,
+    check_st,
+    cond_classic,
+    cond_cx_pair,
+    cond_icx,
+    cond_new,
+    cond_on_difference,
+    improver_check,
+    normalize,
+    normalize_joint,
+    oracle_icx,
+    oracle_ssd,
+    tail_condition,
+)
+
+from . import reference as ref
+
+# value families: half-integer lattice (negative values included), small
+# rationals on mixed denominators, and dyadic floats with 53-bit denominators
+lattice = st.integers(-12, 12).map(lambda k: F(k, 2))
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+dyadic = st.floats(-8, 8, allow_nan=False, allow_infinity=False).map(F)
+value_families = st.sampled_from([lattice, rationals, dyadic])
+
+
+def _law(values, weights):
+    return normalize(zip(values, weights))
+
+
+@st.composite
+def laws(draw, family=None, max_atoms=7):
+    family = family if family is not None else draw(value_families)
+    n = draw(st.integers(1, max_atoms))
+    values = draw(st.lists(family, min_size=n, max_size=n, unique=True))
+    weights = draw(st.lists(st.integers(1, 59), min_size=n, max_size=n))
+    return _law(values, weights)
+
+
+@st.composite
+def pairs(draw):
+    """Pairs on different and on shared probability grids, including
+    holding pairs built by downward shifts and mean-preserving spreads."""
+    family = draw(value_families)
+    x = draw(laws(family))
+    modes = ["independent", "same_grid", "shift", "spread", "spread_shift"]
+    mode = draw(st.sampled_from(modes))
+    if mode == "independent":
+        y = draw(laws(family))
+    elif mode == "same_grid":
+        # same probabilities in the same order: every cumulative level coincides
+        values = draw(st.lists(family, min_size=len(x.atoms), max_size=len(x.atoms), unique=True))
+        y = _law(sorted(values), x.probs)
+    else:
+        y = x
+        if mode.startswith("spread"):
+            d = draw(st.fractions(min_value=F(1, 8), max_value=3, max_denominator=8))
+            y = normalize([(v + s, p / 2) for v, p in x.atoms for s in (-d, d)])
+        if mode.endswith("shift"):
+            c = draw(st.fractions(min_value=-1, max_value=3, max_denominator=6))
+            y = normalize((v - c, p) for v, p in y.atoms)
+    return (y, x) if draw(st.booleans()) else (x, y)
+
+
+@st.composite
+def joints(draw):
+    """Joint laws with repeated anchors, built directly with their cells in
+    drawn order, or canonically through normalize_joint."""
+    anchors = draw(st.sampled_from([st.integers(-3, 3).map(F), rationals, dyadic]))
+    moves = draw(value_families)
+    cells = draw(st.lists(st.tuples(anchors, moves), min_size=1, max_size=12, unique=True))
+    weights = draw(st.lists(st.integers(1, 30), min_size=len(cells), max_size=len(cells)))
+    total = sum(weights)
+    atoms = [(w, z, F(k, total)) for (w, z), k in zip(cells, weights)]
+    shift = draw(st.sampled_from(["none", "zero_mean", "down"]))
+    if shift != "none":
+        c = sum(z * p for _, z, p in atoms) if shift == "zero_mean" else max(z for _, z, _ in atoms)
+        atoms = [(w, z - c, p) for w, z, p in atoms]
+    if draw(st.booleans()):
+        return normalize_joint(atoms)
+    return JointDist(tuple(draw(st.permutations(atoms))))
+
+
+def _assert_exact_equal(got, want):
+    assert got == want
+    if got.witness is not None:
+        w = got.witness
+        assert all(isinstance(f, F) for f in (w.value, w.lhs, w.rhs))
+
+
+ORDER_PAIRS = [
+    (check_ssd, ref.check_ssd),
+    (check_icx, ref.check_icx),
+    (check_cx, ref.check_cx),
+    (check_st, ref.check_st),
+    (oracle_ssd, ref.oracle_ssd),
+    (oracle_icx, ref.oracle_icx),
+]
+
+COND_PAIRS = [
+    (cond_new, ref.cond_new),
+    (cond_classic, ref.cond_classic),
+    (cond_icx, ref.cond_icx),
+    (cond_cx_pair, ref.cond_cx_pair),
+    (cond_on_difference, ref.cond_on_difference),
+]
+
+
+class TestOrdersMatchReference:
+    @settings(max_examples=400, deadline=None)
+    @given(pairs())
+    def test_checkers_and_oracles(self, pair):
+        x, y = pair
+        for fast, slow in ORDER_PAIRS:
+            _assert_exact_equal(fast(x, y), slow(x, y))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([lattice, dyadic]).flatmap(lambda f: st.tuples(f, laws(f))))
+    def test_single_atom_against_law(self, case):
+        c, x = case
+        point = normalize([(c, 1)])
+        for fast, slow in ORDER_PAIRS:
+            _assert_exact_equal(fast(point, x), slow(point, x))
+            _assert_exact_equal(fast(x, point), slow(x, point))
+
+
+class TestConditionsMatchReference:
+    @settings(max_examples=400, deadline=None)
+    @given(joints())
+    def test_five_conditions(self, j):
+        for fast, slow in COND_PAIRS:
+            _assert_exact_equal(fast(j), slow(j))
+
+    @settings(max_examples=200, deadline=None)
+    @given(joints())
+    def test_improver_flip_skips_normalization(self, j):
+        flipped = [(w + z, -z, p) for w, z, p in j.atoms]
+        want = ref.cond_new(normalize_joint(flipped))
+        _assert_exact_equal(tail_condition(flipped, "lower"), want)
+        assert improver_check(j).in_n == want.holds

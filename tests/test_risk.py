@@ -88,6 +88,14 @@ class TestEnvelope:
             lo = hi
         assert env.value_at(p) - env.value_at(q) == -integral
 
+    @given(discrete_dists())
+    def test_value_at_breakpoints_and_midpoints(self, d):
+        env = phi_envelope(d)
+        for (p0, v0), (p1, v1) in zip(env.points, env.points[1:]):
+            assert env.value_at(p0) == v0
+            assert env.value_at((p0 + p1) / 2) == (v0 + v1) / 2
+        assert env.value_at(1) == env.points[-1][1] == 0
+
     def test_validation(self):
         with pytest.raises(InputError):
             PhiEnvelope(((F(0), F(1)), (F(1), F(1))))  # must vanish at 1
