@@ -13,9 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .conditions import cond_classic, cond_icx, cond_new, is_comonotone, tail_condition
 from .dists import (
@@ -23,6 +21,7 @@ from .dists import (
     Dist,
     Exponential,
     InputError,
+    InternalError,
     IrrelevantThresholdError,
     JointDist,
     Normal,
@@ -40,6 +39,9 @@ from .dists import (
 )
 from .orders import OrderVerdict, Witness, check_ssd
 from .risk import stop_loss
+
+if TYPE_CHECKING:
+    import numpy as np  # the numeric routes import it when they run
 
 __all__ = [
     "GaussianCase",
@@ -135,6 +137,8 @@ def _mills_grid() -> tuple[np.ndarray, np.ndarray]:
     """Standard normal lower tail mean E[W | W <= x] tabulated on the x-grid."""
     global _mills_cache
     if _mills_cache is None:
+        import numpy as np
+
         n = round((_COND_GRID_HI - _COND_GRID_LO) / _COND_GRID_STEP) + 1
         xs = np.linspace(_COND_GRID_LO, _COND_GRID_HI, n)
         std = Normal(0.0, 1.0)
@@ -151,6 +155,8 @@ def gaussian_cond_new_numeric(case: GaussianCase, tol: float = _COND_TOL) -> boo
     to mu_z as x -> +inf, and E[W | W <= x] is unbounded below as x -> -inf,
     so any rho < 0 blows the expression up on the far left.
     """
+    import numpy as np
+
     _, ms = _mills_grid()
     sup = float(np.max(case.mu_z + case.rho * case.sigma_z * ms))
     return sup <= tol and case.mu_z <= tol and case.rho >= -tol
@@ -184,17 +190,21 @@ def gaussian_region(case: GaussianCase) -> RegionFlags:
     )
     margin_new = min(abs(case.mu_z), abs(case.rho))
     if margin_new > _CROSS_CHECK_MARGIN:
-        if gaussian_cond_new_numeric(case) != analytic.cond_new:
-            raise RuntimeError(
-                f"internal: numeric lower-tail route disagrees with the "
-                f"analytic region at {case}"
+        numeric = gaussian_cond_new_numeric(case)
+        if numeric != analytic.cond_new:
+            raise InternalError(
+                f"numeric lower-tail route disagrees with the analytic region at {case}",
+                routes={"numeric_lower_tail": numeric, "analytic": analytic.cond_new},
+                inputs=case,
             )
     margin_ssd = min(abs(case.mu_z), abs(case.rho + case.sigma_z / 2.0))
     if margin_ssd > _CROSS_CHECK_MARGIN:
-        if gaussian_ssd_check(case) != analytic.ssd:
-            raise RuntimeError(
-                f"internal: parametric dominance route disagrees with the "
-                f"analytic region at {case}"
+        parametric = gaussian_ssd_check(case)
+        if parametric != analytic.ssd:
+            raise InternalError(
+                f"parametric dominance route disagrees with the analytic region at {case}",
+                routes={"parametric_ssd": parametric, "analytic": analytic.ssd},
+                inputs=case,
             )
     return analytic
 
@@ -260,9 +270,11 @@ def bernoulli_region(case: BernoulliCase) -> RegionFlags:
         cond_classic=case.c >= _HALF and lower <= case.rho <= upper,
     )
     if checker != analytic:
-        raise RuntimeError(
-            f"internal: checker route disagrees with the closed-form region "
-            f"at c={case.c}, rho={case.rho}: {checker} vs {analytic}"
+        raise InternalError(
+            f"checker route disagrees with the closed-form region "
+            f"at c={case.c}, rho={case.rho}: {checker} vs {analytic}",
+            routes={"checker": checker, "closed_form": analytic},
+            inputs=case,
         )
     return checker
 
@@ -510,7 +522,8 @@ def marketable_check(
 ) -> OrderVerdict:
     """Whether E[I(X) | X - I(X) >= x] >= P0 at every relevant x.
 
-    Discrete losses check exactly at the atoms of the retained loss.  For an
+    Discrete losses check exactly at the atoms of the retained loss, in one
+    upper-tail pass of tail_condition over (X - I(X), I(X) - P0).  For an
     exponential loss with a fixed or stop-loss schedule the conditional mean
     is nondecreasing in x (the payout event only gains relative weight), so
     its infimum is the unconditional expected indemnity, compared against P0
@@ -533,12 +546,16 @@ def marketable_check(
                 "condition cannot hold at every threshold",
                 stacklevel=2,
             )
-        thresholds = sorted({v - indemnity_value(i, v) for v, _ in x_dist.atoms})
-        for x in thresholds:
-            cm = conditional_indemnity_mean(i, x_dist, x)
-            if cm < p0f:
-                return OrderVerdict(False, Witness("threshold_x", x, cm, p0f))
-        return OrderVerdict(True, None)
+        # a negative loss has already raised in indemnity_value
+        # E[I(X) - P0 | R >= x] >= 0 over the retained losses R = X - I(X)
+        ivals = [indemnity_value(i, v) for v, _ in x_dist.atoms]
+        verdict = tail_condition(
+            ((v - iv, iv - p0f, p) for (v, p), iv in zip(x_dist.atoms, ivals)), "upper"
+        )
+        if verdict.holds:
+            return verdict
+        w = verdict.witness
+        return OrderVerdict(False, Witness("threshold_x", w.value, w.lhs + p0f, p0f))
     inf_value = float(expected)
     p0v = float(p0f)
     if p0v > inf_value:
@@ -707,8 +724,10 @@ def stop_loss_compare(
     dominates = all(s >= b for s, b in zip(summed_curve, base_curve))
     condition = cond_icx(j)
     if condition.holds and not dominates:
-        raise RuntimeError(
-            "internal: upper-tail condition holds but stop-loss dominance fails"
+        raise InternalError(
+            "upper-tail condition holds but stop-loss dominance fails",
+            routes={"cond_icx": condition, "stop_loss_curves": (base_curve, summed_curve)},
+            inputs=(j, tuple(ds)),
         )
     return StopLossComparison(
         condition=condition,
@@ -775,6 +794,8 @@ _leg_cache: tuple[np.ndarray, np.ndarray] | None = None
 def _leggauss() -> tuple[np.ndarray, np.ndarray]:
     global _leg_cache
     if _leg_cache is None:
+        import numpy as np
+
         _leg_cache = np.polynomial.legendre.leggauss(_QUAD_NODES)
     return _leg_cache
 
@@ -791,6 +812,8 @@ def _position_values(
     params: BSParams, t: float, gs: np.ndarray, p0: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(spot, put, position) at time t on standard normal generator values."""
+    import numpy as np
+
     growth = (params.drift - 0.5 * params.sigma**2) * t
     vol = params.sigma * math.sqrt(t)
     spots = params.spot * np.exp(growth + vol * gs)
@@ -804,6 +827,8 @@ def expected_put_value(params: BSParams, t: float) -> float:
     t = _check_real("t", t)
     if not 0.0 < t < params.horizon:
         raise InputError(f"t must lie in (0, horizon), got {t}")
+    import numpy as np
+
     gs, ws = _gauss_nodes(-_QUAD_RANGE, _QUAD_RANGE)
     p0 = bs_put(params, 0.0, params.spot)
     _, puts, _ = _position_values(params, t, gs, p0)
@@ -828,13 +853,19 @@ def protective_put_check(
     t = _check_real("t", t)
     if not 0.0 < t < params.horizon:
         raise InputError(f"t must lie in (0, horizon), got {t}")
+    import numpy as np
+
     p0 = bs_put(params, 0.0, params.spot)
     gs, ws = _gauss_nodes(-_QUAD_RANGE, _QUAD_RANGE)
     spots, puts, positions = _position_values(params, t, gs, p0)
-    if np.any(np.diff(puts) > 1e-12):
-        raise RuntimeError("internal: put value is not decreasing in the spot")
-    if np.any(np.diff(positions) < -1e-12):
-        raise RuntimeError("internal: position value is not increasing in the spot")
+    for name, values, sign in (("put", puts, 1), ("position", positions, -1)):
+        if np.any(sign * np.diff(values) > 1e-12):
+            direction = "decreasing" if sign > 0 else "increasing"
+            raise InternalError(
+                f"{name} value is not {direction} in the spot",
+                routes={"spots": spots.tolist(), name + "s": values.tolist()},
+                inputs=(params, t),
+            )
     dens = np.array([norm_pdf(float(g)) for g in gs])
     wphi = ws * dens
     mean_put = float(np.sum(wphi * puts))

@@ -1,16 +1,45 @@
-"""Coupling synthesis by exact rational LP feasibility.
+"""Coupling synthesis by construction, after an exact order decision.
 
 Given finite marginal laws X (rows) and Y (columns), find a joint matrix pi
 on support(X) x support(Y) with those marginals such that, writing
 Z = Y - W for the coordinate pair (W, Y),
 
-    supermartingale mode:  E[Z | W = w] <= 0 at every atom w   (feasible iff X >=ssd Y)
-    martingale mode:       E[Z | W = w]  = 0 at every atom w   (feasible iff X <=cx Y)
+    supermartingale mode:  E[Z | W = w] <= 0 at every atom w   (exists iff X >=ssd Y)
+    martingale mode:       E[Z | W = w]  = 0 at every atom w   (exists iff X <=cx Y)
 
-The search is a phase-1 simplex over exact Fractions with Bland's rule, so
-feasibility answers are decisions, not approximations.  On the infeasible
-side the result carries the witness of the violated order as a certificate;
-the two must agree, and a disagreement raises instead of returning.
+Both existence statements are Strassen's theorem, so check_ssd or check_cx
+decides first, exactly, and a failing pair returns that checker's witness
+as its certificate.  A holding pair is built directly, with no search.
+
+Martingale mode is the left-curtain coupling (Beiglboeck and Juillet, Ann.
+Probab. 2016).  The atoms (x, a) of X are taken in ascending order, and
+each takes its shadow in what is left of Y: the remaining mass between
+quantile levels t and t + a whose barycenter is x.  The window's first
+moment G(t + a) - G(t), with G the integrated quantile of the remainder, is
+piecewise linear and nondecreasing in t, so t is solved for exactly by
+sliding the window up through the atoms, starting from the highest t at
+which it still lies wholly below x.  While X <=cx Y every window exists:
+the shadow of a sum of measures exists and is the shadow of the first part
+followed by the shadow of the second in what the first left.
+
+Supermartingale mode goes through an intermediate law U.  With G_X and G_Y
+the integrated quantiles (the integrals of Q_X and Q_Y over (0, p)), put
+h(p) = min over q >= p of (G_X - G_Y)(q) and G_U = G_X - h.  X >=ssd Y
+means G_X >= G_Y, so h runs from h(0) = 0 to h(1) = E[X] - E[Y] (the gap in
+means), is nondecreasing, and G_Y <= G_U with equality at p = 1: U <=cx Y.
+Where h is flat, Q_U = Q_X; where h rises it equals G_X - G_Y, so Q_U = Q_Y,
+and Q_Y <= Q_X there.  At a level p where a rising stretch begins, G_X - G_Y
+did not fall into p, so Q_X <= Q_Y just below p; where one ends, Q_Y <= Q_X.
+So Q_U only steps up where it switches between Q_X and Q_Y, G_U is convex,
+and Q_U <= Q_X throughout.  The comonotone coupling of (X, U) moves every
+atom weakly down, the left-curtain coupling of (U, Y) adds no drift, and
+their composition is a supermartingale coupling of (X, Y).  G_X - G_Y is
+linear between the merged cumulative levels of X and Y, so h and U take one
+pass over those levels, with at most one extra cut between two of them.
+
+verify_coupling rechecks every built coupling with plain sums over the
+matrix, independent of the construction; a holding order whose construction
+cannot place an atom or does not verify raises InternalError.
 """
 
 from __future__ import annotations
@@ -18,9 +47,19 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from typing import Sequence
 
-from .dists import DiscreteDist, Dist, InputError, JointDist, as_discrete, normalize_joint
-from .orders import OrderVerdict, Witness, check_cx, check_ssd
+from .dists import (
+    DiscreteDist,
+    Dist,
+    InputError,
+    InternalError,
+    JointDist,
+    as_discrete,
+    normalize_joint,
+)
+from .orders import OrderVerdict, Witness, _scale, _walk, check_cx, check_ssd
 
 __all__ = [
     "Coupling",
@@ -35,13 +74,12 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 MODE_SUPERMARTINGALE = "supermartingale"
 MODE_MARTINGALE = "martingale"
 
 _ENV_MAX_SUPPORT = "STOCHORDER_MAX_SUPPORT"
-_DEFAULT_MAX_SUPPORT = 100
+_DEFAULT_MAX_SUPPORT = 1500
 
 
 def max_support() -> int:
@@ -111,189 +149,161 @@ def _synth(x: Dist, y: Dist, martingale: bool) -> SynthResult:
             f"marginal support exceeds the bound {cap} "
             f"(set {_ENV_MAX_SUPPORT} to override)"
         )
+    checker = check_cx if martingale else check_ssd
+    verdict = checker(dx, dy)
+    if not verdict.holds:
+        return SynthResult(False, None, verdict.witness)
     mode = MODE_MARTINGALE if martingale else MODE_SUPERMARTINGALE
-    if dx.support_size() == 1 or dy.support_size() == 1:
-        # degenerate marginal: the product coupling is the only candidate,
-        # so feasibility reduces to checking it directly
-        product = Coupling(
-            row_values=dx.values,
-            col_values=dy.values,
-            row_probs=dx.probs,
-            col_probs=dy.probs,
-            pi=tuple(tuple(p * q for q in dy.probs) for p in dx.probs),
+    pieces = [(v, v, p) for v, p in dx.atoms] if martingale else _intermediate(dx, dy)
+    pi = _compose(dx, dy, pieces)
+    coupling = None if pi is None else Coupling(dx.values, dy.values, dx.probs, dy.probs, pi)
+    if coupling is None or not verify_coupling(coupling, dx, dy, mode):
+        failure = "cannot place an atom" if pi is None else "fails verification"
+        raise InternalError(
+            f"{checker.__name__} holds but the {mode} construction {failure}",
+            routes={checker.__name__: verdict, "construction": pi},
+            inputs=(dx, dy),
         )
-        if verify_coupling(product, dx, dy, mode):
-            return SynthResult(True, product, None)
-        verdict = check_cx(dx, dy) if martingale else check_ssd(dx, dy)
-        if verdict.holds:
-            raise RuntimeError(
-                "internal: order holds but the degenerate coupling fails"
-            )
-        assert verdict.witness is not None
-        return SynthResult(False, None, verdict.witness)
-    pi = _solve_transport(dx, dy, martingale)
-    if pi is None:
-        verdict = check_cx(dx, dy) if martingale else check_ssd(dx, dy)
-        if verdict.holds:
-            raise RuntimeError("internal: order holds but coupling LP is infeasible")
-        assert verdict.witness is not None
-        return SynthResult(False, None, verdict.witness)
-    coupling = Coupling(
-        row_values=dx.values,
-        col_values=dy.values,
-        row_probs=dx.probs,
-        col_probs=dy.probs,
-        pi=pi,
-    )
-    if not verify_coupling(coupling, dx, dy, mode):
-        raise RuntimeError("internal: synthesized coupling fails verification")
     return SynthResult(True, coupling, None)
 
 
-def _solve_transport(
-    dx: DiscreteDist, dy: DiscreteDist, martingale: bool
+def _compose(
+    dx: DiscreteDist, dy: DiscreteDist, pieces: list[tuple[Fraction, Fraction, Fraction]]
 ) -> tuple[tuple[Fraction, ...], ...] | None:
-    """Feasible transport matrix, or None.
-
-    Variables: pi_ij (row-major), then one slack per drift row in
-    supermartingale mode.  Constraints: n row sums, m column sums, n drift
-    rows  sum_j (y_j - w_i) pi_ij (+ slack) = 0.  Column sums are kept even
-    though one is redundant; phase 1 tolerates that.
-    """
-    ws, ps = dx.values, dx.probs
-    ys, qs = dy.values, dy.probs
-    n, m = len(ws), len(ys)
-    nvars = n * m + (0 if martingale else n)
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    basic: list[int | None] = []
-
-    for i in range(n):
-        row = [_ZERO] * nvars
-        for jx in range(m):
-            row[i * m + jx] = _ONE
-        rows.append(row)
-        rhs.append(ps[i])
-        basic.append(None)
-    for jx in range(m):
-        row = [_ZERO] * nvars
-        for i in range(n):
-            row[i * m + jx] = _ONE
-        rows.append(row)
-        rhs.append(qs[jx])
-        basic.append(None)
-    for i in range(n):
-        row = [_ZERO] * nvars
-        for jx in range(m):
-            row[i * m + jx] = ys[jx] - ws[i]
-        if not martingale:
-            row[n * m + i] = _ONE
-        rows.append(row)
-        rhs.append(_ZERO)
-        basic.append(None if martingale else n * m + i)
-
-    solution = _phase_one(rows, rhs, basic)
-    if solution is None:
+    """The coupling of X with U given as pieces (x, u, mass), composed with
+    the left-curtain coupling of (U, Y); None if the curtain fails."""
+    law_u: dict[Fraction, Fraction] = {}
+    for _, u, mass in pieces:
+        law_u[u] = law_u.get(u, _ZERO) + mass
+    atoms_u = sorted(law_u.items())
+    curtain = _left_curtain(atoms_u, dy)
+    if curtain is None:
         return None
-    return tuple(
-        tuple(solution[i * m + jx] for jx in range(m)) for i in range(n)
-    )
+    shadows = {u: (mass, shadow) for (u, mass), shadow in zip(atoms_u, curtain)}
+    index = {v: i for i, v in enumerate(dx.values)}
+    pi = [[_ZERO] * len(dy.atoms) for _ in dx.atoms]
+    for xv, u, mass in pieces:
+        total, shadow = shadows[u]
+        row, f = pi[index[xv]], mass / total
+        for k, share in shadow:
+            row[k] += f * share
+    return tuple(map(tuple, pi))
 
 
-def _phase_one(
-    rows: list[list[Fraction]],
-    rhs: list[Fraction],
-    basic: list[int | None],
-) -> list[Fraction] | None:
-    """Exact phase-1 simplex: minimize artificial mass, Bland's rule.
+def _left_curtain(
+    rows: Sequence[tuple[Fraction, Fraction]], dy: DiscreteDist
+) -> list[list[tuple[int, Fraction]]] | None:
+    """Each row's shadow as (column, mass) pairs, rows (x, a) taken
+    ascending, or None when some row has no window of barycenter x."""
+    # the columns with mass left: index, value and remaining mass
+    cols, vals, rems = list(range(len(dy.atoms))), list(dy.values), list(dy.probs)
+    below, k0 = _ZERO, 0  # the mass in rems[:k0], the values below x
+    out = []
+    for x, a in rows:
+        while k0 < len(vals) and vals[k0] < x:
+            below += rems[k0]
+            k0 += 1
+        window = _shadow(x, a, vals, rems, k0, below)
+        if window is None:
+            return None
+        lo, shares = window
+        shadow = []
+        for k, share in enumerate(shares, lo):
+            shadow.append((cols[k], share))
+            rems[k] -= share
+            if k < k0:
+                below -= share
+        out.append(shadow)
+        # the window empties its inner columns and perhaps its ends: one run
+        dead = [k for k in range(lo, lo + len(shares)) if not rems[k]]
+        if dead:
+            d0, d1 = dead[0], dead[-1] + 1
+            del cols[d0:d1], vals[d0:d1], rems[d0:d1]
+            k0 -= max(0, min(d1, k0) - d0)
+    return out
 
-    rows/rhs describe equality constraints over nonnegative variables; rhs
-    must be nonnegative.  basic[i] names a column already usable as the
-    initial basis in row i (a slack), or None to add an artificial.  Returns
-    values for the original columns when total artificial mass reaches zero.
+
+def _shadow(
+    x: Fraction, a: Fraction, vs: list[Fraction], rs: list[Fraction], k0: int, below: Fraction
+) -> tuple[int, list[Fraction]] | None:
+    """The atoms (vs, rs) between quantile levels t and t + a, for the t at
+    which their barycenter is x, as (first index, masses), or None.
+
+    vs[:k0], of total mass below, are the values below x.  The window slides
+    up from the highest t at which it lies wholly below x (or from t = 0);
+    between the levels where either end crosses into the next atom its
+    moment grows at the rate vs[hi] - vs[lo].
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    tableau = [row[:] for row in rows]
-    b = rhs[:]
-    basis: list[int] = [0] * m
-    ncol = n
-    artificial: set[int] = set()
-    for i in range(m):
-        if b[i] < 0:
-            raise ValueError("phase-1 right-hand sides must be nonnegative")
-        if basic[i] is not None:
-            basis[i] = basic[i]  # type: ignore[assignment]
-        else:
-            for r in range(m):
-                tableau[r].append(_ONE if r == i else _ZERO)
-            basis[i] = ncol
-            artificial.add(ncol)
-            ncol += 1
-
-    # reduced-cost row for min sum(artificials); only original columns may enter
-    cbar = [_ZERO] * ncol
-    for j in range(ncol):
-        s = _ZERO
-        for i in range(m):
-            if basis[i] in artificial:
-                s += tableau[i][j]
-        cbar[j] = (_ONE if j in artificial else _ZERO) - s
-    w = sum((b[i] for i in range(m) if basis[i] in artificial), _ZERO)
-
-    while True:
-        enter = -1
-        for j in range(n):
-            if cbar[j] < 0:
-                enter = j
-                break
-        if enter < 0:
-            break
-        leave = -1
-        best: Fraction | None = None
-        for i in range(m):
-            tij = tableau[i][enter]
-            if tij > 0:
-                ratio = b[i] / tij
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            raise RuntimeError("internal: phase-1 objective unbounded")
-        assert best is not None
-        w += cbar[enter] * best
-        piv = tableau[leave][enter]
-        tableau[leave] = [v / piv for v in tableau[leave]]
-        b[leave] /= piv
-        pivot_row = tableau[leave]
-        pivot_rhs = b[leave]
-        for i in range(m):
-            if i == leave:
-                continue
-            f = tableau[i][enter]
-            if f != 0:
-                tableau[i] = [a - f * c for a, c in zip(tableau[i], pivot_row)]
-                b[i] -= f * pivot_rhs
-        f = cbar[enter]
-        cbar = [a - f * c for a, c in zip(cbar, pivot_row)]
-        basis[leave] = enter
-
-    if w != 0:
+    target = x * a
+    # fill the window at the start; lo_room and hi_room are the mass of
+    # atom lo above t and of atom hi above t + a
+    moment, rest = _ZERO, a
+    if below > a:  # the top mass a below x
+        lo, hi, hi_room = k0, k0 - 1, _ZERO
+        while rest:
+            lo -= 1
+            step = min(rest, rs[lo])
+            moment += vs[lo] * step
+            rest -= step
+        lo_room = step
+    else:  # the bottom mass a
+        lo, hi, lo_room = 0, -1, rs[0]
+        while rest:
+            hi += 1
+            step = min(rest, rs[hi])
+            moment += vs[hi] * step
+            rest -= step
+        hi_room = rs[hi] - step
+    while moment < target:
+        if not hi_room:
+            hi += 1
+            if hi == len(vs):
+                return None
+            hi_room = rs[hi]
+        step = min(lo_room, hi_room)
+        rate = vs[hi] - vs[lo]
+        gain = rate * step
+        if moment + gain >= target:
+            step, gain = (target - moment) / rate, target - moment
+        moment += gain
+        lo_room -= step
+        hi_room -= step
+        if not lo_room:
+            lo += 1
+            lo_room = rs[lo]
+    if moment != target:
         return None
-    solution = [_ZERO] * n
-    for i in range(m):
-        if basis[i] < n:
-            solution[basis[i]] = b[i]
-    return solution
+    if lo == hi:
+        return lo, [a]
+    return lo, [lo_room, *rs[lo + 1:hi], rs[hi] - hi_room]
+
+
+def _intermediate(dx: DiscreteDist, dy: DiscreteDist) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """The comonotone coupling of X with the intermediate law U, as pieces
+    (x, u, mass); G_U = G_X - h as in the module docstring.
+
+    Runs on the merged levels of the integer walk that decides ssd: Q_X and
+    Q_Y are constant between two levels, G_X - G_Y linear.
+    """
+    x, y, V, D = _scale(dx, dy)
+    levels = [(0, 0, 0), *_walk(x, y)]  # (P, G_X, G_Y) in units 1/D and 1/(V D)
+    pieces = []
+    floor = levels[-1][1] - levels[-1][2]  # h(1); below, h at the segment's end
+    for (p0, gx0, gy0), (p1, gx1, gy1) in zip(levels[-2::-1], levels[:0:-1]):
+        xv, yv = (gx1 - gx0) // (p1 - p0), (gy1 - gy0) // (p1 - p0)
+        g0, floor = gx0 - gy0, min(floor, gx1 - gy1)
+        # h = G_X - G_Y (U = Y) up to the cut, then flat at floor (U = X)
+        cut = Fraction(floor - g0, xv - yv) if xv > yv and g0 < floor else _ZERO
+        pieces += [(Fraction(xv, V), Fraction(yv, V), cut / D),
+                   (Fraction(xv, V), Fraction(xv, V), (p1 - p0 - cut) / D)]
+    return [piece for piece in pieces if piece[2]]
 
 
 def verify_coupling(c: Coupling, x: Dist, y: Dist, mode: str) -> bool:
     """Recheck a coupling against its marginals and drift constraints.
 
-    Independent arithmetic from the solver: plain sums over the matrix.
+    Independent arithmetic from the construction: plain sums over the
+    nonzero cells of the matrix.
     """
     if mode not in (MODE_SUPERMARTINGALE, MODE_MARTINGALE):
         raise InputError(f"unknown mode {mode!r}")
@@ -306,26 +316,18 @@ def verify_coupling(c: Coupling, x: Dist, y: Dist, mode: str) -> bool:
     n, m = len(c.row_values), len(c.col_values)
     if len(c.pi) != n or any(len(r) != m for r in c.pi):
         return False
-    for row in c.pi:
-        if any(v < 0 for v in row):
-            return False
-    for i in range(n):
-        if sum(c.pi[i], _ZERO) != c.row_probs[i]:
-            return False
-    for jx in range(m):
-        if sum((c.pi[i][jx] for i in range(n)), _ZERO) != c.col_probs[jx]:
-            return False
-    for i in range(n):
-        drift = sum(
-            ((c.col_values[jx] - c.row_values[i]) * c.pi[i][jx] for jx in range(m)),
-            _ZERO,
-        )
-        if mode == MODE_MARTINGALE:
-            if drift != 0:
+    cols = [_ZERO] * m
+    for w, p, row in zip(c.row_values, c.row_probs, c.pi):
+        mass = drift = _ZERO
+        for k, v in compress(enumerate(row), row):  # the nonzero cells
+            if v < 0:
                 return False
-        elif drift > 0:
+            mass += v
+            drift += (c.col_values[k] - w) * v
+            cols[k] += v
+        if mass != p or drift > 0 or (mode == MODE_MARTINGALE and drift != 0):
             return False
-    return True
+    return tuple(cols) == c.col_probs
 
 
 def coupling_to_joint(c: Coupling) -> JointDist:

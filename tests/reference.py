@@ -5,13 +5,25 @@ test set, one Fraction sum per point, and returns the first violation in
 ascending order.  They are quadratic and slow, and kept only so that the
 tests can demand that the linear integer walks in `stochorder.orders` and
 `stochorder.conditions` return equal verdicts and equal witnesses.
+
+marketable_check evaluates the conditional indemnity mean afresh at every
+threshold.  solve_transport decides coupling feasibility by exact LP: a dense phase-1
+simplex over Fractions with Bland's rule.  Its cost grows steeply with the
+support sizes, so the tests call it on at most 6 x 6 atoms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from stochorder import JointDist, as_discrete, cdf
+from stochorder import (
+    DiscreteDist,
+    JointDist,
+    as_discrete,
+    cdf,
+    conditional_indemnity_mean,
+    indemnity_value,
+)
 from stochorder.orders import OrderVerdict, Witness
 from stochorder.risk import PhiEnvelope, phi_envelope
 
@@ -150,3 +162,168 @@ def cond_cx_pair(j: JointDist) -> OrderVerdict:
 def cond_on_difference(j: JointDist) -> OrderVerdict:
     cells = [(y - z, z, p) for y, z, p in j.atoms]
     return _first_bad(cells, lambda v, x: v <= x, lambda r: r > 0)
+
+
+# ---------------------------------------------------------------------------
+# Per-threshold marketability
+# ---------------------------------------------------------------------------
+
+
+def marketable_check(i, x_dist, p0) -> OrderVerdict:
+    """E[I(X) | X - I(X) >= x] >= P0 at each retained-loss atom x, ascending,
+    one conditional_indemnity_mean per threshold."""
+    p0 = Fraction(p0)
+    for x in sorted({v - indemnity_value(i, v) for v, _ in x_dist.atoms}):
+        cm = conditional_indemnity_mean(i, x_dist, x)
+        if cm < p0:
+            return OrderVerdict(False, Witness("threshold_x", x, cm, p0))
+    return _HOLDS
+
+
+# ---------------------------------------------------------------------------
+# Exact LP feasibility of a coupling
+# ---------------------------------------------------------------------------
+
+_ONE = Fraction(1)
+
+
+def solve_transport(
+    dx: DiscreteDist, dy: DiscreteDist, martingale: bool
+) -> tuple[tuple[Fraction, ...], ...] | None:
+    """A feasible transport matrix for the supermartingale or martingale
+    coupling of X and Y, or None: the dense phase-1 simplex the coupling
+    constructions replaced.
+
+    Variables: pi_ij (row-major), then one slack per drift row in
+    supermartingale mode.  Constraints: n row sums, m column sums, n drift
+    rows  sum_j (y_j - w_i) pi_ij (+ slack) = 0.  Column sums are kept even
+    though one is redundant; phase 1 tolerates that.
+    """
+    ws, ps = dx.values, dx.probs
+    ys, qs = dy.values, dy.probs
+    n, m = len(ws), len(ys)
+    nvars = n * m + (0 if martingale else n)
+
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    basic: list[int | None] = []
+
+    for i in range(n):
+        row = [_ZERO] * nvars
+        for jx in range(m):
+            row[i * m + jx] = _ONE
+        rows.append(row)
+        rhs.append(ps[i])
+        basic.append(None)
+    for jx in range(m):
+        row = [_ZERO] * nvars
+        for i in range(n):
+            row[i * m + jx] = _ONE
+        rows.append(row)
+        rhs.append(qs[jx])
+        basic.append(None)
+    for i in range(n):
+        row = [_ZERO] * nvars
+        for jx in range(m):
+            row[i * m + jx] = ys[jx] - ws[i]
+        if not martingale:
+            row[n * m + i] = _ONE
+        rows.append(row)
+        rhs.append(_ZERO)
+        basic.append(None if martingale else n * m + i)
+
+    solution = _phase_one(rows, rhs, basic)
+    if solution is None:
+        return None
+    return tuple(
+        tuple(solution[i * m + jx] for jx in range(m)) for i in range(n)
+    )
+
+
+def _phase_one(
+    rows: list[list[Fraction]],
+    rhs: list[Fraction],
+    basic: list[int | None],
+) -> list[Fraction] | None:
+    """Exact phase-1 simplex: minimize artificial mass, Bland's rule.
+
+    rows/rhs describe equality constraints over nonnegative variables; rhs
+    must be nonnegative.  basic[i] names a column already usable as the
+    initial basis in row i (a slack), or None to add an artificial.  Returns
+    values for the original columns when total artificial mass reaches zero.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    tableau = [row[:] for row in rows]
+    b = rhs[:]
+    basis: list[int] = [0] * m
+    ncol = n
+    artificial: set[int] = set()
+    for i in range(m):
+        if b[i] < 0:
+            raise ValueError("phase-1 right-hand sides must be nonnegative")
+        if basic[i] is not None:
+            basis[i] = basic[i]  # type: ignore[assignment]
+        else:
+            for r in range(m):
+                tableau[r].append(_ONE if r == i else _ZERO)
+            basis[i] = ncol
+            artificial.add(ncol)
+            ncol += 1
+
+    # reduced-cost row for min sum(artificials); only original columns may enter
+    cbar = [_ZERO] * ncol
+    for j in range(ncol):
+        s = _ZERO
+        for i in range(m):
+            if basis[i] in artificial:
+                s += tableau[i][j]
+        cbar[j] = (_ONE if j in artificial else _ZERO) - s
+    w = sum((b[i] for i in range(m) if basis[i] in artificial), _ZERO)
+
+    while True:
+        enter = -1
+        for j in range(n):
+            if cbar[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best: Fraction | None = None
+        for i in range(m):
+            tij = tableau[i][enter]
+            if tij > 0:
+                ratio = b[i] / tij
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise AssertionError("phase-1 objective unbounded")
+        assert best is not None
+        w += cbar[enter] * best
+        piv = tableau[leave][enter]
+        tableau[leave] = [v / piv for v in tableau[leave]]
+        b[leave] /= piv
+        pivot_row = tableau[leave]
+        pivot_rhs = b[leave]
+        for i in range(m):
+            if i == leave:
+                continue
+            f = tableau[i][enter]
+            if f != 0:
+                tableau[i] = [a - f * c for a, c in zip(tableau[i], pivot_row)]
+                b[i] -= f * pivot_rhs
+        f = cbar[enter]
+        cbar = [a - f * c for a, c in zip(cbar, pivot_row)]
+        basis[leave] = enter
+
+    if w != 0:
+        return None
+    solution = [_ZERO] * n
+    for i in range(m):
+        if basis[i] < n:
+            solution[basis[i]] = b[i]
+    return solution

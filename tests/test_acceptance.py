@@ -178,10 +178,10 @@ def test_criterion_4_coupling_synthesis_roundtrip():
             assert cond_new(j).holds
     elapsed = time.perf_counter() - start
     assert sup_feasible > 0 and mart_feasible > 0
-    assert elapsed < 120.0
+    assert elapsed < 10.0
     print(f"PASS criterion 4: seed {seed}, 500 pairs, 0 disagreements, "
           f"{sup_feasible} supermartingale / {mart_feasible} martingale "
-          f"couplings all verified ({elapsed:.1f}s < 2min)")
+          f"couplings all verified ({elapsed:.1f}s < 10s)")
 
 
 def test_criterion_5_tail_measure_invariants():

@@ -15,6 +15,7 @@ from stochorder import (
     FixedIndemnity,
     GaussianCase,
     InputError,
+    InternalError,
     IrrelevantThresholdError,
     LinearUtility,
     LogNormal,
@@ -46,6 +47,7 @@ from stochorder import (
     stop_loss_compare,
     utility_from_spec,
 )
+from stochorder import apps
 from stochorder.gen import (
     gaussian_improver_joint,
     random_comonotone_improver_joint,
@@ -476,3 +478,65 @@ class TestProtectivePut:
             protective_put_check(self.PARAMS, 1.0)
         with pytest.raises(InputError):
             protective_put_check(self.PARAMS, 0.5, x_grid=[])
+
+
+class TestInternalErrors:
+    """Each in-library cross-check raises InternalError with both routes'
+    outputs when its routes are made to disagree."""
+
+    def test_gaussian_numeric_route(self, monkeypatch):
+        case = GaussianCase(-0.2, 0.5, 0.3)  # cond_new holds analytically
+        monkeypatch.setattr(apps, "gaussian_cond_new_numeric", lambda c: False)
+        with pytest.raises(InternalError) as exc:
+            gaussian_region(case)
+        assert exc.value.routes == {"numeric_lower_tail": False, "analytic": True}
+        assert exc.value.inputs == case
+
+    def test_gaussian_parametric_route(self, monkeypatch):
+        case = GaussianCase(-0.1, 1.0, -0.6)  # outside the ssd region
+        monkeypatch.setattr(apps, "gaussian_ssd_check", lambda c: True)
+        with pytest.raises(InternalError) as exc:
+            gaussian_region(case)
+        assert exc.value.routes == {"parametric_ssd": True, "analytic": False}
+        assert isinstance(exc.value, RuntimeError)
+
+    def test_bernoulli_closed_form(self, monkeypatch):
+        case = BernoulliCase(F(3, 5), F(1, 2))
+        real = bernoulli_region(case)
+        monkeypatch.setattr(apps, "cond_classic", lambda j: apps.OrderVerdict(True))
+        with pytest.raises(InternalError) as exc:
+            bernoulli_region(case)
+        routes = exc.value.routes
+        assert routes["closed_form"] == real
+        assert routes["checker"] == type(real)(real.ssd, real.cond_new, True)
+        assert exc.value.inputs == case
+
+    def test_stop_loss_compare(self, monkeypatch):
+        j = normalize_joint([(0, 0, F(1, 2)), (2, -1, F(1, 2))])  # no dominance
+        monkeypatch.setattr(apps, "cond_icx", lambda j: apps.OrderVerdict(True))
+        with pytest.raises(InternalError) as exc:
+            stop_loss_compare(j)
+        routes = exc.value.routes
+        assert routes["cond_icx"].holds
+        base, summed = routes["stop_loss_curves"]
+        assert any(s < b for s, b in zip(summed, base))
+        assert exc.value.inputs[0] == j
+
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_put_and_position_monotonicity(self, monkeypatch, column):
+        real = apps._position_values
+
+        def bumped(*args):
+            values = list(real(*args))
+            values[column] = values[column].copy()
+            values[column][100] += -1.0 if column == 2 else 1.0
+            return tuple(values)
+
+        monkeypatch.setattr(apps, "_position_values", bumped)
+        params = TestProtectivePut.PARAMS
+        with pytest.raises(InternalError) as exc:
+            protective_put_check(params, 0.5)
+        name = "puts" if column == 1 else "positions"
+        assert set(exc.value.routes) == {"spots", name}
+        assert len(exc.value.routes[name]) == len(exc.value.routes["spots"]) == 200
+        assert exc.value.inputs == (params, 0.5)

@@ -1,12 +1,18 @@
 """Command-line interface: reports, exit codes, table formats, file output."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from stochorder import dist_from_json, joint_from_json
 from stochorder.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _write(path, obj):
@@ -349,3 +355,23 @@ class TestInternalErrors:
         code, report, cap = run("check-order", "--relation", "ssd", x, y)
         assert code == 3 and report is None
         assert cap.err.startswith("error: internal: ssd decision routes disagree")
+
+    def test_rejected_coupling_exits_three(self, run, tmp_path, monkeypatch):
+        from stochorder import coupling
+
+        monkeypatch.setattr(coupling, "verify_coupling", lambda *args: False)
+        x = _write(tmp_path / "x.json", _discrete([0, 2]))
+        y = _write(tmp_path / "y.json", _discrete([-1, 3]))
+        code, report, cap = run("synthesize", "--mode", "cx", x, y)
+        assert code == 3 and report is None
+        assert cap.err.startswith(
+            "error: internal: check_cx holds but the martingale construction fails verification"
+        )
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy loads only when a numeric route runs
+    probe = "import sys, stochorder.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "False"

@@ -8,6 +8,7 @@ import pytest
 from stochorder import (
     Coupling,
     InputError,
+    InternalError,
     Normal,
     SynthResult,
     affine,
@@ -18,12 +19,14 @@ from stochorder import (
     coupling_to_joint,
     joint_marginal_w,
     joint_sum,
+    mean,
     normalize,
     point_mass_dist,
     synth_martingale,
     synth_supermartingale,
     verify_coupling,
 )
+from stochorder import coupling
 from stochorder.gen import mean_preserving_spread, random_discrete, random_shift_down
 
 from .test_dists import uniform
@@ -114,6 +117,15 @@ class TestVerifier:
         assert verify_coupling(c, x, y, "supermartingale")
         assert verify_coupling(c, x, y, "martingale")
 
+    def test_upward_drift_fails_supermartingale(self):
+        # the identity coupling onto X + 1/2 drifts every row up by 1/2
+        x = uniform(0, 1)
+        y = uniform(F(1, 2), F(3, 2))
+        pi = ((F(1, 2), F(0)), (F(0), F(1, 2)))
+        c = Coupling(x.values, y.values, x.probs, y.probs, pi)
+        assert not verify_coupling(c, x, y, "supermartingale")
+        assert not verify_coupling(c, x, y, "martingale")
+
     def test_bad_mode_rejected(self):
         c, x, y = self._feasible_pair()
         with pytest.raises(InputError):
@@ -201,3 +213,81 @@ class TestGuards:
     def test_result_invariant(self):
         with pytest.raises(Exception):
             SynthResult(True, None, None)
+
+
+def _chained_spreads(rng, atoms, splits):
+    """Split a random atom into two equal halves around it, `splits` times,
+    each at a distance that lands on no value already present."""
+    atoms = dict(atoms)
+    for _ in range(splits):
+        v = rng.choice(sorted(atoms))
+        d = F(rng.randint(1, 40), 16)
+        while v - d in atoms or v + d in atoms:
+            d = F(rng.randint(1, 40), 16)
+        p = atoms.pop(v)
+        atoms[v - d] = atoms[v + d] = p / 2
+    return normalize(atoms.items())
+
+
+def _hundred_by_hundred_fifty(seed, shift):
+    rng = random.Random(seed)
+    values = rng.sample(range(-2000, 2000), 100)
+    x = normalize((F(v, 3), F(rng.randint(1, 59), 60)) for v in values)
+    y = _chained_spreads(rng, [(v - shift, p) for v, p in x.atoms], 50)
+    assert (len(x.atoms), len(y.atoms)) == (100, 150)
+    return x, y
+
+
+class TestLargeSupports:
+    def test_chained_spreads_both_modes(self):
+        x, y = _hundred_by_hundred_fifty(5, 0)
+        for synth, mode in ((synth_martingale, "martingale"),
+                            (synth_supermartingale, "supermartingale")):
+            res = synth(x, y)
+            assert res.feasible
+            assert verify_coupling(res.coupling, x, y, mode)
+
+    def test_shift_down_plus_spreads(self):
+        x, y = _hundred_by_hundred_fifty(6, F(7, 4))
+        res = synth_supermartingale(x, y)
+        assert res.feasible
+        assert verify_coupling(res.coupling, x, y, "supermartingale")
+        res = synth_martingale(x, y)
+        assert not res.feasible
+        assert res.certificate == check_cx(x, y).witness
+
+
+class TestWideWindows:
+    def test_narrow_law_against_wide_law(self):
+        # each atom of X sits inside Y's range, so its shadow straddles x and
+        # empties atoms on both sides of it, in both modes
+        rng = random.Random(8)
+        x = normalize((F(k, 40) - F(1, 2), F(rng.randint(1, 59), 60)) for k in range(40))
+        y = normalize((F(rng.randint(-400, 400), 4), F(rng.randint(1, 59), 60)) for _ in range(60))
+        y = affine(y, 1, mean(x) - mean(y))
+        for synth, mode, shift in ((synth_martingale, "martingale", 0),
+                                   (synth_supermartingale, "supermartingale", F(1, 3))):
+            ys = affine(y, 1, -shift)
+            res = synth(x, ys)
+            assert res.feasible
+            assert verify_coupling(res.coupling, x, ys, mode)
+
+
+class TestInternalErrors:
+    def test_rejected_coupling_raises_with_both_routes(self, monkeypatch):
+        x, y = uniform(0, 2), uniform(-1, 3)
+        monkeypatch.setattr(coupling, "verify_coupling", lambda *args: False)
+        with pytest.raises(InternalError, match="fails verification") as exc:
+            synth_martingale(x, y)
+        routes = exc.value.routes
+        assert routes["check_cx"].holds
+        assert routes["construction"] == ((F(3, 8), F(1, 8)), (F(1, 8), F(3, 8)))
+        assert exc.value.inputs == (x, y)
+        assert isinstance(exc.value, RuntimeError)
+
+    def test_unplaced_atom_raises(self, monkeypatch):
+        x, y = uniform(0, 1), uniform(F(-1, 2), F(1, 2))
+        monkeypatch.setattr(coupling, "_left_curtain", lambda rows, dy: None)
+        with pytest.raises(InternalError, match="cannot place an atom") as exc:
+            synth_supermartingale(x, y)
+        assert exc.value.routes == {"check_ssd": check_ssd(x, y), "construction": None}

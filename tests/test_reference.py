@@ -1,18 +1,23 @@
 """The linear walks return exactly what the direct Fraction routes return.
 
-Every order checker, both oracles and all five dependence conditions are
-compared with the per-point evaluations in `tests/reference.py`: the whole
-verdict must be equal, witness included, and every witness field must be
-an exact Fraction.
+Every order checker, both oracles, all five dependence conditions and the
+discrete marketability check are compared with the per-point evaluations in
+`tests/reference.py`: the whole verdict must be equal, witness included, and
+every witness field must be an exact Fraction.  Coupling synthesis is
+compared with exact LP feasibility on small supports.
 """
 
+import warnings
 from fractions import Fraction as F
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochorder import (
+    FixedIndemnity,
     JointDist,
+    PiecewiseIndemnity,
+    StopLossIndemnity,
     check_cx,
     check_icx,
     check_ssd,
@@ -23,11 +28,15 @@ from stochorder import (
     cond_new,
     cond_on_difference,
     improver_check,
+    marketable_check,
     normalize,
     normalize_joint,
     oracle_icx,
     oracle_ssd,
+    synth_martingale,
+    synth_supermartingale,
     tail_condition,
+    verify_coupling,
 )
 
 from . import reference as ref
@@ -97,6 +106,47 @@ def joints(draw):
     return JointDist(tuple(draw(st.permutations(atoms))))
 
 
+def _spread(x, d):
+    """Each atom split into two halves at distance d: a mean-preserving spread."""
+    return normalize([(v + s, p / 2) for v, p in x.atoms for s in (-d, d)])
+
+
+@st.composite
+def small_pairs(draw):
+    """Pairs of at most 6 atoms each: independent laws, shifts either way,
+    and spreads with or without a shift, in either order."""
+    family = draw(value_families)
+    mode = draw(st.sampled_from(["independent", "shift", "spread", "spread_shift"]))
+    x = draw(laws(family, max_atoms=3 if mode.startswith("spread") else 6))
+    if mode == "independent":
+        y = draw(laws(family, max_atoms=6))
+    else:
+        y = x
+        if mode.startswith("spread"):
+            y = _spread(x, draw(st.fractions(min_value=F(1, 8), max_value=3, max_denominator=8)))
+        if mode.endswith("shift"):
+            c = draw(st.fractions(min_value=-1, max_value=3, max_denominator=6))
+            y = normalize((v - c, p) for v, p in y.atoms)
+    return (y, x) if draw(st.booleans()) else (x, y)
+
+
+@st.composite
+def schedules(draw):
+    """Fixed, stop-loss and piecewise-linear indemnity schedules."""
+    kind = draw(st.sampled_from(["fixed", "stop_loss", "piecewise"]))
+    if kind == "fixed":
+        threshold = draw(st.integers(1, 12).map(lambda k: F(k, 2)))
+        return FixedIndemnity(threshold, draw(st.fractions(0, threshold, max_denominator=6)))
+    if kind == "stop_loss":
+        return StopLossIndemnity(draw(st.integers(0, 12).map(lambda k: F(k, 2))))
+    xs = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True))
+    knots = [(F(0), F(0))]
+    for x in sorted(xs):
+        x0, y0 = knots[-1]  # every slope in [0, 1]
+        knots.append((F(x), draw(st.fractions(y0, y0 + x - x0, max_denominator=4))))
+    return PiecewiseIndemnity(tuple(knots))
+
+
 def _assert_exact_equal(got, want):
     assert got == want
     if got.witness is not None:
@@ -154,3 +204,37 @@ class TestConditionsMatchReference:
         want = ref.cond_new(normalize_joint(flipped))
         _assert_exact_equal(tail_condition(flipped, "lower"), want)
         assert improver_check(j).in_n == want.holds
+
+
+class TestMarketabilityMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        schedules(),
+        laws(st.integers(0, 16).map(lambda k: F(k, 2)), max_atoms=10),
+        st.fractions(0, 6, max_denominator=12),
+    )
+    def test_one_pass_equals_per_threshold_means(self, i, x, p0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # premiums above E[I(X)] warn by design
+            _assert_exact_equal(marketable_check(i, x, p0), ref.marketable_check(i, x, p0))
+
+
+SYNTH_MODES = [
+    (synth_supermartingale, check_ssd, "supermartingale"),
+    (synth_martingale, check_cx, "martingale"),
+]
+
+
+class TestSynthesisMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(small_pairs())
+    def test_feasibility_couplings_and_certificates(self, pair):
+        x, y = pair
+        for synth, check, mode in SYNTH_MODES:
+            res, verdict = synth(x, y), check(x, y)
+            lp = ref.solve_transport(x, y, mode == "martingale")
+            assert res.feasible == verdict.holds == (lp is not None)
+            if res.feasible:
+                assert verify_coupling(res.coupling, x, y, mode)
+            else:
+                assert res.certificate == verdict.witness
