@@ -3,7 +3,16 @@
 Discrete objects store both values and probabilities as `fractions.Fraction`,
 so every comparison downstream (order checks, dependence conditions, coupling
 feasibility) is exact.  Ints, rational strings and Fractions convert losslessly;
-a float converts to the dyadic rational it actually is.  Parametric laws
+a float converts to the dyadic rational it actually is.
+
+Canonicalisation is integer work.  normalize and normalize_joint scale all
+values (w and z separately) and all weights of one call to integers over the
+lcm of their denominators, merge duplicates in an int-keyed dict, sort the
+int keys, and build each probability once as Fraction(m, total); the
+value Fractions are reused as given.  The validators run on every
+construction with the same checks and messages as ever (Fraction types first,
+positive probabilities, strictly increasing values or distinct joint cells,
+total mass 1), compared over numerators and denominators.  Parametric laws
 (Normal, Exponential, Bernoulli, LogNormal, PointMass) carry float parameters
 and are evaluated through binary64 closed forms.
 
@@ -98,11 +107,24 @@ class InternalError(StochOrderError, RuntimeError):
         self.routes, self.inputs = routes, inputs
 
 
+# Bounds on rational strings.  Parsing a decimal string is quadratic in its
+# length, and an exponent expands to 10**exp ("1e1000000" took 0.34 s).  The
+# exponent and the digits of the numerator and the denominator built are
+# capped at CPython's default limit on the digits of an int string, and the
+# length at that of such a ratio printed with its sign, so that every
+# accepted string prints back and reads back in.
+_MAX_DIGITS = 4300
+_MAX_CHARS = 2 * _MAX_DIGITS + 2
+_DIGIT_BOUND = 10**_MAX_DIGITS
+
+
 def as_fraction(x: RationalLike) -> Fraction:
     """Convert exactly to Fraction.
 
     Floats map to the dyadic rational they represent in binary64; strings may
-    be either decimal ("0.25") or ratio ("1/4") form.
+    be either decimal ("0.25", "2.5e-3") or ratio ("1/4") form, at most
+    _MAX_CHARS characters, with an exponent of magnitude at most _MAX_DIGITS
+    and a result of at most _MAX_DIGITS digits above and below the line.
     """
     if isinstance(x, bool):
         raise InputError("booleans are not numeric values")
@@ -115,10 +137,19 @@ def as_fraction(x: RationalLike) -> Fraction:
             raise InputError(f"non-finite value {x!r}")
         return Fraction(x)
     if isinstance(x, str):
+        s = x.strip()
+        if len(s) > _MAX_CHARS:
+            raise InputError(f"rational string of {len(s)} characters exceeds {_MAX_CHARS}")
+        exp = s.lower().partition("e")[2]
         try:
-            return Fraction(x.strip())
+            q = Fraction(s) if not exp or abs(int(exp)) <= _MAX_DIGITS else None
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational from {x!r}") from exc
+        if q is None:
+            raise InputError(f"exponent of {x!r} exceeds {_MAX_DIGITS} in magnitude")
+        if abs(q.numerator) >= _DIGIT_BOUND or q.denominator >= _DIGIT_BOUND:
+            raise InputError(f"{x!r} has more than {_MAX_DIGITS} digits above or below the line")
+        return q
     raise InputError(f"cannot interpret {x!r} as a rational")
 
 
@@ -139,19 +170,17 @@ class DiscreteDist:
     def __post_init__(self) -> None:
         if not self.atoms:
             raise InputError("discrete law needs at least one atom")
-        total = _ZERO
         prev = None
         for value, prob in self.atoms:
             if not isinstance(value, Fraction) or not isinstance(prob, Fraction):
                 raise InputError("atoms must hold Fraction values and probabilities")
-            if prob <= 0:
+            if prob.numerator <= 0:
                 raise InputError(f"atom probability must be positive, got {prob}")
-            if prev is not None and value <= prev:
+            n, d = value.as_integer_ratio()
+            if prev is not None and n * prev[1] <= prev[0] * d:
                 raise InputError("atom values must be strictly increasing")
-            prev = value
-            total += prob
-        if total != 1:
-            raise InputError(f"probabilities must sum to 1, got {total}")
+            prev = n, d
+        _check_total(p for _, p in self.atoms)
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -235,20 +264,41 @@ def normalize(raw_atoms: Iterable[tuple[RationalLike, RationalLike]]) -> Discret
     Weights must be nonnegative with positive total; they are rescaled to sum
     to one.  Duplicate values merge, zero-weight atoms drop.
     """
-    acc: dict[Fraction, Fraction] = {}
+    values, weights = [], []
     for value, weight in raw_atoms:
         v = as_fraction(value)
         w = as_fraction(weight)
-        if w < 0:
+        if w.numerator < 0:
             raise InputError(f"negative weight {w} at value {v}")
-        if w == 0:
-            continue
-        acc[v] = acc.get(v, _ZERO) + w
-    total = sum(acc.values(), _ZERO)
-    if total == 0:
+        if w.numerator:
+            values.append(v)
+            weights.append(w)
+    return DiscreteDist(tuple(_merge(as_integers(values)[0], values, weights)))
+
+
+def as_integers(xs: Iterable[Fraction | int]) -> tuple[list[int], int]:
+    """The rationals xs as integers over the lcm L of their denominators, and
+    L: xs[k] == ints[k] / L."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    L = math.lcm(*(d for _, d in ratios))
+    return [n * (L // d) for n, d in ratios], L
+
+
+def _merge(keys: list, cells: list, weights: list) -> list[tuple]:
+    """(cell, probability) for each distinct integer key, in key order: the
+    first cell with that key, and the key's share of the total weight.
+    Weights are summed over the lcm of their denominators."""
+    if not cells:
         raise InputError("total weight must be positive")
-    atoms = tuple((v, acc[v] / total) for v in sorted(acc))
-    return DiscreteDist(atoms)
+    acc: dict = {}
+    first: dict = {}
+    for k, cell, m in zip(keys, cells, as_integers(weights)[0]):
+        if k in acc:
+            acc[k] += m
+        else:
+            acc[k], first[k] = m, cell
+    total = sum(acc.values())
+    return [(first[k], Fraction(acc[k], total)) for k in sorted(acc)]
 
 
 def point_mass_dist(value: RationalLike) -> DiscreteDist:
@@ -285,39 +335,42 @@ class JointDist:
     def __post_init__(self) -> None:
         if not self.atoms:
             raise InputError("joint law needs at least one atom")
-        total = _ZERO
-        seen: set[tuple[Fraction, Fraction]] = set()
+        seen: set[tuple[int, int, int, int]] = set()  # lowest terms: equal cells, equal keys
         for w, z, p in self.atoms:
             if not (isinstance(w, Fraction) and isinstance(z, Fraction) and isinstance(p, Fraction)):
                 raise InputError("joint atoms must hold Fractions")
-            if p <= 0:
+            if p.numerator <= 0:
                 raise InputError(f"atom probability must be positive, got {p}")
-            if (w, z) in seen:
+            key = (*w.as_integer_ratio(), *z.as_integer_ratio())
+            if key in seen:
                 raise InputError(f"duplicate joint atom at (w={w}, z={z})")
-            seen.add((w, z))
-            total += p
-        if total != 1:
-            raise InputError(f"probabilities must sum to 1, got {total}")
+            seen.add(key)
+        _check_total(p for _, _, p in self.atoms)
+
+
+def _check_total(probs: Iterable[Fraction]) -> None:
+    """Total mass 1, summed over the lcm D of the probability denominators."""
+    ints, D = as_integers(probs)
+    if sum(ints) != D:
+        raise InputError(f"probabilities must sum to 1, got {Fraction(sum(ints), D)}")
 
 
 def normalize_joint(
     raw_atoms: Iterable[tuple[RationalLike, RationalLike, RationalLike]],
 ) -> JointDist:
     """Build a canonical joint law; merges duplicate cells, rescales weights."""
-    acc: dict[tuple[Fraction, Fraction], Fraction] = {}
+    cells, weights = [], []
     for w, z, weight in raw_atoms:
         key = (as_fraction(w), as_fraction(z))
         wt = as_fraction(weight)
-        if wt < 0:
+        if wt.numerator < 0:
             raise InputError(f"negative weight {wt} at cell {key}")
-        if wt == 0:
-            continue
-        acc[key] = acc.get(key, _ZERO) + wt
-    total = sum(acc.values(), _ZERO)
-    if total == 0:
-        raise InputError("total weight must be positive")
-    atoms = tuple((w, z, acc[(w, z)] / total) for (w, z) in sorted(acc))
-    return JointDist(atoms)
+        if wt.numerator:
+            cells.append(key)
+            weights.append(wt)
+    # a cell's key is (w VW, z VZ), each column over the lcm of its own denominators
+    keys = list(zip(*(as_integers(col)[0] for col in zip(*cells))))
+    return JointDist(tuple((w, z, p) for (w, z), p in _merge(keys, cells, weights)))
 
 
 def joint_marginal_w(j: JointDist) -> DiscreteDist:

@@ -28,7 +28,6 @@ the merged support, as Fraction prefix sums), for cross-validation.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby, repeat
@@ -42,6 +41,7 @@ from .dists import (
     Normal,
     UnsupportedPairingError,
     as_discrete,
+    as_integers,
     mean,
     norm_cdf,
     norm_pdf,
@@ -136,15 +136,10 @@ _IntLaw = tuple[list[int], list[int]]
 
 def _scale(dx: DiscreteDist, dy: DiscreteDist) -> tuple[_IntLaw, _IntLaw, int, int]:
     """Both laws over the lcms V and D of their value and probability denominators."""
-    atoms = dx.atoms + dy.atoms
-    V = math.lcm(*(v.denominator for v, _ in atoms))
-    D = math.lcm(*(p.denominator for _, p in atoms))
-
-    def ints(d: DiscreteDist) -> _IntLaw:
-        return ([v.numerator * (V // v.denominator) for v, _ in d.atoms],
-                [p.numerator * (D // p.denominator) for _, p in d.atoms])
-
-    return ints(dx), ints(dy), V, D
+    n = len(dx.atoms)
+    vs, V = as_integers(dx.values + dy.values)
+    ws, D = as_integers(dx.probs + dy.probs)
+    return (vs[:n], ws[:n]), (vs[n:], ws[n:]), V, D
 
 
 def _negated(x: _IntLaw) -> _IntLaw:
@@ -354,11 +349,12 @@ def _st_normal(nx: Normal, ny: Normal) -> OrderVerdict:
 
 
 def _oracle_pair(x: Dist, y: Dist, name: str) -> tuple[DiscreteDist, DiscreteDist, list[Fraction]]:
-    """The finite pair and its merged support, ascending."""
+    """The finite pair and its merged support, ascending: a merge of the two
+    strictly increasing value tuples, equal values kept once."""
     dx, dy = as_discrete(x), as_discrete(y)
     if dx is None or dy is None:
         raise UnsupportedPairingError(f"{name} is defined for finite-support pairs")
-    return dx, dy, sorted(set(dx.values) | set(dy.values))
+    return dx, dy, [t for t, _ in groupby(heapq.merge(dx.values, dy.values))]
 
 
 def _min_means(d: DiscreteDist, ts: list[Fraction]) -> Iterator[Fraction]:

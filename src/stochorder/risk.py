@@ -16,6 +16,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import itemgetter
 
 from .dists import (
@@ -30,6 +31,7 @@ from .dists import (
     RationalLike,
     as_discrete,
     as_fraction,
+    as_integers,
     mean,
     norm_cdf,
     norm_pdf,
@@ -49,7 +51,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -104,23 +105,18 @@ def phi_envelope(d: DiscreteDist) -> PhiEnvelope:
     """Exact envelope of a finite law.
 
     Breakpoints sit at the cumulative probabilities; the value at each is the
-    partial upper-tail expectation sum_{j>k} x_j * (P_j - P_{j-1}).
+    partial upper-tail expectation sum_{j>k} x_j * (P_j - P_{j-1}).  Both are
+    summed over integers (values over the lcm V of their denominators,
+    probabilities over the lcm D of theirs), and each breakpoint becomes a
+    Fraction once.
     """
-    n = len(d.atoms)
-    cums = []
-    c = _ZERO
-    for _, p in d.atoms:
-        c += p
-        cums.append(c)
-    # walk from the top: value at P_n = 1 is 0
-    vals = [_ZERO] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        prev = cums[k - 1] if k > 0 else _ZERO
-        vals[k] = vals[k + 1] + d.atoms[k][0] * (cums[k] - prev)
-    points = [(_ZERO, vals[0])]
-    for k in range(n):
-        points.append((cums[k], vals[k + 1]))
-    return PhiEnvelope(tuple(points))
+    xs, V = as_integers(d.values)
+    ws, D = as_integers(d.probs)
+    # tails[k] = sum_{j>=k} x_j w_j in units of 1 / (V D); tails[n] = 0
+    tails = list(accumulate((x * w for x, w in zip(reversed(xs), reversed(ws))), initial=0))[::-1]
+    return PhiEnvelope(tuple(
+        (Fraction(c, D), Fraction(t, V * D)) for c, t in zip(accumulate(ws, initial=0), tails)
+    ))
 
 
 def es(d: Dist, p: RationalLike) -> Fraction | float:

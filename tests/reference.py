@@ -7,7 +7,11 @@ tests can demand that the linear integer walks in `stochorder.orders` and
 `stochorder.conditions` return equal verdicts and equal witnesses.
 
 marketable_check evaluates the conditional indemnity mean afresh at every
-threshold.  solve_transport decides coupling feasibility by exact LP: a dense phase-1
+threshold.  normalize, normalize_joint and phi_envelope_points are the
+Fraction routes of canonicalisation and of the expected-shortfall envelope:
+a Fraction-keyed merge, a sort by Fraction comparison and one Fraction
+division or sum per atom, where the library works over integers.
+solve_transport decides coupling feasibility by exact LP: a dense phase-1
 simplex over Fractions with Bland's rule.  Its cost grows steeply with the
 support sizes, so the tests call it on at most 6 x 6 atoms.
 """
@@ -18,8 +22,10 @@ from fractions import Fraction
 
 from stochorder import (
     DiscreteDist,
+    InputError,
     JointDist,
     as_discrete,
+    as_fraction,
     cdf,
     conditional_indemnity_mean,
     indemnity_value,
@@ -29,6 +35,55 @@ from stochorder.risk import PhiEnvelope, phi_envelope
 
 _ZERO = Fraction(0)
 _HOLDS = OrderVerdict(True, None)
+
+
+# ---------------------------------------------------------------------------
+# Canonical finite laws over Fractions
+# ---------------------------------------------------------------------------
+
+
+def normalize(raw_atoms) -> DiscreteDist:
+    acc: dict[Fraction, Fraction] = {}
+    for value, weight in raw_atoms:
+        v = as_fraction(value)
+        w = as_fraction(weight)
+        if w < 0:
+            raise InputError(f"negative weight {w} at value {v}")
+        if w == 0:
+            continue
+        acc[v] = acc.get(v, _ZERO) + w
+    total = sum(acc.values(), _ZERO)
+    if total == 0:
+        raise InputError("total weight must be positive")
+    return DiscreteDist(tuple((v, acc[v] / total) for v in sorted(acc)))
+
+
+def normalize_joint(raw_atoms) -> JointDist:
+    acc: dict[tuple[Fraction, Fraction], Fraction] = {}
+    for w, z, weight in raw_atoms:
+        key = (as_fraction(w), as_fraction(z))
+        wt = as_fraction(weight)
+        if wt < 0:
+            raise InputError(f"negative weight {wt} at cell {key}")
+        if wt == 0:
+            continue
+        acc[key] = acc.get(key, _ZERO) + wt
+    total = sum(acc.values(), _ZERO)
+    if total == 0:
+        raise InputError("total weight must be positive")
+    return JointDist(tuple((w, z, acc[(w, z)] / total) for (w, z) in sorted(acc)))
+
+
+def phi_envelope_points(d: DiscreteDist) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Breakpoints (P_k, sum_{j>k} x_j p_j) of p -> (1-p) ES_p, by Fraction sums."""
+    cums, c = [], _ZERO
+    for _, p in d.atoms:
+        c += p
+        cums.append(c)
+    vals = [_ZERO] * (len(d.atoms) + 1)
+    for k in range(len(d.atoms) - 1, -1, -1):
+        vals[k] = vals[k + 1] + d.atoms[k][0] * d.atoms[k][1]
+    return ((_ZERO, vals[0]),) + tuple(zip(cums, vals[1:]))
 
 
 def _pair(x, y):

@@ -63,6 +63,18 @@ class TestRiskCommands:
         assert parsed.values == (F(0), F(1, 2), F(3))
         assert report["inputs"]["level"] == "1/3"
 
+    def test_rational_strings_at_the_digit_bound_round_trip(self, run, tmp_path):
+        dist = _write(tmp_path / "d.json", _discrete(["-25E-4299", "1e4299"]))
+        code, report, _ = run("es", "--level", "1/2", dist)
+        assert code == 0
+        assert report["result"] == 10**4299
+        parsed = dist_from_json(report["inputs"]["dist"])
+        assert parsed.values == (F(-25, 10**4299), F(10**4299))
+        dist = _write(tmp_path / "e.json", _discrete(["-25E-4299", "1e4300"]))
+        code, report, cap = run("es", "--level", "1/2", dist)
+        assert code == 2 and report is None
+        assert "more than 4300 digits" in cap.err
+
     def test_phi_and_stoploss(self, run, tmp_path):
         dist = _write(tmp_path / "d.json", _discrete([0, 1]))
         code, report, _ = run("phi", "--level", "1/2", dist)

@@ -15,6 +15,7 @@ from stochorder import (
     Exponential,
     InputError,
     IrrelevantThresholdError,
+    JointDist,
     LogNormal,
     Normal,
     PointMass,
@@ -85,6 +86,75 @@ class TestAsFraction:
         with pytest.raises(InputError):
             as_fraction(float("inf"))
 
+    def test_exponent_bound(self):
+        for s in ("1e4301", "1E-4301", "2.5e+4301"):
+            with pytest.raises(InputError, match="exponent"):
+                as_fraction(s)
+
+    def test_digit_bound(self):
+        # 10**4299 has 4300 digits, CPython's default limit for int strings
+        assert as_fraction("1e4299") == F(10) ** 4299
+        assert as_fraction("-25E-4299") == F(-25, 10**4299)
+        assert as_fraction("9.99e4299") == F(999 * 10**4297)
+        for s in ("1e4300", "-3E-4300", "10e4299", "-0.5e-4300"):
+            with pytest.raises(InputError, match="more than 4300 digits"):
+                as_fraction(s)
+
+    def test_length_bound(self):
+        # the longest string is a ratio at the digit bound, printed with its sign
+        longest = "-" + "7" * 4300 + "/" + "8" * 4299 + "9"
+        assert len(longest) == 8602
+        assert as_fraction(longest) == F(-int("7" * 4300), int("8" * 4299 + "9"))
+        assert as_fraction(" 1/3 ") == F(1, 3)
+        with pytest.raises(InputError, match="8603 characters"):
+            as_fraction(longest + "1")
+        with pytest.raises(InputError, match="characters"):
+            as_fraction("1/" + "3" * 8601)
+        with pytest.raises(InputError):
+            as_fraction("7" * 4301)
+
+
+# one hand-built invalid law per validator error class, with its message
+BAD_LAWS = [
+    ((), "discrete law needs at least one atom"),
+    (((1, F(1)),), "atoms must hold Fraction values and probabilities"),
+    (((F(1), 1),), "atoms must hold Fraction values and probabilities"),
+    (((0.5, F(1)),), "atoms must hold Fraction values and probabilities"),
+    (((F(0), F(0)), (F(1), F(1))), "atom probability must be positive, got 0"),
+    (((F(0), F(-1, 2)), (F(1), F(3, 2))), "atom probability must be positive, got -1/2"),
+    (((F(1), F(1, 2)), (F(1), F(1, 2))), "atom values must be strictly increasing"),
+    (((F(1, 3), F(1, 2)), (F(1, 4), F(1, 2))), "atom values must be strictly increasing"),
+    (((F(0), F(1, 2)),), "probabilities must sum to 1, got 1/2"),
+    (((F(0), F(2, 3)), (F(1), F(2, 3))), "probabilities must sum to 1, got 4/3"),
+]
+
+BAD_JOINTS = [
+    ((), "joint law needs at least one atom"),
+    (((F(0), 0, F(1)),), "joint atoms must hold Fractions"),
+    (((F(0), F(0), 1),), "joint atoms must hold Fractions"),
+    (((F(0), F(1), F(0)), (F(1), F(0), F(1))), "atom probability must be positive, got 0"),
+    (((F(0), F(1, 2), F(1, 2)), (F(0), F(1, 2), F(1, 2))), "duplicate joint atom at (w=0, z=1/2)"),
+    (((F(1), F(0), F(1, 4)), (F(0), F(1), F(1, 2))), "probabilities must sum to 1, got 3/4"),
+]
+
+
+class TestValidators:
+    @pytest.mark.parametrize("atoms, message", BAD_LAWS)
+    def test_discrete_law(self, atoms, message):
+        with pytest.raises(InputError) as exc:
+            DiscreteDist(atoms)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("atoms, message", BAD_JOINTS)
+    def test_joint_law(self, atoms, message):
+        with pytest.raises(InputError) as exc:
+            JointDist(atoms)
+        assert str(exc.value) == message
+
+    def test_valid_laws_pass(self):
+        DiscreteDist(((F(-1, 3), F(1, 6)), (F(-1, 4), F(5, 6))))
+        JointDist(((F(0), F(1, 2), F(1, 3)), (F(0), F(1, 3), F(2, 3))))
+
 
 class TestConstruction:
     def test_normalize_merges_and_rescales(self):
@@ -106,6 +176,12 @@ class TestConstruction:
     def test_negative_weight_rejected(self):
         with pytest.raises(InputError):
             normalize([(0, F(-1, 2)), (1, F(3, 2))])
+
+    def test_boolean_weights_and_values_rejected(self):
+        for build, raw in ((normalize, [(0, True)]), (normalize, [(True, 1)]),
+                           (normalize_joint, [(0, 0, True)]), (normalize_joint, [(0, False, 1)])):
+            with pytest.raises(InputError, match="booleans are not numeric values"):
+                build(raw)
 
     def test_direct_constructor_checks_sorted_and_total(self):
         with pytest.raises(InputError):

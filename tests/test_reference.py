@@ -1,10 +1,13 @@
 """The linear walks return exactly what the direct Fraction routes return.
 
-Every order checker, both oracles, all five dependence conditions and the
-discrete marketability check are compared with the per-point evaluations in
-`tests/reference.py`: the whole verdict must be equal, witness included, and
-every witness field must be an exact Fraction.  Coupling synthesis is
-compared with exact LP feasibility on small supports.
+normalize, normalize_joint and phi_envelope, which work over integers, build
+atoms and breakpoints equal to those of the Fraction routes, and reject the
+same inputs with the same messages.  Every order checker, both oracles, all
+five dependence conditions and the discrete marketability check are compared
+with the per-point evaluations in `tests/reference.py`: the whole verdict
+must be equal, witness included, and every witness field must be an exact
+Fraction.  Coupling synthesis is compared with exact LP feasibility on small
+supports.
 """
 
 import warnings
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 
 from stochorder import (
     FixedIndemnity,
+    InputError,
     JointDist,
     PiecewiseIndemnity,
     StopLossIndemnity,
@@ -38,6 +42,7 @@ from stochorder import (
     tail_condition,
     verify_coupling,
 )
+from stochorder.risk import phi_envelope
 
 from . import reference as ref
 
@@ -147,6 +152,50 @@ def schedules(draw):
     return PiecewiseIndemnity(tuple(knots))
 
 
+def _spellings(q):
+    """Ways to write the rational q as a raw input: the Fraction, its ratio
+    string, an int, a float and a decimal string with an exponent where
+    these are exact."""
+    out = [q, str(q)]
+    if q.denominator == 1:
+        out.append(int(q))
+    if F(float(q)) == q:
+        out.append(float(q))
+    k = next((k for k in range(60) if 10**k % q.denominator == 0), None)
+    if k is not None:
+        out.append(f"{q.numerator * 10**k // q.denominator}e-{k}")
+    return out
+
+
+def spelled(rationals):
+    return rationals.flatmap(lambda q: st.sampled_from(_spellings(q)))
+
+
+# weights: zero included, spelled as ints, Fractions, floats and strings
+raw_weights = spelled(st.one_of(st.integers(0, 20).map(F), st.fractions(0, 5, max_denominator=12)))
+
+
+@st.composite
+def raw_cells(draw, width, weights=raw_weights):
+    """Unsorted raw atoms of the given width (value plus weight), each
+    coordinate drawn from a small pool, so that cells repeat, in any spelling."""
+    pools = [draw(st.lists(st.one_of(lattice, rationals, dyadic), min_size=1, max_size=5, unique=True))
+             for _ in range(width - 1)]
+    n = draw(st.integers(0, 12))
+    return [tuple(draw(spelled(st.sampled_from(pool))) for pool in pools) + (draw(weights),)
+            for _ in range(n)]
+
+
+def _canonical(build, raw):
+    """The atoms build makes from raw, or the message of its InputError."""
+    try:
+        atoms = build(raw).atoms
+    except InputError as exc:
+        return str(exc)
+    assert all(type(f) is F for atom in atoms for f in atom)
+    return atoms
+
+
 def _assert_exact_equal(got, want):
     assert got == want
     if got.witness is not None:
@@ -170,6 +219,34 @@ COND_PAIRS = [
     (cond_cx_pair, ref.cond_cx_pair),
     (cond_on_difference, ref.cond_on_difference),
 ]
+
+
+class TestCanonicalLawsMatchReference:
+    @settings(max_examples=250, deadline=None)
+    @given(raw_cells(2))
+    def test_normalize(self, raw):
+        assert _canonical(normalize, raw) == _canonical(ref.normalize, raw)
+
+    @settings(max_examples=250, deadline=None)
+    @given(raw_cells(3))
+    def test_normalize_joint(self, raw):
+        assert _canonical(normalize_joint, raw) == _canonical(ref.normalize_joint, raw)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(lambda width: st.tuples(
+        st.just(width), raw_cells(width, st.one_of(raw_weights, st.sampled_from([F(-1, 3), -2, "-0.5"])))
+    )))
+    def test_negative_weights_rejected_alike(self, case):
+        width, raw = case
+        fast, slow = (normalize, ref.normalize) if width == 2 else (normalize_joint, ref.normalize_joint)
+        assert _canonical(fast, raw) == _canonical(slow, raw)
+
+    @settings(max_examples=150, deadline=None)
+    @given(laws())
+    def test_phi_envelope(self, x):
+        points = phi_envelope(x).points
+        assert points == ref.phi_envelope_points(x)
+        assert all(type(f) is F for point in points for f in point)
 
 
 class TestOrdersMatchReference:
