@@ -13,6 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .conditions import cond_classic, cond_icx, cond_new, is_comonotone, tail_condition
@@ -29,6 +30,7 @@ from .dists import (
     RationalLike,
     UnsupportedPairingError,
     as_fraction,
+    as_integers,
     joint_marginal_w,
     joint_sum,
     lower_tail_mean,
@@ -38,7 +40,7 @@ from .dists import (
     normalize_joint,
 )
 from .orders import OrderVerdict, Witness, check_ssd
-from .risk import stop_loss
+from .risk import stop_loss_transform
 
 if TYPE_CHECKING:
     import numpy as np  # the numeric routes import it when they run
@@ -699,29 +701,41 @@ def stop_loss_compare(
 ) -> StopLossComparison:
     """Compare stop-loss curves of X and X + Z for a joint law of (X, Z).
 
-    When the upper-tail condition E[Z | X >= x] >= 0 holds, the summed curve
-    must dominate at every deductible; a violation under a holding condition
-    is an internal defect and raises.
+    The default deductible grid is 0 and every nonnegative atom of X or of
+    X + Z, where both curves have all their knots.  The cells are scaled to
+    integers (w, z and the deductibles over one lcm V, probabilities over
+    the lcm D of theirs), and each curve is one pass of
+    risk.stop_loss_transform over the cells sorted by w or by w + z;
+    dominance is compared over integers and a premium becomes a Fraction
+    once.  When the upper-tail condition E[Z | X >= x] >= 0 holds, the
+    summed curve must dominate at every deductible; a violation under a
+    holding condition is an internal defect and raises.
     """
-    base = joint_marginal_w(j)
-    if base.values[0] < 0:
+    if min(w for w, _, _ in j.atoms) < 0:
         raise InputError("the loss marginal must be nonnegative")
-    total = joint_sum(j)
-    if deductibles is None:
-        ds = sorted(
-            {_ZERO}
-            | {v for v in base.values}
-            | {v for v in total.values if v >= 0}
-        )
-    else:
+    ds: list[Fraction] = []
+    if deductibles is not None:
         ds = sorted({as_fraction(d) for d in deductibles})
         if any(d < 0 for d in ds):
             raise InputError("deductibles must be nonnegative")
         if not ds:
             raise InputError("deductible grid must be non-empty")
-    base_curve = tuple(stop_loss(base, d) for d in ds)
-    summed_curve = tuple(stop_loss(total, d) for d in ds)
-    dominates = all(s >= b for s, b in zip(summed_curve, base_curve))
+    k = len(j.atoms)
+    vs, V = as_integers([w for w, _, _ in j.atoms] + [z for _, z, _ in j.atoms] + ds)
+    ps, D = as_integers([p for _, _, p in j.atoms])
+    ws = vs[:k]
+    base = sorted(zip(ws, ps))
+    summed = sorted(zip(map(add, ws, vs[k : 2 * k]), ps))
+    if deductibles is None:
+        ts = sorted({0, *ws, *(s for s, _ in summed if s >= 0)})
+        ds = [Fraction(t, V) for t in ts]
+    else:
+        ts = vs[2 * k :]
+    _, base_sl = stop_loss_transform(base, ts)
+    _, summed_sl = stop_loss_transform(summed, ts)
+    base_curve = tuple(Fraction(b, V * D) for b in base_sl)
+    summed_curve = tuple(Fraction(s, V * D) for s in summed_sl)
+    dominates = all(s >= b for s, b in zip(summed_sl, base_sl))
     condition = cond_icx(j)
     if condition.holds and not dominates:
         raise InternalError(

@@ -3,8 +3,9 @@
 Every subcommand reads JSON laws, dispatches to the library, and emits a
 machine-readable report on stdout plus a one-line human summary on stderr.
 Exit codes: 0 the checked property holds (or the computation succeeded),
-1 the property fails (the witness is in the report), 2 input or usage error,
-3 internal error (two routes that must agree did not; no report).
+1 the property fails (the witness is in the report), 2 input or usage error
+(a result too large to print included), 3 internal error (two routes that
+must agree did not; no report).
 Tables default to CSV on stdout; pass --format json for the full report.
 """
 
@@ -97,10 +98,10 @@ def _parse_rational(text: str, what: str) -> Fraction:
 
 
 def _write_payload(path: str, payload: object) -> None:
+    text = json.dumps(payload, sort_keys=True, default=_json_default)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, default=_json_default)
-            fh.write("\n")
+            fh.write(text + "\n")
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -427,22 +428,29 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         inputs, result, witness, code, summary = args.handler(args)
+        if inputs is None and result is None and summary is None:
+            return code  # table formats that bypass the JSON report
+        report = {
+            "subcommand": args.subcommand,
+            "inputs": inputs,
+            "result": result,
+            "witness": _witness_json(witness),
+            "timing_ms": round((time.perf_counter() - start) * 1000.0, 3),
+        }
+        text = json.dumps(report, sort_keys=True, default=_json_default)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 3
-    if inputs is None and result is None and summary is None:
-        return code  # table formats that bypass the JSON report
-    report = {
-        "subcommand": args.subcommand,
-        "inputs": inputs,
-        "result": result,
-        "witness": _witness_json(witness),
-        "timing_ms": round((time.perf_counter() - start) * 1000.0, 3),
-    }
-    print(json.dumps(report, sort_keys=True, default=_json_default))
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise  # only CPython's refusal to print an int over its digit limit
+        print(f"error: a result has more than {sys.get_int_max_str_digits()} digits "
+              "above or below the line and cannot be printed", file=sys.stderr)
+        return 2
+    print(text)
     if summary:
         print(summary, file=sys.stderr)
     return code

@@ -47,6 +47,10 @@ def random_discrete(
     return normalize((v, random_weight(rng)) for v in values)
 
 
+_ANY_LATTICE = [Fraction(k, 2) for k in range(-6, 7)]
+_NONNEG_LATTICE = [Fraction(k, 2) for k in range(0, 13)]
+
+
 def random_joint(
     rng: random.Random,
     max_per_marginal: int = 6,
@@ -56,15 +60,15 @@ def random_joint(
 
     Cells of the value grid are kept with probability ~0.6 and reweighted
     with random rationals; sampling retries until both marginals keep at
-    least two distinct values.
+    least two distinct values.  Values are drawn as lattice indices (the
+    same random calls as drawing the values), so the retry test counts ints.
     """
-    w_lat = [Fraction(k, 2) for k in (range(0, 13) if nonneg_w else range(-6, 7))]
-    z_lat = [Fraction(k, 2) for k in range(-6, 7)]
+    w_lat = _NONNEG_LATTICE if nonneg_w else _ANY_LATTICE
     while True:
         nw = rng.randint(2, max_per_marginal)
         nz = rng.randint(2, max_per_marginal)
-        ws = rng.sample(w_lat, nw)
-        zs = rng.sample(z_lat, nz)
+        ws = rng.sample(range(len(w_lat)), nw)
+        zs = rng.sample(range(len(_ANY_LATTICE)), nz)
         cells = [
             (w, z, random_weight(rng))
             for w in ws
@@ -73,7 +77,7 @@ def random_joint(
         ]
         if len({w for w, _, _ in cells}) < 2 or len({z for _, z, _ in cells}) < 2:
             continue
-        return normalize_joint(cells)
+        return normalize_joint((w_lat[w], _ANY_LATTICE[z], p) for w, z, p in cells)
 
 
 def random_shift_down(rng: random.Random, x: DiscreteDist) -> DiscreteDist:

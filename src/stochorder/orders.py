@@ -22,7 +22,10 @@ verdict carries a witness whose lhs/rhs re-evaluate to the violation.
 
 oracle_ssd and oracle_icx decide the same discrete relations through an
 unrelated finite family of test functions (E[min(X, t)] and E[(X - t)+] over
-the merged support, as Fraction prefix sums), for cross-validation.
+the merged support), for cross-validation.  Each scales its pair itself
+(values over one lcm, each law's probabilities over the lcm of its own) and
+reads the integer stop-loss transform, one suffix-sum pass per law
+(risk.stop_loss_transform); none of the walks above is used.
 """
 
 from __future__ import annotations
@@ -42,11 +45,10 @@ from .dists import (
     UnsupportedPairingError,
     as_discrete,
     as_integers,
-    mean,
     norm_cdf,
     norm_pdf,
 )
-from .risk import stop_loss
+from .risk import stop_loss, stop_loss_transform
 
 __all__ = [
     "Witness",
@@ -348,23 +350,27 @@ def _st_normal(nx: Normal, ny: Normal) -> OrderVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _oracle_pair(x: Dist, y: Dist, name: str) -> tuple[DiscreteDist, DiscreteDist, list[Fraction]]:
-    """The finite pair and its merged support, ascending: a merge of the two
-    strictly increasing value tuples, equal values kept once."""
+def _oracle_transforms(
+    x: Dist, y: Dist, name: str
+) -> tuple[list[int], int, list[tuple[int, list[int], int]]]:
+    """The merged support of a finite pair and the stop-loss transform of
+    each law on it, over integers: (ts, V, [(m, sl, S) for X, Y]).
+
+    The values of both laws are scaled over one lcm V and merged, equal
+    values kept once; each law's probabilities are scaled over the lcm D of
+    its own, so E[X] = m / S and E[(X - t)+] = sl[k] / S with S = V D.
+    """
     dx, dy = as_discrete(x), as_discrete(y)
     if dx is None or dy is None:
         raise UnsupportedPairingError(f"{name} is defined for finite-support pairs")
-    return dx, dy, [t for t, _ in groupby(heapq.merge(dx.values, dy.values))]
-
-
-def _min_means(d: DiscreteDist, ts: list[Fraction]) -> Iterator[Fraction]:
-    """E[min(X, t)] for each t of the ascending list ts, in one pass over the atoms."""
-    below, above, k = Fraction(0), Fraction(1), 0  # E[X; X <= t] and P(X > t)
-    for t in ts:
-        while k < len(d.atoms) and d.atoms[k][0] <= t:
-            v, p = d.atoms[k]
-            below, above, k = below + v * p, above - p, k + 1
-        yield below + t * above
+    n = len(dx.atoms)
+    vs, V = as_integers(dx.values + dy.values)
+    ts = [t for t, _ in groupby(heapq.merge(vs[:n], vs[n:]))]
+    curves = []
+    for d, xs in ((dx, vs[:n]), (dy, vs[n:])):
+        ws, D = as_integers(d.probs)
+        curves.append((*stop_loss_transform(list(zip(xs, ws)), ts), V * D))
+    return ts, V, curves
 
 
 def oracle_ssd(x: Dist, y: Dist) -> OrderVerdict:
@@ -372,21 +378,22 @@ def oracle_ssd(x: Dist, y: Dist) -> OrderVerdict:
 
     The gap in t is piecewise linear with knots only at atoms, flat below the
     smallest and above the largest, so the merged support is a complete test
-    set.  Shares no code with check_ssd.
+    set.  E[min(X, t)] = E[X] - E[(X - t)+] comes from the stop-loss transform
+    of each law, over integers; only a witness becomes Fractions.  Shares no
+    code with check_ssd.
     """
-    dx, dy, ts = _oracle_pair(x, y, "oracle_ssd")
-    for t, lhs, rhs in zip(ts, _min_means(dx, ts), _min_means(dy, ts)):
-        if lhs < rhs:
-            return _fails("angle_t", t, lhs, rhs)
+    ts, V, ((mx, lx, sx), (my, ly, sy)) = _oracle_transforms(x, y, "oracle_ssd")
+    for t, a, b in zip(ts, lx, ly):
+        if (mx - a) * sy < (my - b) * sx:
+            return _fails("angle_t", Fraction(t, V), Fraction(mx - a, sx), Fraction(my - b, sy))
     return _HOLDS
 
 
 def oracle_icx(x: Dist, y: Dist) -> OrderVerdict:
-    """Decide X >=icx Y via stop-loss premiums E[(X - t)+] = E[X] - E[min(X, t)]
-    on the merged support."""
-    dx, dy, ts = _oracle_pair(x, y, "oracle_icx")
-    mx, my = mean(dx), mean(dy)
-    for t, lx, ly in zip(ts, _min_means(dx, ts), _min_means(dy, ts)):
-        if mx - lx < my - ly:
-            return _fails("angle_t", t, mx - lx, my - ly)
+    """Decide X >=icx Y via stop-loss premiums E[(X - t)+] >= E[(Y - t)+] on
+    the merged support, from the stop-loss transform of each law."""
+    ts, V, ((_, lx, sx), (_, ly, sy)) = _oracle_transforms(x, y, "oracle_icx")
+    for t, a, b in zip(ts, lx, ly):
+        if a * sy < b * sx:
+            return _fails("angle_t", Fraction(t, V), Fraction(a, sx), Fraction(b, sy))
     return _HOLDS

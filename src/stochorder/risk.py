@@ -6,8 +6,19 @@ For a law X and level p in [0, 1),
 
 with Q_X the right quantile.  The map phi(p) = (1-p) * ES_p(X) is piecewise
 linear and concave for finite laws, with slope -Q_X(p), phi(0) = E[X] and
-phi(1) = 0; the discrete evaluator works through that envelope so every value
-is an exact rational.
+phi(1) = 0.
+
+On a finite law every evaluator works over integers: values (and the points
+asked for) over the lcm V of their denominators, probabilities (and the level
+asked for) over the lcm D of theirs, and each result becomes one Fraction.
+es and phi sum the upper tail down to the one level, and phi_envelope builds
+all breakpoints at once.  stop_loss_transform is the integer kernel of the
+stop-loss transform, one pass of suffix sums over ascending points,
+
+    SL(t) = E[(X - t)+] = sum_{v > t} v * P(X = v) - t * P(X > t);
+
+it serves stop_loss, the premium curves of apps.stop_loss_compare and the
+transform oracles of orders, each of which scales its own inputs.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter
+from typing import Sequence
 
 from .dists import (
     Bernoulli,
@@ -46,6 +58,7 @@ __all__ = [
     "es",
     "phi",
     "stop_loss",
+    "stop_loss_transform",
     "is_regular_level",
     "tail_mean_at_level",
 ]
@@ -119,11 +132,33 @@ def phi_envelope(d: DiscreteDist) -> PhiEnvelope:
     ))
 
 
+def _upper_tail(d: DiscreteDist, p: Fraction) -> tuple[int, int, int, int]:
+    """(A, V, D, M) for a level p in [0, 1]: phi(p) = A / (V D), 1 - p = M / D.
+
+    A sums value times mass over the top mass M, walking down from the
+    largest atom; the lowest atom reached counts only its part of M.
+    """
+    xs, V = as_integers(d.values)
+    ws, D = as_integers(d.probs + (p,))
+    M = D - ws.pop()
+    acc, left = 0, M
+    for x, w in zip(reversed(xs), reversed(ws)):
+        if not left:
+            break
+        take = min(w, left)
+        acc, left = acc + x * take, left - take
+    return acc, V, D, M
+
+
 def es(d: Dist, p: RationalLike) -> Fraction | float:
     """Expected shortfall ES_p at level p in [0, 1); ES_0 is the mean."""
     disc = as_discrete(d)
     if disc is not None:
-        return phi_envelope(disc).es_at(p)
+        pf = as_fraction(p)
+        if not 0 <= pf < 1:
+            raise InputError(f"expected shortfall needs p in [0, 1), got {pf}")
+        acc, V, _, M = _upper_tail(disc, pf)
+        return Fraction(acc, V * M)
     pv = float(as_fraction(p)) if not isinstance(p, float) else p
     if not 0.0 <= pv < 1.0:
         raise InputError(f"expected shortfall needs p in [0, 1), got {pv}")
@@ -148,11 +183,38 @@ def phi(d: Dist, p: RationalLike) -> Fraction | float:
     """The envelope value (1 - p) * ES_p; defined on all of [0, 1]."""
     disc = as_discrete(d)
     if disc is not None:
-        return phi_envelope(disc).value_at(p)
+        pf = as_fraction(p)
+        if not 0 <= pf <= 1:
+            raise InputError(f"level must lie in [0, 1], got {pf}")
+        acc, V, D, _ = _upper_tail(disc, pf)
+        return Fraction(acc, V * D)
     pv = float(as_fraction(p)) if not isinstance(p, float) else p
     if pv == 1.0:
         return 0.0
     return (1.0 - pv) * es(d, pv)
+
+
+def stop_loss_transform(atoms: Sequence[tuple[int, int]], ts: Sequence[int]) -> tuple[int, list[int]]:
+    """The stop-loss transform of a finite law at ascending points, over integers.
+
+    atoms are (value, weight) pairs ascending by value (repeats allowed) and
+    ts ascending points; values and points share one scale V, weights one
+    scale D.  Returns (m, sl): m = sum of value * weight, so E[X] = m / (V D),
+    and sl[k] = sum over v > ts[k] of (v - ts[k]) * weight, so
+    E[(X - ts[k])+] = sl[k] / (V D).  One descending pass keeps the suffix
+    sums of v * w and of w over the atoms above t.
+    """
+    k = len(atoms)
+    top = mass = 0
+    sl = [0] * len(ts)
+    for i in range(len(ts) - 1, -1, -1):
+        t = ts[i]
+        while k and atoms[k - 1][0] > t:
+            k -= 1
+            v, w = atoms[k]
+            top, mass = top + v * w, mass + w
+        sl[i] = top - t * mass
+    return top + sum(v * w for v, w in atoms[:k]), sl
 
 
 def stop_loss(d: Dist, t: RationalLike) -> Fraction | float:
@@ -160,7 +222,11 @@ def stop_loss(d: Dist, t: RationalLike) -> Fraction | float:
     disc = as_discrete(d)
     if disc is not None:
         tf = as_fraction(t)
-        return sum(((v - tf) * p for v, p in disc.atoms if v > tf), _ZERO)
+        above = disc.atoms[bisect_right(disc.atoms, tf, key=itemgetter(0)):]
+        vs, V = as_integers([v for v, _ in above] + [tf])  # t scaled last
+        ws, D = as_integers([p for _, p in above])
+        _, (sl,) = stop_loss_transform(list(zip(vs, ws)), vs[-1:])
+        return Fraction(sl, V * D)
     tv = float(as_fraction(t)) if not isinstance(t, float) else t
     if isinstance(d, Normal):
         z = (d.mu - tv) / d.sigma

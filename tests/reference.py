@@ -7,7 +7,9 @@ tests can demand that the linear integer walks in `stochorder.orders` and
 `stochorder.conditions` return equal verdicts and equal witnesses.
 
 marketable_check evaluates the conditional indemnity mean afresh at every
-threshold.  normalize, normalize_joint and phi_envelope_points are the
+threshold, and stop_loss_compare every premium by its own Fraction sum over
+the atoms (stop_loss).  random_joint is the joint-law generator as it was
+when it hashed Fraction values, kept to pin the random draw sequence.  normalize, normalize_joint and phi_envelope_points are the
 Fraction routes of canonicalisation and of the expected-shortfall envelope:
 a Fraction-keyed merge, a sort by Fraction comparison and one Fraction
 division or sum per atom, where the library works over integers.
@@ -24,11 +26,14 @@ from stochorder import (
     DiscreteDist,
     InputError,
     JointDist,
+    StopLossComparison,
     as_discrete,
     as_fraction,
     cdf,
     conditional_indemnity_mean,
     indemnity_value,
+    joint_marginal_w,
+    joint_sum,
 )
 from stochorder.orders import OrderVerdict, Witness
 from stochorder.risk import PhiEnvelope, phi_envelope
@@ -72,6 +77,25 @@ def normalize_joint(raw_atoms) -> JointDist:
     if total == 0:
         raise InputError("total weight must be positive")
     return JointDist(tuple((w, z, acc[(w, z)] / total) for (w, z) in sorted(acc)))
+
+
+def random_joint(rng, max_per_marginal: int = 6, nonneg_w: bool = False) -> JointDist:
+    w_lat = [Fraction(k, 2) for k in (range(0, 13) if nonneg_w else range(-6, 7))]
+    z_lat = [Fraction(k, 2) for k in range(-6, 7)]
+    while True:
+        nw = rng.randint(2, max_per_marginal)
+        nz = rng.randint(2, max_per_marginal)
+        ws = rng.sample(w_lat, nw)
+        zs = rng.sample(z_lat, nz)
+        cells = [
+            (w, z, Fraction(rng.randint(1, 59), 60))
+            for w in ws
+            for z in zs
+            if rng.random() < 0.6
+        ]
+        if len({w for w, _, _ in cells}) < 2 or len({z for _, z, _ in cells}) < 2:
+            continue
+        return normalize_joint(cells)
 
 
 def phi_envelope_points(d: DiscreteDist) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -233,6 +257,28 @@ def marketable_check(i, x_dist, p0) -> OrderVerdict:
         if cm < p0:
             return OrderVerdict(False, Witness("threshold_x", x, cm, p0))
     return _HOLDS
+
+
+def stop_loss(d: DiscreteDist, t) -> Fraction:
+    t = as_fraction(t)
+    return sum(((v - t) * p for v, p in d.atoms if v > t), _ZERO)
+
+
+def stop_loss_compare(j: JointDist, deductibles=None) -> StopLossComparison:
+    base, total = joint_marginal_w(j), joint_sum(j)
+    if deductibles is None:
+        ds = sorted({_ZERO} | set(base.values) | {v for v in total.values if v >= 0})
+    else:
+        ds = sorted({as_fraction(d) for d in deductibles})
+    base_curve = tuple(stop_loss(base, d) for d in ds)
+    summed_curve = tuple(stop_loss(total, d) for d in ds)
+    return StopLossComparison(
+        condition=cond_icx(j),
+        deductibles=tuple(ds),
+        base_premiums=base_curve,
+        summed_premiums=summed_curve,
+        dominates=all(s >= b for s, b in zip(summed_curve, base_curve)),
+    )
 
 
 # ---------------------------------------------------------------------------

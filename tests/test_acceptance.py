@@ -264,10 +264,11 @@ def test_criterion_7_stop_loss_dominance():
         cmp = stop_loss_compare(j)
         assert cmp.dominates, j
     elapsed = time.perf_counter() - start
+    assert elapsed < 10.0
     print(f"PASS criterion 7: exponential stop-loss within 1e-12 at 4 "
           f"deductibles; dominance at all breakpoints for {passing} joints "
           f"passing the upper-tail condition (seed {seed}, {tried} sampled, "
-          f"{elapsed:.1f}s)")
+          f"{elapsed:.1f}s < 10s)")
 
 
 def test_criterion_8_protective_put():
@@ -321,6 +322,7 @@ def test_criterion_9_oracle_equivalence():
         icx_holds += v_icx.holds
     elapsed = time.perf_counter() - start
     assert ssd_holds > 0 and icx_holds > 0
+    assert elapsed < 5.0
     print(f"PASS criterion 9: seed {seed}, 1000 pairs, checker/oracle "
           f"agreement exact for both orders ({ssd_holds} ssd holds, "
-          f"{icx_holds} icx holds, {elapsed:.1f}s)")
+          f"{icx_holds} icx holds, {elapsed:.1f}s < 5s)")

@@ -75,6 +75,14 @@ class TestRiskCommands:
         assert code == 2 and report is None
         assert "more than 4300 digits" in cap.err
 
+    def test_result_too_large_to_print_exits_two(self, run, tmp_path):
+        # both atoms print back, but their mean has about 8,600 digits
+        dist = _write(tmp_path / "d.json", _discrete(["1e4299", "-25E-4299"]))
+        code, report, cap = run("es", "--level", "0", dist)
+        assert code == 2 and report is None and cap.out == ""
+        assert cap.err.startswith("error: ") and len(cap.err.splitlines()) == 1
+        assert "cannot be printed" in cap.err
+
     def test_phi_and_stoploss(self, run, tmp_path):
         dist = _write(tmp_path / "d.json", _discrete([0, 1]))
         code, report, _ = run("phi", "--level", "1/2", dist)

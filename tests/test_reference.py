@@ -2,14 +2,17 @@
 
 normalize, normalize_joint and phi_envelope, which work over integers, build
 atoms and breakpoints equal to those of the Fraction routes, and reject the
-same inputs with the same messages.  Every order checker, both oracles, all
-five dependence conditions and the discrete marketability check are compared
+same inputs with the same messages; es and phi at one level equal the
+envelope's values and errors.  Every order checker, both oracles, all five
+dependence conditions and the discrete marketability check are compared
 with the per-point evaluations in `tests/reference.py`: the whole verdict
 must be equal, witness included, and every witness field must be an exact
-Fraction.  Coupling synthesis is compared with exact LP feasibility on small
-supports.
+Fraction.  stop_loss and stop_loss_compare equal per-deductible Fraction
+sums.  Coupling synthesis is compared with exact LP feasibility on small
+supports, and random_joint draws the joints its Fraction-hashing form drew.
 """
 
+import random
 import warnings
 from fractions import Fraction as F
 
@@ -37,12 +40,14 @@ from stochorder import (
     normalize_joint,
     oracle_icx,
     oracle_ssd,
+    stop_loss_compare,
     synth_martingale,
     synth_supermartingale,
     tail_condition,
     verify_coupling,
 )
-from stochorder.risk import phi_envelope
+from stochorder.gen import random_joint
+from stochorder.risk import es, phi, phi_envelope, stop_loss
 
 from . import reference as ref
 
@@ -51,7 +56,10 @@ from . import reference as ref
 lattice = st.integers(-12, 12).map(lambda k: F(k, 2))
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 dyadic = st.floats(-8, 8, allow_nan=False, allow_infinity=False).map(F)
-value_families = st.sampled_from([lattice, rationals, dyadic])
+# values over pairwise coprime denominators, so that the lcms multiply up
+coprime = st.sampled_from([3, 5, 7, 11, 13]).flatmap(lambda d: st.integers(-40, 40).map(lambda k: F(k, d)))
+coprime_weights = st.sampled_from([2, 3, 5, 7, 11, 13]).flatmap(lambda q: st.integers(1, 3 * q).map(lambda k: F(k, q)))
+value_families = st.sampled_from([lattice, rationals, dyadic, coprime])
 
 
 def _law(values, weights):
@@ -59,12 +67,11 @@ def _law(values, weights):
 
 
 @st.composite
-def laws(draw, family=None, max_atoms=7):
+def laws(draw, family=None, max_atoms=7, weights=st.integers(1, 59)):
     family = family if family is not None else draw(value_families)
     n = draw(st.integers(1, max_atoms))
     values = draw(st.lists(family, min_size=n, max_size=n, unique=True))
-    weights = draw(st.lists(st.integers(1, 59), min_size=n, max_size=n))
-    return _law(values, weights)
+    return _law(values, draw(st.lists(weights, min_size=n, max_size=n)))
 
 
 @st.composite
@@ -196,6 +203,14 @@ def _canonical(build, raw):
     return atoms
 
 
+def _outcome(fn, *args):
+    """fn(*args), or the message of the InputError it raises."""
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
 def _assert_exact_equal(got, want):
     assert got == want
     if got.witness is not None:
@@ -248,6 +263,54 @@ class TestCanonicalLawsMatchReference:
         assert points == ref.phi_envelope_points(x)
         assert all(type(f) is F for point in points for f in point)
 
+    @settings(max_examples=300, deadline=None)
+    @given(laws(weights=st.one_of(st.integers(1, 59), coprime_weights)).flatmap(lambda x: st.tuples(
+        st.just(x),
+        st.one_of(
+            spelled(st.sampled_from(phi_envelope(x).levels)),  # at a breakpoint
+            spelled(st.fractions(0, 1, max_denominator=30)),
+            st.sampled_from([F(-1, 3), F(3, 2), -1, 2, "one"]),  # rejected
+        ),
+    )))
+    def test_es_and_phi_at_one_level_equal_the_envelope(self, case):
+        x, p = case
+        env = phi_envelope(x)
+        for fast, slow in ((es, env.es_at), (phi, env.value_at)):
+            got, want = _outcome(fast, x, p), _outcome(slow, p)
+            assert got == want
+            assert type(got) is type(want)
+
+
+class TestStopLossMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(laws(weights=st.one_of(st.integers(1, 59), coprime_weights)).flatmap(
+        lambda x: st.tuples(st.just(x), spelled(st.one_of(st.sampled_from(x.values), rationals, coprime)))
+    ))
+    def test_stop_loss_at_a_point(self, case):
+        x, t = case
+        got = stop_loss(x, t)
+        assert got == ref.stop_loss(x, t) and type(got) is F
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_compare_equals_per_deductible_sums(self, data):
+        """Nonnegative losses on one anchor or several, coprime denominators
+        included; the default grid and user grids on or off the support."""
+        family = data.draw(st.sampled_from([
+            lattice.map(abs), rationals.map(abs), dyadic.map(abs), coprime.map(abs)]))
+        anchors = data.draw(st.lists(family, min_size=1, max_size=data.draw(st.sampled_from([1, 4])),
+                                     unique=True))
+        cells = data.draw(st.lists(st.tuples(st.sampled_from(anchors), data.draw(value_families)),
+                                   min_size=1, max_size=10, unique=True))
+        weights = data.draw(st.lists(st.one_of(st.integers(1, 30), coprime_weights),
+                                     min_size=len(cells), max_size=len(cells)))
+        j = normalize_joint((w, z, p) for (w, z), p in zip(cells, weights))
+        grid = data.draw(st.one_of(st.none(), st.lists(
+            spelled(st.one_of(family, st.sampled_from(anchors), coprime.map(abs))), min_size=1, max_size=8)))
+        got = stop_loss_compare(j, grid)
+        assert got == ref.stop_loss_compare(j, grid)
+        assert all(type(f) is F for f in got.base_premiums + got.summed_premiums)
+
 
 class TestOrdersMatchReference:
     @settings(max_examples=400, deadline=None)
@@ -265,6 +328,30 @@ class TestOrdersMatchReference:
         for fast, slow in ORDER_PAIRS:
             _assert_exact_equal(fast(point, x), slow(point, x))
             _assert_exact_equal(fast(x, point), slow(x, point))
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_coprime_denominators(self, data):
+        """Values and weights over pairwise coprime denominators, independent
+        or shifted pairs, in both orders."""
+        x = data.draw(laws(coprime, weights=coprime_weights))
+        if data.draw(st.booleans()):
+            y = data.draw(laws(coprime, weights=coprime_weights))
+        else:
+            c = data.draw(coprime)
+            y = normalize((v - c, p) for v, p in x.atoms)
+        for fast, slow in ORDER_PAIRS:
+            _assert_exact_equal(fast(x, y), slow(x, y))
+            _assert_exact_equal(fast(y, x), slow(y, x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(value_families.flatmap(lambda f: st.tuples(f, f)))
+    def test_single_atom_pairs(self, case):
+        a, b = (normalize([(c, 1)]) for c in case)
+        for fast, slow in ORDER_PAIRS:
+            _assert_exact_equal(fast(a, b), slow(a, b))
+            _assert_exact_equal(fast(a, a), slow(a, a))
 
 
 class TestConditionsMatchReference:
@@ -315,3 +402,12 @@ class TestSynthesisMatchesReference:
                 assert verify_coupling(res.coupling, x, y, mode)
             else:
                 assert res.certificate == verdict.witness
+
+
+class TestGeneratorMatchesReference:
+    def test_random_joint_draws_the_same_joints(self):
+        for nonneg in (False, True):
+            fast, slow = random.Random(20260818), random.Random(20260818)
+            for _ in range(250):
+                assert random_joint(fast, nonneg_w=nonneg) == ref.random_joint(slow, nonneg_w=nonneg)
+            assert fast.getstate() == slow.getstate()
