@@ -6,108 +6,12 @@ exact construction, and worked verification cases (dependence-region
 tables, improvers, insurance marketability, protective puts).
 """
 
-from .apps import (
-    BernoulliCase,
-    BSParams,
-    ExponentialUtility,
-    FixedIndemnity,
-    GaussianCase,
-    ImproverFlags,
-    LinearUtility,
-    PiecewiseIndemnity,
-    PowerUtility,
-    RegionFlags,
-    StopLossComparison,
-    StopLossIndemnity,
-    bernoulli_joint,
-    bernoulli_region,
-    bs_put,
-    comonotone_improver_equivalence,
-    conditional_indemnity_mean,
-    expected_put_value,
-    gaussian_cond_new_numeric,
-    gaussian_region,
-    gaussian_ssd_check,
-    improver_check,
-    indemnity_from_json,
-    indemnity_to_json,
-    indemnity_value,
-    indifference_premium,
-    marketable_check,
-    protective_put_check,
-    stop_loss_compare,
-    utility_from_spec,
-)
-from .conditions import (
-    cond_classic,
-    cond_cx_pair,
-    cond_icx,
-    cond_new,
-    cond_on_difference,
-    is_comonotone,
-    relevant_thresholds,
-    tail_condition,
-)
-from .coupling import (
-    Coupling,
-    SynthResult,
-    coupling_to_joint,
-    synth_martingale,
-    synth_supermartingale,
-    verify_coupling,
-)
-from .dists import (
-    Bernoulli,
-    DiscreteDist,
-    Dist,
-    Exponential,
-    InputError,
-    InternalError,
-    IrrelevantThresholdError,
-    JointDist,
-    LogNormal,
-    Normal,
-    PointMass,
-    StochOrderError,
-    UnsupportedPairingError,
-    as_discrete,
-    as_fraction,
-    cdf,
-    discretize,
-    dist_from_json,
-    dist_to_json,
-    joint_from_json,
-    joint_marginal_w,
-    joint_sum,
-    joint_to_json,
-    joint_z,
-    mean,
-    negate,
-    affine,
-    normalize,
-    normalize_joint,
-    point_mass_dist,
-    quantile_right,
-    variance,
-)
-from .orders import (
-    OrderVerdict,
-    Witness,
-    check_cx,
-    check_icx,
-    check_ssd,
-    check_st,
-    oracle_icx,
-    oracle_ssd,
-)
-from .risk import (
-    PhiEnvelope,
-    es,
-    is_regular_level,
-    phi,
-    phi_envelope,
-    stop_loss,
-    tail_mean_at_level,
-)
+# the public names of each module are its __all__
+from .apps import *  # noqa: F401,F403
+from .conditions import *  # noqa: F401,F403
+from .coupling import *  # noqa: F401,F403
+from .dists import *  # noqa: F401,F403
+from .orders import *  # noqa: F401,F403
+from .risk import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

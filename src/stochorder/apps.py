@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import add
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-from .conditions import cond_classic, cond_icx, cond_new, is_comonotone, tail_condition
+from .conditions import _Groups, cond_classic, cond_icx, cond_new, is_comonotone, tail_condition
 from .dists import (
     DiscreteDist,
     Dist,
@@ -38,6 +38,7 @@ from .dists import (
     norm_cdf,
     norm_pdf,
     normalize_joint,
+    rescale,
 )
 from .orders import OrderVerdict, Witness, check_ssd
 from .risk import stop_loss_transform
@@ -303,7 +304,8 @@ def improver_check(j: JointDist) -> ImproverFlags:
     total = joint_sum(j)
     in_s = check_ssd(total, marg).holds
     # anchor on the sum with the sign of Z flipped: E[-Z | X+Z <= x] <= 0
-    in_n = tail_condition(((w + z, -z, p) for w, z, p in j.atoms), "lower").holds
+    f = j.ints
+    in_n = _Groups(*f.combined(), [-z for z in f.z], f.VZ, f.p, f.D).first_failure("lower").holds
     return ImproverFlags(in_s=in_s, in_n=in_n)
 
 
@@ -702,35 +704,37 @@ def stop_loss_compare(
     """Compare stop-loss curves of X and X + Z for a joint law of (X, Z).
 
     The default deductible grid is 0 and every nonnegative atom of X or of
-    X + Z, where both curves have all their knots.  The cells are scaled to
-    integers (w, z and the deductibles over one lcm V, probabilities over
-    the lcm D of theirs), and each curve is one pass of
+    X + Z, where both curves have all their knots.  The cells are read over
+    integers from the joint's cached form (w, z and the deductibles moved
+    onto one lcm V, probabilities over the lcm D of theirs), and each curve
+    is one pass of
     risk.stop_loss_transform over the cells sorted by w or by w + z;
     dominance is compared over integers and a premium becomes a Fraction
     once.  When the upper-tail condition E[Z | X >= x] >= 0 holds, the
     summed curve must dominate at every deductible; a violation under a
     holding condition is an internal defect and raises.
     """
-    if min(w for w, _, _ in j.atoms) < 0:
+    f = j.ints
+    if min(f.w) < 0:
         raise InputError("the loss marginal must be nonnegative")
     ds: list[Fraction] = []
+    ts, VT = [], 1
     if deductibles is not None:
         ds = sorted({as_fraction(d) for d in deductibles})
         if any(d < 0 for d in ds):
             raise InputError("deductibles must be nonnegative")
         if not ds:
             raise InputError("deductible grid must be non-empty")
-    k = len(j.atoms)
-    vs, V = as_integers([w for w, _, _ in j.atoms] + [z for _, z, _ in j.atoms] + ds)
-    ps, D = as_integers([p for _, _, p in j.atoms])
-    ws = vs[:k]
-    base = sorted(zip(ws, ps))
-    summed = sorted(zip(map(add, ws, vs[k : 2 * k]), ps))
+        ts, VT = as_integers(ds)
+    V, D = math.lcm(f.VW, f.VZ, VT), f.D
+    ws = rescale(f.w, V // f.VW)
+    base = sorted(zip(ws, f.p))
+    summed = sorted(zip(map(add, ws, rescale(f.z, V // f.VZ)), f.p))
     if deductibles is None:
         ts = sorted({0, *ws, *(s for s, _ in summed if s >= 0)})
         ds = [Fraction(t, V) for t in ts]
     else:
-        ts = vs[2 * k :]
+        ts = rescale(ts, V // VT)
     _, base_sl = stop_loss_transform(base, ts)
     _, summed_sl = stop_loss_transform(summed, ts)
     base_curve = tuple(Fraction(b, V * D) for b in base_sl)
@@ -924,11 +928,7 @@ def protective_put_check(
             g_hi = 0.5 * (a + b)
         sub_g, sub_w = _gauss_nodes(-_QUAD_RANGE, g_hi)
         sub_dens = np.array([norm_pdf(float(g)) for g in sub_g])
-        sub_spots = params.spot * np.exp(
-            (params.drift - 0.5 * params.sigma**2) * t
-            + params.sigma * math.sqrt(t) * sub_g
-        )
-        sub_puts = np.array([bs_put(params, t, float(s)) for s in sub_spots])
+        _, sub_puts, _ = _position_values(params, t, sub_g, p0)
         num = float(np.sum(sub_w * sub_dens * (sub_puts - p0)))
         den = float(np.sum(sub_w * sub_dens))
         cond = num / den

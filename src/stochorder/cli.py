@@ -66,26 +66,11 @@ def _load_json(path: str) -> object:
         raise InputError(f"{path}: malformed JSON: {exc}") from exc
 
 
-def _load_dist(path: str):
+def _load(path: str, parse: Callable):
+    """The JSON object in a file, parsed; parse errors name the file."""
     obj = _load_json(path)
     try:
-        return dist_from_json(obj)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _load_joint(path: str):
-    obj = _load_json(path)
-    try:
-        return joint_from_json(obj)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _load_indemnity(path: str):
-    obj = _load_json(path)
-    try:
-        return apps.indemnity_from_json(obj)
+        return parse(obj)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -110,7 +95,7 @@ def _write_payload(path: str, payload: object) -> None:
 
 
 def _cmd_es(args):
-    d = _load_dist(args.dist)
+    d = _load(args.dist, dist_from_json)
     level = _parse_rational(args.level, "level")
     value = es(d, level)
     inputs = {"level": level, "dist": dist_to_json(d)}
@@ -118,7 +103,7 @@ def _cmd_es(args):
 
 
 def _cmd_phi(args):
-    d = _load_dist(args.dist)
+    d = _load(args.dist, dist_from_json)
     level = _parse_rational(args.level, "level")
     value = phi(d, level)
     inputs = {"level": level, "dist": dist_to_json(d)}
@@ -126,7 +111,7 @@ def _cmd_phi(args):
 
 
 def _cmd_stoploss(args):
-    d = _load_dist(args.dist)
+    d = _load(args.dist, dist_from_json)
     deductible = _parse_rational(args.deductible, "deductible")
     value = stop_loss(d, deductible)
     inputs = {"deductible": deductible, "dist": dist_to_json(d)}
@@ -144,8 +129,8 @@ _ORDER_ORACLES: dict[str, Callable] = {"ssd": oracle_ssd, "icx": oracle_icx}
 
 
 def _cmd_check_order(args):
-    x = _load_dist(args.x)
-    y = _load_dist(args.y)
+    x = _load(args.x, dist_from_json)
+    y = _load(args.y, dist_from_json)
     if args.oracle:
         if args.relation not in _ORDER_ORACLES:
             raise InputError(f"no oracle route for relation {args.relation!r}")
@@ -169,7 +154,7 @@ _CONDS: dict[str, Callable] = {
 
 
 def _cmd_check_cond(args):
-    j = _load_joint(args.joint)
+    j = _load(args.joint, joint_from_json)
     verdict = _CONDS[args.which](j)
     inputs = {"which": args.which, "joint": joint_to_json(j)}
     state = "holds" if verdict.holds else "fails"
@@ -178,8 +163,8 @@ def _cmd_check_cond(args):
 
 
 def _cmd_synthesize(args):
-    x = _load_dist(args.x)
-    y = _load_dist(args.y)
+    x = _load(args.x, dist_from_json)
+    y = _load(args.y, dist_from_json)
     synth = synth_supermartingale if args.mode == "ssd" else synth_martingale
     res = synth(x, y)
     inputs = {"mode": args.mode, "x": dist_to_json(x), "y": dist_to_json(y)}
@@ -194,7 +179,7 @@ def _cmd_synthesize(args):
 
 
 def _cmd_discretize(args):
-    d = _load_dist(args.dist)
+    d = _load(args.dist, dist_from_json)
     out = discretize(d, args.n)
     payload = dist_to_json(out)
     if args.out:
@@ -256,7 +241,7 @@ def _cmd_table(args):
 
 
 def _cmd_improver(args):
-    j = _load_joint(args.joint)
+    j = _load(args.joint, joint_from_json)
     flags = apps.improver_check(j)
     inputs = {"joint": joint_to_json(j)}
     result = {"in_s": flags.in_s, "in_n": flags.in_n}
@@ -266,8 +251,8 @@ def _cmd_improver(args):
 
 
 def _cmd_marketable(args):
-    i = _load_indemnity(args.indemnity)
-    loss = _load_dist(args.loss)
+    i = _load(args.indemnity, apps.indemnity_from_json)
+    loss = _load(args.loss, dist_from_json)
     p0 = _parse_rational(args.p0, "premium")
     verdict = apps.marketable_check(i, loss, p0)
     inputs = {"indemnity": apps.indemnity_to_json(i),
@@ -279,8 +264,8 @@ def _cmd_marketable(args):
 
 def _cmd_premium(args):
     u = apps.utility_from_spec(args.utility)
-    i = _load_indemnity(args.indemnity)
-    loss = _load_dist(args.loss)
+    i = _load(args.indemnity, apps.indemnity_from_json)
+    loss = _load(args.loss, dist_from_json)
     wealth = _parse_rational(args.wealth, "wealth")
     value = apps.indifference_premium(u, wealth, loss, i)
     inputs = {"utility": args.utility, "wealth": wealth,
@@ -289,7 +274,7 @@ def _cmd_premium(args):
 
 
 def _cmd_stoploss_compare(args):
-    j = _load_joint(args.joint)
+    j = _load(args.joint, joint_from_json)
     ds = None
     if args.deductibles:
         ds = [_parse_rational(s, "deductible") for s in args.deductibles.split(",")]

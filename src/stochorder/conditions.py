@@ -15,11 +15,12 @@ cond_on_difference:  E[Z | Y - Z <= x] <= 0 at every relevant x, for a joint of
 The events {W <= x}, {W >= x} and {W = x} change only at atoms of the
 anchor, so its distinct values are a complete test set, and
 E[Z | event] has the sign of E[Z; event].  All five conditions are one
-kernel, tail_condition: it sums z * p and p over the cells of each anchor
-value, in integers over the common denominators of the cells, and walks the
-anchors once, ascending, with a prefix sum (the lower tail), a suffix sum
-(the upper tail) or the group sums alone (the point events).  It reports the
-first failing threshold, as a direct evaluation at each threshold would.
+kernel: it sums z * p and p over the cells of each anchor value, in integers
+(the joint's cached columns, JointDist.ints; tail_condition scales its cells
+once), and walks the anchors once, ascending, with a prefix sum (the lower
+tail), a suffix sum (the upper tail) or the group sums alone (the point
+events).  It reports the first failing threshold, as a direct evaluation at
+each threshold would.
 
 is_comonotone decides whether a finite set of weighted points can be the law
 of a comonotone pair: no two support points may move in opposite directions.
@@ -27,11 +28,10 @@ of a comonotone pair: no two support points may move in opposite directions.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .dists import InternalError, JointDist, RationalLike, as_fraction
+from .dists import InternalError, JointDist, RationalLike, as_fraction, as_integers
 from .orders import OrderVerdict, Witness
 
 __all__ = [
@@ -64,21 +64,22 @@ def relevant_thresholds(j: JointDist) -> list[Fraction]:
 class _Groups:
     """The cells of a joint law summed per anchor value, as integers.
 
-    anchors holds the distinct anchors ascending, each as a / va; sums holds
+    Cell k is (anchors[k] / va, zs[k] / vz) with probability ps[k] / d.
+    self.anchors holds the distinct anchors ascending; self.sums holds
     (sum of z * p, sum of p) for each, in units of 1 / (vz d) and 1 / d.
     """
 
-    def __init__(self, cells: Cells) -> None:
-        cells = list(cells)
-        self.va = math.lcm(*(a.denominator for a, _, _ in cells))
-        self.vz = math.lcm(*(z.denominator for _, z, _ in cells))
-        self.d = math.lcm(*(p.denominator for _, _, p in cells))
+    def __init__(self, anchors: Sequence[int], va: int, zs: Sequence[int], vz: int,
+                 ps: Sequence[int], d: int) -> None:
+        self.va, self.vz, self.d = va, vz, d
         acc: dict[int, list[int]] = {}
-        for a, z, p in cells:
-            w = p.numerator * (self.d // p.denominator)
-            g = acc.setdefault(a.numerator * (self.va // a.denominator), [0, 0])
-            g[0] += z.numerator * (self.vz // z.denominator) * w
-            g[1] += w
+        for a, z, p in zip(anchors, zs, ps):
+            g = acc.get(a)
+            if g is None:
+                acc[a] = [z * p, p]
+            else:
+                g[0] += z * p
+                g[1] += p
         self.anchors = sorted(acc)
         self.sums = [acc[a] for a in self.anchors]
 
@@ -115,22 +116,23 @@ def tail_condition(cells: Cells, tail: str) -> OrderVerdict:
     """
     if tail not in ("lower", "upper", "point"):
         raise ValueError(f"unknown tail {tail!r}")
-    return _Groups(cells).first_failure(tail)
+    (a, va), (z, vz), (p, d) = [as_integers(col) for col in zip(*cells)] or [([], 1)] * 3
+    return _Groups(a, va, z, vz, p, d).first_failure(tail)
 
 
 def cond_new(j: JointDist) -> OrderVerdict:
     """E[Z | W <= x] <= 0 for every relevant threshold x."""
-    return tail_condition(j.atoms, "lower")
+    return _Groups(*j.ints).first_failure("lower")
 
 
 def cond_classic(j: JointDist) -> OrderVerdict:
     """E[Z | W = w] <= 0 at every atom w of W."""
-    return tail_condition(j.atoms, "point")
+    return _Groups(*j.ints).first_failure("point")
 
 
 def cond_icx(j: JointDist) -> OrderVerdict:
     """E[Z | W >= x] >= 0 for every relevant threshold x."""
-    return tail_condition(j.atoms, "upper")
+    return _Groups(*j.ints).first_failure("upper")
 
 
 def cond_cx_pair(j: JointDist) -> OrderVerdict:
@@ -141,7 +143,7 @@ def cond_cx_pair(j: JointDist) -> OrderVerdict:
     certifies the spread; both are computed and must agree.  A witness at the
     top threshold with nonzero lhs exhibits the mean failure.
     """
-    g = _Groups(j.atoms)
+    g = _Groups(*j.ints)
     mean_num = sum(n for n, _ in g.sums)
     if mean_num != 0:
         top = Fraction(g.anchors[-1], g.va)
@@ -165,7 +167,8 @@ def cond_on_difference(j: JointDist) -> OrderVerdict:
     The anchor is the difference V = Y - Z; relevant thresholds are V's
     atoms.  Holding, it certifies Y <=ssd Y - Z.
     """
-    return tail_condition(((y - z, z, p) for y, z, p in j.atoms), "lower")
+    f = j.ints
+    return _Groups(*f.combined(-1), f.z, f.VZ, f.p, f.D).first_failure("lower")
 
 
 def is_comonotone(

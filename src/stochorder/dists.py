@@ -8,13 +8,23 @@ a float converts to the dyadic rational it actually is.
 Canonicalisation is integer work.  normalize and normalize_joint scale all
 values (w and z separately) and all weights of one call to integers over the
 lcm of their denominators, merge duplicates in an int-keyed dict, sort the
-int keys, and build each probability once as Fraction(m, total); the
-value Fractions are reused as given.  The validators run on every
-construction with the same checks and messages as ever (Fraction types first,
-positive probabilities, strictly increasing values or distinct joint cells,
-total mass 1), compared over numerators and denominators.  Parametric laws
+int keys, and build each probability once as a Fraction; the value
+Fractions are reused as given.  The validators run on every construction
+with the same checks and messages as ever (Fraction types first, positive
+probabilities, strictly increasing values or distinct joint cells, total
+mass 1), compared over numerators and denominators.  Parametric laws
 (Normal, Exponential, Bernoulli, LogNormal, PointMass) carry float parameters
 and are evaluated through binary64 closed forms.
+
+Each finite law caches its integer form, ints: for a DiscreteDist its values
+over the lcm V of their denominators and its probabilities over the lcm D of
+theirs, for a JointDist the w, z and p columns over VW, VZ and D; exactly
+what as_integers makes of each public column, so no layer rescales a law
+per call.  normalize, normalize_joint and the joint marginals prime it from
+the merge: merged weights m_k with sum T and g = gcd(m_1, ..., m_n), which
+divides T, give probabilities over D = T / g, the lcm of the reduced
+denominators, as m_k / g, no integer larger than the merge's.  Other laws
+compute it on first use; it stays out of ==, hash, repr and pickle.
 
 Quantiles follow the right-quantile convention
 
@@ -29,7 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from functools import cached_property
+from typing import Iterable, NamedTuple, Union
 
 __all__ = [
     "StochOrderError",
@@ -39,6 +50,8 @@ __all__ = [
     "InternalError",
     "as_fraction",
     "DiscreteDist",
+    "LawInts",
+    "JointInts",
     "Normal",
     "Exponential",
     "Bernoulli",
@@ -158,8 +171,46 @@ def as_fraction(x: RationalLike) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+class LawInts(NamedTuple):
+    """Value k is values[k] / V, its probability weights[k] / D."""
+
+    values: tuple[int, ...]
+    V: int
+    weights: tuple[int, ...]
+    D: int
+
+
+class JointInts(NamedTuple):
+    """Cell k is (w[k] / VW, z[k] / VZ), its probability p[k] / D."""
+
+    w: tuple[int, ...]
+    VW: int
+    z: tuple[int, ...]
+    VZ: int
+    p: tuple[int, ...]
+    D: int
+
+    def combined(self, sign: int = 1) -> tuple[list[int], int]:
+        """W + sign * Z at every cell, over L = lcm(VW, VZ), and L."""
+        L = math.lcm(self.VW, self.VZ)
+        a, b = L // self.VW, sign * (L // self.VZ)
+        return [w * a + z * b for w, z in zip(self.w, self.z)], L
+
+
+def rescale(ints: tuple[int, ...], k: int) -> tuple[int, ...] | list[int]:
+    """ints moved onto a scale k times finer (ints itself when k is 1)."""
+    return ints if k == 1 else [i * k for i in ints]
+
+
+class _Cached:
+    """Pickled by its fields alone; a cached integer form is rebuilt on use."""
+
+    def __getstate__(self) -> dict:
+        return {"atoms": self.atoms}  # type: ignore[attr-defined]
+
+
 @dataclass(frozen=True)
-class DiscreteDist:
+class DiscreteDist(_Cached):
     """Finite law: atoms sorted by value, positive probabilities, total mass 1.
 
     Construct through normalize(); the constructor only validates.
@@ -189,6 +240,12 @@ class DiscreteDist:
     @property
     def probs(self) -> tuple[Fraction, ...]:
         return tuple(p for _, p in self.atoms)
+
+    @cached_property
+    def ints(self) -> LawInts:
+        xs, V = as_integers(self.values)
+        ws, D = as_integers(self.probs)
+        return LawInts(tuple(xs), V, tuple(ws), D)
 
     def support_size(self) -> int:
         return len(self.atoms)
@@ -273,7 +330,7 @@ def normalize(raw_atoms: Iterable[tuple[RationalLike, RationalLike]]) -> Discret
         if w.numerator:
             values.append(v)
             weights.append(w)
-    return DiscreteDist(tuple(_merge(as_integers(values)[0], values, weights)))
+    return _merged_law(*as_integers(values), values, as_integers(weights)[0])
 
 
 def as_integers(xs: Iterable[Fraction | int]) -> tuple[list[int], int]:
@@ -284,21 +341,39 @@ def as_integers(xs: Iterable[Fraction | int]) -> tuple[list[int], int]:
     return [n * (L // d) for n, d in ratios], L
 
 
-def _merge(keys: list, cells: list, weights: list) -> list[tuple]:
-    """(cell, probability) for each distinct integer key, in key order: the
-    first cell with that key, and the key's share of the total weight.
-    Weights are summed over the lcm of their denominators."""
+def _merge(keys: list, cells: list, weights: Iterable[int]) -> tuple[list, list, list[int], int]:
+    """Cells merged by integer key: (keys, cells, ms, D) over the distinct
+    keys ascending, with the first cell of each key and its summed weight.
+    The sums are divided by their gcd, so that ms[k] / D is key k's share of
+    the total weight and D the lcm of the reduced shares' denominators."""
     if not cells:
         raise InputError("total weight must be positive")
     acc: dict = {}
     first: dict = {}
-    for k, cell, m in zip(keys, cells, as_integers(weights)[0]):
+    for k, cell, m in zip(keys, cells, weights):
         if k in acc:
             acc[k] += m
         else:
             acc[k], first[k] = m, cell
-    total = sum(acc.values())
-    return [(first[k], Fraction(acc[k], total)) for k in sorted(acc)]
+    order = sorted(acc)
+    ms = [acc[k] for k in order]
+    g = math.gcd(*ms)
+    if g > 1:
+        ms = [m // g for m in ms]
+    return order, [first[k] for k in order], ms, sum(ms)
+
+
+def _merged_law(keys: Iterable[int], V: int, values: list, weights: Iterable[int]) -> DiscreteDist:
+    """The law of values (keys / V) with integer weights; equal keys merge."""
+    keys, firsts, ms, D = _merge(keys, values, weights)
+    return _law(firsts, LawInts(tuple(keys), V, tuple(ms), D))
+
+
+def _law(values: list[Fraction], ints: LawInts) -> DiscreteDist:
+    """The law of values with the weights of ints, its cached integer form."""
+    d = DiscreteDist(tuple(zip(values, [Fraction(m, ints.D) for m in ints.weights])))
+    d.__dict__["ints"] = ints
+    return d
 
 
 def point_mass_dist(value: RationalLike) -> DiscreteDist:
@@ -327,7 +402,7 @@ def as_discrete(d: Dist) -> DiscreteDist | None:
 
 
 @dataclass(frozen=True)
-class JointDist:
+class JointDist(_Cached):
     """Finite joint law of a pair (W, Z): distinct (w, z) atoms, total mass 1."""
 
     atoms: tuple[tuple[Fraction, Fraction, Fraction], ...]  # (w, z, prob)
@@ -346,6 +421,11 @@ class JointDist:
                 raise InputError(f"duplicate joint atom at (w={w}, z={z})")
             seen.add(key)
         _check_total(p for _, _, p in self.atoms)
+
+    @cached_property
+    def ints(self) -> JointInts:
+        (ws, VW), (zs, VZ), (ps, D) = (as_integers(col) for col in zip(*self.atoms))
+        return JointInts(tuple(ws), VW, tuple(zs), VZ, tuple(ps), D)
 
 
 def _check_total(probs: Iterable[Fraction]) -> None:
@@ -368,22 +448,34 @@ def normalize_joint(
         if wt.numerator:
             cells.append(key)
             weights.append(wt)
+    if not cells:
+        raise InputError("total weight must be positive")
     # a cell's key is (w VW, z VZ), each column over the lcm of its own denominators
-    keys = list(zip(*(as_integers(col)[0] for col in zip(*cells))))
-    return JointDist(tuple((w, z, p) for (w, z), p in _merge(keys, cells, weights)))
+    (ws, VW), (zs, VZ) = (as_integers(col) for col in zip(*cells))
+    keys, firsts, ms, D = _merge(list(zip(ws, zs)), cells, as_integers(weights)[0])
+    j = JointDist(tuple((w, z, Fraction(m, D)) for (w, z), m in zip(firsts, ms)))
+    ws, zs = zip(*keys)
+    j.__dict__["ints"] = JointInts(ws, VW, zs, VZ, tuple(ms), D)
+    return j
 
 
 def joint_marginal_w(j: JointDist) -> DiscreteDist:
-    return normalize((w, p) for w, _, p in j.atoms)
+    f = j.ints
+    return _merged_law(f.w, f.VW, [w for w, _, _ in j.atoms], f.p)
 
 
 def joint_z(j: JointDist) -> DiscreteDist:
-    return normalize((z, p) for _, z, p in j.atoms)
+    f = j.ints
+    return _merged_law(f.z, f.VZ, [z for _, z, _ in j.atoms], f.p)
 
 
 def joint_sum(j: JointDist) -> DiscreteDist:
     """Law of W + Z."""
-    return normalize((w + z, p) for w, z, p in j.atoms)
+    sums, L = j.ints.combined()
+    keys, _, ms, D = _merge(sums, sums, j.ints.p)
+    g = math.gcd(L, *keys)  # the values' lcm denominator is L / g
+    ints = LawInts(tuple(s // g for s in keys), L // g, tuple(ms), D)
+    return _law([Fraction(s, L) for s in keys], ints)
 
 
 # ---------------------------------------------------------------------------

@@ -14,28 +14,34 @@ SIAM J. Optim. 2003; Mueller and Stoyan 2002, section 1.5).  ssd compares
 G_X >= G_Y on the grid; icx compares E[X] - G_X >= E[Y] - G_Y below p = 1,
 which is (1 - p) times the expected-shortfall gap; cx adds equal means to
 ssd.  Survival functions are steps that change only at atoms, so st is
-decided on the merged support.  Each pair is scaled once to integers (values
+decided on the merged support.  Each pair is read over integers (values
 over the lcm V of all value denominators, probabilities over the lcm D of
-all probability denominators) and only a witness is turned back into exact
-Fractions.  Normal pairs use mean/deviation closed forms.  Every negative
-verdict carries a witness whose lhs/rhs re-evaluate to the violation.
+all probability denominators): the cached integer form of each law
+(DiscreteDist.ints) moves onto V and D with one multiply per atom, and only
+a witness is turned back into exact Fractions.  Normal pairs use
+mean/deviation closed forms.  Every negative verdict carries a witness whose
+lhs/rhs re-evaluate to the violation.
 
 oracle_ssd and oracle_icx decide the same discrete relations through an
 unrelated finite family of test functions (E[min(X, t)] and E[(X - t)+] over
 the merged support), for cross-validation.  Each scales its pair itself
-(values over one lcm, each law's probabilities over the lcm of its own) and
-reads the integer stop-loss transform, one suffix-sum pass per law
-(risk.stop_loss_transform); none of the walks above is used.
+from the public Fraction atoms (values over one lcm, each law's
+probabilities over the lcm of its own) and reads the integer stop-loss
+transform, one suffix-sum pass per law (risk.stop_loss_transform); none of
+the walks above is used.  They do not read the cached integer form: it is
+derived state that the deciders trust, and a wrong form must not be able to
+fool both routes at once.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby, repeat
 from operator import itemgetter
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .dists import (
     DiscreteDist,
@@ -47,6 +53,7 @@ from .dists import (
     as_integers,
     norm_cdf,
     norm_pdf,
+    rescale,
 )
 from .risk import stop_loss, stop_loss_transform
 
@@ -131,17 +138,18 @@ def _decide(
 # Integer merge walks over a scaled finite pair
 # ---------------------------------------------------------------------------
 
-# a law as integer lists (values, weights): value k is values[k] / V and its
-# probability weights[k] / D, with V and D shared by both laws of a pair
-_IntLaw = tuple[list[int], list[int]]
+# a law as integer sequences (values, weights): value k is values[k] / V and
+# its probability weights[k] / D, with V and D shared by both laws of a pair
+_IntLaw = tuple[Sequence[int], Sequence[int]]
 
 
 def _scale(dx: DiscreteDist, dy: DiscreteDist) -> tuple[_IntLaw, _IntLaw, int, int]:
-    """Both laws over the lcms V and D of their value and probability denominators."""
-    n = len(dx.atoms)
-    vs, V = as_integers(dx.values + dy.values)
-    ws, D = as_integers(dx.probs + dy.probs)
-    return (vs[:n], ws[:n]), (vs[n:], ws[n:]), V, D
+    """Both laws over the lcms V and D of their value and probability
+    denominators, from their cached integer forms."""
+    fx, fy = dx.ints, dy.ints
+    V, D = math.lcm(fx.V, fy.V), math.lcm(fx.D, fy.D)
+    return ((rescale(fx.values, V // fx.V), rescale(fx.weights, D // fx.D)),
+            (rescale(fy.values, V // fy.V), rescale(fy.weights, D // fy.D)), V, D)
 
 
 def _negated(x: _IntLaw) -> _IntLaw:

@@ -8,17 +8,19 @@ with Q_X the right quantile.  The map phi(p) = (1-p) * ES_p(X) is piecewise
 linear and concave for finite laws, with slope -Q_X(p), phi(0) = E[X] and
 phi(1) = 0.
 
-On a finite law every evaluator works over integers: values (and the points
-asked for) over the lcm V of their denominators, probabilities (and the level
-asked for) over the lcm D of theirs, and each result becomes one Fraction.
-es and phi sum the upper tail down to the one level, and phi_envelope builds
-all breakpoints at once.  stop_loss_transform is the integer kernel of the
-stop-loss transform, one pass of suffix sums over ascending points,
+On a finite law every evaluator works over integers, from the law's cached
+integer form (DiscreteDist.ints): values over the lcm V of their
+denominators, probabilities over the lcm D of theirs; a level or point
+asked for moves only the atoms it reaches onto its own lcm.  Each result
+becomes one Fraction.  es and phi sum the upper tail down to the one level,
+and phi_envelope builds all breakpoints at once.  stop_loss_transform is the
+integer kernel of the stop-loss transform, one pass of suffix sums over
+ascending points,
 
     SL(t) = E[(X - t)+] = sum_{v > t} v * P(X = v) - t * P(X > t);
 
 it serves stop_loss, the premium curves of apps.stop_loss_compare and the
-transform oracles of orders, each of which scales its own inputs.
+transform oracles of orders.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .dists import (
     RationalLike,
     as_discrete,
     as_fraction,
-    as_integers,
     mean,
     norm_cdf,
     norm_pdf,
@@ -123,8 +124,7 @@ def phi_envelope(d: DiscreteDist) -> PhiEnvelope:
     probabilities over the lcm D of theirs), and each breakpoint becomes a
     Fraction once.
     """
-    xs, V = as_integers(d.values)
-    ws, D = as_integers(d.probs)
+    xs, V, ws, D = d.ints
     # tails[k] = sum_{j>=k} x_j w_j in units of 1 / (V D); tails[n] = 0
     tails = list(accumulate((x * w for x, w in zip(reversed(xs), reversed(ws))), initial=0))[::-1]
     return PhiEnvelope(tuple(
@@ -136,16 +136,19 @@ def _upper_tail(d: DiscreteDist, p: Fraction) -> tuple[int, int, int, int]:
     """(A, V, D, M) for a level p in [0, 1]: phi(p) = A / (V D), 1 - p = M / D.
 
     A sums value times mass over the top mass M, walking down from the
-    largest atom; the lowest atom reached counts only its part of M.
+    largest atom; the lowest atom reached counts only its part of M.  D is
+    the lcm of the law's D and the denominator of p.
     """
-    xs, V = as_integers(d.values)
-    ws, D = as_integers(d.probs + (p,))
-    M = D - ws.pop()
+    xs, V, ws, DX = d.ints
+    n, q = p.as_integer_ratio()
+    D = math.lcm(DX, q)
+    k = D // DX  # a weight over D is k times its weight over DX
+    M = D - n * (D // q)
     acc, left = 0, M
     for x, w in zip(reversed(xs), reversed(ws)):
         if not left:
             break
-        take = min(w, left)
+        take = min(w * k, left)
         acc, left = acc + x * take, left - take
     return acc, V, D, M
 
@@ -222,11 +225,13 @@ def stop_loss(d: Dist, t: RationalLike) -> Fraction | float:
     disc = as_discrete(d)
     if disc is not None:
         tf = as_fraction(t)
-        above = disc.atoms[bisect_right(disc.atoms, tf, key=itemgetter(0)):]
-        vs, V = as_integers([v for v, _ in above] + [tf])  # t scaled last
-        ws, D = as_integers([p for _, p in above])
-        _, (sl,) = stop_loss_transform(list(zip(vs, ws)), vs[-1:])
-        return Fraction(sl, V * D)
+        k = bisect_right(disc.atoms, tf, key=itemgetter(0))
+        xs, V, ws, D = disc.ints
+        n, q = tf.as_integer_ratio()
+        L = math.lcm(V, q)
+        above = [(x * (L // V), w) for x, w in zip(xs[k:], ws[k:])]
+        _, (sl,) = stop_loss_transform(above, [n * (L // q)])
+        return Fraction(sl, L * D)
     tv = float(as_fraction(t)) if not isinstance(t, float) else t
     if isinstance(d, Normal):
         z = (d.mu - tv) / d.sigma

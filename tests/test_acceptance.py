@@ -140,11 +140,11 @@ def test_criterion_3_lower_tail_condition_implies_dominance():
     elapsed = time.perf_counter() - start
     assert holders > 0
     assert exhibits >= 100
-    assert elapsed < 20.0
+    assert elapsed < 10.0
     print(f"PASS criterion 3: seed {seed}, 10000 joints, {holders} satisfied "
           f"the lower-tail condition (all dominated via both routes), "
           f"{exhibits} dominance-without-condition exhibits "
-          f"({elapsed:.1f}s < 20s)")
+          f"({elapsed:.1f}s < 10s)")
 
 
 def test_criterion_4_coupling_synthesis_roundtrip():

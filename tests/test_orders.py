@@ -28,9 +28,11 @@ from stochorder import (
     stop_loss,
     variance,
 )
+from stochorder.dists import DiscreteDist
 from stochorder.orders import OrderVerdict, Witness
 from stochorder.risk import es, phi_envelope
 
+from . import reference as ref
 from .test_dists import discrete_dists, uniform
 
 
@@ -140,6 +142,37 @@ class TestOracleAgreement:
     @settings(max_examples=300)
     def test_icx_routes_agree(self, x, y):
         assert check_icx(x, y).holds == oracle_icx(x, y).holds
+
+
+def _with_form(d, form):
+    """A copy of the law d whose cached integer form is overwritten with form."""
+    out = DiscreteDist(d.atoms)
+    out.__dict__["ints"] = form
+    return out
+
+
+class TestOraclesIgnoreTheCachedForm:
+    """The oracles scale the public atoms themselves, so a wrong cached form,
+    which misleads the deciders, cannot fool both routes at once."""
+
+    def test_swapped_forms_mislead_the_decider_but_not_the_oracles(self):
+        x, y = point_mass_dist(1), uniform(0, 2)
+        bad_x, bad_y = _with_form(x, y.ints), _with_form(y, x.ints)
+        assert check_ssd(bad_x, bad_y) != ref.check_ssd(x, y)  # the decider reads the form
+        assert oracle_ssd(bad_x, bad_y) == ref.oracle_ssd(x, y)
+        assert oracle_icx(bad_y, bad_x) == ref.oracle_icx(y, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(discrete_dists(), discrete_dists(), st.integers(-3, 3), st.integers(1, 4))
+    def test_oracles_read_only_the_public_atoms(self, x, y, shift, stretch):
+        """Each law's form replaced by the other's, its values moved by shift
+        and its weights made stretch times finer."""
+        def wrong(f):
+            return f._replace(values=tuple(v + shift * f.V for v in f.values),
+                              weights=tuple(w * stretch for w in f.weights), D=f.D * stretch)
+        bad_x, bad_y = _with_form(x, wrong(y.ints)), _with_form(y, wrong(x.ints))
+        assert oracle_ssd(bad_x, bad_y) == ref.oracle_ssd(x, y)
+        assert oracle_icx(bad_x, bad_y) == ref.oracle_icx(x, y)
 
 
 class TestDuality:

@@ -10,8 +10,12 @@ must be equal, witness included, and every witness field must be an exact
 Fraction.  stop_loss and stop_loss_compare equal per-deductible Fraction
 sums.  Coupling synthesis is compared with exact LP feasibility on small
 supports, and random_joint draws the joints its Fraction-hashing form drew.
+The integer form each finite law caches is as_integers of its public
+Fractions on every construction path, and caching it changes none of ==,
+hash, repr or pickle.
 """
 
+import pickle
 import random
 import warnings
 from fractions import Fraction as F
@@ -20,11 +24,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochorder import (
+    Bernoulli,
+    DiscreteDist,
+    Exponential,
     FixedIndemnity,
     InputError,
     JointDist,
+    LogNormal,
+    Normal,
+    PointMass,
     PiecewiseIndemnity,
     StopLossIndemnity,
+    affine,
+    as_discrete,
     check_cx,
     check_icx,
     check_ssd,
@@ -34,8 +46,13 @@ from stochorder import (
     cond_icx,
     cond_new,
     cond_on_difference,
+    discretize,
     improver_check,
+    joint_marginal_w,
+    joint_sum,
+    joint_z,
     marketable_check,
+    negate,
     normalize,
     normalize_joint,
     oracle_icx,
@@ -46,6 +63,8 @@ from stochorder import (
     tail_condition,
     verify_coupling,
 )
+from stochorder import gen
+from stochorder.dists import as_integers
 from stochorder.gen import random_joint
 from stochorder.risk import es, phi, phi_envelope, stop_loss
 
@@ -411,3 +430,99 @@ class TestGeneratorMatchesReference:
             for _ in range(250):
                 assert random_joint(fast, nonneg_w=nonneg) == ref.random_joint(slow, nonneg_w=nonneg)
             assert fast.getstate() == slow.getstate()
+
+
+def _assert_cached_form(d):
+    """d's cached integer form is as_integers of each column of its public
+    Fractions, primed or computed on first use, and caching it is invisible
+    to ==, hash, repr and pickle."""
+    cold = type(d)(d.atoms)
+    assert "ints" not in cold.__dict__
+    columns = [as_integers(col) for col in zip(*d.atoms)]
+    want = tuple(x for ints, scale in columns for x in (ints, scale))
+    for law in (d, cold):
+        got = tuple(list(x) if isinstance(x, tuple) else x for x in law.ints)
+        assert got == want
+        assert all(type(i) is int for col in law.ints[::2] for i in col)
+    fresh = type(d)(d.atoms)
+    assert cold == d == fresh and hash(cold) == hash(d) == hash(fresh)
+    assert repr(cold) == repr(d) == repr(fresh)
+    assert pickle.dumps(cold) == pickle.dumps(d) == pickle.dumps(fresh)
+    back = pickle.loads(pickle.dumps(d))
+    assert back == d and "ints" not in back.__dict__ and back.ints == d.ints
+
+
+class TestCachedIntegerForm:
+    @settings(max_examples=200, deadline=None)
+    @given(raw_cells(2))
+    def test_normalize(self, raw):
+        try:
+            d = normalize(raw)
+        except InputError:
+            return
+        _assert_cached_form(d)
+        _assert_cached_form(negate(d))
+
+    @settings(max_examples=150, deadline=None)
+    @given(laws(weights=st.one_of(st.integers(1, 59), coprime_weights)),
+           spelled(st.one_of(rationals, coprime)), spelled(st.one_of(rationals, coprime)))
+    def test_laws_and_their_transforms(self, x, a, b):
+        _assert_cached_form(x)
+        _assert_cached_form(DiscreteDist(x.atoms))
+        _assert_cached_form(negate(x))
+        _assert_cached_form(affine(x, a, b))
+        _assert_cached_form(discretize(x, 3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_cells(3))
+    def test_normalize_joint_and_its_marginals(self, raw):
+        try:
+            j = normalize_joint(raw)
+        except InputError:
+            return
+        for law in (j, joint_marginal_w(j), joint_z(j), joint_sum(j)):
+            _assert_cached_form(law)
+
+    @settings(max_examples=200, deadline=None)
+    @given(joints())
+    def test_joints_and_their_marginals(self, j):
+        for law in (j, joint_marginal_w(j), joint_z(j), joint_sum(j)):
+            _assert_cached_form(law)
+        # the marginals of a joint whose form was computed on first use
+        cold = JointDist(j.atoms)
+        assert joint_sum(cold) == joint_sum(j) and joint_sum(cold).ints == joint_sum(j).ints
+
+    def test_finite_parametric_laws(self):
+        for d in (Bernoulli(0.25), Bernoulli(0.3), Bernoulli(0.0), Bernoulli(1.0), PointMass(-2.5), PointMass(0.1)):
+            _assert_cached_form(as_discrete(d))
+            _assert_cached_form(discretize(d, 4))
+            _assert_cached_form(negate(as_discrete(d)))
+        _assert_cached_form(negate(Bernoulli(0.3)))
+
+    def test_discretized_continuous_laws(self):
+        for d in (Normal(0.5, 2.0), Exponential(1.5), LogNormal(0.0, 0.5)):
+            for n in (2, 5, 8):
+                _assert_cached_form(discretize(d, n))
+
+    def test_generators(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            x = gen.random_discrete(rng)
+            for law in (x, gen.random_shift_down(rng, x), gen.mean_preserving_spread(rng, x),
+                        gen.random_joint(rng), gen.random_joint(rng, nonneg_w=True),
+                        gen.random_comonotone_improver_joint(rng)):
+                _assert_cached_form(law)
+        _assert_cached_form(gen.gaussian_improver_joint(0.3, n=4))
+
+    def test_duplicate_and_zero_weight_atoms(self):
+        d = normalize([(F(1, 3), 2), (F(5, 7), 0), (F(1, 3), F(1, 2)), ("2/6", 0), (1, F(3, 4))])
+        assert d.ints == ((1, 3), 3, (10, 3), 13)
+        _assert_cached_form(d)
+        d = normalize([(0, 4), (1, 2), (0, 2)])  # merged weights 6 and 2 share a factor 2
+        assert d.ints == ((0, 1), 1, (3, 1), 4)
+        _assert_cached_form(d)
+        j = normalize_joint([(F(1, 2), F(1, 5), 1), (0, 1, 0), ("1/2", "0.2", 2), (1, F(-1, 3), 3)])
+        assert j.ints == ((1, 2), 2, (3, -5), 15, (1, 1), 2)
+        _assert_cached_form(j)
+        for law in (joint_marginal_w(j), joint_z(j), joint_sum(j)):
+            _assert_cached_form(law)
