@@ -707,10 +707,9 @@ def stop_loss_compare(
     X + Z, where both curves have all their knots.  The cells are read over
     integers from the joint's cached form (w, z and the deductibles moved
     onto one lcm V, probabilities over the lcm D of theirs), and each curve
-    is one pass of
-    risk.stop_loss_transform over the cells sorted by w or by w + z;
-    dominance is compared over integers and a premium becomes a Fraction
-    once.  When the upper-tail condition E[Z | X >= x] >= 0 holds, the
+    is one pass of risk.stop_loss_transform over the cells sorted by w or
+    by w + z; dominance is compared over integers and a premium becomes a
+    Fraction once.  When the upper-tail condition E[Z | X >= x] >= 0 holds, the
     summed curve must dominate at every deductible; a violation under a
     holding condition is an internal defect and raises.
     """
