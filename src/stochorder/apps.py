@@ -13,8 +13,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from operator import add
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .conditions import _Groups, cond_classic, cond_icx, cond_new, is_comonotone, tail_condition
 from .dists import (
@@ -26,25 +27,24 @@ from .dists import (
     IrrelevantThresholdError,
     JointDist,
     Normal,
-    PointMass,
     RationalLike,
     UnsupportedPairingError,
+    _check_finite,
+    _real,
     as_fraction,
     as_integers,
+    bisection,
     joint_marginal_w,
     joint_sum,
     lower_tail_mean,
-    mean,
     norm_cdf,
     norm_pdf,
     normalize_joint,
+    rational_to_json as r2j,
     rescale,
 )
 from .orders import OrderVerdict, Witness, check_ssd
 from .risk import stop_loss_transform
-
-if TYPE_CHECKING:
-    import numpy as np  # the numeric routes import it when they run
 
 __all__ = [
     "GaussianCase",
@@ -85,15 +85,6 @@ _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
 
-def _check_real(name: str, x: object) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise InputError(f"{name} must be a real number, got {x!r}")
-    xf = float(x)
-    if not math.isfinite(xf):
-        raise InputError(f"{name} must be finite, got {xf}")
-    return xf
-
-
 # ---------------------------------------------------------------------------
 # Gaussian dependence region
 # ---------------------------------------------------------------------------
@@ -108,9 +99,8 @@ class GaussianCase:
     rho: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu_z", _check_real("mu_z", self.mu_z))
-        object.__setattr__(self, "sigma_z", _check_real("sigma_z", self.sigma_z))
-        object.__setattr__(self, "rho", _check_real("rho", self.rho))
+        for name in ("mu_z", "sigma_z", "rho"):
+            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
         if self.sigma_z <= 0:
             raise InputError(f"sigma_z must be positive, got {self.sigma_z}")
         if not -1.0 <= self.rho <= 1.0:
@@ -133,21 +123,15 @@ _COND_GRID_STEP = 0.01
 _COND_TOL = 1e-8
 _CROSS_CHECK_MARGIN = 1e-6
 
-_mills_cache: tuple[np.ndarray, np.ndarray] | None = None
 
-
-def _mills_grid() -> tuple[np.ndarray, np.ndarray]:
-    """Standard normal lower tail mean E[W | W <= x] tabulated on the x-grid."""
-    global _mills_cache
-    if _mills_cache is None:
-        import numpy as np
-
-        n = round((_COND_GRID_HI - _COND_GRID_LO) / _COND_GRID_STEP) + 1
-        xs = np.linspace(_COND_GRID_LO, _COND_GRID_HI, n)
-        std = Normal(0.0, 1.0)
-        ms = np.array([lower_tail_mean(std, float(x)) for x in xs])
-        _mills_cache = (xs, ms)
-    return _mills_cache
+@cache
+def _mills_grid() -> list[float]:
+    """Standard normal lower tail mean E[W | W <= x] on the n-point grid from lo to hi."""
+    n = round((_COND_GRID_HI - _COND_GRID_LO) / _COND_GRID_STEP) + 1
+    step = (_COND_GRID_HI - _COND_GRID_LO) / (n - 1)
+    xs = [k * step + _COND_GRID_LO for k in range(n - 1)] + [_COND_GRID_HI]
+    std = Normal(0.0, 1.0)
+    return [lower_tail_mean(std, x) for x in xs]
 
 
 def gaussian_cond_new_numeric(case: GaussianCase, tol: float = _COND_TOL) -> bool:
@@ -156,12 +140,12 @@ def gaussian_cond_new_numeric(case: GaussianCase, tol: float = _COND_TOL) -> boo
     E[Z | W <= x] = mu_z + rho*sigma_z*E[W | W <= x]; the sup over the grid
     [-8, 8] is combined with the two limit facts: the conditional mean tends
     to mu_z as x -> +inf, and E[W | W <= x] is unbounded below as x -> -inf,
-    so any rho < 0 blows the expression up on the far left.
+    so any rho < 0 blows the expression up on the far left.  Rounding is
+    monotone, so the sup sits at the grid's largest or smallest mean.
     """
-    import numpy as np
-
-    _, ms = _mills_grid()
-    sup = float(np.max(case.mu_z + case.rho * case.sigma_z * ms))
+    ms = _mills_grid()
+    c = case.rho * case.sigma_z
+    sup = case.mu_z + c * (max(ms) if c >= 0.0 else min(ms))
     return sup <= tol and case.mu_z <= tol and case.rho >= -tol
 
 
@@ -434,8 +418,6 @@ def indemnity_from_json(obj: object) -> IndemnitySchedule:
 
 
 def indemnity_to_json(i: IndemnitySchedule) -> dict:
-    from .dists import rational_to_json as r2j
-
     if isinstance(i, FixedIndemnity):
         return {"kind": "fixed", "threshold": r2j(i.threshold), "amount": r2j(i.amount)}
     if isinstance(i, StopLossIndemnity):
@@ -462,8 +444,7 @@ def conditional_indemnity_mean(
     """
     if isinstance(x_dist, DiscreteDist):
         xf = as_fraction(x)
-        num = _ZERO
-        den = _ZERO
+        num = den = _ZERO
         for v, p in x_dist.atoms:
             if v < 0:
                 raise InputError("loss distribution must be nonnegative")
@@ -476,7 +457,7 @@ def conditional_indemnity_mean(
         return num / den
     if isinstance(x_dist, Exponential):
         lam = x_dist.rate
-        xv = float(as_fraction(x)) if not isinstance(x, float) else x
+        xv = _real(x)
         if isinstance(i, FixedIndemnity):
             u = float(i.threshold)
             a = float(i.amount)
@@ -543,13 +524,14 @@ def marketable_check(
             f"got {type(x_dist).__name__}"
         )
     expected = _expected_indemnity(i, x_dist)
+    p0v = p0f if isinstance(x_dist, DiscreteDist) else float(p0f)
+    if p0v > expected:
+        warnings.warn(
+            "premium exceeds the expected indemnity; the marketability "
+            "condition cannot hold at every threshold",
+            stacklevel=2,
+        )
     if isinstance(x_dist, DiscreteDist):
-        if p0f > expected:
-            warnings.warn(
-                "premium exceeds the expected indemnity; the marketability "
-                "condition cannot hold at every threshold",
-                stacklevel=2,
-            )
         # a negative loss has already raised in indemnity_value
         # E[I(X) - P0 | R >= x] >= 0 over the retained losses R = X - I(X)
         ivals = [indemnity_value(i, v) for v, _ in x_dist.atoms]
@@ -561,13 +543,6 @@ def marketable_check(
         w = verdict.witness
         return OrderVerdict(False, Witness("threshold_x", w.value, w.lhs + p0f, p0f))
     inf_value = float(expected)
-    p0v = float(p0f)
-    if p0v > inf_value:
-        warnings.warn(
-            "premium exceeds the expected indemnity; the marketability "
-            "condition cannot hold at every threshold",
-            stacklevel=2,
-        )
     if inf_value >= p0v - _MARKET_TOL:
         return OrderVerdict(True, None)
     return OrderVerdict(False, Witness("threshold_x", 0.0, inf_value, p0v))
@@ -588,7 +563,7 @@ class ExponentialUtility:
     aversion: float
 
     def __post_init__(self) -> None:
-        a = _check_real("aversion", self.aversion)
+        a = _check_finite("aversion", self.aversion)
         object.__setattr__(self, "aversion", a)
         if a <= 0:
             raise InputError(f"aversion must be positive, got {a}")
@@ -599,7 +574,7 @@ class PowerUtility:
     gamma: float
 
     def __post_init__(self) -> None:
-        g = _check_real("gamma", self.gamma)
+        g = _check_finite("gamma", self.gamma)
         object.__setattr__(self, "gamma", g)
         if not 0.0 < g < 1.0:
             raise InputError(f"gamma must lie in (0, 1), got {g}")
@@ -670,16 +645,9 @@ def indifference_premium(
     hi = max(ivs)
     if hi == 0.0:
         return 0.0
-    lo = 0.0
-    if gap(lo) < 0.0 or gap(hi) > 0.0:
+    if gap(0.0) < 0.0 or gap(hi) > 0.0:
         raise InputError("bracket expansion failure: no root in [0, max I(X)]")
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisection(lambda premium: gap(premium) >= 0.0, 0.0, hi, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +740,7 @@ class BSParams:
 
     def __post_init__(self) -> None:
         for name in ("spot", "strike", "sigma", "drift", "horizon"):
-            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
+            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
         if self.spot <= 0 or self.strike <= 0:
             raise InputError("spot and strike must be positive")
         if self.sigma <= 0:
@@ -788,8 +756,8 @@ class BSParams:
 
 def bs_put(params: BSParams, t: float, spot_t: float) -> float:
     """Zero-rate put price K*CDF(-d2) - S*CDF(-d1) at time t given the spot."""
-    t = _check_real("t", t)
-    spot_t = _check_real("spot_t", spot_t)
+    t = _check_finite("t", t)
+    spot_t = _check_finite("spot_t", spot_t)
     if not 0.0 <= t < params.horizon:
         raise InputError(f"t must lie in [0, horizon), got {t}")
     if spot_t <= 0:
@@ -805,52 +773,60 @@ _QUAD_NODES = 200
 _QUAD_RANGE = 8.0
 _PUT_TOL = 1e-9
 
-_leg_cache: tuple[np.ndarray, np.ndarray] | None = None
+
+@cache
+def _leggauss() -> tuple[list[float], list[float]]:
+    """The _QUAD_NODES-point Gauss-Legendre rule on [-1, 1], nodes ascending:
+    Newton's method on P_n from Tricomi's estimate of each positive root, with
+    weight 2 / ((1 - x^2) P_n'(x)^2) at the converged root; n is even, so the
+    negative roots mirror the positive ones."""
+    n = _QUAD_NODES
+    xs, ws = [], []
+    for k in range(1, n // 2 + 1):
+        x = (1 - (n - 1) / (8 * n**3)) * math.cos(math.pi * (k - 0.25) / (n + 0.5))
+        for _ in range(20):
+            p0, p1 = 1.0, x
+            for m in range(2, n + 1):
+                p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+            dp = n * (x * p1 - p0) / (x * x - 1.0)
+            if abs(p1 / dp) <= 2e-16 * x:
+                break
+            x -= p1 / dp
+        xs.append(x)
+        ws.append(2.0 / ((1.0 - x * x) * dp * dp))
+    return [-x for x in xs] + xs[::-1], ws + ws[::-1]
 
 
-def _leggauss() -> tuple[np.ndarray, np.ndarray]:
-    global _leg_cache
-    if _leg_cache is None:
-        import numpy as np
-
-        _leg_cache = np.polynomial.legendre.leggauss(_QUAD_NODES)
-    return _leg_cache
-
-
-def _gauss_nodes(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights mapped to [lo, hi]."""
+def _density_weights(lo: float, hi: float) -> tuple[list[float], list[float]]:
+    """Gauss-Legendre nodes on [lo, hi], each weight times the normal density there."""
     xs, ws = _leggauss()
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    return mid + half * xs, half * ws
+    gs = [mid + half * x for x in xs]
+    return gs, [half * w * norm_pdf(g) for g, w in zip(gs, ws)]
 
 
 def _position_values(
-    params: BSParams, t: float, gs: np.ndarray, p0: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    params: BSParams, t: float, gs: list[float], p0: float
+) -> tuple[list[float], list[float], list[float]]:
     """(spot, put, position) at time t on standard normal generator values."""
-    import numpy as np
-
     growth = (params.drift - 0.5 * params.sigma**2) * t
     vol = params.sigma * math.sqrt(t)
-    spots = params.spot * np.exp(growth + vol * gs)
-    puts = np.array([bs_put(params, t, float(s)) for s in spots])
-    positions = spots + puts - p0
+    spots = [params.spot * math.exp(growth + vol * g) for g in gs]
+    puts = [bs_put(params, t, s) for s in spots]
+    positions = [s + p - p0 for s, p in zip(spots, puts)]
     return spots, puts, positions
 
 
 def expected_put_value(params: BSParams, t: float) -> float:
     """E[P_t] under the real-world lognormal law, 200-node quadrature."""
-    t = _check_real("t", t)
+    t = _check_finite("t", t)
     if not 0.0 < t < params.horizon:
         raise InputError(f"t must lie in (0, horizon), got {t}")
-    import numpy as np
-
-    gs, ws = _gauss_nodes(-_QUAD_RANGE, _QUAD_RANGE)
+    gs, wphi = _density_weights(-_QUAD_RANGE, _QUAD_RANGE)
     p0 = bs_put(params, 0.0, params.spot)
     _, puts, _ = _position_values(params, t, gs, p0)
-    dens = np.array([norm_pdf(float(g)) for g in gs])
-    return float(np.sum(ws * dens * puts))
+    return math.fsum(w * p for w, p in zip(wphi, puts))
 
 
 def protective_put_check(
@@ -867,34 +843,28 @@ def protective_put_check(
     of the position value around its mean.  Grid points below the reachable
     position range (their events have probability below 1e-15) are skipped.
     """
-    t = _check_real("t", t)
+    t = _check_finite("t", t)
     if not 0.0 < t < params.horizon:
         raise InputError(f"t must lie in (0, horizon), got {t}")
-    import numpy as np
-
     p0 = bs_put(params, 0.0, params.spot)
-    gs, ws = _gauss_nodes(-_QUAD_RANGE, _QUAD_RANGE)
+    gs, wphi = _density_weights(-_QUAD_RANGE, _QUAD_RANGE)
     spots, puts, positions = _position_values(params, t, gs, p0)
     for name, values, sign in (("put", puts, 1), ("position", positions, -1)):
-        if np.any(sign * np.diff(values) > 1e-12):
+        if any(sign * (b - a) > 1e-12 for a, b in zip(values, values[1:])):
             direction = "decreasing" if sign > 0 else "increasing"
             raise InternalError(
                 f"{name} value is not {direction} in the spot",
-                routes={"spots": spots.tolist(), name + "s": values.tolist()},
+                routes={"spots": spots, name + "s": values},
                 inputs=(params, t),
             )
-    dens = np.array([norm_pdf(float(g)) for g in gs])
-    wphi = ws * dens
-    mean_put = float(np.sum(wphi * puts))
+    mean_put = math.fsum(w * p for w, p in zip(wphi, puts))
     gain_full = mean_put - p0
     if gain_full < -_PUT_TOL:
-        return OrderVerdict(
-            False, Witness("threshold_x", float(positions[-1]), gain_full, 0.0)
-        )
+        return OrderVerdict(False, Witness("threshold_x", positions[-1], gain_full, 0.0))
 
     if x_grid is None:
-        mean_pos = float(np.sum(wphi * positions))
-        var_pos = float(np.sum(wphi * positions**2)) - mean_pos**2
+        mean_pos = math.fsum(w * x for w, x in zip(wphi, positions))
+        var_pos = math.fsum(w * (x * x) for w, x in zip(wphi, positions)) - mean_pos**2
         sd = math.sqrt(max(var_pos, 0.0))
         xs = [mean_pos + sd * (-5.0 + 10.0 * k / 100.0) for k in range(101)]
     else:
@@ -903,33 +873,19 @@ def protective_put_check(
             raise InputError("x grid must be non-empty")
 
     def position_at(g: float) -> float:
-        s = params.spot * math.exp(
-            (params.drift - 0.5 * params.sigma**2) * t
-            + params.sigma * math.sqrt(t) * g
-        )
-        return s + bs_put(params, t, s) - p0
+        return _position_values(params, t, [g], p0)[2][0]
 
-    lo_pos = float(positions[0])
-    hi_pos = float(positions[-1])
     for x in xs:
-        if x < lo_pos:
+        if x < positions[0]:
             continue  # event probability below quadrature resolution
-        if x >= hi_pos:
+        if x >= positions[-1]:
             g_hi = _QUAD_RANGE
         else:
-            a, b = -_QUAD_RANGE, _QUAD_RANGE
-            while b - a > 1e-12:
-                mid = 0.5 * (a + b)
-                if position_at(mid) <= x:
-                    a = mid
-                else:
-                    b = mid
-            g_hi = 0.5 * (a + b)
-        sub_g, sub_w = _gauss_nodes(-_QUAD_RANGE, g_hi)
-        sub_dens = np.array([norm_pdf(float(g)) for g in sub_g])
+            g_hi = bisection(lambda g: position_at(g) <= x, -_QUAD_RANGE, _QUAD_RANGE, 1e-12)
+        sub_g, sub_wphi = _density_weights(-_QUAD_RANGE, g_hi)
         _, sub_puts, _ = _position_values(params, t, sub_g, p0)
-        num = float(np.sum(sub_w * sub_dens * (sub_puts - p0)))
-        den = float(np.sum(sub_w * sub_dens))
+        num = math.fsum(w * (p - p0) for w, p in zip(sub_wphi, sub_puts))
+        den = math.fsum(sub_wphi)
         cond = num / den
         if cond < -_PUT_TOL:
             return OrderVerdict(False, Witness("threshold_x", x, cond, 0.0))

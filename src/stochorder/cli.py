@@ -56,19 +56,15 @@ def _witness_json(w) -> dict | None:
     return {"kind": w.kind, "value": w.value, "lhs": w.lhs, "rhs": w.rhs}
 
 
-def _load_json(path: str) -> object:
+def _load(path: str, parse: Callable):
+    """The JSON object in a file, parsed; read and parse errors name the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: malformed JSON: {exc}") from exc
-
-
-def _load(path: str, parse: Callable):
-    """The JSON object in a file, parsed; parse errors name the file."""
-    obj = _load_json(path)
     try:
         return parse(obj)
     except InputError as exc:

@@ -59,7 +59,7 @@ from .dists import (
     as_discrete,
     normalize_joint,
 )
-from .orders import OrderVerdict, Witness, _scale, _walk, check_cx, check_ssd
+from .orders import Witness, _scale, _walk, check_cx, check_ssd
 
 __all__ = [
     "Coupling",

@@ -12,9 +12,7 @@ int keys, and build each probability once as a Fraction; the value
 Fractions are reused as given.  The validators run on every construction
 with the same checks and messages as ever (Fraction types first, positive
 probabilities, strictly increasing values or distinct joint cells, total
-mass 1), compared over numerators and denominators.  Parametric laws
-(Normal, Exponential, Bernoulli, LogNormal, PointMass) carry float parameters
-and are evaluated through binary64 closed forms.
+mass 1), compared over numerators and denominators.
 
 Each finite law caches its integer form, ints: for a DiscreteDist its values
 over the lcm V of their denominators and its probabilities over the lcm D of
@@ -25,6 +23,12 @@ the merge: merged weights m_k with sum T and g = gcd(m_1, ..., m_n), which
 divides T, give probabilities over D = T / g, the lcm of the reduced
 denominators, as m_k / g, no integer larger than the merge's.  Other laws
 compute it on first use; it stays out of ==, hash, repr and pickle.
+
+The parametric families (Normal, Exponential, Bernoulli, LogNormal,
+PointMass) carry float parameters and hold their binary64 closed forms as
+methods.  The generic functions (and risk.es / stop_loss) take the exact
+route on a DiscreteDist, and on a family round the argument to a float once
+(_real) and call its method.  The codecs read one table of family kinds.
 
 Quantiles follow the right-quantile convention
 
@@ -37,10 +41,11 @@ shortfall / the order checkers assume it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 __all__ = [
     "StochOrderError",
@@ -251,10 +256,25 @@ class DiscreteDist(_Cached):
         return len(self.atoms)
 
 
+class _Family:
+    """A parametric family: its binary64 closed forms are methods, its kind the
+    JSON "type".  The base negates a finite family exactly, else it raises."""
+
+    def negate(self) -> Dist:
+        disc = as_discrete(self)
+        if disc is None:
+            raise UnsupportedPairingError(f"negation is not defined for {type(self).__name__}")
+        return negate(disc)
+
+    def affine(self, a: float, b: float) -> Dist:
+        raise UnsupportedPairingError(f"affine map is not defined for {type(self).__name__}")
+
+
 @dataclass(frozen=True)
-class Normal:
+class Normal(_Family):
     mu: float
     sigma: float
+    kind = "normal"
 
     def __post_init__(self) -> None:
         _check_finite("mu", self.mu)
@@ -262,31 +282,148 @@ class Normal:
         if self.sigma <= 0:
             raise InputError(f"sigma must be positive, got {self.sigma}")
 
+    def cdf(self, x: float) -> float:
+        return norm_cdf((x - self.mu) / self.sigma)
+
+    def quantile_right(self, t: float) -> float:
+        return self.mu + self.sigma * norm_quantile(t)
+
+    def mean(self) -> float:
+        return self.mu
+
+    def variance(self) -> float:
+        return self.sigma * self.sigma
+
+    def lower_tail_mean(self, x: float) -> float:
+        z = (x - self.mu) / self.sigma
+        phi_z = norm_cdf(z)
+        if phi_z == 0.0:
+            raise IrrelevantThresholdError(f"P(X <= {x}) underflows to 0")
+        return self.mu - self.sigma * norm_pdf(z) / phi_z
+
+    def upper_tail_mean(self, x: float) -> float:
+        z = (x - self.mu) / self.sigma
+        surv = norm_cdf(-z)
+        if surv == 0.0:
+            raise IrrelevantThresholdError(f"P(X >= {x}) underflows to 0")
+        return self.mu + self.sigma * norm_pdf(z) / surv
+
+    def es(self, p: float) -> float:
+        if p == 0.0:
+            return self.mu
+        z = norm_quantile(p)
+        return self.mu + self.sigma * norm_pdf(z) / (1.0 - p)
+
+    def stop_loss(self, t: float) -> float:
+        z = (self.mu - t) / self.sigma
+        return (self.mu - t) * norm_cdf(z) + self.sigma * norm_pdf(z)
+
+    def negate(self) -> Normal:
+        return Normal(-self.mu, self.sigma)
+
+    def affine(self, a: float, b: float) -> Normal | PointMass:
+        if a == 0.0:
+            return PointMass(b)
+        return Normal(a * self.mu + b, abs(a) * self.sigma)
+
 
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(_Family):
     rate: float
+    kind = "exponential"
 
     def __post_init__(self) -> None:
         _check_finite("rate", self.rate)
         if self.rate <= 0:
             raise InputError(f"rate must be positive, got {self.rate}")
 
+    def cdf(self, x: float) -> float:
+        return -math.expm1(-self.rate * x) if x > 0 else 0.0
+
+    def quantile_right(self, t: float) -> float:
+        return -math.log1p(-t) / self.rate
+
+    def mean(self) -> float:
+        return 1.0 / self.rate
+
+    def variance(self) -> float:
+        return 1.0 / (self.rate * self.rate)
+
+    def lower_tail_mean(self, x: float) -> float:
+        if x <= 0.0:
+            raise IrrelevantThresholdError(f"P(X <= {x}) = 0")
+        # E[X 1{X<=x}] = 1/rate - (x + 1/rate) e^{-rate x}
+        r = self.rate
+        ex = math.exp(-r * x)
+        num = 1.0 / r - (x + 1.0 / r) * ex
+        den = 1.0 - ex
+        return num / den
+
+    def upper_tail_mean(self, x: float) -> float:
+        # memoryless: E[X | X >= x] = max(x, 0) + 1/rate
+        return max(x, 0.0) + 1.0 / self.rate
+
+    def es(self, p: float) -> float:
+        # integral of -ln(1-t)/rate over (p,1) gives (1 - ln(1-p))/rate
+        return (1.0 - math.log1p(-p)) / self.rate
+
+    def stop_loss(self, t: float) -> float:
+        if t <= 0.0:
+            return 1.0 / self.rate - t
+        return math.exp(-self.rate * t) / self.rate
+
 
 @dataclass(frozen=True)
-class Bernoulli:
+class Bernoulli(_Family):
     q: float  # P(X = 1)
+    kind = "bernoulli"
 
     def __post_init__(self) -> None:
         _check_finite("q", self.q)
         if not 0.0 <= self.q <= 1.0:
             raise InputError(f"q must lie in [0, 1], got {self.q}")
 
+    def cdf(self, x: float) -> float:
+        if x < 0.0:
+            return 0.0
+        if x < 1.0:
+            return 1.0 - self.q
+        return 1.0
+
+    def quantile_right(self, t: float) -> float:
+        # P(X <= 0) = 1 - q exceeds t exactly when t < 1 - q
+        return 0.0 if t < 1.0 - self.q else 1.0
+
+    def mean(self) -> float:
+        return self.q
+
+    def variance(self) -> float:
+        return self.q * (1.0 - self.q)
+
+    def lower_tail_mean(self, x: float) -> float:
+        if x < 0.0:
+            raise IrrelevantThresholdError(f"P(X <= {x}) = 0")
+        if x < 1.0:
+            if self.q == 1.0:
+                raise IrrelevantThresholdError(f"P(X <= {x}) = 0")
+            return 0.0
+        return self.q
+
+    def upper_tail_mean(self, x: float) -> float:
+        if x <= 0.0:
+            return self.q
+        if x <= 1.0:
+            if self.q == 0.0:
+                raise IrrelevantThresholdError(f"P(X >= {x}) = 0")
+            return 1.0
+        raise IrrelevantThresholdError(f"P(X >= {x}) = 0")
+
 
 @dataclass(frozen=True)
-class LogNormal:
+class LogNormal(_Family):
     mu: float
     sigma: float
+    kind = "lognormal"
 
     def __post_init__(self) -> None:
         _check_finite("mu", self.mu)
@@ -294,25 +431,120 @@ class LogNormal:
         if self.sigma <= 0:
             raise InputError(f"sigma must be positive, got {self.sigma}")
 
+    def cdf(self, x: float) -> float:
+        if x <= 0.0:
+            return 0.0
+        return norm_cdf((math.log(x) - self.mu) / self.sigma)
+
+    def quantile_right(self, t: float) -> float:
+        return math.exp(self.mu + self.sigma * norm_quantile(t))
+
+    def mean(self) -> float:
+        return math.exp(self.mu + 0.5 * self.sigma * self.sigma)
+
+    def variance(self) -> float:
+        s2 = self.sigma * self.sigma
+        return math.expm1(s2) * math.exp(2.0 * self.mu + s2)
+
+    def lower_tail_mean(self, x: float) -> float:
+        if x <= 0.0:
+            raise IrrelevantThresholdError(f"P(X <= {x}) = 0")
+        z = (math.log(x) - self.mu) / self.sigma
+        den = norm_cdf(z)
+        if den == 0.0:
+            raise IrrelevantThresholdError(f"P(X <= {x}) underflows to 0")
+        num = math.exp(self.mu + 0.5 * self.sigma**2) * norm_cdf(z - self.sigma)
+        return num / den
+
+    def upper_tail_mean(self, x: float) -> float:
+        m = math.exp(self.mu + 0.5 * self.sigma**2)
+        if x <= 0.0:
+            return m
+        z = (math.log(x) - self.mu) / self.sigma
+        den = norm_cdf(-z)
+        if den == 0.0:
+            raise IrrelevantThresholdError(f"P(X >= {x}) underflows to 0")
+        return m * norm_cdf(self.sigma - z) / den
+
+    def es(self, p: float) -> float:
+        m = math.exp(self.mu + 0.5 * self.sigma**2)
+        if p == 0.0:
+            return m
+        z = norm_quantile(p)
+        return m * norm_cdf(self.sigma - z) / (1.0 - p)
+
+    def stop_loss(self, t: float) -> float:
+        m = math.exp(self.mu + 0.5 * self.sigma**2)
+        if t <= 0.0:
+            return m - t
+        z = (math.log(t) - self.mu) / self.sigma
+        return m * norm_cdf(self.sigma - z) - t * norm_cdf(-z)
+
 
 @dataclass(frozen=True)
-class PointMass:
+class PointMass(_Family):
     c: float
+    kind = "point"
 
     def __post_init__(self) -> None:
         _check_finite("c", self.c)
 
+    def cdf(self, x: float) -> float:
+        return 1.0 if x >= self.c else 0.0
+
+    def quantile_right(self, t: float) -> float:
+        return self.c
+
+    def mean(self) -> float:
+        return self.c
+
+    def variance(self) -> float:
+        return 0.0
+
+    def lower_tail_mean(self, x: float) -> float:
+        if x < self.c:
+            raise IrrelevantThresholdError(f"P(X <= {x}) = 0")
+        return self.c
+
+    def upper_tail_mean(self, x: float) -> float:
+        if x > self.c:
+            raise IrrelevantThresholdError(f"P(X >= {x}) = 0")
+        return self.c
+
+    def negate(self) -> PointMass:
+        return PointMass(-self.c)
+
+    def affine(self, a: float, b: float) -> PointMass:
+        return PointMass(a * self.c + b)
+
 
 Dist = Union[DiscreteDist, Normal, Exponential, Bernoulli, LogNormal, PointMass]
 
-_PARAM_KINDS = (Normal, Exponential, Bernoulli, LogNormal, PointMass)
 
-
-def _check_finite(name: str, x: float) -> None:
+def _check_finite(name: str, x: object) -> float:
+    """float(x) for a finite real x; x itself is left as given."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise InputError(f"{name} must be a real number, got {x!r}")
-    if not math.isfinite(x):
+    if not abs(x) <= sys.float_info.max:
         raise InputError(f"{name} must be finite, got {x!r}")
+    return float(x)
+
+
+def _real(x: RationalLike) -> float:
+    """x as a parametric family takes it: a float as given, the rest rounded once."""
+    if isinstance(x, float):
+        return x
+    q = as_fraction(x)
+    try:
+        return float(q)
+    except OverflowError:
+        raise InputError(f"value near 2**{int(abs(q)).bit_length()} exceeds binary64") from None
+
+
+def _family(d: object) -> _Family:
+    if not isinstance(d, _Family):
+        raise InputError(f"unknown distribution {d!r}")
+    return d
 
 
 def normalize(raw_atoms: Iterable[tuple[RationalLike, RationalLike]]) -> DiscreteDist:
@@ -388,11 +620,7 @@ def as_discrete(d: Dist) -> DiscreteDist | None:
         return point_mass_dist(as_fraction(d.c))
     if isinstance(d, Bernoulli):
         q = as_fraction(d.q)
-        if q == 0:
-            return point_mass_dist(0)
-        if q == 1:
-            return point_mass_dist(1)
-        return DiscreteDist(((_ZERO, 1 - q), (_ONE, q)))
+        return normalize([(0, 1 - q), (1, q)])
     return None
 
 
@@ -498,11 +726,15 @@ def norm_quantile(t: float) -> float:
     """Standard normal quantile by bisection on the erfc-based CDF."""
     if not 0.0 < t < 1.0:
         raise InputError(f"quantile level must lie in (0, 1), got {t}")
-    lo, hi = -40.0, 40.0
     # 1e-13 absolute is past what downstream tolerances need
-    while hi - lo > 1e-13:
+    return bisection(lambda z: norm_cdf(z) < t, -40.0, 40.0, 1e-13)
+
+
+def bisection(left: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
+    """Halve [lo, hi] to width tol around the point where left(x) turns False."""
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if norm_cdf(mid) < t:
+        if left(mid):
             lo = mid
         else:
             hi = mid
@@ -525,24 +757,7 @@ def cdf(d: Dist, x: RationalLike) -> Fraction | float:
             else:
                 break
         return total
-    xv = float(as_fraction(x)) if not isinstance(x, float) else x
-    if isinstance(d, Normal):
-        return norm_cdf((xv - d.mu) / d.sigma)
-    if isinstance(d, Exponential):
-        return -math.expm1(-d.rate * xv) if xv > 0 else 0.0
-    if isinstance(d, Bernoulli):
-        if xv < 0.0:
-            return 0.0
-        if xv < 1.0:
-            return 1.0 - d.q
-        return 1.0
-    if isinstance(d, LogNormal):
-        if xv <= 0.0:
-            return 0.0
-        return norm_cdf((math.log(xv) - d.mu) / d.sigma)
-    if isinstance(d, PointMass):
-        return 1.0 if xv >= d.c else 0.0
-    raise InputError(f"unknown distribution {d!r}")
+    return _family(d).cdf(_real(x))
 
 
 def quantile_right(d: Dist, t: RationalLike) -> Fraction | float:
@@ -557,170 +772,57 @@ def quantile_right(d: Dist, t: RationalLike) -> Fraction | float:
             if cum > tf:
                 return v
         return d.atoms[-1][0]  # unreachable: cum reaches 1 > t
-    tv = float(as_fraction(t)) if not isinstance(t, float) else t
+    tv = _real(t)
     if not 0.0 < tv < 1.0:
         raise InputError(f"quantile level must lie in (0, 1), got {tv}")
-    if isinstance(d, Normal):
-        return d.mu + d.sigma * norm_quantile(tv)
-    if isinstance(d, Exponential):
-        return -math.log1p(-tv) / d.rate
-    if isinstance(d, Bernoulli):
-        # P(X <= 0) = 1 - q exceeds t exactly when t < 1 - q
-        return 0.0 if tv < 1.0 - d.q else 1.0
-    if isinstance(d, LogNormal):
-        return math.exp(d.mu + d.sigma * norm_quantile(tv))
-    if isinstance(d, PointMass):
-        return d.c
-    raise InputError(f"unknown distribution {d!r}")
+    return _family(d).quantile_right(tv)
 
 
 def mean(d: Dist) -> Fraction | float:
     if isinstance(d, DiscreteDist):
         return sum((v * p for v, p in d.atoms), _ZERO)
-    if isinstance(d, Normal):
-        return d.mu
-    if isinstance(d, Exponential):
-        return 1.0 / d.rate
-    if isinstance(d, Bernoulli):
-        return d.q
-    if isinstance(d, LogNormal):
-        return math.exp(d.mu + 0.5 * d.sigma * d.sigma)
-    if isinstance(d, PointMass):
-        return d.c
-    raise InputError(f"unknown distribution {d!r}")
+    return _family(d).mean()
 
 
 def variance(d: Dist) -> Fraction | float:
     if isinstance(d, DiscreteDist):
         m = mean(d)
         return sum(((v - m) ** 2 * p for v, p in d.atoms), _ZERO)
-    if isinstance(d, Normal):
-        return d.sigma * d.sigma
-    if isinstance(d, Exponential):
-        return 1.0 / (d.rate * d.rate)
-    if isinstance(d, Bernoulli):
-        return d.q * (1.0 - d.q)
-    if isinstance(d, LogNormal):
-        s2 = d.sigma * d.sigma
-        return math.expm1(s2) * math.exp(2.0 * d.mu + s2)
-    if isinstance(d, PointMass):
-        return 0.0
-    raise InputError(f"unknown distribution {d!r}")
+    return _family(d).variance()
+
+
+def _tail_mean(d: DiscreteDist, x: RationalLike, op: str) -> Fraction:
+    """E[X | X op x] for op "<=" or ">=", summed exactly over the atoms."""
+    xf = as_fraction(x)
+    num = den = _ZERO
+    for v, p in d.atoms:
+        if (v <= xf) if op == "<=" else (v >= xf):
+            num += v * p
+            den += p
+    if den == 0:
+        raise IrrelevantThresholdError(f"P(X {op} {xf}) = 0")
+    return num / den
 
 
 def lower_tail_mean(d: Dist, x: RationalLike) -> Fraction | float:
     """E[X | X <= x].  Raises IrrelevantThresholdError when P(X <= x) = 0."""
     if isinstance(d, DiscreteDist):
-        xf = as_fraction(x)
-        num = _ZERO
-        den = _ZERO
-        for v, p in d.atoms:
-            if v <= xf:
-                num += v * p
-                den += p
-        if den == 0:
-            raise IrrelevantThresholdError(f"P(X <= {xf}) = 0")
-        return num / den
-    xv = float(as_fraction(x)) if not isinstance(x, float) else x
-    if isinstance(d, Normal):
-        z = (xv - d.mu) / d.sigma
-        phi_z = norm_cdf(z)
-        if phi_z == 0.0:
-            raise IrrelevantThresholdError(f"P(X <= {xv}) underflows to 0")
-        return d.mu - d.sigma * norm_pdf(z) / phi_z
-    if isinstance(d, Exponential):
-        if xv <= 0.0:
-            raise IrrelevantThresholdError(f"P(X <= {xv}) = 0")
-        # E[X 1{X<=x}] = 1/rate - (x + 1/rate) e^{-rate x}
-        r = d.rate
-        ex = math.exp(-r * xv)
-        num = 1.0 / r - (xv + 1.0 / r) * ex
-        den = 1.0 - ex
-        return num / den
-    if isinstance(d, Bernoulli):
-        if xv < 0.0:
-            raise IrrelevantThresholdError(f"P(X <= {xv}) = 0")
-        if xv < 1.0:
-            if d.q == 1.0:
-                raise IrrelevantThresholdError(f"P(X <= {xv}) = 0")
-            return 0.0
-        return d.q
-    if isinstance(d, LogNormal):
-        if xv <= 0.0:
-            raise IrrelevantThresholdError(f"P(X <= {xv}) = 0")
-        z = (math.log(xv) - d.mu) / d.sigma
-        den = norm_cdf(z)
-        if den == 0.0:
-            raise IrrelevantThresholdError(f"P(X <= {xv}) underflows to 0")
-        num = math.exp(d.mu + 0.5 * d.sigma**2) * norm_cdf(z - d.sigma)
-        return num / den
-    if isinstance(d, PointMass):
-        if xv < d.c:
-            raise IrrelevantThresholdError(f"P(X <= {xv}) = 0")
-        return d.c
-    raise InputError(f"unknown distribution {d!r}")
+        return _tail_mean(d, x, "<=")
+    return _family(d).lower_tail_mean(_real(x))
 
 
 def upper_tail_mean(d: Dist, x: RationalLike) -> Fraction | float:
     """E[X | X >= x].  Raises IrrelevantThresholdError when P(X >= x) = 0."""
     if isinstance(d, DiscreteDist):
-        xf = as_fraction(x)
-        num = _ZERO
-        den = _ZERO
-        for v, p in d.atoms:
-            if v >= xf:
-                num += v * p
-                den += p
-        if den == 0:
-            raise IrrelevantThresholdError(f"P(X >= {xf}) = 0")
-        return num / den
-    xv = float(as_fraction(x)) if not isinstance(x, float) else x
-    if isinstance(d, Normal):
-        z = (xv - d.mu) / d.sigma
-        surv = norm_cdf(-z)
-        if surv == 0.0:
-            raise IrrelevantThresholdError(f"P(X >= {xv}) underflows to 0")
-        return d.mu + d.sigma * norm_pdf(z) / surv
-    if isinstance(d, Exponential):
-        # memoryless: E[X | X >= x] = max(x, 0) + 1/rate
-        return max(xv, 0.0) + 1.0 / d.rate
-    if isinstance(d, Bernoulli):
-        if xv <= 0.0:
-            return d.q
-        if xv <= 1.0:
-            if d.q == 0.0:
-                raise IrrelevantThresholdError(f"P(X >= {xv}) = 0")
-            return 1.0
-        raise IrrelevantThresholdError(f"P(X >= {xv}) = 0")
-    if isinstance(d, LogNormal):
-        m = math.exp(d.mu + 0.5 * d.sigma**2)
-        if xv <= 0.0:
-            return m
-        z = (math.log(xv) - d.mu) / d.sigma
-        den = norm_cdf(-z)
-        if den == 0.0:
-            raise IrrelevantThresholdError(f"P(X >= {xv}) underflows to 0")
-        return m * norm_cdf(d.sigma - z) / den
-    if isinstance(d, PointMass):
-        if xv > d.c:
-            raise IrrelevantThresholdError(f"P(X >= {xv}) = 0")
-        return d.c
-    raise InputError(f"unknown distribution {d!r}")
+        return _tail_mean(d, x, ">=")
+    return _family(d).upper_tail_mean(_real(x))
 
 
 def negate(d: Dist) -> Dist:
     """Law of -X.  Defined for discrete, Normal, Bernoulli and PointMass."""
     if isinstance(d, DiscreteDist):
         return DiscreteDist(tuple((-v, p) for v, p in reversed(d.atoms)))
-    if isinstance(d, Normal):
-        return Normal(-d.mu, d.sigma)
-    if isinstance(d, PointMass):
-        return PointMass(-d.c)
-    if isinstance(d, Bernoulli):
-        disc = as_discrete(d)
-        assert disc is not None
-        return negate(disc)
-    raise UnsupportedPairingError(f"negation is not defined for {type(d).__name__}")
+    return _family(d).negate()
 
 
 def affine(d: Dist, a: RationalLike, b: RationalLike) -> Dist:
@@ -728,14 +830,7 @@ def affine(d: Dist, a: RationalLike, b: RationalLike) -> Dist:
     if isinstance(d, DiscreteDist):
         af, bf = as_fraction(a), as_fraction(b)
         return normalize((af * v + bf, p) for v, p in d.atoms)
-    av, bv = float(as_fraction(a)), float(as_fraction(b))
-    if isinstance(d, Normal):
-        if av == 0.0:
-            return PointMass(bv)
-        return Normal(av * d.mu + bv, abs(av) * d.sigma)
-    if isinstance(d, PointMass):
-        return PointMass(av * d.c + bv)
-    raise UnsupportedPairingError(f"affine map is not defined for {type(d).__name__}")
+    return _family(d).affine(_real(as_fraction(a)), _real(as_fraction(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +874,12 @@ def _float_param(obj: dict, key: str) -> float:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise InputError(f"parameter {key!r} must be a number, got {v!r}")
+    if isinstance(v, int) and abs(v) > sys.float_info.max:
+        raise InputError(f"parameter {key!r} exceeds binary64")
     return float(v)
+
+
+_FAMILIES = {f.kind: f for f in (Normal, Exponential, Bernoulli, LogNormal, PointMass)}
 
 
 def dist_from_json(obj: object) -> Dist:
@@ -798,17 +898,10 @@ def dist_from_json(obj: object) -> Dist:
                 (_value_from_json(a["x"], f"atom {i}"), _prob_from_json(a["p"], f"atom {i}"))
             )
         return normalize(raw)
-    if kind == "normal":
-        return Normal(_float_param(obj, "mu"), _float_param(obj, "sigma"))
-    if kind == "exponential":
-        return Exponential(_float_param(obj, "rate"))
-    if kind == "bernoulli":
-        return Bernoulli(_float_param(obj, "q"))
-    if kind == "lognormal":
-        return LogNormal(_float_param(obj, "mu"), _float_param(obj, "sigma"))
-    if kind == "point":
-        return PointMass(_float_param(obj, "c"))
-    raise InputError(f"unknown distribution type {kind!r}")
+    family = _FAMILIES.get(kind) if isinstance(kind, str) else None
+    if family is None:
+        raise InputError(f"unknown distribution type {kind!r}")
+    return family(*(_float_param(obj, f.name) for f in fields(family)))
 
 
 def dist_to_json(d: Dist) -> dict:
@@ -819,17 +912,7 @@ def dist_to_json(d: Dist) -> dict:
                 {"x": rational_to_json(v), "p": rational_to_json(p)} for v, p in d.atoms
             ],
         }
-    if isinstance(d, Normal):
-        return {"type": "normal", "mu": d.mu, "sigma": d.sigma}
-    if isinstance(d, Exponential):
-        return {"type": "exponential", "rate": d.rate}
-    if isinstance(d, Bernoulli):
-        return {"type": "bernoulli", "q": d.q}
-    if isinstance(d, LogNormal):
-        return {"type": "lognormal", "mu": d.mu, "sigma": d.sigma}
-    if isinstance(d, PointMass):
-        return {"type": "point", "c": d.c}
-    raise InputError(f"unknown distribution {d!r}")
+    return {"type": _family(d).kind, **asdict(d)}
 
 
 def joint_from_json(obj: object) -> JointDist:
@@ -899,7 +982,7 @@ def discretize(d: Dist, n: int) -> DiscreteDist:
         if n % 2 == 1:
             values.append(center)
         return normalize((v, prob) for v in values)
-    if isinstance(d, (Exponential, LogNormal)):
+    if isinstance(d, _Family):  # Exponential and LogNormal: the rest are finite
         levels = [Fraction(2 * k - 1, 2 * n) for k in range(1, n + 1)]
         return normalize((quantile_right(d, t), prob) for t in levels)
     raise InputError(f"cannot discretize {type(d).__name__}")

@@ -55,7 +55,7 @@ from .dists import (
     norm_pdf,
     rescale,
 )
-from .risk import stop_loss, stop_loss_transform
+from .risk import stop_loss_transform
 
 __all__ = [
     "Witness",
@@ -260,7 +260,7 @@ def _normal_tail_witness(nx: Normal, ny: Normal) -> Witness:
     steps = [0.25 * k for k in range(1, 153)]
     for zstep in steps:
         t = ny.mu + zstep * ny.sigma
-        lhs, rhs = stop_loss(nx, t), stop_loss(ny, t)
+        lhs, rhs = nx.stop_loss(t), ny.stop_loss(t)
         if lhs < rhs:
             return Witness("angle_t", t, lhs, rhs)
     raise InternalError(
@@ -348,8 +348,8 @@ def _st_normal(nx: Normal, ny: Normal) -> OrderVerdict:
     if nx.mu >= ny.mu:
         return _HOLDS
     t = 0.5 * (nx.mu + ny.mu)
-    sx = 1.0 - norm_cdf((t - nx.mu) / nx.sigma)
-    sy = 1.0 - norm_cdf((t - ny.mu) / ny.sigma)
+    sx = 1.0 - nx.cdf(t)
+    sy = 1.0 - ny.cdf(t)
     return _fails("threshold_x", t, sx, sy)
 
 

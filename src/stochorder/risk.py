@@ -20,7 +20,7 @@ ascending points,
     SL(t) = E[(X - t)+] = sum_{v > t} v * P(X = v) - t * P(X > t);
 
 it serves stop_loss, the premium curves of apps.stop_loss_compare and the
-transform oracles of orders.
+transform oracles of orders.  A parametric law is its family's closed form.
 """
 
 from __future__ import annotations
@@ -34,21 +34,14 @@ from operator import itemgetter
 from typing import Sequence
 
 from .dists import (
-    Bernoulli,
     DiscreteDist,
     Dist,
-    Exponential,
     InputError,
-    LogNormal,
-    Normal,
-    PointMass,
     RationalLike,
+    _family,
+    _real,
     as_discrete,
     as_fraction,
-    mean,
-    norm_cdf,
-    norm_pdf,
-    norm_quantile,
     quantile_right,
     upper_tail_mean,
 )
@@ -109,10 +102,8 @@ class PhiEnvelope:
 
     def slopes(self) -> tuple[Fraction, ...]:
         """Per-segment slopes, left to right; concavity <=> nonincreasing."""
-        out = []
-        for (p0, v0), (p1, v1) in zip(self.points, self.points[1:]):
-            out.append((v1 - v0) / (p1 - p0))
-        return tuple(out)
+        pairs = zip(self.points, self.points[1:])
+        return tuple((v1 - v0) / (p1 - p0) for (p0, v0), (p1, v1) in pairs)
 
 
 def phi_envelope(d: DiscreteDist) -> PhiEnvelope:
@@ -162,24 +153,10 @@ def es(d: Dist, p: RationalLike) -> Fraction | float:
             raise InputError(f"expected shortfall needs p in [0, 1), got {pf}")
         acc, V, _, M = _upper_tail(disc, pf)
         return Fraction(acc, V * M)
-    pv = float(as_fraction(p)) if not isinstance(p, float) else p
+    pv = _real(p)
     if not 0.0 <= pv < 1.0:
         raise InputError(f"expected shortfall needs p in [0, 1), got {pv}")
-    if isinstance(d, Normal):
-        if pv == 0.0:
-            return d.mu
-        z = norm_quantile(pv)
-        return d.mu + d.sigma * norm_pdf(z) / (1.0 - pv)
-    if isinstance(d, Exponential):
-        # integral of -ln(1-t)/rate over (p,1) gives (1 - ln(1-p))/rate
-        return (1.0 - math.log1p(-pv)) / d.rate
-    if isinstance(d, LogNormal):
-        m = math.exp(d.mu + 0.5 * d.sigma**2)
-        if pv == 0.0:
-            return m
-        z = norm_quantile(pv)
-        return m * norm_cdf(d.sigma - z) / (1.0 - pv)
-    raise InputError(f"unknown distribution {d!r}")
+    return _family(d).es(pv)
 
 
 def phi(d: Dist, p: RationalLike) -> Fraction | float:
@@ -191,7 +168,7 @@ def phi(d: Dist, p: RationalLike) -> Fraction | float:
             raise InputError(f"level must lie in [0, 1], got {pf}")
         acc, V, D, _ = _upper_tail(disc, pf)
         return Fraction(acc, V * D)
-    pv = float(as_fraction(p)) if not isinstance(p, float) else p
+    pv = _real(p)
     if pv == 1.0:
         return 0.0
     return (1.0 - pv) * es(d, pv)
@@ -232,21 +209,7 @@ def stop_loss(d: Dist, t: RationalLike) -> Fraction | float:
         above = [(x * (L // V), w) for x, w in zip(xs[k:], ws[k:])]
         _, (sl,) = stop_loss_transform(above, [n * (L // q)])
         return Fraction(sl, L * D)
-    tv = float(as_fraction(t)) if not isinstance(t, float) else t
-    if isinstance(d, Normal):
-        z = (d.mu - tv) / d.sigma
-        return (d.mu - tv) * norm_cdf(z) + d.sigma * norm_pdf(z)
-    if isinstance(d, Exponential):
-        if tv <= 0.0:
-            return 1.0 / d.rate - tv
-        return math.exp(-d.rate * tv) / d.rate
-    if isinstance(d, LogNormal):
-        m = math.exp(d.mu + 0.5 * d.sigma**2)
-        if tv <= 0.0:
-            return m - tv
-        z = (math.log(tv) - d.mu) / d.sigma
-        return m * norm_cdf(d.sigma - z) - tv * norm_cdf(-z)
-    raise InputError(f"unknown distribution {d!r}")
+    return _family(d).stop_loss(_real(t))
 
 
 def is_regular_level(d: DiscreteDist, p: RationalLike) -> bool:

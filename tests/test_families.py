@@ -1,0 +1,166 @@
+"""Parametric families: bit-identical closed forms, codecs, non-laws, overflow.
+
+family_bits.json holds every generic operation on each of the five families
+at fixed arguments (levels 0, interior and tail; points below, inside and
+above each support), recorded as float.hex for floats, exact strings for
+Fractions and laws, and type plus message for errors.  Regenerate it only
+from a commit whose numbers are trusted:
+
+    PYTHONPATH=src python tests/test_families.py > tests/family_bits.json
+"""
+
+import json
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from stochorder import (
+    Bernoulli,
+    Exponential,
+    InputError,
+    LogNormal,
+    Normal,
+    PointMass,
+    affine,
+    cdf,
+    dist_from_json,
+    dist_to_json,
+    es,
+    lower_tail_mean,
+    mean,
+    negate,
+    phi,
+    quantile_right,
+    stop_loss,
+    upper_tail_mean,
+    variance,
+)
+
+HERE = Path(__file__).resolve().parent
+SRC = str(HERE.parent / "src")
+
+FAMILIES = {
+    "normal": Normal(0.3, 1.7),
+    "exponential": Exponential(0.8),
+    "lognormal": LogNormal(-0.2, 0.6),
+    "bernoulli": Bernoulli(0.3),
+    "point": PointMass(0.7),
+}
+POINTS = (-2.5, -0.0, 0.0, 1e-300, 0.4, "1/3", F(7, 10), 1.0, 1.3, 3.7, 40.0, 1e308)
+LEVELS = (0.0, "0", 1e-12, 0.05, F(1, 3), 0.5, 0.7, "0.999", 1 - 2**-53, 1.0)
+AFFINE = ((2.0, -1.0), (-0.5, 0.25), (0, 3), ("1/3", "-2"))
+UNARY = {"mean": mean, "variance": variance, "negate": negate, "dist_to_json": dist_to_json}
+AT_POINT = {"cdf": cdf, "lower_tail_mean": lower_tail_mean,
+            "upper_tail_mean": upper_tail_mean, "stop_loss": stop_loss}
+AT_LEVEL = {"quantile_right": quantile_right, "es": es, "phi": phi}
+
+
+def _record(f, *args) -> str:
+    try:
+        out = f(*args)
+    except Exception as exc:  # the error is part of the record
+        return f"E:{type(exc).__name__}: {exc}"
+    if isinstance(out, float):
+        return out.hex()
+    if isinstance(out, dict):
+        return json.dumps({k: v.hex() if isinstance(v, float) else v for k, v in out.items()})
+    return f"{type(out).__name__}:{out!r}"
+
+
+def family_table() -> dict[str, str]:
+    table = {}
+    for name, d in FAMILIES.items():
+        for op, f in UNARY.items():
+            table[f"{name} {op}"] = _record(f, d)
+        for op, f in AT_POINT.items():
+            for x in POINTS:
+                table[f"{name} {op} {x!r}"] = _record(f, d, x)
+        for op, f in AT_LEVEL.items():
+            for p in LEVELS:
+                table[f"{name} {op} {p!r}"] = _record(f, d, p)
+        for a, b in AFFINE:
+            table[f"{name} affine {a!r} {b!r}"] = _record(affine, d, a, b)
+    return table
+
+
+def test_every_generic_operation_is_bit_identical():
+    expected = json.loads((HERE / "family_bits.json").read_text())
+    got = family_table()
+    assert got.keys() == expected.keys()
+    assert {k: v for k, v in got.items() if v != expected[k]} == {}
+
+
+class TestCodecs:
+    @pytest.mark.parametrize("kind", [[1], {"a": 1}, 3, None, "Normal"])
+    def test_bad_kind_is_an_input_error(self, kind):
+        with pytest.raises(InputError, match="unknown distribution type"):
+            dist_from_json({"type": kind, "mu": 0, "sigma": 1})
+
+    @pytest.mark.parametrize("d", FAMILIES.values())
+    def test_round_trip_keeps_fields_as_given(self, d):
+        obj = dist_to_json(d)
+        assert list(obj)[0] == "type"
+        assert dist_from_json(obj) == d
+        assert dist_to_json(Normal(1, 2)) == {"type": "normal", "mu": 1, "sigma": 2}
+
+    def test_missing_and_bad_parameters(self):
+        with pytest.raises(InputError, match="missing parameter 'sigma'"):
+            dist_from_json({"type": "lognormal", "mu": 0})
+        with pytest.raises(InputError, match="parameter 'q' must be a number"):
+            dist_from_json({"type": "bernoulli", "q": "1/2"})
+
+    def test_huge_parameter_is_an_input_error(self):
+        with pytest.raises(InputError, match="'mu'"):
+            dist_from_json({"type": "normal", "mu": 10**400, "sigma": 1})
+        with pytest.raises(InputError, match="mu must be finite"):
+            Normal(10**400, 1.0)
+
+
+class TestNonLaws:
+    @pytest.mark.parametrize("op", [lambda d: cdf(d, 0), mean, lambda d: es(d, "1/2"),
+                                    lambda d: stop_loss(d, 1), variance,
+                                    lambda d: quantile_right(d, 0.5), dist_to_json, negate,
+                                    lambda d: affine(d, 2, 1), lambda d: phi(d, 0.5)])
+    def test_unknown_distribution(self, op):
+        with pytest.raises(InputError, match="unknown distribution"):
+            op(object())
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("d", [Normal(0.0, 1.0), LogNormal(0.0, 1.0), Exponential(1.0)])
+    def test_huge_point_is_an_input_error(self, d):
+        for op in (cdf, stop_loss, lower_tail_mean, upper_tail_mean):
+            with pytest.raises(InputError, match="binary64"):
+                op(d, "1e4000")
+        with pytest.raises(InputError, match="binary64"):
+            affine(d, 1, -(10**400))
+
+    def _cli(self, tmp_path, law, *argv):
+        path = tmp_path / "law.json"
+        path.write_text(law)
+        proc = subprocess.run(
+            [sys.executable, "-m", "stochorder.cli", *argv, str(path)],
+            capture_output=True, text=True, env={"PYTHONPATH": SRC},
+        )
+        return proc.returncode, proc.stdout, proc.stderr.splitlines()
+
+    def test_cli_huge_parameter_exits_2(self, tmp_path):
+        law = '{"type": "normal", "mu": 1' + "0" * 400 + ', "sigma": 1}'
+        code, out, err = self._cli(tmp_path, law, "es", "--level", "1/2")
+        assert (code, out, len(err)) == (2, "", 1)
+        assert err[0].startswith("error: ") and "'mu'" in err[0]
+
+    @pytest.mark.parametrize("law", ['{"type": "normal", "mu": 0, "sigma": 1}',
+                                     '{"type": "lognormal", "mu": 0, "sigma": 1}'])
+    def test_cli_huge_deductible_exits_2(self, tmp_path, law):
+        code, out, err = self._cli(tmp_path, law, "stoploss", "--deductible", "1e4000")
+        assert (code, out, len(err)) == (2, "", 1)
+        assert err[0].startswith("error: ") and "binary64" in err[0]
+
+
+if __name__ == "__main__":
+    json.dump(family_table(), sys.stdout, indent=1, sort_keys=True)
+    print()

@@ -1,0 +1,76 @@
+"""Package hygiene: no unread relative imports, no numpy at run time, and the
+Newton-built Gauss-Legendre rule of apps against numpy's."""
+
+import ast
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from stochorder import apps
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted((SRC / "stochorder").glob("*.py"))
+
+
+def _unread_relative_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in ast.walk(tree):  # names re-exported through __all__ count as read
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    imported = [
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name != "*"
+    ]
+    return [name for name in imported if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_relative_import_is_read(path):
+    assert _unread_relative_imports(path) == []
+
+
+@pytest.mark.parametrize("argv", [["table", "gaussian", "--format", "json"],
+                                  ["protective-put", "--spot", "100", "--strike", "95",
+                                   "--sigma", "0.2", "--drift", "0", "--horizon", "1",
+                                   "--t", "0.5"]])
+def test_numeric_routes_never_load_numpy(argv):
+    probe = ("import sys\nfrom stochorder.cli import main\n"
+             f"code = main({argv!r})\n"
+             "assert 'numpy' not in sys.modules, 'numpy was loaded'\nsys.exit(code)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("{")
+
+
+class TestLegendreRule:
+    def test_matches_numpy(self):
+        xs, ws = apps._leggauss()
+        nx, nw = np.polynomial.legendre.leggauss(apps._QUAD_NODES)
+        assert len(xs) == len(ws) == apps._QUAD_NODES
+        assert np.max(np.abs(np.array(xs) - nx)) <= 1e-14
+        assert np.max(np.abs(np.array(ws) - nw)) <= 1e-14
+
+    def test_nodes_ascend_and_weights_sum_to_two(self):
+        xs, ws = apps._leggauss()
+        assert all(a < b for a, b in zip(xs, xs[1:]))
+        assert -1.0 < xs[0] and xs[-1] < 1.0
+        assert math.fsum(ws) == pytest.approx(2.0, abs=1e-14)
+
+    def test_exact_up_to_degree_2n_minus_1(self):
+        xs, ws = apps._leggauss()
+        for k in range(2 * apps._QUAD_NODES):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            got = math.fsum(w * x**k for x, w in zip(xs, ws))
+            assert got == pytest.approx(exact, abs=1e-14), k
