@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from fractions import Fraction
 from typing import Callable
 
@@ -250,7 +251,11 @@ def _cmd_marketable(args):
     i = _load(args.indemnity, apps.indemnity_from_json)
     loss = _load(args.loss, dist_from_json)
     p0 = _parse_rational(args.p0, "premium")
-    verdict = apps.marketable_check(i, loss, p0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        verdict = apps.marketable_check(i, loss, p0)
+    for w in caught:  # one plain line each, ahead of the summary
+        print(f"warning: {w.message}", file=sys.stderr)
     inputs = {"indemnity": apps.indemnity_to_json(i),
               "loss": dist_to_json(loss), "p0": p0}
     state = "marketable" if verdict.holds else "not marketable"

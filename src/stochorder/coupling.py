@@ -1,7 +1,7 @@
 """Coupling synthesis by construction, after an exact order decision.
 
-Given finite marginal laws X (rows) and Y (columns), find a joint matrix pi
-on support(X) x support(Y) with those marginals such that, writing
+Given finite marginal laws X (rows) and Y (columns), find a joint law on
+support(X) x support(Y) with those marginals such that, writing
 Z = Y - W for the coordinate pair (W, Y),
 
     supermartingale mode:  E[Z | W = w] <= 0 at every atom w   (exists iff X >=ssd Y)
@@ -37,9 +37,9 @@ their composition is a supermartingale coupling of (X, Y).  G_X - G_Y is
 linear between the merged cumulative levels of X and Y, so h and U take one
 pass over those levels, with at most one extra cut between two of them.
 
-verify_coupling rechecks every built coupling with plain sums over the
-matrix, independent of the construction; a holding order whose construction
-cannot place an atom or does not verify raises InternalError.
+verify_coupling rechecks every built coupling with plain sums over its
+nonzero cells, independent of the construction; a holding order whose
+construction cannot place an atom or does not verify raises InternalError.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Sequence
 
 from .dists import (
@@ -79,7 +78,7 @@ MODE_SUPERMARTINGALE = "supermartingale"
 MODE_MARTINGALE = "martingale"
 
 _ENV_MAX_SUPPORT = "STOCHORDER_MAX_SUPPORT"
-_DEFAULT_MAX_SUPPORT = 1500
+_DEFAULT_MAX_SUPPORT = 2500
 
 
 def max_support() -> int:
@@ -98,13 +97,22 @@ def max_support() -> int:
 
 @dataclass(frozen=True)
 class Coupling:
-    """Joint mass matrix over support(X) x support(Y), exact rationals."""
+    """A joint law over support(X) x support(Y) as its nonzero cells
+    (row, column, mass), ascending, with exact rational masses."""
 
     row_values: tuple[Fraction, ...]
     col_values: tuple[Fraction, ...]
     row_probs: tuple[Fraction, ...]
     col_probs: tuple[Fraction, ...]
-    pi: tuple[tuple[Fraction, ...], ...]
+    cells: tuple[tuple[int, int, Fraction], ...]
+
+    @property
+    def pi(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense n x m view of the cells."""
+        rows = [[_ZERO] * len(self.col_values) for _ in self.row_values]
+        for i, j, mass in self.cells:
+            rows[i][j] = mass
+        return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -155,13 +163,13 @@ def _synth(x: Dist, y: Dist, martingale: bool) -> SynthResult:
         return SynthResult(False, None, verdict.witness)
     mode = MODE_MARTINGALE if martingale else MODE_SUPERMARTINGALE
     pieces = [(v, v, p) for v, p in dx.atoms] if martingale else _intermediate(dx, dy)
-    pi = _compose(dx, dy, pieces)
-    coupling = None if pi is None else Coupling(dx.values, dy.values, dx.probs, dy.probs, pi)
+    cells = _compose(dx, dy, pieces)
+    coupling = None if cells is None else Coupling(dx.values, dy.values, dx.probs, dy.probs, cells)
     if coupling is None or not verify_coupling(coupling, dx, dy, mode):
-        failure = "cannot place an atom" if pi is None else "fails verification"
+        failure = "cannot place an atom" if cells is None else "fails verification"
         raise InternalError(
             f"{checker.__name__} holds but the {mode} construction {failure}",
-            routes={checker.__name__: verdict, "construction": pi},
+            routes={checker.__name__: verdict, "construction": cells},
             inputs=(dx, dy),
         )
     return SynthResult(True, coupling, None)
@@ -169,9 +177,10 @@ def _synth(x: Dist, y: Dist, martingale: bool) -> SynthResult:
 
 def _compose(
     dx: DiscreteDist, dy: DiscreteDist, pieces: list[tuple[Fraction, Fraction, Fraction]]
-) -> tuple[tuple[Fraction, ...], ...] | None:
-    """The coupling of X with U given as pieces (x, u, mass), composed with
-    the left-curtain coupling of (U, Y); None if the curtain fails."""
+) -> tuple[tuple[int, int, Fraction], ...] | None:
+    """The cells of the coupling of X with U given as pieces (x, u, mass),
+    composed with the left-curtain coupling of (U, Y); None if the curtain
+    fails.  Pieces of one row can reach one column: their cells merge."""
     law_u: dict[Fraction, Fraction] = {}
     for _, u, mass in pieces:
         law_u[u] = law_u.get(u, _ZERO) + mass
@@ -181,13 +190,13 @@ def _compose(
         return None
     shadows = {u: (mass, shadow) for (u, mass), shadow in zip(atoms_u, curtain)}
     index = {v: i for i, v in enumerate(dx.values)}
-    pi = [[_ZERO] * len(dy.atoms) for _ in dx.atoms]
+    cells: dict[tuple[int, int], Fraction] = {}
     for xv, u, mass in pieces:
         total, shadow = shadows[u]
-        row, f = pi[index[xv]], mass / total
+        i, f = index[xv], mass / total
         for k, share in shadow:
-            row[k] += f * share
-    return tuple(map(tuple, pi))
+            cells[i, k] = cells.get((i, k), _ZERO) + f * share
+    return tuple((i, k, p) for (i, k), p in sorted(cells.items()))
 
 
 def _left_curtain(
@@ -302,40 +311,30 @@ def _intermediate(dx: DiscreteDist, dy: DiscreteDist) -> list[tuple[Fraction, Fr
 def verify_coupling(c: Coupling, x: Dist, y: Dist, mode: str) -> bool:
     """Recheck a coupling against its marginals and drift constraints.
 
-    Independent arithmetic from the construction: plain sums over the
-    nonzero cells of the matrix.
+    Independent arithmetic from the construction: one pass of plain sums
+    over the cells.  A cell whose row or column is not an int in range, or
+    whose mass is negative, fails.
     """
     if mode not in (MODE_SUPERMARTINGALE, MODE_MARTINGALE):
         raise InputError(f"unknown mode {mode!r}")
     dx = _require_discrete(x, "X")
     dy = _require_discrete(y, "Y")
-    if c.row_values != dx.values or c.col_values != dy.values:
-        return False
-    if c.row_probs != dx.probs or c.col_probs != dy.probs:
+    if (c.row_values, c.col_values, c.row_probs, c.col_probs) != (
+            dx.values, dy.values, dx.probs, dy.probs):
         return False
     n, m = len(c.row_values), len(c.col_values)
-    if len(c.pi) != n or any(len(r) != m for r in c.pi):
-        return False
-    cols = [_ZERO] * m
-    for w, p, row in zip(c.row_values, c.row_probs, c.pi):
-        mass = drift = _ZERO
-        for k, v in compress(enumerate(row), row):  # the nonzero cells
-            if v < 0:
-                return False
-            mass += v
-            drift += (c.col_values[k] - w) * v
-            cols[k] += v
-        if mass != p or drift > 0 or (mode == MODE_MARTINGALE and drift != 0):
+    rows, drifts, cols = [_ZERO] * n, [_ZERO] * n, [_ZERO] * m
+    for i, j, mass in c.cells:
+        if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < m and mass >= 0):
             return False
-    return tuple(cols) == c.col_probs
+        rows[i] += mass
+        drifts[i] += (c.col_values[j] - c.row_values[i]) * mass
+        cols[j] += mass
+    drift_ok = not any(drifts) if mode == MODE_MARTINGALE else all(d <= 0 for d in drifts)
+    return drift_ok and tuple(rows) == c.row_probs and tuple(cols) == c.col_probs
 
 
 def coupling_to_joint(c: Coupling) -> JointDist:
     """The coupling as a joint law of (W, Z) with Z = Y - W."""
-    cells = []
-    for i, wv in enumerate(c.row_values):
-        for jx, yv in enumerate(c.col_values):
-            p = c.pi[i][jx]
-            if p > 0:
-                cells.append((wv, yv - wv, p))
-    return normalize_joint(cells)
+    ws, ys = c.row_values, c.col_values
+    return normalize_joint((ws[i], ys[j] - ws[i], mass) for i, j, mass in c.cells)

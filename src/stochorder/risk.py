@@ -168,10 +168,8 @@ def phi(d: Dist, p: RationalLike) -> Fraction | float:
             raise InputError(f"level must lie in [0, 1], got {pf}")
         acc, V, D, _ = _upper_tail(disc, pf)
         return Fraction(acc, V * D)
-    pv = _real(p)
-    if pv == 1.0:
-        return 0.0
-    return (1.0 - pv) * es(d, pv)
+    family, pv = _family(d), _real(p)  # a non-law fails before the level-1 shortcut
+    return 0.0 if pv == 1.0 else (1.0 - pv) * es(family, pv)
 
 
 def stop_loss_transform(atoms: Sequence[tuple[int, int]], ts: Sequence[int]) -> tuple[int, list[int]]:

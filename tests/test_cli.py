@@ -260,11 +260,26 @@ class TestAppliedCommands:
         code, report, _ = run("marketable", "--indemnity", i, "--loss", loss,
                               "--p0", "0.3")
         assert code == 0 and report["result"]["holds"] is True
-        with pytest.warns(UserWarning):
-            code, report, _ = run("marketable", "--indemnity", i, "--loss", loss,
-                                  "--p0", "0.4")
+        code, report, cap = run("marketable", "--indemnity", i, "--loss", loss,
+                                "--p0", "0.4")
         assert code == 1
         assert report["witness"]["value"] == 0.0
+        assert cap.err.startswith("warning: premium exceeds the expected indemnity")
+
+    def test_marketable_warning_is_one_plain_line(self, tmp_path):
+        i = _write(tmp_path / "i.json", {"kind": "fixed", "threshold": 1, "amount": 1})
+        loss = _write(tmp_path / "l.json", _discrete([0, 2]))
+        out = subprocess.run(
+            [sys.executable, "-m", "stochorder.cli", "marketable", "--indemnity", i,
+             "--loss", loss, "--p0", "1"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert out.returncode == 1
+        assert out.stderr.splitlines() == [
+            "warning: premium exceeds the expected indemnity; the marketability "
+            "condition cannot hold at every threshold",
+            "contract is not marketable at premium 1",
+        ]
 
     def test_premium_linear_exact(self, run, tmp_path):
         i = _write(tmp_path / "i.json", {"kind": "stop_loss", "deductible": 1})
@@ -390,7 +405,7 @@ class TestInternalErrors:
 
 
 def test_cli_import_leaves_numpy_out():
-    # numpy loads only when a numeric route runs
+    # no route loads numpy; the numeric routes are pure Python
     probe = "import sys, stochorder.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": SRC})

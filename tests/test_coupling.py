@@ -82,15 +82,44 @@ class TestVerifier:
         assert res.feasible
         return res.coupling, x, y
 
+    def _with_cells(self, c, cells):
+        return Coupling(c.row_values, c.col_values, c.row_probs, c.col_probs, tuple(cells))
+
     def test_perturbed_mass_fails(self):
         c, x, y = self._feasible_pair()
         eps = F(1, 1000)
-        rows = [list(row) for row in c.pi]
-        rows[0][0] += eps
+        (i, j, p), *rest = c.cells
         total = 1 + eps
-        pi = tuple(tuple(v / total for v in row) for row in rows)
-        bad = Coupling(c.row_values, c.col_values, c.row_probs, c.col_probs, pi)
-        assert not verify_coupling(bad, x, y, "supermartingale")
+        cells = [(a, b, v / total) for a, b, v in [(i, j, p + eps), *rest]]
+        assert not verify_coupling(self._with_cells(c, cells), x, y, "supermartingale")
+
+    # each replaces a cell of row 1; the bool row and the split into a
+    # negative and a larger mass leave every sum as it was
+    @pytest.mark.parametrize("bad", [
+        lambda i, j, p: [(F(i), j, p)],
+        lambda i, j, p: [(i, float(j), p)],
+        lambda i, j, p: [(True, j, p)],
+        lambda i, j, p: [(-1, j, p)],
+        lambda i, j, p: [(i, 3, p)],  # X and Y have three atoms each
+        lambda i, j, p: [(3, j, p)],
+        lambda i, j, p: [(i, j, p + 1), (i, j, F(-1))],
+    ], ids=["fraction-row", "float-column", "bool-row", "negative-row",
+            "column-out-of-range", "row-out-of-range", "negative-mass"])
+    def test_malformed_cell_fails(self, bad):
+        c, x, y = self._feasible_pair()
+        k = next(k for k, (i, _, _) in enumerate(c.cells) if i == 1)
+        cells = [*c.cells[:k], *bad(*c.cells[k]), *c.cells[k + 1:]]
+        assert not verify_coupling(self._with_cells(c, cells), x, y, "supermartingale")
+
+    def test_pieces_of_one_row_merge_into_distinct_cells(self):
+        # row 1 reaches U's atom 1 through two pieces, and so every column twice
+        x = normalize([(0, F(1, 3)), (1, F(2, 3))])
+        y = uniform(-2, -1, 4)
+        c = synth_supermartingale(x, y).coupling
+        assert c.cells == ((0, 0, F(1, 6)), (0, 1, F(2, 15)), (0, 2, F(1, 30)),
+                           (1, 0, F(1, 6)), (1, 1, F(1, 5)), (1, 2, F(3, 10)))
+        assert c.pi == ((F(1, 6), F(2, 15), F(1, 30)), (F(1, 6), F(1, 5), F(3, 10)))
+        assert verify_coupling(c, x, y, "supermartingale")
 
     def test_wrong_marginals_fail(self):
         c, x, y = self._feasible_pair()
@@ -109,11 +138,8 @@ class TestVerifier:
         # four-cell square with E[Z|W] = 0 row by row
         x = uniform(0, 1)
         y = normalize([(F(-1, 2), F(1, 4)), (F(1, 2), F(1, 2)), (F(3, 2), F(1, 4))])
-        pi = (
-            (F(1, 4), F(1, 4), F(0)),
-            (F(0), F(1, 4), F(1, 4)),
-        )
-        c = Coupling(x.values, y.values, x.probs, y.probs, pi)
+        cells = ((0, 0, F(1, 4)), (0, 1, F(1, 4)), (1, 1, F(1, 4)), (1, 2, F(1, 4)))
+        c = Coupling(x.values, y.values, x.probs, y.probs, cells)
         assert verify_coupling(c, x, y, "supermartingale")
         assert verify_coupling(c, x, y, "martingale")
 
@@ -121,8 +147,8 @@ class TestVerifier:
         # the identity coupling onto X + 1/2 drifts every row up by 1/2
         x = uniform(0, 1)
         y = uniform(F(1, 2), F(3, 2))
-        pi = ((F(1, 2), F(0)), (F(0), F(1, 2)))
-        c = Coupling(x.values, y.values, x.probs, y.probs, pi)
+        cells = ((0, 0, F(1, 2)), (1, 1, F(1, 2)))
+        c = Coupling(x.values, y.values, x.probs, y.probs, cells)
         assert not verify_coupling(c, x, y, "supermartingale")
         assert not verify_coupling(c, x, y, "martingale")
 
@@ -273,6 +299,23 @@ class TestWideWindows:
             assert verify_coupling(res.coupling, x, ys, mode)
 
 
+class TestTenThousandAtoms:
+    def test_narrow_law_against_wide_law_both_modes(self, monkeypatch):
+        # uniform on n points against a 4x wider uniform with the same mean,
+        # and that shifted down; the cells stay linear in n
+        n = 10**4
+        monkeypatch.setenv("STOCHORDER_MAX_SUPPORT", str(n))
+        x = normalize((k, 1) for k in range(n))
+        y = normalize((4 * k - F(3 * (n - 1), 2), 1) for k in range(n))
+        for synth, mode, shift in ((synth_martingale, "martingale", 0),
+                                   (synth_supermartingale, "supermartingale", F(1, 3))):
+            ys = affine(y, 1, -shift)
+            res = synth(x, ys)
+            assert res.feasible
+            assert len(res.coupling.cells) < 4 * n
+            assert verify_coupling(res.coupling, x, ys, mode)
+
+
 class TestInternalErrors:
     def test_rejected_coupling_raises_with_both_routes(self, monkeypatch):
         x, y = uniform(0, 2), uniform(-1, 3)
@@ -281,7 +324,8 @@ class TestInternalErrors:
             synth_martingale(x, y)
         routes = exc.value.routes
         assert routes["check_cx"].holds
-        assert routes["construction"] == ((F(3, 8), F(1, 8)), (F(1, 8), F(3, 8)))
+        assert routes["construction"] == (
+            (0, 0, F(3, 8)), (0, 1, F(1, 8)), (1, 0, F(1, 8)), (1, 1, F(3, 8)))
         assert exc.value.inputs == (x, y)
         assert isinstance(exc.value, RuntimeError)
 

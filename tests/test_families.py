@@ -123,7 +123,8 @@ class TestNonLaws:
     @pytest.mark.parametrize("op", [lambda d: cdf(d, 0), mean, lambda d: es(d, "1/2"),
                                     lambda d: stop_loss(d, 1), variance,
                                     lambda d: quantile_right(d, 0.5), dist_to_json, negate,
-                                    lambda d: affine(d, 2, 1), lambda d: phi(d, 0.5)])
+                                    lambda d: affine(d, 2, 1), lambda d: phi(d, 0.5),
+                                    lambda d: phi(d, 1)])
     def test_unknown_distribution(self, op):
         with pytest.raises(InputError, match="unknown distribution"):
             op(object())

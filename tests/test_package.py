@@ -1,4 +1,4 @@
-"""Package hygiene: no unread relative imports, no numpy at run time, and the
+"""Package hygiene: no unread imports, no numpy at run time, and the
 Newton-built Gauss-Legendre rule of apps against numpy's."""
 
 import ast
@@ -17,7 +17,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted((SRC / "stochorder").glob("*.py"))
 
 
-def _unread_relative_imports(path: Path) -> list[str]:
+def _unread_imports(path: Path) -> list[str]:
     tree = ast.parse(path.read_text())
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     for node in ast.walk(tree):  # names re-exported through __all__ count as read
@@ -25,10 +25,11 @@ def _unread_relative_imports(path: Path) -> list[str]:
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
-    imported = [
-        alias.asname or alias.name
+    imported = [  # `import a.b` binds a
+        alias.asname or alias.name.split(".")[0]
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level > 0
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
         for alias in node.names
         if alias.name != "*"
     ]
@@ -37,7 +38,16 @@ def _unread_relative_imports(path: Path) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_relative_import_is_read(path):
-    assert _unread_relative_imports(path) == []
+    # absolute imports, the standard library's included, count too
+    assert _unread_imports(path) == []
+
+
+def test_unread_absolute_import_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from __future__ import annotations\nimport os.path\n"
+                      "import json as j\nfrom itertools import compress, chain\n"
+                      "chain(os.sep)\n")
+    assert _unread_imports(module) == ["j", "compress"]
 
 
 @pytest.mark.parametrize("argv", [["table", "gaussian", "--format", "json"],
