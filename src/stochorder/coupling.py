@@ -98,7 +98,7 @@ def max_support() -> int:
 @dataclass(frozen=True)
 class Coupling:
     """A joint law over support(X) x support(Y) as its nonzero cells
-    (row, column, mass), ascending, with exact rational masses."""
+    (row, column, mass), strictly ascending, with exact rational masses."""
 
     row_values: tuple[Fraction, ...]
     col_values: tuple[Fraction, ...]
@@ -312,8 +312,8 @@ def verify_coupling(c: Coupling, x: Dist, y: Dist, mode: str) -> bool:
     """Recheck a coupling against its marginals and drift constraints.
 
     Independent arithmetic from the construction: one pass of plain sums
-    over the cells.  A cell whose row or column is not an int in range, or
-    whose mass is negative, fails.
+    over the cells.  A cell out of strictly ascending (row, column) order,
+    with a row or column not an int in range, or with a negative mass, fails.
     """
     if mode not in (MODE_SUPERMARTINGALE, MODE_MARTINGALE):
         raise InputError(f"unknown mode {mode!r}")
@@ -323,10 +323,11 @@ def verify_coupling(c: Coupling, x: Dist, y: Dist, mode: str) -> bool:
             dx.values, dy.values, dx.probs, dy.probs):
         return False
     n, m = len(c.row_values), len(c.col_values)
-    rows, drifts, cols = [_ZERO] * n, [_ZERO] * n, [_ZERO] * m
+    rows, drifts, cols, last = [_ZERO] * n, [_ZERO] * n, [_ZERO] * m, (0, -1)
     for i, j, mass in c.cells:
-        if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < m and mass >= 0):
+        if not (type(i) is type(j) is int and last < (i, j) and i < n and 0 <= j < m and mass >= 0):
             return False
+        last = i, j
         rows[i] += mass
         drifts[i] += (c.col_values[j] - c.row_values[i]) * mass
         cols[j] += mass

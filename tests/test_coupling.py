@@ -93,8 +93,8 @@ class TestVerifier:
         cells = [(a, b, v / total) for a, b, v in [(i, j, p + eps), *rest]]
         assert not verify_coupling(self._with_cells(c, cells), x, y, "supermartingale")
 
-    # each replaces a cell of row 1; the bool row and the split into a
-    # negative and a larger mass leave every sum as it was
+    # each replaces a cell of row 1; the bool row and the split into two
+    # halves leave every sum as it was
     @pytest.mark.parametrize("bad", [
         lambda i, j, p: [(F(i), j, p)],
         lambda i, j, p: [(i, float(j), p)],
@@ -102,14 +102,25 @@ class TestVerifier:
         lambda i, j, p: [(-1, j, p)],
         lambda i, j, p: [(i, 3, p)],  # X and Y have three atoms each
         lambda i, j, p: [(3, j, p)],
-        lambda i, j, p: [(i, j, p + 1), (i, j, F(-1))],
+        lambda i, j, p: [(i, j, p / 2), (i, j, p / 2)],
     ], ids=["fraction-row", "float-column", "bool-row", "negative-row",
-            "column-out-of-range", "row-out-of-range", "negative-mass"])
+            "column-out-of-range", "row-out-of-range", "repeated-cell"])
     def test_malformed_cell_fails(self, bad):
         c, x, y = self._feasible_pair()
         k = next(k for k, (i, _, _) in enumerate(c.cells) if i == 1)
         cells = [*c.cells[:k], *bad(*c.cells[k]), *c.cells[k + 1:]]
         assert not verify_coupling(self._with_cells(c, cells), x, y, "supermartingale")
+
+    def test_negative_mass_fails_with_distinct_cells(self):
+        # the square of test_hand_built_square_joint_as_coupling plus masses
+        # 1/8 * (1, -2, 1) on row 0 and their negatives on row 1: every sum
+        # and drift is kept, and cell (1, 0) turns negative
+        x = uniform(0, 1)
+        y = normalize([(F(-1, 2), F(1, 4)), (F(1, 2), F(1, 2)), (F(3, 2), F(1, 4))])
+        cells = ((0, 0, F(3, 8)), (0, 2, F(1, 8)),
+                 (1, 0, F(-1, 8)), (1, 1, F(1, 2)), (1, 2, F(1, 8)))
+        c = Coupling(x.values, y.values, x.probs, y.probs, cells)
+        assert not verify_coupling(c, x, y, "martingale")
 
     def test_pieces_of_one_row_merge_into_distinct_cells(self):
         # row 1 reaches U's atom 1 through two pieces, and so every column twice
