@@ -673,7 +673,7 @@ def stop_loss_compare(
 
     The default deductible grid is 0 and every nonnegative atom of X or of
     X + Z, where both curves have all their knots.  The cells are read over
-    integers from the joint's cached form (w, z and the deductibles moved
+    integers from the joint's integer form (w, z and the deductibles moved
     onto one lcm V, probabilities over the lcm D of theirs), and each curve
     is one pass of risk.stop_loss_transform over the cells sorted by w or
     by w + z; dominance is compared over integers and a premium becomes a

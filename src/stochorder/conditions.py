@@ -16,7 +16,7 @@ The events {W <= x}, {W >= x} and {W = x} change only at atoms of the
 anchor, so its distinct values are a complete test set, and
 E[Z | event] has the sign of E[Z; event].  All five conditions are one
 kernel: it sums z * p and p over the cells of each anchor value, in integers
-(the joint's cached columns, JointDist.ints; tail_condition scales its cells
+(the joint's integer columns, JointDist.ints; tail_condition scales its cells
 once), and walks the anchors once, ascending, with a prefix sum (the lower
 tail), a suffix sum (the upper tail) or the group sums alone (the point
 events).  It reports the first failing threshold, as a direct evaluation at

@@ -56,7 +56,6 @@ from .dists import (
     InternalError,
     JointDist,
     as_discrete,
-    normalize_joint,
 )
 from .orders import Witness, _scale, _walk, check_cx, check_ssd
 
@@ -308,11 +307,21 @@ def _intermediate(dx: DiscreteDist, dy: DiscreteDist) -> list[tuple[Fraction, Fr
     return [piece for piece in pieces if piece[2]]
 
 
+def _indexed(c: Coupling) -> bool:
+    """Every cell's row and column an int in range, strictly ascending."""
+    n, m, last = len(c.row_values), len(c.col_values), (0, -1)
+    for i, j, _ in c.cells:
+        if not (type(i) is type(j) is int and last < (i, j) and i < n and 0 <= j < m):
+            return False
+        last = i, j
+    return True
+
+
 def verify_coupling(c: Coupling, x: Dist, y: Dist, mode: str) -> bool:
     """Recheck a coupling against its marginals and drift constraints.
 
-    Independent arithmetic from the construction: one pass of plain sums
-    over the cells.  A cell out of strictly ascending (row, column) order,
+    Independent arithmetic from the construction: plain sums over the
+    cells.  A cell out of strictly ascending (row, column) order,
     with a row or column not an int in range, or with a negative mass, fails.
     """
     if mode not in (MODE_SUPERMARTINGALE, MODE_MARTINGALE):
@@ -320,14 +329,13 @@ def verify_coupling(c: Coupling, x: Dist, y: Dist, mode: str) -> bool:
     dx = _require_discrete(x, "X")
     dy = _require_discrete(y, "Y")
     if (c.row_values, c.col_values, c.row_probs, c.col_probs) != (
-            dx.values, dy.values, dx.probs, dy.probs):
+            dx.values, dy.values, dx.probs, dy.probs) or not _indexed(c):
         return False
     n, m = len(c.row_values), len(c.col_values)
-    rows, drifts, cols, last = [_ZERO] * n, [_ZERO] * n, [_ZERO] * m, (0, -1)
+    rows, drifts, cols = [_ZERO] * n, [_ZERO] * n, [_ZERO] * m
     for i, j, mass in c.cells:
-        if not (type(i) is type(j) is int and last < (i, j) and i < n and 0 <= j < m and mass >= 0):
+        if mass < 0:
             return False
-        last = i, j
         rows[i] += mass
         drifts[i] += (c.col_values[j] - c.row_values[i]) * mass
         cols[j] += mass
@@ -336,6 +344,10 @@ def verify_coupling(c: Coupling, x: Dist, y: Dist, mode: str) -> bool:
 
 
 def coupling_to_joint(c: Coupling) -> JointDist:
-    """The coupling as a joint law of (W, Z) with Z = Y - W."""
+    """The coupling as a joint law of (W, Z) with Z = Y - W: its nonzero
+    cells as they stand, since cells ascending in (row, column) ascend in
+    (w, z).  Cells out of that order or out of range raise InputError."""
+    if not _indexed(c):
+        raise InputError("coupling cells must be ints in range, strictly ascending in (row, column)")
     ws, ys = c.row_values, c.col_values
-    return normalize_joint((ws[i], ys[j] - ws[i], mass) for i, j, mass in c.cells)
+    return JointDist(tuple((ws[i], ys[j] - ws[i], mass) for i, j, mass in c.cells if mass))

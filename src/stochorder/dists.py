@@ -9,20 +9,17 @@ Canonicalisation is integer work.  normalize and normalize_joint scale all
 values (w and z separately) and all weights of one call to integers over the
 lcm of their denominators, merge duplicates in an int-keyed dict, sort the
 int keys, and build each probability once as a Fraction; the value
-Fractions are reused as given.  The validators run on every construction
-with the same checks and messages as ever (Fraction types first, positive
-probabilities, strictly increasing values or distinct joint cells, total
-mass 1), compared over numerators and denominators.
+Fractions are reused as given.
 
-Each finite law caches its integer form, ints: for a DiscreteDist its values
-over the lcm V of their denominators and its probabilities over the lcm D of
-theirs, for a JointDist the w, z and p columns over VW, VZ and D; exactly
-what as_integers makes of each public column, so no layer rescales a law
-per call.  normalize, normalize_joint and the joint marginals prime it from
-the merge: merged weights m_k with sum T and g = gcd(m_1, ..., m_n), which
-divides T, give probabilities over D = T / g, the lcm of the reduced
-denominators, as m_k / g, no integer larger than the merge's.  Other laws
-compute it on first use; it stays out of ==, hash, repr and pickle.
+Each finite law holds its integer form, ints, a field outside ==, hash and
+repr: for a DiscreteDist its values over the lcm V of their denominators and
+its probabilities over the lcm D of theirs, for a JointDist the w, z and p
+columns over VW, VZ and D; exactly what as_integers makes of each public
+column, so no layer rescales a law per call.  The validator computes it
+once, on construction, and checks over those integers what it always
+checked, with the same messages: Fraction types, positive probabilities,
+strictly increasing values or distinct joint cells, total mass 1.  The
+first defective atom decides the message.
 
 The parametric families (Normal, Exponential, Bernoulli, LogNormal,
 PointMass) carry float parameters and hold their binary64 closed forms as
@@ -42,9 +39,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
-from functools import cached_property
+from itertools import chain, repeat
 from typing import Callable, Iterable, NamedTuple, Union
 
 __all__ = [
@@ -207,36 +204,30 @@ def rescale(ints: tuple[int, ...], k: int) -> tuple[int, ...] | list[int]:
     return ints if k == 1 else [i * k for i in ints]
 
 
-class _Cached:
-    """Pickled by its fields alone; a cached integer form is rebuilt on use."""
-
-    def __getstate__(self) -> dict:
-        return {"atoms": self.atoms}  # type: ignore[attr-defined]
-
-
 @dataclass(frozen=True)
-class DiscreteDist(_Cached):
+class DiscreteDist:
     """Finite law: atoms sorted by value, positive probabilities, total mass 1.
 
-    Construct through normalize(); the constructor only validates.
+    Construct through normalize(); the constructor validates and sets ints.
     """
 
     atoms: tuple[tuple[Fraction, Fraction], ...]
+    ints: LawInts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.atoms:
+        atoms = self.atoms
+        if not atoms:
             raise InputError("discrete law needs at least one atom")
-        prev = None
-        for value, prob in self.atoms:
-            if not isinstance(value, Fraction) or not isinstance(prob, Fraction):
-                raise InputError("atoms must hold Fraction values and probabilities")
-            if prob.numerator <= 0:
-                raise InputError(f"atom probability must be positive, got {prob}")
-            n, d = value.as_integer_ratio()
-            if prev is not None and n * prev[1] <= prev[0] * d:
+        ok, ((xs, V), (ws, D)) = _integer_columns(atoms, 2)
+        for k in range(ok):
+            if ws[k] <= 0:
+                raise InputError(f"atom probability must be positive, got {atoms[k][1]}")
+            if k and xs[k] <= xs[k - 1]:
                 raise InputError("atom values must be strictly increasing")
-            prev = n, d
-        _check_total(p for _, p in self.atoms)
+        if ok < len(atoms):
+            raise InputError("atoms must hold Fraction values and probabilities")
+        _check_total(ws, D)
+        object.__setattr__(self, "ints", LawInts(tuple(xs), V, tuple(ws), D))
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -245,12 +236,6 @@ class DiscreteDist(_Cached):
     @property
     def probs(self) -> tuple[Fraction, ...]:
         return tuple(p for _, p in self.atoms)
-
-    @cached_property
-    def ints(self) -> LawInts:
-        xs, V = as_integers(self.values)
-        ws, D = as_integers(self.probs)
-        return LawInts(tuple(xs), V, tuple(ws), D)
 
     def support_size(self) -> int:
         return len(self.atoms)
@@ -327,6 +312,10 @@ class Normal(_Family):
         return Normal(a * self.mu + b, abs(a) * self.sigma)
 
 
+# B_2k / (2k)! for k = 6 down to 1: u / (e^u - 1) = 1 - u/2 + sum of them times u^2k
+_BERNOULLI_SERIES = (-691 / 1307674368000, 1 / 47900160, -1 / 1209600, 1 / 30240, -1 / 720, 1 / 12)
+
+
 @dataclass(frozen=True)
 class Exponential(_Family):
     rate: float
@@ -352,9 +341,17 @@ class Exponential(_Family):
     def lower_tail_mean(self, x: float) -> float:
         if x <= 0.0:
             raise IrrelevantThresholdError(f"P(X <= {x}) = 0")
-        # E[X 1{X<=x}] = 1/rate - (x + 1/rate) e^{-rate x}
         r = self.rate
-        ex = math.exp(-r * x)
+        u = r * x
+        if u < 0.25:
+            # x (1 - u / (e^u - 1)) / u as a series in u, exact to about an
+            # ulp below 1/4, where the closed form below loses digits
+            s = 0.0
+            for c in _BERNOULLI_SERIES:
+                s = s * u * u + c
+            return x * (0.5 - u * s)
+        # E[X 1{X<=x}] = 1/rate - (x + 1/rate) e^{-rate x}
+        ex = math.exp(-u)
         num = 1.0 / r - (x + 1.0 / r) * ex
         den = 1.0 - ex
         return num / den
@@ -562,22 +559,21 @@ def normalize(raw_atoms: Iterable[tuple[RationalLike, RationalLike]]) -> Discret
         if w.numerator:
             values.append(v)
             weights.append(w)
-    return _merged_law(*as_integers(values), values, as_integers(weights)[0])
+    return _merged_law(as_integers(values)[0], values, as_integers(weights)[0])
 
 
 def as_integers(xs: Iterable[Fraction | int]) -> tuple[list[int], int]:
     """The rationals xs as integers over the lcm L of their denominators, and
     L: xs[k] == ints[k] / L."""
     ratios = [x.as_integer_ratio() for x in xs]
-    L = math.lcm(*(d for _, d in ratios))
+    L = math.lcm(*[d for _, d in ratios])
     return [n * (L // d) for n, d in ratios], L
 
 
-def _merge(keys: list, cells: list, weights: Iterable[int]) -> tuple[list, list, list[int], int]:
-    """Cells merged by integer key: (keys, cells, ms, D) over the distinct
-    keys ascending, with the first cell of each key and its summed weight.
-    The sums are divided by their gcd, so that ms[k] / D is key k's share of
-    the total weight and D the lcm of the reduced shares' denominators."""
+def _merge(keys: list, cells: list, weights: Iterable[int]) -> tuple[list, list, list[Fraction]]:
+    """Cells merged by integer key: (keys, cells, probs) over the distinct
+    keys ascending, with the first cell of each key and its share of the
+    total weight."""
     if not cells:
         raise InputError("total weight must be positive")
     acc: dict = {}
@@ -588,24 +584,14 @@ def _merge(keys: list, cells: list, weights: Iterable[int]) -> tuple[list, list,
         else:
             acc[k], first[k] = m, cell
     order = sorted(acc)
-    ms = [acc[k] for k in order]
-    g = math.gcd(*ms)
-    if g > 1:
-        ms = [m // g for m in ms]
-    return order, [first[k] for k in order], ms, sum(ms)
+    T = sum(acc.values())
+    return order, [first[k] for k in order], [Fraction(acc[k], T) for k in order]
 
 
-def _merged_law(keys: Iterable[int], V: int, values: list, weights: Iterable[int]) -> DiscreteDist:
-    """The law of values (keys / V) with integer weights; equal keys merge."""
-    keys, firsts, ms, D = _merge(keys, values, weights)
-    return _law(firsts, LawInts(tuple(keys), V, tuple(ms), D))
-
-
-def _law(values: list[Fraction], ints: LawInts) -> DiscreteDist:
-    """The law of values with the weights of ints, its cached integer form."""
-    d = DiscreteDist(tuple(zip(values, [Fraction(m, ints.D) for m in ints.weights])))
-    d.__dict__["ints"] = ints
-    return d
+def _merged_law(keys: Iterable[int], values: list, weights: Iterable[int]) -> DiscreteDist:
+    """The law of values with integer weights; equal keys merge."""
+    _, firsts, probs = _merge(keys, values, weights)
+    return DiscreteDist(tuple(zip(firsts, probs)))
 
 
 def point_mass_dist(value: RationalLike) -> DiscreteDist:
@@ -630,37 +616,45 @@ def as_discrete(d: Dist) -> DiscreteDist | None:
 
 
 @dataclass(frozen=True)
-class JointDist(_Cached):
+class JointDist:
     """Finite joint law of a pair (W, Z): distinct (w, z) atoms, total mass 1."""
 
     atoms: tuple[tuple[Fraction, Fraction, Fraction], ...]  # (w, z, prob)
+    ints: JointInts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.atoms:
+        atoms = self.atoms
+        if not atoms:
             raise InputError("joint law needs at least one atom")
-        seen: set[tuple[int, int, int, int]] = set()  # lowest terms: equal cells, equal keys
-        for w, z, p in self.atoms:
-            if not (isinstance(w, Fraction) and isinstance(z, Fraction) and isinstance(p, Fraction)):
-                raise InputError("joint atoms must hold Fractions")
-            if p.numerator <= 0:
-                raise InputError(f"atom probability must be positive, got {p}")
-            key = (*w.as_integer_ratio(), *z.as_integer_ratio())
+        ok, ((ws, VW), (zs, VZ), (ps, D)) = _integer_columns(atoms, 3)
+        seen: set[tuple[int, int]] = set()
+        for k, key in enumerate(zip(ws, zs)):
+            if ps[k] <= 0:
+                raise InputError(f"atom probability must be positive, got {atoms[k][2]}")
             if key in seen:
-                raise InputError(f"duplicate joint atom at (w={w}, z={z})")
+                raise InputError(f"duplicate joint atom at (w={atoms[k][0]}, z={atoms[k][1]})")
             seen.add(key)
-        _check_total(p for _, _, p in self.atoms)
-
-    @cached_property
-    def ints(self) -> JointInts:
-        (ws, VW), (zs, VZ), (ps, D) = (as_integers(col) for col in zip(*self.atoms))
-        return JointInts(tuple(ws), VW, tuple(zs), VZ, tuple(ps), D)
+        if ok < len(atoms):
+            raise InputError("joint atoms must hold Fractions")
+        _check_total(ps, D)
+        object.__setattr__(self, "ints", JointInts(tuple(ws), VW, tuple(zs), VZ, tuple(ps), D))
 
 
-def _check_total(probs: Iterable[Fraction]) -> None:
-    """Total mass 1, summed over the lcm D of the probability denominators."""
-    ints, D = as_integers(probs)
-    if sum(ints) != D:
-        raise InputError(f"probabilities must sum to 1, got {Fraction(sum(ints), D)}")
+def _integer_columns(atoms: tuple, width: int) -> tuple[int, list[tuple[list[int], int]]]:
+    """ok, the number of leading atoms that hold only Fractions, and
+    as_integers of each of their width columns: a validator checks these
+    atoms before it raises atom ok's type error, so the first defect wins."""
+    ok = len(atoms)
+    if not all(map(isinstance, chain.from_iterable(atoms), repeat(Fraction))):
+        ok = next(k for k, atom in enumerate(atoms) if not all(isinstance(f, Fraction) for f in atom))
+    head = atoms[:ok]
+    return ok, [as_integers(col) for col in (zip(*head) if head else [()] * width)]
+
+
+def _check_total(ps: list[int], D: int) -> None:
+    """Total mass 1: the probabilities ps / D sum to D / D."""
+    if sum(ps) != D:
+        raise InputError(f"probabilities must sum to 1, got {Fraction(sum(ps), D)}")
 
 
 def normalize_joint(
@@ -676,34 +670,25 @@ def normalize_joint(
         if wt.numerator:
             cells.append(key)
             weights.append(wt)
-    if not cells:
-        raise InputError("total weight must be positive")
     # a cell's key is (w VW, z VZ), each column over the lcm of its own denominators
-    (ws, VW), (zs, VZ) = (as_integers(col) for col in zip(*cells))
-    keys, firsts, ms, D = _merge(list(zip(ws, zs)), cells, as_integers(weights)[0])
-    j = JointDist(tuple((w, z, Fraction(m, D)) for (w, z), m in zip(firsts, ms)))
-    ws, zs = zip(*keys)
-    j.__dict__["ints"] = JointInts(ws, VW, zs, VZ, tuple(ms), D)
-    return j
+    ws, zs = as_integers(w for w, _ in cells)[0], as_integers(z for _, z in cells)[0]
+    _, firsts, probs = _merge(list(zip(ws, zs)), cells, as_integers(weights)[0])
+    return JointDist(tuple((w, z, p) for (w, z), p in zip(firsts, probs)))
 
 
 def joint_marginal_w(j: JointDist) -> DiscreteDist:
-    f = j.ints
-    return _merged_law(f.w, f.VW, [w for w, _, _ in j.atoms], f.p)
+    return _merged_law(j.ints.w, [w for w, _, _ in j.atoms], j.ints.p)
 
 
 def joint_z(j: JointDist) -> DiscreteDist:
-    f = j.ints
-    return _merged_law(f.z, f.VZ, [z for _, z, _ in j.atoms], f.p)
+    return _merged_law(j.ints.z, [z for _, z, _ in j.atoms], j.ints.p)
 
 
 def joint_sum(j: JointDist) -> DiscreteDist:
     """Law of W + Z."""
     sums, L = j.ints.combined()
-    keys, _, ms, D = _merge(sums, sums, j.ints.p)
-    g = math.gcd(L, *keys)  # the values' lcm denominator is L / g
-    ints = LawInts(tuple(s // g for s in keys), L // g, tuple(ms), D)
-    return _law([Fraction(s, L) for s in keys], ints)
+    keys, _, probs = _merge(sums, sums, j.ints.p)
+    return DiscreteDist(tuple(zip([Fraction(s, L) for s in keys], probs)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ which is (1 - p) times the expected-shortfall gap; cx adds equal means to
 ssd.  Survival functions are steps that change only at atoms, so st is
 decided on the merged support.  Each pair is read over integers (values
 over the lcm V of all value denominators, probabilities over the lcm D of
-all probability denominators): the cached integer form of each law
+all probability denominators): the integer form of each law
 (DiscreteDist.ints) moves onto V and D with one multiply per atom, and only
 a witness is turned back into exact Fractions.  Normal pairs use
 mean/deviation closed forms.  Every negative verdict carries a witness whose
@@ -28,7 +28,7 @@ the merged support), for cross-validation.  Each scales its pair itself
 from the public Fraction atoms (values over one lcm, each law's
 probabilities over the lcm of its own) and reads the integer stop-loss
 transform, one suffix-sum pass per law (risk.stop_loss_transform); none of
-the walks above is used.  They do not read the cached integer form: it is
+the walks above is used.  They do not read the integer form: it is
 derived state that the deciders trust, and a wrong form must not be able to
 fool both routes at once.
 """
@@ -145,7 +145,7 @@ _IntLaw = tuple[Sequence[int], Sequence[int]]
 
 def _scale(dx: DiscreteDist, dy: DiscreteDist) -> tuple[_IntLaw, _IntLaw, int, int]:
     """Both laws over the lcms V and D of their value and probability
-    denominators, from their cached integer forms."""
+    denominators, from their integer forms."""
     fx, fy = dx.ints, dy.ints
     V, D = math.lcm(fx.V, fy.V), math.lcm(fx.D, fy.D)
     return ((rescale(fx.values, V // fx.V), rescale(fx.weights, D // fx.D)),

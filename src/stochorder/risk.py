@@ -8,7 +8,7 @@ with Q_X the right quantile.  The map phi(p) = (1-p) * ES_p(X) is piecewise
 linear and concave for finite laws, with slope -Q_X(p), phi(0) = E[X] and
 phi(1) = 0.
 
-On a finite law every evaluator works over integers, from the law's cached
+On a finite law every evaluator works over integers, from the law's
 integer form (DiscreteDist.ints): values over the lcm V of their
 denominators, probabilities over the lcm D of theirs; a level or point
 asked for moves only the atoms it reaches onto its own lcm.  Each result

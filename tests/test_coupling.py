@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochorder import (
     Coupling,
@@ -21,6 +23,7 @@ from stochorder import (
     joint_sum,
     mean,
     normalize,
+    normalize_joint,
     point_mass_dist,
     synth_martingale,
     synth_supermartingale,
@@ -29,7 +32,7 @@ from stochorder import (
 from stochorder import coupling
 from stochorder.gen import mean_preserving_spread, random_discrete, random_shift_down
 
-from .test_dists import uniform
+from .test_dists import discrete_dists, uniform
 
 
 class TestGoldenCouplings:
@@ -198,6 +201,35 @@ class TestRoundtrip:
         j = coupling_to_joint(res.coupling)
         assert joint_marginal_w(j) == x
         assert joint_sum(j) == y
+
+    @settings(max_examples=150, deadline=None)
+    @given(discrete_dists(), st.randoms(use_true_random=False))
+    def test_joint_is_normalize_joint_of_the_cells(self, x, rng):
+        spread = mean_preserving_spread(rng, x)
+        for res in (synth_martingale(x, spread),
+                    synth_supermartingale(x, random_shift_down(rng, spread)),
+                    synth_supermartingale(x, random_discrete(rng))):
+            if not res.feasible:
+                continue
+            c = res.coupling
+            j = coupling_to_joint(c)
+            want = normalize_joint((c.row_values[i], c.col_values[k] - c.row_values[i], mass)
+                                   for i, k, mass in c.cells)
+            assert j == want and j.ints == want.ints
+
+    # each rearranges the cells of test_hand_built_square_joint_as_coupling
+    @pytest.mark.parametrize("bad", [
+        lambda cells: cells[::-1],
+        lambda cells: cells[:1] + cells,
+        lambda cells: ((-1, 0, cells[0][2]),) + cells[1:],
+    ], ids=["unordered", "repeated", "negative-row"])
+    def test_malformed_cells_rejected(self, bad):
+        x = uniform(0, 1)
+        y = normalize([(F(-1, 2), F(1, 4)), (F(1, 2), F(1, 2)), (F(3, 2), F(1, 4))])
+        cells = ((0, 0, F(1, 4)), (0, 1, F(1, 4)), (1, 1, F(1, 4)), (1, 2, F(1, 4)))
+        c = Coupling(x.values, y.values, x.probs, y.probs, bad(cells))
+        with pytest.raises(InputError, match="strictly ascending"):
+            coupling_to_joint(c)
 
     def test_deterministic_output(self):
         x = uniform(0, 1, 4)

@@ -114,7 +114,8 @@ class TestAsFraction:
             as_fraction("7" * 4301)
 
 
-# one hand-built invalid law per validator error class, with its message
+# one hand-built invalid law per validator error class, with its message;
+# where a law has several defects, its first defective atom decides
 BAD_LAWS = [
     ((), "discrete law needs at least one atom"),
     (((1, F(1)),), "atoms must hold Fraction values and probabilities"),
@@ -126,6 +127,9 @@ BAD_LAWS = [
     (((F(1, 3), F(1, 2)), (F(1, 4), F(1, 2))), "atom values must be strictly increasing"),
     (((F(0), F(1, 2)),), "probabilities must sum to 1, got 1/2"),
     (((F(0), F(2, 3)), (F(1), F(2, 3))), "probabilities must sum to 1, got 4/3"),
+    (((F(1), F(1, 2)), (F(0), F(1, 2)), (F(2), F(-1))), "atom values must be strictly increasing"),
+    (((F(0), F(-1)), (F(1), 2)), "atom probability must be positive, got -1"),
+    (((F(1), F(1, 2)), (F(0), F(1, 2)), (F(2), 1)), "atom values must be strictly increasing"),
 ]
 
 BAD_JOINTS = [
@@ -135,6 +139,9 @@ BAD_JOINTS = [
     (((F(0), F(1), F(0)), (F(1), F(0), F(1))), "atom probability must be positive, got 0"),
     (((F(0), F(1, 2), F(1, 2)), (F(0), F(1, 2), F(1, 2))), "duplicate joint atom at (w=0, z=1/2)"),
     (((F(1), F(0), F(1, 4)), (F(0), F(1), F(1, 2))), "probabilities must sum to 1, got 3/4"),
+    (((F(0), F(0), F(1, 2)), (F(0), F(0), F(1, 2)), (F(1), F(0), F(0))),
+     "duplicate joint atom at (w=0, z=0)"),
+    (((F(0), F(0), F(0)), (F(1), 0, F(1))), "atom probability must be positive, got 0"),
 ]
 
 

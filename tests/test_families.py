@@ -16,6 +16,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stochorder import (
     Bernoulli,
@@ -91,6 +93,18 @@ def test_every_generic_operation_is_bit_identical():
     got = family_table()
     assert got.keys() == expected.keys()
     assert {k: v for k, v in got.items() if v != expected[k]} == {}
+
+
+class TestExponentialLowerTailMean:
+    @given(st.floats(1e-3, 1e3), st.floats(1e-300, 1e-3))
+    def test_small_points_follow_the_series(self, rate, u):
+        # E[X | X <= x] = x (1/2 - u/12 + u^3/720 - ...) with u = rate x; the
+        # first omitted term, u^5/30240, is below 1e-19 of it at u <= 1e-3
+        x = u / rate
+        u = rate * x
+        got = lower_tail_mean(Exponential(rate), x)
+        assert 0.0 < got <= x
+        assert got == pytest.approx(x * (0.5 - u / 12 + u**3 / 720), rel=1e-13, abs=0.0)
 
 
 class TestCodecs:

@@ -1,5 +1,6 @@
-"""Package hygiene: no unread imports, no numpy at run time, and the
-Newton-built Gauss-Legendre rule of apps against numpy's."""
+"""Package hygiene: no unread imports, no writes through an object's
+__dict__, no numpy at run time, and the Newton-built Gauss-Legendre rule of
+apps against numpy's."""
 
 import ast
 import math
@@ -48,6 +49,35 @@ def test_unread_absolute_import_is_caught(tmp_path):
                       "import json as j\nfrom itertools import compress, chain\n"
                       "chain(os.sep)\n")
     assert _unread_imports(module) == ["j", "compress"]
+
+
+_DICT_WRITERS = {"update", "setdefault", "pop", "popitem", "clear"}
+
+
+def _dict_writes(path: Path) -> list[int]:
+    """Lines that store into, delete from or update some object's __dict__."""
+    def is_dict(node):
+        return isinstance(node, ast.Attribute) and node.attr == "__dict__"
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+        and is_dict(node.value)
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _DICT_WRITERS and is_dict(node.func.value)
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_write_through_dict(path):
+    # a frozen dataclass sets its own fields in __post_init__, not behind them
+    assert _dict_writes(path) == []
+
+
+def test_write_through_dict_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("d.__dict__['ints'] = 1\nd.__dict__['n'] += 1\ndel d.__dict__['n']\n"
+                      "d.__dict__.update(n=1)\nx = d.__dict__['ints']\nvars(d).get('n')\n")
+    assert _dict_writes(module) == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("argv", [["table", "gaussian", "--format", "json"],

@@ -433,11 +433,10 @@ class TestGeneratorMatchesReference:
 
 
 def _assert_cached_form(d):
-    """d's cached integer form is as_integers of each column of its public
-    Fractions, primed or computed on first use, and caching it is invisible
-    to ==, hash, repr and pickle."""
+    """d's integer form is as_integers of each column of its public
+    Fractions, however d was built, and holding it is invisible to ==, hash,
+    repr and pickle."""
     cold = type(d)(d.atoms)
-    assert "ints" not in cold.__dict__
     columns = [as_integers(col) for col in zip(*d.atoms)]
     want = tuple(x for ints, scale in columns for x in (ints, scale))
     for law in (d, cold):
@@ -449,7 +448,7 @@ def _assert_cached_form(d):
     assert repr(cold) == repr(d) == repr(fresh)
     assert pickle.dumps(cold) == pickle.dumps(d) == pickle.dumps(fresh)
     back = pickle.loads(pickle.dumps(d))
-    assert back == d and "ints" not in back.__dict__ and back.ints == d.ints
+    assert back == d and back.ints == d.ints
 
 
 class TestCachedIntegerForm:
@@ -488,7 +487,7 @@ class TestCachedIntegerForm:
     def test_joints_and_their_marginals(self, j):
         for law in (j, joint_marginal_w(j), joint_z(j), joint_sum(j)):
             _assert_cached_form(law)
-        # the marginals of a joint whose form was computed on first use
+        # the marginals of a joint built by the constructor, not by normalize_joint
         cold = JointDist(j.atoms)
         assert joint_sum(cold) == joint_sum(j) and joint_sum(cold).ints == joint_sum(j).ints
 
