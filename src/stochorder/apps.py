@@ -5,19 +5,24 @@ membership, comonotone equivalence of the two improver notions, marketability
 of indemnity schedules, indifference premiums, stop-loss dominance reports,
 and the protective-put conditional-drift verification under zero-rate
 Black-Scholes dynamics.
+
+Each quantity has one route: the improver's sufficient condition is the
+conditions kernel anchored on the sum, and E[I(X)] is
+conditional_indemnity_mean at x = 0.  Float routes round rationals with
+dists._real, so one beyond binary64 is an InputError.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
 from operator import add
 from typing import Iterable, Sequence, Union
 
-from .conditions import _Groups, cond_classic, cond_icx, cond_new, is_comonotone, tail_condition
+from .conditions import _first_failure, cond_classic, cond_icx, cond_new, is_comonotone, tail_condition
 from .dists import (
     DiscreteDist,
     Dist,
@@ -39,7 +44,6 @@ from .dists import (
     lower_tail_mean,
     norm_cdf,
     norm_pdf,
-    normalize_joint,
     rational_to_json as r2j,
     rescale,
 )
@@ -117,36 +121,25 @@ class RegionFlags:
         return {"ssd": self.ssd, "cond_new": self.cond_new, "cond_classic": self.cond_classic}
 
 
-_COND_GRID_LO = -8.0
-_COND_GRID_HI = 8.0
-_COND_GRID_STEP = 0.01
+_COND_RANGE = 8.0
 _COND_TOL = 1e-8
 _CROSS_CHECK_MARGIN = 1e-6
 
 
-@cache
-def _mills_grid() -> list[float]:
-    """Standard normal lower tail mean E[W | W <= x] on the n-point grid from lo to hi."""
-    n = round((_COND_GRID_HI - _COND_GRID_LO) / _COND_GRID_STEP) + 1
-    step = (_COND_GRID_HI - _COND_GRID_LO) / (n - 1)
-    xs = [k * step + _COND_GRID_LO for k in range(n - 1)] + [_COND_GRID_HI]
-    std = Normal(0.0, 1.0)
-    return [lower_tail_mean(std, x) for x in xs]
-
-
-def gaussian_cond_new_numeric(case: GaussianCase, tol: float = _COND_TOL) -> bool:
+def gaussian_cond_new_numeric(case: GaussianCase) -> bool:
     """Numeric route for the lower-tail condition E[Z | W <= x] <= 0.
 
-    E[Z | W <= x] = mu_z + rho*sigma_z*E[W | W <= x]; the sup over the grid
-    [-8, 8] is combined with the two limit facts: the conditional mean tends
-    to mu_z as x -> +inf, and E[W | W <= x] is unbounded below as x -> -inf,
-    so any rho < 0 blows the expression up on the far left.  Rounding is
-    monotone, so the sup sits at the grid's largest or smallest mean.
+    E[Z | W <= x] = mu_z + rho*sigma_z*E[W | W <= x]; its sup over x in
+    [-8, 8] is combined, at tolerance 1e-8, with the two limit facts: the
+    conditional mean tends to mu_z as x -> +inf, and E[W | W <= x] is
+    unbounded below as x -> -inf, so any rho < 0 blows the expression up on
+    the far left.  E[W | W <= x] increases in x, so the sup sits at x = 8
+    when rho*sigma_z >= 0 and at x = -8 otherwise.
     """
-    ms = _mills_grid()
     c = case.rho * case.sigma_z
-    sup = case.mu_z + c * (max(ms) if c >= 0.0 else min(ms))
-    return sup <= tol and case.mu_z <= tol and case.rho >= -tol
+    x = _COND_RANGE if c >= 0.0 else -_COND_RANGE
+    sup = case.mu_z + c * lower_tail_mean(Normal(0.0, 1.0), x)
+    return sup <= _COND_TOL and case.mu_z <= _COND_TOL and case.rho >= -_COND_TOL
 
 
 def gaussian_ssd_check(case: GaussianCase) -> bool:
@@ -223,6 +216,7 @@ def bernoulli_joint(case: BernoulliCase) -> JointDist:
     """The exact four-cell joint law of (W, Z); degenerate cells drop."""
     align = (1 + case.rho) / 4
     cross = (1 - case.rho) / 4
+    # ascending in (w, z), with total mass 1: the cells are the canonical form
     cells = [
         (Fraction(0), -case.c, align),
         (Fraction(0), 1 - case.c, cross),
@@ -231,7 +225,7 @@ def bernoulli_joint(case: BernoulliCase) -> JointDist:
     ]
     if any(p < 0 for _, _, p in cells):
         raise InputError(f"cell masses must be nonnegative, got rho={case.rho}")
-    return normalize_joint(cells)
+    return JointDist(tuple(cell for cell in cells if cell[2]))
 
 
 def bernoulli_region(case: BernoulliCase) -> RegionFlags:
@@ -289,7 +283,7 @@ def improver_check(j: JointDist) -> ImproverFlags:
     in_s = check_ssd(total, marg).holds
     # anchor on the sum with the sign of Z flipped: E[-Z | X+Z <= x] <= 0
     f = j.ints
-    in_n = _Groups(*f.combined(), [-z for z in f.z], f.VZ, f.p, f.D).first_failure("lower").holds
+    in_n = _first_failure(*f.combined(), [-z for z in f.z], f.VZ, f.p, "lower").holds
     return ImproverFlags(in_s=in_s, in_n=in_n)
 
 
@@ -400,10 +394,13 @@ def indemnity_from_json(obj: object) -> IndemnitySchedule:
     if not isinstance(obj, dict):
         raise InputError("indemnity JSON must be an object")
     kind = obj.get("kind")
-    if kind == "fixed":
-        return FixedIndemnity(as_fraction(obj.get("threshold")), as_fraction(obj.get("amount")))
-    if kind == "stop_loss":
-        return StopLossIndemnity(as_fraction(obj.get("deductible")))
+    cls = {"fixed": FixedIndemnity, "stop_loss": StopLossIndemnity}.get(kind)
+    if cls is not None:
+        names = [f.name for f in fields(cls)]
+        for name in names:
+            if name not in obj:
+                raise InputError(f"missing parameter {name!r}")
+        return cls(*(as_fraction(obj[name]) for name in names))
     if kind == "piecewise":
         knots = obj.get("knots")
         if not isinstance(knots, list):
@@ -441,14 +438,14 @@ def conditional_indemnity_mean(
 
     Exact for discrete losses.  For an exponential loss the fixed and
     stop-loss schedules admit closed forms; other pairings are rejected.
+    Since 0 <= I(X) <= X, the event at x = 0 is certain and the value there
+    is E[I(X)].
     """
     if isinstance(x_dist, DiscreteDist):
         xf = as_fraction(x)
         num = den = _ZERO
         for v, p in x_dist.atoms:
-            if v < 0:
-                raise InputError("loss distribution must be nonnegative")
-            iv = indemnity_value(i, v)
+            iv = indemnity_value(i, v)  # raises at a negative loss
             if v - iv >= xf:
                 num += iv * p
                 den += p
@@ -459,8 +456,8 @@ def conditional_indemnity_mean(
         lam = x_dist.rate
         xv = _real(x)
         if isinstance(i, FixedIndemnity):
-            u = float(i.threshold)
-            a = float(i.amount)
+            u = _real(i.threshold)
+            a = _real(i.amount)
             if xv <= 0.0:
                 return a * math.exp(-lam * u)
             if xv >= u:
@@ -472,7 +469,7 @@ def conditional_indemnity_mean(
             den = math.exp(-lam * xv) - math.exp(-lam * u) + math.exp(-lam * cut)
             return num / den
         if isinstance(i, StopLossIndemnity):
-            d = float(i.deductible)
+            d = _real(i.deductible)
             if xv > d:
                 raise IrrelevantThresholdError(
                     f"retained loss min(X, {d}) never reaches {xv}"
@@ -490,18 +487,6 @@ def conditional_indemnity_mean(
     )
 
 
-def _expected_indemnity(i: IndemnitySchedule, x_dist: Dist) -> Fraction | float:
-    if isinstance(x_dist, DiscreteDist):
-        return sum((indemnity_value(i, v) * p for v, p in x_dist.atoms), _ZERO)
-    assert isinstance(x_dist, Exponential)
-    lam = x_dist.rate
-    if isinstance(i, FixedIndemnity):
-        return float(i.amount) * math.exp(-lam * float(i.threshold))
-    if isinstance(i, StopLossIndemnity):
-        return math.exp(-lam * float(i.deductible)) / lam
-    raise UnsupportedPairingError("unsupported schedule for exponential losses")
-
-
 def marketable_check(
     i: IndemnitySchedule, x_dist: Dist, p0: RationalLike
 ) -> OrderVerdict:
@@ -511,20 +496,16 @@ def marketable_check(
     upper-tail pass of tail_condition over (X - I(X), I(X) - P0).  For an
     exponential loss with a fixed or stop-loss schedule the conditional mean
     is nondecreasing in x (the payout event only gains relative weight), so
-    its infimum is the unconditional expected indemnity, compared against P0
-    with a 1e-9 float cushion.  A premium above E[I(X)] can never satisfy
-    the condition everywhere and triggers a warning before the verdict.
+    its infimum is the expected indemnity, its value at x = 0, compared
+    against P0 with a 1e-9 float cushion.  A premium above E[I(X)] can never
+    satisfy the condition everywhere and triggers a warning before the
+    verdict.
     """
     p0f = as_fraction(p0)
     if p0f < 0:
         raise InputError(f"premium must be nonnegative, got {p0f}")
-    if not isinstance(x_dist, (DiscreteDist, Exponential)):
-        raise UnsupportedPairingError(
-            f"marketability needs a discrete or exponential loss, "
-            f"got {type(x_dist).__name__}"
-        )
-    expected = _expected_indemnity(i, x_dist)
-    p0v = p0f if isinstance(x_dist, DiscreteDist) else float(p0f)
+    expected = conditional_indemnity_mean(i, x_dist, 0)
+    p0v = p0f if isinstance(x_dist, DiscreteDist) else _real(p0f)
     if p0v > expected:
         warnings.warn(
             "premium exceeds the expected indemnity; the marketability "
@@ -542,10 +523,9 @@ def marketable_check(
             return verdict
         w = verdict.witness
         return OrderVerdict(False, Witness("threshold_x", w.value, w.lhs + p0f, p0f))
-    inf_value = float(expected)
-    if inf_value >= p0v - _MARKET_TOL:
+    if expected >= p0v - _MARKET_TOL:
         return OrderVerdict(True, None)
-    return OrderVerdict(False, Witness("threshold_x", 0.0, inf_value, p0v))
+    return OrderVerdict(False, Witness("threshold_x", 0.0, expected, p0v))
 
 
 # ---------------------------------------------------------------------------
@@ -623,13 +603,12 @@ def indifference_premium(
     """
     if not isinstance(x_dist, DiscreteDist):
         raise InputError("indifference premiums are defined for discrete losses")
-    ivals = [indemnity_value(i, v) for v, _ in x_dist.atoms]
     if isinstance(u, LinearUtility):
-        return sum((iv * p for iv, (_, p) in zip(ivals, x_dist.atoms)), _ZERO)
-    w = float(as_fraction(wealth))
-    xs = [float(v) for v, _ in x_dist.atoms]
-    ps = [float(p) for _, p in x_dist.atoms]
-    ivs = [float(iv) for iv in ivals]
+        return conditional_indemnity_mean(i, x_dist, 0)
+    ivs = [_real(indemnity_value(i, v)) for v, _ in x_dist.atoms]
+    w = _real(wealth)
+    xs = [_real(v) for v, _ in x_dist.atoms]
+    ps = [_real(p) for _, p in x_dist.atoms]
     if isinstance(u, PowerUtility):
         if any(w - x < 0 for x in xs):
             raise InputError("power utility needs w - X >= 0 on the whole support")

@@ -14,13 +14,14 @@ cond_on_difference:  E[Z | Y - Z <= x] <= 0 at every relevant x, for a joint of
 
 The events {W <= x}, {W >= x} and {W = x} change only at atoms of the
 anchor, so its distinct values are a complete test set, and
-E[Z | event] has the sign of E[Z; event].  All five conditions are one
-kernel: it sums z * p and p over the cells of each anchor value, in integers
-(the joint's integer columns, JointDist.ints; tail_condition scales its cells
-once), and walks the anchors once, ascending, with a prefix sum (the lower
-tail), a suffix sum (the upper tail) or the group sums alone (the point
-events).  It reports the first failing threshold, as a direct evaluation at
-each threshold would.
+E[Z | event] has the sign of E[Z; event].  All five conditions, and
+apps.improver_check, call one kernel function, _first_failure, over integer
+columns (the joint's, JointDist.ints; tail_condition scales its cells once):
+it sums z * p and p over the cells of each anchor value and walks the
+anchors once, ascending, with a prefix sum (the lower tail), a suffix sum
+(the upper tail) or the group sums alone (the point events).  It reports
+the first failing threshold, as a direct evaluation at each threshold
+would.  cond_cx_pair reads E[Z] straight from the integer columns.
 
 is_comonotone decides whether a finite set of weighted points can be the law
 of a comonotone pair: no two support points may move in opposite directions.
@@ -29,6 +30,7 @@ of a comonotone pair: no two support points may move in opposite directions.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .dists import InternalError, JointDist, RationalLike, as_fraction, as_integers
@@ -61,50 +63,41 @@ def relevant_thresholds(j: JointDist) -> list[Fraction]:
     return sorted({w for w, _, _ in j.atoms})
 
 
-class _Groups:
-    """The cells of a joint law summed per anchor value, as integers.
+def _first_failure(anchors: Sequence[int], va: int, zs: Sequence[int], vz: int,
+                   ps: Sequence[int], tail: str) -> OrderVerdict:
+    """The first anchor x, ascending, at which E[Z | event] has the wrong sign.
 
-    Cell k is (anchors[k] / va, zs[k] / vz) with probability ps[k] / d.
-    self.anchors holds the distinct anchors ascending; self.sums holds
-    (sum of z * p, sum of p) for each, in units of 1 / (vz d) and 1 / d.
+    Cell k is (anchors[k] / va, zs[k] / vz) with probability proportional to
+    ps[k].  The cells are summed per anchor value, (sum of z * p, sum of p),
+    and the distinct anchors are walked once, ascending.  tail "lower":
+    event A <= x, fails above 0; "upper": A >= x, fails below 0; "point":
+    A = x, fails above 0.
     """
-
-    def __init__(self, anchors: Sequence[int], va: int, zs: Sequence[int], vz: int,
-                 ps: Sequence[int], d: int) -> None:
-        self.va, self.vz, self.d = va, vz, d
-        acc: dict[int, list[int]] = {}
-        for a, z, p in zip(anchors, zs, ps):
-            g = acc.get(a)
-            if g is None:
-                acc[a] = [z * p, p]
-            else:
-                g[0] += z * p
-                g[1] += p
-        self.anchors = sorted(acc)
-        self.sums = [acc[a] for a in self.anchors]
-
-    def first_failure(self, tail: str) -> OrderVerdict:
-        """The first anchor x, ascending, at which E[Z | event] has the wrong sign.
-
-        tail "lower": event W <= x, fails above 0; "upper": W >= x, fails
-        below 0; "point": W = x, fails above 0.
-        """
-        total_num = sum(n for n, _ in self.sums)
-        total_den = sum(d for _, d in self.sums)
-        below_num = below_den = 0  # sums over the anchors below x
-        for a, (gn, gd) in zip(self.anchors, self.sums):
-            if tail == "lower":
-                en, ed = below_num + gn, below_den + gd
-            elif tail == "upper":
-                en, ed = total_num - below_num, total_den - below_den
-            else:
-                en, ed = gn, gd
-            if en < 0 if tail == "upper" else en > 0:
-                x, ratio = Fraction(a, self.va), Fraction(en, self.vz * ed)
-                return OrderVerdict(False, Witness("threshold_x", x, ratio, _ZERO))
-            below_num += gn
-            below_den += gd
-        return _HOLDS
+    acc: dict[int, list[int]] = {}
+    for a, z, p in zip(anchors, zs, ps):
+        g = acc.get(a)
+        if g is None:
+            acc[a] = [z * p, p]
+        else:
+            g[0] += z * p
+            g[1] += p
+    total_num = sum(n for n, _ in acc.values())
+    total_den = sum(d for _, d in acc.values())
+    below_num = below_den = 0  # sums over the anchors below x
+    for a in sorted(acc):
+        gn, gd = acc[a]
+        if tail == "lower":
+            en, ed = below_num + gn, below_den + gd
+        elif tail == "upper":
+            en, ed = total_num - below_num, total_den - below_den
+        else:
+            en, ed = gn, gd
+        if en < 0 if tail == "upper" else en > 0:
+            x, ratio = Fraction(a, va), Fraction(en, vz * ed)
+            return OrderVerdict(False, Witness("threshold_x", x, ratio, _ZERO))
+        below_num += gn
+        below_den += gd
+    return _HOLDS
 
 
 def tail_condition(cells: Cells, tail: str) -> OrderVerdict:
@@ -116,23 +109,26 @@ def tail_condition(cells: Cells, tail: str) -> OrderVerdict:
     """
     if tail not in ("lower", "upper", "point"):
         raise ValueError(f"unknown tail {tail!r}")
-    (a, va), (z, vz), (p, d) = [as_integers(col) for col in zip(*cells)] or [([], 1)] * 3
-    return _Groups(a, va, z, vz, p, d).first_failure(tail)
+    (a, va), (z, vz), (p, _) = [as_integers(col) for col in zip(*cells)] or [([], 1)] * 3
+    return _first_failure(a, va, z, vz, p, tail)
 
 
 def cond_new(j: JointDist) -> OrderVerdict:
     """E[Z | W <= x] <= 0 for every relevant threshold x."""
-    return _Groups(*j.ints).first_failure("lower")
+    f = j.ints
+    return _first_failure(f.w, f.VW, f.z, f.VZ, f.p, "lower")
 
 
 def cond_classic(j: JointDist) -> OrderVerdict:
     """E[Z | W = w] <= 0 at every atom w of W."""
-    return _Groups(*j.ints).first_failure("point")
+    f = j.ints
+    return _first_failure(f.w, f.VW, f.z, f.VZ, f.p, "point")
 
 
 def cond_icx(j: JointDist) -> OrderVerdict:
     """E[Z | W >= x] >= 0 for every relevant threshold x."""
-    return _Groups(*j.ints).first_failure("upper")
+    f = j.ints
+    return _first_failure(f.w, f.VW, f.z, f.VZ, f.p, "upper")
 
 
 def cond_cx_pair(j: JointDist) -> OrderVerdict:
@@ -143,15 +139,15 @@ def cond_cx_pair(j: JointDist) -> OrderVerdict:
     certifies the spread; both are computed and must agree.  A witness at the
     top threshold with nonzero lhs exhibits the mean failure.
     """
-    g = _Groups(*j.ints)
-    mean_num = sum(n for n, _ in g.sums)
+    f = j.ints
+    mean_num = sum(map(mul, f.z, f.p))
     if mean_num != 0:
-        top = Fraction(g.anchors[-1], g.va)
+        top = Fraction(max(f.w), f.VW)
         return OrderVerdict(
-            False, Witness("threshold_x", top, Fraction(mean_num, g.vz * g.d), _ZERO)
+            False, Witness("threshold_x", top, Fraction(mean_num, f.VZ * f.D), _ZERO)
         )
-    lower = g.first_failure("lower")
-    upper = g.first_failure("upper")
+    lower = _first_failure(f.w, f.VW, f.z, f.VZ, f.p, "lower")
+    upper = _first_failure(f.w, f.VW, f.z, f.VZ, f.p, "upper")
     if lower.holds != upper.holds:
         raise InternalError(
             "zero-mean tail conditions disagree",
@@ -168,7 +164,7 @@ def cond_on_difference(j: JointDist) -> OrderVerdict:
     atoms.  Holding, it certifies Y <=ssd Y - Z.
     """
     f = j.ints
-    return _Groups(*f.combined(-1), f.z, f.VZ, f.p, f.D).first_failure("lower")
+    return _first_failure(*f.combined(-1), f.z, f.VZ, f.p, "lower")
 
 
 def is_comonotone(

@@ -6,6 +6,8 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stochorder import (
     BernoulliCase,
@@ -19,6 +21,7 @@ from stochorder import (
     IrrelevantThresholdError,
     LinearUtility,
     LogNormal,
+    Normal,
     PiecewiseIndemnity,
     PowerUtility,
     StopLossIndemnity,
@@ -39,6 +42,7 @@ from stochorder import (
     indifference_premium,
     joint_marginal_w,
     joint_sum,
+    lower_tail_mean,
     marketable_check,
     normalize,
     normalize_joint,
@@ -53,7 +57,7 @@ from stochorder.gen import (
     random_comonotone_improver_joint,
 )
 
-from .test_dists import uniform
+from .test_dists import discrete_dists, uniform
 
 
 class TestGaussianRegion:
@@ -102,6 +106,15 @@ class TestGaussianRegion:
         with pytest.raises(InputError):
             GaussianCase(float("nan"), 1.0, 0.0)
 
+    def test_tail_mean_ends_bound_the_old_grid(self):
+        # the numeric route reads E[W | W <= x] at x = -8 and x = 8 only: in
+        # binary64 those two bound it on the 1,601-point grid of [-8, 8]
+        std = Normal(0.0, 1.0)
+        xs = [k * (16 / 1600) + -8.0 for k in range(1600)] + [8.0]
+        ms = [lower_tail_mean(std, x) for x in xs]
+        assert all(a <= b for a, b in zip(ms, ms[1:]))
+        assert ms[0] == lower_tail_mean(std, -8.0) and ms[-1] == lower_tail_mean(std, 8.0)
+
     def test_as_dict(self):
         d = gaussian_region(GaussianCase(-0.1, 1.0, -0.4)).as_dict()
         assert d == {"ssd": True, "cond_new": False, "cond_classic": False}
@@ -129,6 +142,17 @@ class TestBernoulliRegion:
             (F(1), F(-1, 2)): F(1, 8),
             (F(1), F(1, 2)): F(3, 8),
         }
+
+    def test_joint_is_canonical_over_the_table_grid(self):
+        # the grid of `stochorder table bernoulli`; rho = -1 and 1 empty two cells
+        for ci in range(0, 16):
+            for ri in range(-10, 11):
+                c, rho = F(ci, 10), F(ri, 10)
+                cells = [(0, -c, (1 + rho) / 4), (0, 1 - c, (1 - rho) / 4),
+                         (1, -c, (1 - rho) / 4), (1, 1 - c, (1 + rho) / 4)]
+                j = bernoulli_joint(BernoulliCase(c, rho))
+                assert j == normalize_joint(cells)
+                assert len(j.atoms) == (2 if ri in (-10, 10) else 4)
 
     def test_marginals(self):
         j = bernoulli_joint(BernoulliCase(F(3, 5), F(1, 5)))
@@ -223,6 +247,15 @@ class TestIndemnities:
         with pytest.raises(InputError):
             PiecewiseIndemnity(((F(0), F(0)), (F(1), F(0)), (F(2), F(2))))
 
+    @pytest.mark.parametrize("obj, name", [
+        ({"kind": "fixed", "threshold": 1}, "amount"),
+        ({"kind": "fixed", "amount": 1}, "threshold"),
+        ({"kind": "stop_loss"}, "deductible"),
+    ])
+    def test_json_missing_field_is_named(self, obj, name):
+        with pytest.raises(InputError, match=f"^missing parameter '{name}'$"):
+            indemnity_from_json(obj)
+
     def test_json_round_trip(self):
         schedules = [
             FixedIndemnity(2, 1),
@@ -237,7 +270,59 @@ class TestIndemnities:
             indemnity_from_json(["fixed", 1, 1])
 
 
+halves = st.integers(0, 12).map(lambda k: F(k, 2))
+
+
+@st.composite
+def schedules(draw):
+    kind = draw(st.sampled_from(["fixed", "stop_loss", "piecewise"]))
+    if kind == "fixed":
+        threshold = draw(halves.filter(bool))
+        return FixedIndemnity(threshold, draw(halves.filter(lambda a: a <= threshold)))
+    if kind == "stop_loss":
+        return StopLossIndemnity(draw(halves))
+    xs = sorted(draw(st.sets(halves.filter(bool), min_size=1, max_size=4)))
+    ys = [draw(halves.filter(lambda y, x=x: y <= x)) for x in xs]
+    knots = [(F(0), F(0)), *zip(xs, ys)]
+    (x0, y0), (x1, y1) = knots[-2:]
+    if not 0 <= y1 - y0 <= x1 - x0:  # keep the final slope in [0, 1]
+        knots[-1] = (x1, y0)
+    return PiecewiseIndemnity(tuple(knots))
+
+
+# E[I(X)] of an exponential loss as float.hex: the bits of marketable_check's
+# infimum, pinned so that a change of route cannot move them
+EXPONENTIAL_MEANS = {
+    (0.5, FixedIndemnity(2, F(3, 2))): "0x1.1a880a8a1b36ap-1",
+    (0.5, FixedIndemnity(F(1, 3), F(1, 10))): "0x1.5ab80ac81b628p-4",
+    (0.5, StopLossIndemnity(2)): "0x1.78b56362cef38p-1",
+    (0.5, StopLossIndemnity(F(1, 3))): "0x1.b1660d7a223b1p+0",
+    (0.7, FixedIndemnity(2, F(3, 2))): "0x1.7ac5df2c88550p-2",
+    (0.7, FixedIndemnity(50, 7)): "0x1.3e083670eb2c4p-48",
+    (0.7, StopLossIndemnity(0)): "0x1.6db6db6db6db7p+0",
+    (0.7, StopLossIndemnity(10)): "0x1.557df2663548bp-10",
+    (3.0, FixedIndemnity(1, 1)): "0x1.97db0ccceb0afp-5",
+    (3.0, FixedIndemnity(F(1, 3), F(1, 10))): "0x1.2d5de91bd8c2dp-5",
+    (3.0, StopLossIndemnity(F(1, 3))): "0x1.f6472f2e6944bp-4",
+    (3.0, StopLossIndemnity(2)): "0x1.b1317ec1a711dp-11",
+}
+
+
 class TestConditionalIndemnityMean:
+    @given(schedules(), discrete_dists().filter(lambda d: d.values[0] >= 0))
+    def test_at_zero_is_the_expected_indemnity(self, i, x):
+        # 0 <= I(X) <= X: the event X - I(X) >= 0 is certain
+        want = sum(indemnity_value(i, v) * p for v, p in x.atoms)
+        assert conditional_indemnity_mean(i, x, 0) == want
+
+    @pytest.mark.parametrize("rate, i", list(EXPONENTIAL_MEANS))
+    def test_exponential_expected_indemnity_bits(self, rate, i):
+        want = float.fromhex(EXPONENTIAL_MEANS[rate, i])
+        assert conditional_indemnity_mean(i, Exponential(rate), 0) == want
+        with pytest.warns(UserWarning):
+            v = marketable_check(i, Exponential(rate), 1000)
+        assert v.witness.lhs == want
+
     def test_discrete_hand_case(self):
         x = uniform(1, 2, 3)
         i = StopLossIndemnity(F(3, 2))

@@ -369,6 +369,41 @@ class TestErrorPaths:
         assert exc.value.code == 2
 
 
+class TestOverflow:
+    """A rational too large for binary64 on a float route is an input error:
+    exit 2 and one error line, not a traceback under the "fails" code."""
+
+    def _cli(self, tmp_path, indemnity, loss, *argv):
+        i = _write(tmp_path / "i.json", indemnity)
+        x = _write(tmp_path / "l.json", loss)
+        proc = subprocess.run(
+            [sys.executable, "-m", "stochorder.cli", *argv, "--indemnity", i, "--loss", x],
+            capture_output=True, text=True, env={"PYTHONPATH": SRC},
+        )
+        return proc.returncode, proc.stdout, proc.stderr.splitlines()
+
+    @pytest.mark.parametrize("indemnity, loss, argv", [
+        ({"kind": "stop_loss", "deductible": 1}, _discrete([0, "1e400"]),
+         ["premium", "--utility", "exp:1", "--wealth", "10"]),
+        ({"kind": "stop_loss", "deductible": 1}, _discrete([0, 2]),
+         ["premium", "--utility", "exp:1", "--wealth", "1e400"]),
+        ({"kind": "fixed", "threshold": "1e400", "amount": 1}, {"type": "exponential", "rate": 1},
+         ["marketable", "--p0", "0"]),
+        ({"kind": "fixed", "threshold": 1, "amount": 1}, {"type": "exponential", "rate": 1},
+         ["marketable", "--p0", "1e400"]),
+    ], ids=["premium-loss", "premium-wealth", "marketable-threshold", "marketable-p0"])
+    def test_huge_rational_exits_2(self, tmp_path, indemnity, loss, argv):
+        code, out, err = self._cli(tmp_path, indemnity, loss, *argv)
+        assert (code, out, len(err)) == (2, "", 1)
+        assert err[0].startswith("error: ") and "binary64" in err[0]
+
+    def test_missing_indemnity_field_is_named(self, tmp_path):
+        code, out, err = self._cli(tmp_path, {"kind": "fixed", "threshold": 1},
+                                   _discrete([0, 2]), "marketable", "--p0", "0")
+        assert (code, out, len(err)) == (2, "", 1)
+        assert err[0].startswith("error: ") and err[0].endswith(": missing parameter 'amount'")
+
+
 class TestInternalErrors:
     def test_normal_icx_beyond_tail_resolution_exits_three(self, run, tmp_path):
         x = _write(tmp_path / "x.json", {"type": "normal", "mu": 100, "sigma": 1})

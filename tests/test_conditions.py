@@ -142,12 +142,12 @@ class TestImplications:
     def test_cx_pair_tail_disagreement_raises_with_both_verdicts(self, monkeypatch):
         from stochorder import conditions
 
-        first_failure = conditions._Groups.first_failure
+        first_failure = conditions._first_failure
 
-        def upper_always_holds(self, tail):
-            return OrderVerdict(True) if tail == "upper" else first_failure(self, tail)
+        def upper_always_holds(*columns):
+            return OrderVerdict(True) if columns[-1] == "upper" else first_failure(*columns)
 
-        monkeypatch.setattr(conditions._Groups, "first_failure", upper_always_holds)
+        monkeypatch.setattr(conditions, "_first_failure", upper_always_holds)
         j = J((0, 1, F(1, 2)), (1, -1, F(1, 2)))
         with pytest.raises(InternalError) as exc:
             cond_cx_pair(j)
