@@ -283,7 +283,7 @@ def improver_check(j: JointDist) -> ImproverFlags:
     in_s = check_ssd(total, marg).holds
     # anchor on the sum with the sign of Z flipped: E[-Z | X+Z <= x] <= 0
     f = j.ints
-    in_n = _first_failure(*f.combined(), [-z for z in f.z], f.VZ, f.p, "lower").holds
+    in_n = _first_failure(*f.combined(), [-z for z in f.z], f.VZ, f.p, f.D, "lower")[0].holds
     return ImproverFlags(in_s=in_s, in_n=in_n)
 
 
@@ -394,7 +394,8 @@ def indemnity_from_json(obj: object) -> IndemnitySchedule:
     if not isinstance(obj, dict):
         raise InputError("indemnity JSON must be an object")
     kind = obj.get("kind")
-    cls = {"fixed": FixedIndemnity, "stop_loss": StopLossIndemnity}.get(kind)
+    kinds = {"fixed": FixedIndemnity, "stop_loss": StopLossIndemnity}
+    cls = kinds.get(kind) if isinstance(kind, str) else None
     if cls is not None:
         names = [f.name for f in fields(cls)]
         for name in names:
@@ -454,7 +455,7 @@ def conditional_indemnity_mean(
         return num / den
     if isinstance(x_dist, Exponential):
         lam = x_dist.rate
-        xv = _real(x)
+        xv = _real(as_fraction(x))
         if isinstance(i, FixedIndemnity):
             u = _real(i.threshold)
             a = _real(i.amount)
@@ -606,7 +607,7 @@ def indifference_premium(
     if isinstance(u, LinearUtility):
         return conditional_indemnity_mean(i, x_dist, 0)
     ivs = [_real(indemnity_value(i, v)) for v, _ in x_dist.atoms]
-    w = _real(wealth)
+    w = _real(as_fraction(wealth))
     xs = [_real(v) for v, _ in x_dist.atoms]
     ps = [_real(p) for _, p in x_dist.atoms]
     if isinstance(u, PowerUtility):

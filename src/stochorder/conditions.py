@@ -17,11 +17,12 @@ anchor, so its distinct values are a complete test set, and
 E[Z | event] has the sign of E[Z; event].  All five conditions, and
 apps.improver_check, call one kernel function, _first_failure, over integer
 columns (the joint's, JointDist.ints; tail_condition scales its cells once):
-it sums z * p and p over the cells of each anchor value and walks the
-anchors once, ascending, with a prefix sum (the lower tail), a suffix sum
-(the upper tail) or the group sums alone (the point events).  It reports
-the first failing threshold, as a direct evaluation at each threshold
-would.  cond_cx_pair reads E[Z] straight from the integer columns.
+it sums z * p and p over the cells of each anchor value, once, and walks the
+anchors, ascending, once per requested tail, with a prefix sum (the lower
+tail), a suffix sum (the upper tail) or the group sums alone (the point
+events).  It reports the first failing threshold, as a direct evaluation at
+each threshold would.  cond_cx_pair reads E[Z] straight from the integer
+columns and asks one call for both tails.
 
 is_comonotone decides whether a finite set of weighted points can be the law
 of a comonotone pair: no two support points may move in opposite directions.
@@ -64,12 +65,14 @@ def relevant_thresholds(j: JointDist) -> list[Fraction]:
 
 
 def _first_failure(anchors: Sequence[int], va: int, zs: Sequence[int], vz: int,
-                   ps: Sequence[int], tail: str) -> OrderVerdict:
-    """The first anchor x, ascending, at which E[Z | event] has the wrong sign.
+                   ps: Sequence[int], _d: int, *tails: str) -> list[OrderVerdict]:
+    """For each tail, the first anchor x, ascending, at which E[Z | event]
+    has the wrong sign.
 
-    Cell k is (anchors[k] / va, zs[k] / vz) with probability proportional to
-    ps[k].  The cells are summed per anchor value, (sum of z * p, sum of p),
-    and the distinct anchors are walked once, ascending.  tail "lower":
+    The columns are JointInts': cell k is (anchors[k] / va, zs[k] / vz) with
+    probability ps[k] / _d (only ratios of ps enter a sign).  The cells are
+    summed per anchor value, (sum of z * p, sum of p), once, and the
+    distinct anchors are walked once per tail, ascending.  tail "lower":
     event A <= x, fails above 0; "upper": A >= x, fails below 0; "point":
     A = x, fails above 0.
     """
@@ -81,23 +84,28 @@ def _first_failure(anchors: Sequence[int], va: int, zs: Sequence[int], vz: int,
         else:
             g[0] += z * p
             g[1] += p
+    groups = sorted(acc.items())
     total_num = sum(n for n, _ in acc.values())
     total_den = sum(d for _, d in acc.values())
-    below_num = below_den = 0  # sums over the anchors below x
-    for a in sorted(acc):
-        gn, gd = acc[a]
-        if tail == "lower":
-            en, ed = below_num + gn, below_den + gd
-        elif tail == "upper":
-            en, ed = total_num - below_num, total_den - below_den
+    verdicts = []
+    for tail in tails:
+        below_num = below_den = 0  # sums over the anchors below x
+        for a, (gn, gd) in groups:
+            if tail == "lower":
+                en, ed = below_num + gn, below_den + gd
+            elif tail == "upper":
+                en, ed = total_num - below_num, total_den - below_den
+            else:
+                en, ed = gn, gd
+            if en < 0 if tail == "upper" else en > 0:
+                x, ratio = Fraction(a, va), Fraction(en, vz * ed)
+                verdicts.append(OrderVerdict(False, Witness("threshold_x", x, ratio, _ZERO)))
+                break
+            below_num += gn
+            below_den += gd
         else:
-            en, ed = gn, gd
-        if en < 0 if tail == "upper" else en > 0:
-            x, ratio = Fraction(a, va), Fraction(en, vz * ed)
-            return OrderVerdict(False, Witness("threshold_x", x, ratio, _ZERO))
-        below_num += gn
-        below_den += gd
-    return _HOLDS
+            verdicts.append(_HOLDS)
+    return verdicts
 
 
 def tail_condition(cells: Cells, tail: str) -> OrderVerdict:
@@ -109,26 +117,23 @@ def tail_condition(cells: Cells, tail: str) -> OrderVerdict:
     """
     if tail not in ("lower", "upper", "point"):
         raise ValueError(f"unknown tail {tail!r}")
-    (a, va), (z, vz), (p, _) = [as_integers(col) for col in zip(*cells)] or [([], 1)] * 3
-    return _first_failure(a, va, z, vz, p, tail)
+    (a, va), (z, vz), (p, d) = [as_integers(col) for col in zip(*cells)] or [([], 1)] * 3
+    return _first_failure(a, va, z, vz, p, d, tail)[0]
 
 
 def cond_new(j: JointDist) -> OrderVerdict:
     """E[Z | W <= x] <= 0 for every relevant threshold x."""
-    f = j.ints
-    return _first_failure(f.w, f.VW, f.z, f.VZ, f.p, "lower")
+    return _first_failure(*j.ints, "lower")[0]
 
 
 def cond_classic(j: JointDist) -> OrderVerdict:
     """E[Z | W = w] <= 0 at every atom w of W."""
-    f = j.ints
-    return _first_failure(f.w, f.VW, f.z, f.VZ, f.p, "point")
+    return _first_failure(*j.ints, "point")[0]
 
 
 def cond_icx(j: JointDist) -> OrderVerdict:
     """E[Z | W >= x] >= 0 for every relevant threshold x."""
-    f = j.ints
-    return _first_failure(f.w, f.VW, f.z, f.VZ, f.p, "upper")
+    return _first_failure(*j.ints, "upper")[0]
 
 
 def cond_cx_pair(j: JointDist) -> OrderVerdict:
@@ -146,8 +151,7 @@ def cond_cx_pair(j: JointDist) -> OrderVerdict:
         return OrderVerdict(
             False, Witness("threshold_x", top, Fraction(mean_num, f.VZ * f.D), _ZERO)
         )
-    lower = _first_failure(f.w, f.VW, f.z, f.VZ, f.p, "lower")
-    upper = _first_failure(f.w, f.VW, f.z, f.VZ, f.p, "upper")
+    lower, upper = _first_failure(*f, "lower", "upper")
     if lower.holds != upper.holds:
         raise InternalError(
             "zero-mean tail conditions disagree",
@@ -164,7 +168,7 @@ def cond_on_difference(j: JointDist) -> OrderVerdict:
     atoms.  Holding, it certifies Y <=ssd Y - Z.
     """
     f = j.ints
-    return _first_failure(*f.combined(-1), f.z, f.VZ, f.p, "lower")
+    return _first_failure(*f.combined(-1), f.z, f.VZ, f.p, f.D, "lower")[0]
 
 
 def is_comonotone(

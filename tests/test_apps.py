@@ -256,6 +256,11 @@ class TestIndemnities:
         with pytest.raises(InputError, match=f"^missing parameter '{name}'$"):
             indemnity_from_json(obj)
 
+    @pytest.mark.parametrize("kind", [[1], {"a": 1}, 3, None])
+    def test_json_kind_of_any_type_is_unknown(self, kind):
+        with pytest.raises(InputError, match="^unknown indemnity kind "):
+            indemnity_from_json({"kind": kind, "threshold": 1, "amount": 1})
+
     def test_json_round_trip(self):
         schedules = [
             FixedIndemnity(2, 1),
@@ -309,7 +314,7 @@ EXPONENTIAL_MEANS = {
 
 
 class TestConditionalIndemnityMean:
-    @given(schedules(), discrete_dists().filter(lambda d: d.values[0] >= 0))
+    @given(schedules(), discrete_dists().map(lambda d: normalize((abs(v), p) for v, p in d.atoms)))
     def test_at_zero_is_the_expected_indemnity(self, i, x):
         # 0 <= I(X) <= X: the event X - I(X) >= 0 is certain
         want = sum(indemnity_value(i, v) * p for v, p in x.atoms)
@@ -358,6 +363,12 @@ class TestConditionalIndemnityMean:
         )
         with pytest.raises(IrrelevantThresholdError):
             conditional_indemnity_mean(i, x_dist, 2.5)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("i", [FixedIndemnity(1, 1), StopLossIndemnity(1)])
+    def test_exponential_non_finite_threshold_rejected(self, i, x):
+        with pytest.raises(InputError, match="^non-finite value "):
+            conditional_indemnity_mean(i, Exponential(1.0), x)
 
     def test_unsupported_pairings(self):
         pw = PiecewiseIndemnity(((F(0), F(0)), (F(1), F(1, 2))))
@@ -436,6 +447,12 @@ class TestIndifferencePremium:
         i = PiecewiseIndemnity(((F(0), F(0)), (F(1), F(1, 2)), (F(3), F(2))))
         p = indifference_premium(ExponentialUtility(1.0), 8, x, i)
         assert 0.0 < p <= 2.0
+
+    @pytest.mark.parametrize("wealth", [math.nan, math.inf, -math.inf])
+    def test_non_finite_wealth_rejected(self, wealth):
+        x = uniform(0, 2)
+        with pytest.raises(InputError, match="^non-finite value "):
+            indifference_premium(ExponentialUtility(1.0), wealth, x, StopLossIndemnity(1))
 
     def test_power_domain_guard(self):
         x = uniform(0, 20)

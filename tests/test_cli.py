@@ -370,8 +370,9 @@ class TestErrorPaths:
 
 
 class TestOverflow:
-    """A rational too large for binary64 on a float route is an input error:
-    exit 2 and one error line, not a traceback under the "fails" code."""
+    """A rational too large for binary64 on a float route, or a malformed
+    indemnity, is an input error: exit 2 and one error line, not a traceback
+    under the "fails" code."""
 
     def _cli(self, tmp_path, indemnity, loss, *argv):
         i = _write(tmp_path / "i.json", indemnity)
@@ -397,11 +398,17 @@ class TestOverflow:
         assert (code, out, len(err)) == (2, "", 1)
         assert err[0].startswith("error: ") and "binary64" in err[0]
 
-    def test_missing_indemnity_field_is_named(self, tmp_path):
-        code, out, err = self._cli(tmp_path, {"kind": "fixed", "threshold": 1},
-                                   _discrete([0, 2]), "marketable", "--p0", "0")
+    @pytest.mark.parametrize("indemnity, message", [
+        ({"kind": "fixed", "threshold": 1}, "missing parameter 'amount'"),
+        ({"kind": [1], "threshold": 1, "amount": 1}, "unknown indemnity kind [1]"),
+        ({"kind": {"a": 1}, "threshold": 1, "amount": 1}, "unknown indemnity kind {'a': 1}"),
+        ({"kind": 3, "threshold": 1, "amount": 1}, "unknown indemnity kind 3"),
+    ], ids=["missing-field", "list-kind", "dict-kind", "int-kind"])
+    def test_bad_indemnity_json_is_one_error_line(self, tmp_path, indemnity, message):
+        code, out, err = self._cli(tmp_path, indemnity, _discrete([0, 2]),
+                                   "marketable", "--p0", "0")
         assert (code, out, len(err)) == (2, "", 1)
-        assert err[0].startswith("error: ") and err[0].endswith(": missing parameter 'amount'")
+        assert err[0].startswith("error: ") and err[0].endswith(": " + message)
 
 
 class TestInternalErrors:

@@ -144,8 +144,10 @@ class TestImplications:
 
         first_failure = conditions._first_failure
 
-        def upper_always_holds(*columns):
-            return OrderVerdict(True) if columns[-1] == "upper" else first_failure(*columns)
+        def upper_always_holds(*args):
+            tails = args[6:]  # after the six JointInts columns
+            return [OrderVerdict(True) if t == "upper" else v
+                    for t, v in zip(tails, first_failure(*args))]
 
         monkeypatch.setattr(conditions, "_first_failure", upper_always_holds)
         j = J((0, 1, F(1, 2)), (1, -1, F(1, 2)))
@@ -156,6 +158,22 @@ class TestImplications:
             "upper_tail": OrderVerdict(True),
         }
         assert exc.value.inputs == j
+
+    def test_cx_pair_groups_its_cells_once(self, monkeypatch):
+        from stochorder import conditions
+
+        first_failure = conditions._first_failure
+        calls = []
+
+        def counted(*args):
+            calls.append(args[6:])
+            return first_failure(*args)
+
+        monkeypatch.setattr(conditions, "_first_failure", counted)
+        assert cond_cx_pair(J((0, 1, F(1, 2)), (1, -1, F(1, 2)))) == OrderVerdict(
+            False, Witness("threshold_x", F(0), F(1), F(0))
+        )
+        assert calls == [("lower", "upper")]
 
 
 class TestCouplingTransport:
