@@ -455,10 +455,10 @@ def conditional_indemnity_mean(
         return num / den
     if isinstance(x_dist, Exponential):
         lam = x_dist.rate
-        xv = _real(as_fraction(x))
+        xv = _real(as_fraction(x), "threshold x")
         if isinstance(i, FixedIndemnity):
-            u = _real(i.threshold)
-            a = _real(i.amount)
+            u = _real(i.threshold, "schedule threshold")
+            a = _real(i.amount, "schedule amount")
             if xv <= 0.0:
                 return a * math.exp(-lam * u)
             if xv >= u:
@@ -470,7 +470,7 @@ def conditional_indemnity_mean(
             den = math.exp(-lam * xv) - math.exp(-lam * u) + math.exp(-lam * cut)
             return num / den
         if isinstance(i, StopLossIndemnity):
-            d = _real(i.deductible)
+            d = _real(i.deductible, "schedule deductible")
             if xv > d:
                 raise IrrelevantThresholdError(
                     f"retained loss min(X, {d}) never reaches {xv}"
@@ -498,22 +498,26 @@ def marketable_check(
     exponential loss with a fixed or stop-loss schedule the conditional mean
     is nondecreasing in x (the payout event only gains relative weight), so
     its infimum is the expected indemnity, its value at x = 0, compared
-    against P0 with a 1e-9 float cushion.  A premium above E[I(X)] can never
-    satisfy the condition everywhere and triggers a warning before the
-    verdict.
+    against P0 with a 1e-9 float cushion.  A premium that fails this
+    comparison at x = 0 can never satisfy the condition everywhere, and it
+    triggers a warning before the verdict.
     """
     p0f = as_fraction(p0)
     if p0f < 0:
         raise InputError(f"premium must be nonnegative, got {p0f}")
     expected = conditional_indemnity_mean(i, x_dist, 0)
-    p0v = p0f if isinstance(x_dist, DiscreteDist) else _real(p0f)
-    if p0v > expected:
+    discrete = isinstance(x_dist, DiscreteDist)
+    p0v = p0f if discrete else _real(p0f, "premium p0")
+    # the condition at x = 0, exact for a discrete loss and within the float
+    # cushion otherwise; the warning and the verdict both read it
+    reachable = expected >= (p0v if discrete else p0v - _MARKET_TOL)
+    if not reachable:
         warnings.warn(
             "premium exceeds the expected indemnity; the marketability "
             "condition cannot hold at every threshold",
             stacklevel=2,
         )
-    if isinstance(x_dist, DiscreteDist):
+    if discrete:
         # a negative loss has already raised in indemnity_value
         # E[I(X) - P0 | R >= x] >= 0 over the retained losses R = X - I(X)
         ivals = [indemnity_value(i, v) for v, _ in x_dist.atoms]
@@ -524,7 +528,7 @@ def marketable_check(
             return verdict
         w = verdict.witness
         return OrderVerdict(False, Witness("threshold_x", w.value, w.lhs + p0f, p0f))
-    if expected >= p0v - _MARKET_TOL:
+    if reachable:
         return OrderVerdict(True, None)
     return OrderVerdict(False, Witness("threshold_x", 0.0, expected, p0v))
 
@@ -606,10 +610,11 @@ def indifference_premium(
         raise InputError("indifference premiums are defined for discrete losses")
     if isinstance(u, LinearUtility):
         return conditional_indemnity_mean(i, x_dist, 0)
-    ivs = [_real(indemnity_value(i, v)) for v, _ in x_dist.atoms]
-    w = _real(as_fraction(wealth))
-    xs = [_real(v) for v, _ in x_dist.atoms]
-    ps = [_real(p) for _, p in x_dist.atoms]
+    ivals = [indemnity_value(i, v) for v, _ in x_dist.atoms]  # raises at a negative loss
+    w = _real(as_fraction(wealth), "wealth")
+    xs = [_real(v, "loss atom") for v, _ in x_dist.atoms]
+    ps = [_real(p, "probability") for _, p in x_dist.atoms]
+    ivs = [_real(iv, "indemnity") for iv in ivals]  # 0 <= I(x) <= x: a huge loss is named first
     if isinstance(u, PowerUtility):
         if any(w - x < 0 for x in xs):
             raise InputError("power utility needs w - X >= 0 on the whole support")

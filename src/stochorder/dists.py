@@ -7,19 +7,20 @@ a float converts to the dyadic rational it actually is.
 
 Canonicalisation is integer work.  normalize and normalize_joint scale all
 values (w and z separately) and all weights of one call to integers over the
-lcm of their denominators, merge duplicates in an int-keyed dict, sort the
-int keys, and build each probability once as a Fraction; the value
-Fractions are reused as given.
+lcm of their denominators (an int weight as it is), merge duplicates in an
+int-keyed dict and sort the int keys; the marginals and joint_sum merge the
+joint's integers alike.  The merge's integers become the law's integer form,
+the weights over their gcd, and each probability is built once.
 
 Each finite law holds its integer form, ints, a field outside ==, hash and
 repr: for a DiscreteDist its values over the lcm V of their denominators and
 its probabilities over the lcm D of theirs, for a JointDist the w, z and p
 columns over VW, VZ and D; exactly what as_integers makes of each public
-column, so no layer rescales a law per call.  The validator computes it
-once, on construction, and checks over those integers what it always
-checked, with the same messages: Fraction types, positive probabilities,
-strictly increasing values or distinct joint cells, total mass 1.  The
-first defective atom decides the message.
+column, so no layer rescales a law per call.  The builders check their own
+integers.  The public constructors validate hand-built atoms: they compute
+ints once and check over them what they always checked, with the same
+messages: Fraction types, positive probabilities, strictly increasing values
+or distinct joint cells, total mass 1.  The first defective atom decides.
 
 The parametric families (Normal, Exponential, Bernoulli, LogNormal,
 PointMass) carry float parameters and hold their binary64 closed forms as
@@ -38,6 +39,7 @@ shortfall / the order checkers assume it.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
@@ -527,15 +529,15 @@ def _check_finite(name: str, x: object) -> float:
     return float(x)
 
 
-def _real(x: RationalLike) -> float:
-    """x as a parametric family takes it: a float as given, the rest rounded once."""
+def _real(x: RationalLike, name: str) -> float:
+    """x, named name, as a parametric family takes it: a float as given, the rest rounded once."""
     if isinstance(x, float):
         return x
     q = as_fraction(x)
     try:
         return float(q)
     except OverflowError:
-        raise InputError(f"value near 2**{int(abs(q)).bit_length()} exceeds binary64") from None
+        raise InputError(f"{name} near 2**{int(abs(q)).bit_length()} exceeds binary64") from None
 
 
 def _family(d: object) -> _Family:
@@ -553,13 +555,14 @@ def normalize(raw_atoms: Iterable[tuple[RationalLike, RationalLike]]) -> Discret
     values, weights = [], []
     for value, weight in raw_atoms:
         v = as_fraction(value)
-        w = as_fraction(weight)
+        w = weight if type(weight) is int else as_fraction(weight)
         if w.numerator < 0:
             raise InputError(f"negative weight {w} at value {v}")
         if w.numerator:
             values.append(v)
             weights.append(w)
-    return _merged_law(as_integers(values)[0], values, as_integers(weights)[0])
+    keys, V = as_integers(values)
+    return _merged(keys, (V,), values, as_integers(weights)[0])
 
 
 def as_integers(xs: Iterable[Fraction | int]) -> tuple[list[int], int]:
@@ -570,28 +573,51 @@ def as_integers(xs: Iterable[Fraction | int]) -> tuple[list[int], int]:
     return [n * (L // d) for n, d in ratios], L
 
 
-def _merge(keys: list, cells: list, weights: Iterable[int]) -> tuple[list, list, list[Fraction]]:
-    """Cells merged by integer key: (keys, cells, probs) over the distinct
-    keys ascending, with the first cell of each key and its share of the
-    total weight."""
-    if not cells:
-        raise InputError("total weight must be positive")
-    acc: dict = {}
-    first: dict = {}
-    for k, cell, m in zip(keys, cells, weights):
+def _reduced(keys: list[int], V: int) -> tuple[tuple[int, ...], int]:
+    """keys / V as integers over the least scale, and that scale."""
+    g = math.gcd(V, *keys)
+    return tuple([k // g for k in keys]), V // g
+
+
+def _merged(keys: list, scales: tuple[int, ...], cells: list | None,
+            weights: Iterable[int]) -> DiscreteDist | JointDist:
+    """The law of cells with integer weights, merged by key: values over the
+    least scale V (scales (V,); cells None makes them keys / V) or (w, z) cells
+    over the least (VW, VZ).  The keys, the merged weights over their gcd g and
+    D = total / g are what as_integers makes of the public columns: the ints."""
+    acc, first = {}, {}
+    for k, cell, m in zip(keys, keys if cells is None else cells, weights):
         if k in acc:
             acc[k] += m
         else:
             acc[k], first[k] = m, cell
+    if not acc:
+        raise InputError("total weight must be positive")
     order = sorted(acc)
     T = sum(acc.values())
-    return order, [first[k] for k in order], [Fraction(acc[k], T) for k in order]
+    # T first: the weights may share most factors where T shares few, and a gcd of 1 skips the rest
+    g = math.gcd(T, *acc.values())
+    ps, D = tuple([acc[k] // g for k in order]), T // g
+    probs = [Fraction(p, D) for p in ps]
+    if len(scales) == 2:
+        atoms = tuple([(w, z, p) for (w, z), p in zip(map(first.get, order), probs)])
+        ws, zs = zip(*order)
+        return _trusted(JointDist, atoms, JointInts(ws, scales[0], zs, scales[1], ps, D))
+    values = [Fraction(x, scales[0]) for x in order] if cells is None else map(first.get, order)
+    return _trusted(DiscreteDist, tuple(zip(values, probs)), LawInts(tuple(order), scales[0], ps, D))
 
 
-def _merged_law(keys: Iterable[int], values: list, weights: Iterable[int]) -> DiscreteDist:
-    """The law of values with integer weights; equal keys merge."""
-    _, firsts, probs = _merge(keys, values, weights)
-    return DiscreteDist(tuple(zip(firsts, probs)))
+def _trusted(cls: type, atoms: tuple, ints: LawInts | JointInts) -> DiscreteDist | JointDist:
+    """A cls of atoms built here with their integer form ints, checked over ints (positive
+    weights summing to D, ascending values or distinct cells): a breach is a defect here."""
+    ps, D = ints[-2:]
+    keys = ints.values if cls is DiscreteDist else list(zip(ints.w, ints.z))
+    if min(ps) <= 0 or sum(ps) != D or not all(map(operator.lt, keys, keys[1:])):
+        raise InternalError("a canonical law breaks its invariants", {"ints": ints}, atoms)
+    law = object.__new__(cls)
+    object.__setattr__(law, "atoms", atoms)
+    object.__setattr__(law, "ints", ints)
+    return law
 
 
 def point_mass_dist(value: RationalLike) -> DiscreteDist:
@@ -664,31 +690,29 @@ def normalize_joint(
     cells, weights = [], []
     for w, z, weight in raw_atoms:
         key = (as_fraction(w), as_fraction(z))
-        wt = as_fraction(weight)
+        wt = weight if type(weight) is int else as_fraction(weight)
         if wt.numerator < 0:
             raise InputError(f"negative weight {wt} at cell {key}")
         if wt.numerator:
             cells.append(key)
             weights.append(wt)
     # a cell's key is (w VW, z VZ), each column over the lcm of its own denominators
-    ws, zs = as_integers(w for w, _ in cells)[0], as_integers(z for _, z in cells)[0]
-    _, firsts, probs = _merge(list(zip(ws, zs)), cells, as_integers(weights)[0])
-    return JointDist(tuple((w, z, p) for (w, z), p in zip(firsts, probs)))
+    (ws, VW), (zs, VZ) = as_integers(w for w, _ in cells), as_integers(z for _, z in cells)
+    return _merged(list(zip(ws, zs)), (VW, VZ), cells, as_integers(weights)[0])
 
 
 def joint_marginal_w(j: JointDist) -> DiscreteDist:
-    return _merged_law(j.ints.w, [w for w, _, _ in j.atoms], j.ints.p)
+    return _merged(j.ints.w, (j.ints.VW,), [w for w, _, _ in j.atoms], j.ints.p)
 
 
 def joint_z(j: JointDist) -> DiscreteDist:
-    return _merged_law(j.ints.z, [z for _, z, _ in j.atoms], j.ints.p)
+    return _merged(j.ints.z, (j.ints.VZ,), [z for _, z, _ in j.atoms], j.ints.p)
 
 
 def joint_sum(j: JointDist) -> DiscreteDist:
     """Law of W + Z."""
-    sums, L = j.ints.combined()
-    keys, _, probs = _merge(sums, sums, j.ints.p)
-    return DiscreteDist(tuple(zip([Fraction(s, L) for s in keys], probs)))
+    sums, L = _reduced(*j.ints.combined())
+    return _merged(sums, (L,), None, j.ints.p)
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +766,7 @@ def cdf(d: Dist, x: RationalLike) -> Fraction | float:
             else:
                 break
         return total
-    return _family(d).cdf(_real(x))
+    return _family(d).cdf(_real(x, "point x"))
 
 
 def quantile_right(d: Dist, t: RationalLike) -> Fraction | float:
@@ -757,7 +781,7 @@ def quantile_right(d: Dist, t: RationalLike) -> Fraction | float:
             if cum > tf:
                 return v
         return d.atoms[-1][0]  # unreachable: cum reaches 1 > t
-    tv = _real(t)
+    tv = _real(t, "level t")
     if not 0.0 < tv < 1.0:
         raise InputError(f"quantile level must lie in (0, 1), got {tv}")
     return _family(d).quantile_right(tv)
@@ -793,20 +817,20 @@ def lower_tail_mean(d: Dist, x: RationalLike) -> Fraction | float:
     """E[X | X <= x].  Raises IrrelevantThresholdError when P(X <= x) = 0."""
     if isinstance(d, DiscreteDist):
         return _tail_mean(d, x, "<=")
-    return _family(d).lower_tail_mean(_real(x))
+    return _family(d).lower_tail_mean(_real(x, "threshold x"))
 
 
 def upper_tail_mean(d: Dist, x: RationalLike) -> Fraction | float:
     """E[X | X >= x].  Raises IrrelevantThresholdError when P(X >= x) = 0."""
     if isinstance(d, DiscreteDist):
         return _tail_mean(d, x, ">=")
-    return _family(d).upper_tail_mean(_real(x))
+    return _family(d).upper_tail_mean(_real(x, "threshold x"))
 
 
 def negate(d: Dist) -> Dist:
     """Law of -X.  Defined for discrete, Normal, Bernoulli and PointMass."""
     if isinstance(d, DiscreteDist):
-        return DiscreteDist(tuple((-v, p) for v, p in reversed(d.atoms)))
+        return affine(d, -1, 0)
     return _family(d).negate()
 
 
@@ -814,8 +838,15 @@ def affine(d: Dist, a: RationalLike, b: RationalLike) -> Dist:
     """Law of a*X + b for discrete laws, Normal and PointMass."""
     if isinstance(d, DiscreteDist):
         af, bf = as_fraction(a), as_fraction(b)
-        return normalize((af * v + bf, p) for v, p in d.atoms)
-    return _family(d).affine(_real(as_fraction(a)), _real(as_fraction(b)))
+        if not af:
+            return point_mass_dist(bf)
+        # a x / V + b over q V s, for a = n / q and b = r / s; a < 0 reverses the order
+        (n, q), (r, s), (xs, V, ws, D) = af.as_integer_ratio(), bf.as_integer_ratio(), d.ints
+        step = 1 if n > 0 else -1
+        xs, V = _reduced([n * s * x + r * q * V for x in xs[::step]], q * V * s)
+        atoms = tuple(zip([Fraction(x, V) for x in xs], d.probs[::step]))
+        return _trusted(DiscreteDist, atoms, LawInts(xs, V, ws[::step], D))
+    return _family(d).affine(_real(as_fraction(a), "slope a"), _real(as_fraction(b), "intercept b"))
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ def es(d: Dist, p: RationalLike) -> Fraction | float:
             raise InputError(f"expected shortfall needs p in [0, 1), got {pf}")
         acc, V, _, M = _upper_tail(disc, pf)
         return Fraction(acc, V * M)
-    pv = _real(p)
+    pv = _real(p, "level p")
     if not 0.0 <= pv < 1.0:
         raise InputError(f"expected shortfall needs p in [0, 1), got {pv}")
     return _family(d).es(pv)
@@ -168,7 +168,7 @@ def phi(d: Dist, p: RationalLike) -> Fraction | float:
             raise InputError(f"level must lie in [0, 1], got {pf}")
         acc, V, D, _ = _upper_tail(disc, pf)
         return Fraction(acc, V * D)
-    family, pv = _family(d), _real(p)  # a non-law fails before the level-1 shortcut
+    family, pv = _family(d), _real(p, "level p")  # a non-law fails before the level-1 shortcut
     return 0.0 if pv == 1.0 else (1.0 - pv) * es(family, pv)
 
 
@@ -207,7 +207,7 @@ def stop_loss(d: Dist, t: RationalLike) -> Fraction | float:
         above = [(x * (L // V), w) for x, w in zip(xs[k:], ws[k:])]
         _, (sl,) = stop_loss_transform(above, [n * (L // q)])
         return Fraction(sl, L * D)
-    return _family(d).stop_loss(_real(t))
+    return _family(d).stop_loss(_real(t, "retention t"))
 
 
 def is_regular_level(d: DiscreteDist, p: RationalLike) -> bool:

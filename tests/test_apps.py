@@ -392,6 +392,19 @@ class TestMarketability:
         assert v.witness.value == 0.0
         assert v.witness.lhs == pytest.approx(math.exp(-1))
 
+    @pytest.mark.parametrize("p0, holds", [
+        (math.exp(-1) + 1e-12, True),  # above E[I(X)] but within the cushion
+        (math.exp(-1) + 2e-9, False),
+    ])
+    def test_exponential_warning_agrees_with_the_verdict(self, p0, holds):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            v = marketable_check(FixedIndemnity(1, 1), Exponential(1.0), p0)
+        assert v.holds is holds
+        assert [str(w.message) for w in caught] == ([] if holds else [
+            "premium exceeds the expected indemnity; the marketability "
+            "condition cannot hold at every threshold"])
+
     def test_discrete_exact(self):
         x = uniform(1, 2, 3)
         i = StopLossIndemnity(F(3, 2))

@@ -210,6 +210,70 @@ class TestConstruction:
         j = normalize_joint([(0, 1, F(1, 4)), (0, 1, F(1, 4)), (1, 0, F(1, 2))])
         assert j.atoms == ((F(0), F(1), F(1, 2)), (F(1), F(0), F(1, 2)))
 
+    # raw weights on one value or cell, with the messages they have always given
+    @pytest.mark.parametrize("build, width", [(normalize, 2), (normalize_joint, 3)])
+    @pytest.mark.parametrize("weights, discrete, joint", [
+        ((1, -2), "negative weight -2 at value 1/2",
+         "negative weight -2 at cell (Fraction(1, 2), Fraction(-1, 1))"),
+        ((1, F(-1, 2)), "negative weight -1/2 at value 1/2",
+         "negative weight -1/2 at cell (Fraction(1, 2), Fraction(-1, 1))"),
+        ((1, True), "booleans are not numeric values", "booleans are not numeric values"),
+        ((1, float("nan")), "non-finite value nan", "non-finite value nan"),
+        ((0, F(0)), "total weight must be positive", "total weight must be positive"),
+        ((), "total weight must be positive", "total weight must be positive"),
+    ], ids=["negative-int", "negative-fraction", "bool", "nan", "all-zero", "empty"])
+    def test_input_error_messages(self, build, width, weights, discrete, joint):
+        cell = (F(1, 2), -1)[: width - 1]
+        with pytest.raises(InputError) as exc:
+            build([cell + (wt,) for wt in weights])
+        assert str(exc.value) == (discrete if width == 2 else joint)
+
+    def test_trusted_path_breach_is_internal(self):
+        from stochorder.dists import InternalError, LawInts, _trusted
+
+        atoms = ((F(0), F(1, 2)), (F(1), F(1, 2)))
+        for ints in (LawInts((0, 1), 1, (1, 0), 1), LawInts((1, 0), 1, (1, 1), 2),
+                     LawInts((0, 1), 1, (1, 1), 3)):
+            with pytest.raises(InternalError):
+                _trusted(DiscreteDist, atoms, ints)
+
+
+# raw weights in every spelling the constructors take, zero included
+any_weight = st.one_of(
+    st.integers(0, 30),
+    st.fractions(0, 4, max_denominator=12),
+    st.fractions(0, 4, max_denominator=12).map(lambda q: f"{q.numerator}/{q.denominator}"),
+    st.floats(0, 4, allow_nan=False, allow_infinity=False),
+)
+# values with several spellings of one number, so that atoms repeat
+value_pool = st.sampled_from([0, 1, -2, F(1, 4), 0.25, "1/4", F(1, 3), "-5/6", 0.1, "7/2"])
+
+
+def assert_validated(law):
+    """law's integer form is the one the public constructor computes from its
+    atoms, and ==, hash and repr cannot tell the two apart."""
+    cold = type(law)(law.atoms)
+    assert law.ints == cold.ints
+    assert law == cold and hash(law) == hash(cold) and repr(law) == repr(cold)
+
+
+class TestIntegerFormRoutes:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(value_pool, value_pool, any_weight), max_size=10),
+           st.fractions(-3, 3, max_denominator=9), st.fractions(-3, 3, max_denominator=9))
+    def test_every_builder_matches_the_validator(self, raw, a, b):
+        try:
+            j = normalize_joint(raw)
+        except InputError:
+            assert not any(as_fraction(wt) for _, _, wt in raw)
+            return
+        d = normalize([(w, wt) for w, _, wt in raw])
+        laws = [d, j, joint_marginal_w(j), joint_z(j), joint_sum(j), negate(d),
+                affine(d, a, b), affine(d, -a, b), affine(d, 0, b)]
+        for law in laws:
+            assert_validated(law)
+        assert joint_marginal_w(j) == d
+
 
 class TestQuantileConvention:
     """Q(t) = inf{x : P(X <= x) > t}, with strict inequality."""
