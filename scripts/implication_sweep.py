@@ -17,7 +17,9 @@ import random
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))  # the generators live with the tests
 
 from stochorder import (
     check_ssd,
@@ -29,7 +31,7 @@ from stochorder import (
     joint_to_json,
     stop_loss_compare,
 )
-from stochorder.gen import random_joint
+from tests.gen import random_joint
 
 DEFAULT_SEED = 20260818
 DEFAULT_COUNT = 2000

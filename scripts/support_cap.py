@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time cap x cap supermartingale synthesis, the measurement behind the cap.
 
-The support cap of coupling synthesis (`coupling._DEFAULT_MAX_SUPPORT`) is
+The support cap of coupling synthesis (`coupling._MAX_SUPPORT`) is
 the largest size, in steps of 500, at which every feasible cap x cap
 supermartingale synthesis takes under 1 s.  This script times
 `synth_supermartingale` on three families, three seeds each, at sizes 1500,
@@ -22,7 +22,6 @@ depend on it.
     python3 scripts/support_cap.py
 """
 
-import os
 import random
 import sys
 import time
@@ -31,7 +30,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from stochorder import affine, coupling_to_joint, mean, normalize, synth_supermartingale
+from stochorder import affine, coupling, coupling_to_joint, mean, normalize, synth_supermartingale
 
 SHIFT = F(1, 3)
 START, STEP, SEEDS = 1500, 500, (1, 2, 3)
@@ -76,7 +75,7 @@ FAMILIES = {"spreads": spreads, "wide": wide, "bimodal": bimodal}
 
 
 def main() -> None:
-    os.environ["STOCHORDER_MAX_SUPPORT"] = str(10**9)  # the cap under test is lifted
+    coupling._MAX_SUPPORT = 10**9  # the cap under test is lifted
     n, worst = START, 0.0
     while worst < 1.0:
         worst = 0.0

@@ -1,10 +1,9 @@
 """Worked verification cases on top of the checkers.
 
 Gaussian and Bernoulli dependence-region tables, stochastic-improver
-membership, comonotone equivalence of the two improver notions, marketability
-of indemnity schedules, indifference premiums, stop-loss dominance reports,
-and the protective-put conditional-drift verification under zero-rate
-Black-Scholes dynamics.
+membership, marketability of indemnity schedules, indifference premiums,
+stop-loss dominance reports, and the protective-put conditional-drift
+verification under zero-rate Black-Scholes dynamics.
 
 Each quantity has one route: the improver's sufficient condition is the
 conditions kernel anchored on the sum, and E[I(X)] is
@@ -22,7 +21,7 @@ from functools import cache
 from operator import add
 from typing import Iterable, Sequence, Union
 
-from .conditions import _first_failure, cond_classic, cond_icx, cond_new, is_comonotone, tail_condition
+from .conditions import _first_failure, cond_classic, cond_icx, cond_new, tail_condition
 from .dists import (
     DiscreteDist,
     Dist,
@@ -61,7 +60,6 @@ __all__ = [
     "bernoulli_region",
     "ImproverFlags",
     "improver_check",
-    "comonotone_improver_equivalence",
     "FixedIndemnity",
     "StopLossIndemnity",
     "PiecewiseIndemnity",
@@ -116,9 +114,6 @@ class RegionFlags:
     ssd: bool
     cond_new: bool
     cond_classic: bool
-
-    def as_dict(self) -> dict[str, bool]:
-        return {"ssd": self.ssd, "cond_new": self.cond_new, "cond_classic": self.cond_classic}
 
 
 _COND_RANGE = 8.0
@@ -285,19 +280,6 @@ def improver_check(j: JointDist) -> ImproverFlags:
     f = j.ints
     in_n = _first_failure(*f.combined(), [-z for z in f.z], f.VZ, f.p, f.D, "lower")[0].holds
     return ImproverFlags(in_s=in_s, in_n=in_n)
-
-
-def comonotone_improver_equivalence(j: JointDist) -> bool:
-    """For comonotone (X, X+Z), the two improver notions must coincide.
-
-    Requires comonotonicity of the (x, x+z) support; returns whether the two
-    memberships agree.  A False return is a genuine counterexample to the
-    equivalence, which the test suite treats as failure.
-    """
-    if not is_comonotone((w, w + z, p) for w, z, p in j.atoms):
-        raise InputError("equivalence check requires a comonotone (X, X+Z) pair")
-    flags = improver_check(j)
-    return flags.in_s == flags.in_n
 
 
 # ---------------------------------------------------------------------------
@@ -853,7 +835,7 @@ def protective_put_check(
         sd = math.sqrt(max(var_pos, 0.0))
         xs = [mean_pos + sd * (-5.0 + 10.0 * k / 100.0) for k in range(101)]
     else:
-        xs = sorted(float(x) for x in x_grid)
+        xs = sorted(_check_finite("x grid point", x) for x in x_grid)
         if not xs:
             raise InputError("x grid must be non-empty")
 

@@ -66,6 +66,12 @@ def _load(path: str, parse: Callable):
         raise InputError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: malformed JSON: {exc}") from exc
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise InputError(
+            f"{path}: a number has more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
     try:
         return parse(obj)
     except InputError as exc:

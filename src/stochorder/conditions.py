@@ -23,9 +23,6 @@ tail), a suffix sum (the upper tail) or the group sums alone (the point
 events).  It reports the first failing threshold, as a direct evaluation at
 each threshold would.  cond_cx_pair reads E[Z] straight from the integer
 columns and asks one call for both tails.
-
-is_comonotone decides whether a finite set of weighted points can be the law
-of a comonotone pair: no two support points may move in opposite directions.
 """
 
 from __future__ import annotations
@@ -34,18 +31,16 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from .dists import InternalError, JointDist, RationalLike, as_fraction, as_integers
+from .dists import InternalError, JointDist, as_integers
 from .orders import OrderVerdict, Witness
 
 __all__ = [
-    "relevant_thresholds",
     "tail_condition",
     "cond_new",
     "cond_classic",
     "cond_icx",
     "cond_cx_pair",
     "cond_on_difference",
-    "is_comonotone",
 ]
 
 _ZERO = Fraction(0)
@@ -53,15 +48,6 @@ _ZERO = Fraction(0)
 _HOLDS = OrderVerdict(True, None)
 
 Cells = Iterable[tuple[Fraction, Fraction, Fraction]]
-
-
-def relevant_thresholds(j: JointDist) -> list[Fraction]:
-    """Distinct values of the anchor (first) coordinate, ascending.
-
-    Lower-tail events {W <= x} change only at these points, and upper-tail
-    events {W >= x} likewise, so they are the complete relevant test set.
-    """
-    return sorted({w for w, _, _ in j.atoms})
 
 
 def _first_failure(anchors: Sequence[int], va: int, zs: Sequence[int], vz: int,
@@ -169,29 +155,3 @@ def cond_on_difference(j: JointDist) -> OrderVerdict:
     """
     f = j.ints
     return _first_failure(*f.combined(-1), f.z, f.VZ, f.p, f.D, "lower")[0]
-
-
-def is_comonotone(
-    pairs: Iterable[Sequence[RationalLike]],
-) -> bool:
-    """Whether weighted points (a, b[, p]) support a comonotone pair.
-
-    Comonotone means no two support points move in opposite directions:
-    (a - a')(b - b') >= 0 for every pair of atoms.  After sorting
-    lexicographically by (a, b), that is equivalent to the second coordinate
-    being nondecreasing, so adjacent comparisons decide the whole set.
-    Probabilities, when present, only need to be positive.
-    """
-    pts: list[tuple[Fraction, Fraction]] = []
-    for item in pairs:
-        seq = tuple(item)
-        if len(seq) not in (2, 3):
-            raise ValueError(f"expected (a, b) or (a, b, p), got {seq!r}")
-        if len(seq) == 3 and as_fraction(seq[2]) <= 0:
-            continue
-        pts.append((as_fraction(seq[0]), as_fraction(seq[1])))
-    pts.sort()
-    for (a0, b0), (a1, b1) in zip(pts, pts[1:]):
-        if a0 < a1 and b1 < b0:
-            return False
-    return True

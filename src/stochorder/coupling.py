@@ -44,7 +44,6 @@ construction cannot place an atom or does not verify raises InternalError.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -68,7 +67,6 @@ __all__ = [
     "synth_martingale",
     "verify_coupling",
     "coupling_to_joint",
-    "max_support",
 ]
 
 _ZERO = Fraction(0)
@@ -76,22 +74,7 @@ _ZERO = Fraction(0)
 MODE_SUPERMARTINGALE = "supermartingale"
 MODE_MARTINGALE = "martingale"
 
-_ENV_MAX_SUPPORT = "STOCHORDER_MAX_SUPPORT"
-_DEFAULT_MAX_SUPPORT = 2500
-
-
-def max_support() -> int:
-    """Per-marginal support bound for synthesis; override via STOCHORDER_MAX_SUPPORT."""
-    raw = os.environ.get(_ENV_MAX_SUPPORT)
-    if raw is None:
-        return _DEFAULT_MAX_SUPPORT
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise InputError(f"{_ENV_MAX_SUPPORT} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise InputError(f"{_ENV_MAX_SUPPORT} must be positive, got {value}")
-    return value
+_MAX_SUPPORT = 2500  # per-marginal support bound for synthesis
 
 
 @dataclass(frozen=True)
@@ -150,12 +133,8 @@ def _require_discrete(d: Dist, side: str) -> DiscreteDist:
 def _synth(x: Dist, y: Dist, martingale: bool) -> SynthResult:
     dx = _require_discrete(x, "X")
     dy = _require_discrete(y, "Y")
-    cap = max_support()
-    if dx.support_size() > cap or dy.support_size() > cap:
-        raise InputError(
-            f"marginal support exceeds the bound {cap} "
-            f"(set {_ENV_MAX_SUPPORT} to override)"
-        )
+    if dx.support_size() > _MAX_SUPPORT or dy.support_size() > _MAX_SUPPORT:
+        raise InputError(f"marginal support exceeds the bound {_MAX_SUPPORT}")
     checker = check_cx if martingale else check_ssd
     verdict = checker(dx, dy)
     if not verdict.holds:

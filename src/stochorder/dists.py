@@ -76,7 +76,6 @@ __all__ = [
     "negate",
     "affine",
     "joint_marginal_w",
-    "joint_z",
     "joint_sum",
     "norm_pdf",
     "norm_cdf",
@@ -703,10 +702,6 @@ def normalize_joint(
 
 def joint_marginal_w(j: JointDist) -> DiscreteDist:
     return _merged(j.ints.w, (j.ints.VW,), [w for w, _, _ in j.atoms], j.ints.p)
-
-
-def joint_z(j: JointDist) -> DiscreteDist:
-    return _merged(j.ints.z, (j.ints.VZ,), [z for _, z, _ in j.atoms], j.ints.p)
 
 
 def joint_sum(j: JointDist) -> DiscreteDist:

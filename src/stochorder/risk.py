@@ -42,8 +42,6 @@ from .dists import (
     _real,
     as_discrete,
     as_fraction,
-    quantile_right,
-    upper_tail_mean,
 )
 
 __all__ = [
@@ -53,11 +51,7 @@ __all__ = [
     "phi",
     "stop_loss",
     "stop_loss_transform",
-    "is_regular_level",
-    "tail_mean_at_level",
 ]
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -208,28 +202,3 @@ def stop_loss(d: Dist, t: RationalLike) -> Fraction | float:
         _, (sl,) = stop_loss_transform(above, [n * (L // q)])
         return Fraction(sl, L * D)
     return _family(d).stop_loss(_real(t, "retention t"))
-
-
-def is_regular_level(d: DiscreteDist, p: RationalLike) -> bool:
-    """True when P(X < Q(p)) = p, i.e. the level cuts cleanly at an atom edge."""
-    if not isinstance(d, DiscreteDist):
-        raise InputError("regular levels are defined for discrete laws")
-    pf = as_fraction(p)
-    if not 0 < pf < 1:
-        raise InputError(f"level must lie in (0, 1), got {pf}")
-    q = quantile_right(d, pf)
-    below = sum((pr for v, pr in d.atoms if v < q), _ZERO)
-    return below == pf
-
-
-def tail_mean_at_level(d: DiscreteDist, p: RationalLike) -> Fraction:
-    """E[X | X >= Q(p)] for a discrete law; at regular levels equals ES_p."""
-    if not isinstance(d, DiscreteDist):
-        raise InputError("tail means at a level are defined for discrete laws")
-    pf = as_fraction(p)
-    if not 0 < pf < 1:
-        raise InputError(f"level must lie in (0, 1), got {pf}")
-    q = quantile_right(d, pf)
-    out = upper_tail_mean(d, q)
-    assert isinstance(out, Fraction)
-    return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .dists import (
+from stochorder.dists import (
     DiscreteDist,
     JointDist,
     Normal,

@@ -9,7 +9,10 @@ tests can demand that the linear integer walks in `stochorder.orders` and
 marketable_check evaluates the conditional indemnity mean afresh at every
 threshold, and stop_loss_compare every premium by its own Fraction sum over
 the atoms (stop_loss).  random_joint is the joint-law generator as it was
-when it hashed Fraction values, kept to pin the random draw sequence.  normalize, normalize_joint and phi_envelope_points are the
+when it hashed Fraction values, kept to pin the random draw sequence.
+is_comonotone decides whether weighted points can be the law of a
+comonotone pair; the improver tests use it to tell which joints are.
+normalize, normalize_joint and phi_envelope_points are the
 Fraction routes of canonicalisation and of the expected-shortfall envelope:
 a Fraction-keyed merge, a sort by Fraction comparison and one Fraction
 division or sum per atom, where the library works over integers.
@@ -241,6 +244,30 @@ def cond_cx_pair(j: JointDist) -> OrderVerdict:
 def cond_on_difference(j: JointDist) -> OrderVerdict:
     cells = [(y - z, z, p) for y, z, p in j.atoms]
     return _first_bad(cells, lambda v, x: v <= x, lambda r: r > 0)
+
+
+def is_comonotone(pairs) -> bool:
+    """Whether weighted points (a, b[, p]) support a comonotone pair.
+
+    Comonotone means no two support points move in opposite directions:
+    (a - a')(b - b') >= 0 for every pair of atoms.  After sorting
+    lexicographically by (a, b), that is equivalent to the second coordinate
+    being nondecreasing, so adjacent comparisons decide the whole set.
+    Probabilities, when present, only need to be positive.
+    """
+    pts: list[tuple[Fraction, Fraction]] = []
+    for item in pairs:
+        seq = tuple(item)
+        if len(seq) not in (2, 3):
+            raise ValueError(f"expected (a, b) or (a, b, p), got {seq!r}")
+        if len(seq) == 3 and as_fraction(seq[2]) <= 0:
+            continue
+        pts.append((as_fraction(seq[0]), as_fraction(seq[1])))
+    pts.sort()
+    for (a0, b0), (a1, b1) in zip(pts, pts[1:]):
+        if a0 < a1 and b1 < b0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Applied layers: parametric regions, improvers, insurance, protective put."""
 
+import dataclasses
 import math
 import random
 import warnings
@@ -29,7 +30,6 @@ from stochorder import (
     bernoulli_joint,
     bernoulli_region,
     bs_put,
-    comonotone_improver_equivalence,
     conditional_indemnity_mean,
     expected_put_value,
     gaussian_cond_new_numeric,
@@ -52,11 +52,12 @@ from stochorder import (
     utility_from_spec,
 )
 from stochorder import apps
-from stochorder.gen import (
+
+from . import reference as ref
+from .gen import (
     gaussian_improver_joint,
     random_comonotone_improver_joint,
 )
-
 from .test_dists import discrete_dists, uniform
 
 
@@ -116,7 +117,7 @@ class TestGaussianRegion:
         assert ms[0] == lower_tail_mean(std, -8.0) and ms[-1] == lower_tail_mean(std, 8.0)
 
     def test_as_dict(self):
-        d = gaussian_region(GaussianCase(-0.1, 1.0, -0.4)).as_dict()
+        d = dataclasses.asdict(gaussian_region(GaussianCase(-0.1, 1.0, -0.4)))
         assert d == {"ssd": True, "cond_new": False, "cond_classic": False}
 
 
@@ -198,15 +199,18 @@ class TestImprovers:
         assert flags.in_s and flags.in_n
 
     def test_comonotone_equivalence_random(self):
+        # for comonotone (X, X+Z) the two improver notions coincide
         rng = random.Random(13)
         for _ in range(200):
-            assert comonotone_improver_equivalence(
-                random_comonotone_improver_joint(rng)
-            )
+            j = random_comonotone_improver_joint(rng)
+            assert ref.is_comonotone((w, w + z, p) for w, z, p in j.atoms)
+            flags = improver_check(j)
+            assert flags.in_s == flags.in_n
 
     def test_non_comonotone_rejected(self):
-        with pytest.raises(InputError):
-            comonotone_improver_equivalence(gaussian_improver_joint(0.25))
+        # the gap exhibit is outside the comonotone case
+        j = gaussian_improver_joint(0.25)
+        assert not ref.is_comonotone((w, w + z, p) for w, z, p in j.atoms)
 
 
 class TestIndemnities:
@@ -593,6 +597,11 @@ class TestProtectivePut:
             protective_put_check(self.PARAMS, 1.0)
         with pytest.raises(InputError):
             protective_put_check(self.PARAMS, 0.5, x_grid=[])
+
+    def test_non_finite_grid_points_rejected(self):
+        for grid in ([float("nan")], [0.5, float("nan")], [float("inf")], [0.5, -math.inf]):
+            with pytest.raises(InputError, match="x grid point must be finite"):
+                protective_put_check(self.PARAMS, 0.5, x_grid=grid)
 
 
 class TestInternalErrors:

@@ -331,6 +331,15 @@ class TestAppliedCommands:
         assert code == 2
         assert "nonpositive growth" in cap.err
 
+    @pytest.mark.parametrize("grid", ["nan", "0.5,nan", "inf"])
+    def test_protective_put_non_finite_grid_exits_2(self, run, grid):
+        code, report, cap = run(
+            "protective-put", "--spot", "1", "--strike", "1", "--sigma", "0.2",
+            "--drift", "-0.05", "--horizon", "1", "--t", "0.5", "--x-grid", grid,
+        )
+        assert (code, report) == (2, None)
+        assert cap.err.startswith("error: x grid point must be finite")
+
 
 class TestErrorPaths:
     def test_missing_file(self, run, tmp_path):
@@ -344,6 +353,17 @@ class TestErrorPaths:
         code, _, cap = run("es", "--level", "0", str(p))
         assert code == 2
         assert "malformed JSON" in cap.err
+
+    @pytest.mark.parametrize("text", [
+        '{"type": "discrete", "atoms": [{"x": 1%s, "p": 1}]}' % ("0" * 5000),
+        '{"type": "normal", "mu": 1%s, "sigma": 1}' % ("0" * 5000),
+    ], ids=["discrete-atom", "normal-mu"])
+    def test_number_over_the_digit_limit_names_the_file(self, run, tmp_path, text):
+        p = tmp_path / "big.json"
+        p.write_text(text)
+        code, report, cap = run("es", "--level", "0", str(p))
+        assert (code, report, cap.out) == (2, None, "")
+        assert cap.err == f"error: {p}: a number has more than 4300 digits\n"
 
     def test_wrong_schema(self, run, tmp_path):
         p = _write(tmp_path / "w.json", {"type": "discrete", "atoms": []})

@@ -30,8 +30,8 @@ from stochorder import (
     verify_coupling,
 )
 from stochorder import coupling
-from stochorder.gen import mean_preserving_spread, random_discrete, random_shift_down
 
+from .gen import mean_preserving_spread, random_discrete, random_shift_down
 from .test_dists import discrete_dists, uniform
 
 
@@ -260,20 +260,15 @@ class TestInvariances:
 
 class TestGuards:
     def test_support_guard(self, monkeypatch):
-        monkeypatch.setenv("STOCHORDER_MAX_SUPPORT", "3")
+        monkeypatch.setattr(coupling, "_MAX_SUPPORT", 3)
         big = uniform(0, 1, 2, 3)
         with pytest.raises(InputError):
             synth_supermartingale(big, big)
 
     def test_support_guard_override_up(self, monkeypatch):
-        monkeypatch.setenv("STOCHORDER_MAX_SUPPORT", "4")
+        monkeypatch.setattr(coupling, "_MAX_SUPPORT", 4)
         big = uniform(0, 1, 2, 3)
         assert synth_supermartingale(big, big).feasible
-
-    def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv("STOCHORDER_MAX_SUPPORT", "zero")
-        with pytest.raises(InputError):
-            synth_supermartingale(uniform(0, 1), uniform(0, 1))
 
     def test_parametric_inputs_rejected(self):
         with pytest.raises(InputError):
@@ -347,7 +342,7 @@ class TestTenThousandAtoms:
         # uniform on n points against a 4x wider uniform with the same mean,
         # and that shifted down; the cells stay linear in n
         n = 10**4
-        monkeypatch.setenv("STOCHORDER_MAX_SUPPORT", str(n))
+        monkeypatch.setattr(coupling, "_MAX_SUPPORT", n)
         x = normalize((k, 1) for k in range(n))
         y = normalize((4 * k - F(3 * (n - 1), 2), 1) for k in range(n))
         for synth, mode, shift in ((synth_martingale, "martingale", 0),

@@ -31,7 +31,6 @@ from stochorder import (
     joint_marginal_w,
     joint_sum,
     joint_to_json,
-    joint_z,
     mean,
     negate,
     normalize,
@@ -268,7 +267,7 @@ class TestIntegerFormRoutes:
             assert not any(as_fraction(wt) for _, _, wt in raw)
             return
         d = normalize([(w, wt) for w, _, wt in raw])
-        laws = [d, j, joint_marginal_w(j), joint_z(j), joint_sum(j), negate(d),
+        laws = [d, j, joint_marginal_w(j), joint_sum(j), negate(d),
                 affine(d, a, b), affine(d, -a, b), affine(d, 0, b)]
         for law in laws:
             assert_validated(law)
@@ -424,7 +423,6 @@ class TestJointAccessors:
     def test_marginals(self):
         j = normalize_joint([(0, -1, F(1, 2)), (0, 1, F(1, 2))])
         assert joint_marginal_w(j).atoms == ((F(0), F(1)),)
-        assert joint_z(j).values == (F(-1), F(1))
         assert joint_sum(j).values == (F(-1), F(1))
 
 

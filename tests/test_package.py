@@ -15,7 +15,8 @@ import pytest
 from stochorder import apps
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-MODULES = sorted((SRC / "stochorder").glob("*.py"))
+# the package's modules, and the seeded generators the tests and scripts share
+MODULES = sorted((SRC / "stochorder").glob("*.py")) + [Path(__file__).with_name("gen.py")]
 
 
 def _unread_imports(path: Path) -> list[str]:

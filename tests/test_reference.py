@@ -50,7 +50,6 @@ from stochorder import (
     improver_check,
     joint_marginal_w,
     joint_sum,
-    joint_z,
     marketable_check,
     negate,
     normalize,
@@ -63,12 +62,12 @@ from stochorder import (
     tail_condition,
     verify_coupling,
 )
-from stochorder import gen
 from stochorder.dists import as_integers
-from stochorder.gen import random_joint
 from stochorder.risk import es, phi, phi_envelope, stop_loss
 
+from . import gen
 from . import reference as ref
+from .gen import random_joint
 
 # value families: half-integer lattice (negative values included), small
 # rationals on mixed denominators, and dyadic floats with 53-bit denominators
@@ -479,13 +478,13 @@ class TestCachedIntegerForm:
             j = normalize_joint(raw)
         except InputError:
             return
-        for law in (j, joint_marginal_w(j), joint_z(j), joint_sum(j)):
+        for law in (j, joint_marginal_w(j), joint_sum(j)):
             _assert_cached_form(law)
 
     @settings(max_examples=200, deadline=None)
     @given(joints())
     def test_joints_and_their_marginals(self, j):
-        for law in (j, joint_marginal_w(j), joint_z(j), joint_sum(j)):
+        for law in (j, joint_marginal_w(j), joint_sum(j)):
             _assert_cached_form(law)
         # the marginals of a joint built by the constructor, not by normalize_joint
         cold = JointDist(j.atoms)
@@ -523,5 +522,5 @@ class TestCachedIntegerForm:
         j = normalize_joint([(F(1, 2), F(1, 5), 1), (0, 1, 0), ("1/2", "0.2", 2), (1, F(-1, 3), 3)])
         assert j.ints == ((1, 2), 2, (3, -5), 15, (1, 1), 2)
         _assert_cached_form(j)
-        for law in (joint_marginal_w(j), joint_z(j), joint_sum(j)):
+        for law in (joint_marginal_w(j), joint_sum(j)):
             _assert_cached_form(law)

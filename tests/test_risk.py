@@ -18,7 +18,6 @@ from stochorder import (
     PhiEnvelope,
     PointMass,
     es,
-    is_regular_level,
     mean,
     normalize,
     phi,
@@ -26,7 +25,7 @@ from stochorder import (
     point_mass_dist,
     quantile_right,
     stop_loss,
-    tail_mean_at_level,
+    upper_tail_mean,
 )
 from stochorder.dists import norm_pdf
 
@@ -185,6 +184,17 @@ class TestStopLoss:
     @given(discrete_dists())
     def test_vanishes_at_top_of_support(self, d):
         assert stop_loss(d, d.values[-1]) == 0
+
+
+def is_regular_level(d, p) -> bool:
+    """P(X < Q(p)) = p: the level cuts cleanly at an atom edge."""
+    q = quantile_right(d, p)
+    return sum((pr for v, pr in d.atoms if v < q), F(0)) == p
+
+
+def tail_mean_at_level(d, p):
+    """E[X | X >= Q(p)]; at regular levels it equals ES_p."""
+    return upper_tail_mean(d, quantile_right(d, p))
 
 
 class TestRegularLevels:
