@@ -23,7 +23,6 @@ from typing import Iterable, Sequence, Union
 
 from .conditions import _first_failure, cond_classic, cond_icx, cond_new, tail_condition
 from .dists import (
-    DiscreteDist,
     Dist,
     Exponential,
     InputError,
@@ -35,6 +34,7 @@ from .dists import (
     UnsupportedPairingError,
     _check_finite,
     _real,
+    as_discrete,
     as_fraction,
     as_integers,
     bisection,
@@ -419,15 +419,16 @@ def conditional_indemnity_mean(
 ) -> Fraction | float:
     """E[I(X) | X - I(X) >= x].
 
-    Exact for discrete losses.  For an exponential loss the fixed and
-    stop-loss schedules admit closed forms; other pairings are rejected.
-    Since 0 <= I(X) <= X, the event at x = 0 is certain and the value there
-    is E[I(X)].
+    Exact for finite losses, a Bernoulli or a point mass included.  For an
+    exponential loss the fixed and stop-loss schedules admit closed forms;
+    other pairings are rejected.  Since 0 <= I(X) <= X, the event at x = 0
+    is certain and the value there is E[I(X)].
     """
-    if isinstance(x_dist, DiscreteDist):
+    disc = as_discrete(x_dist)
+    if disc is not None:
         xf = as_fraction(x)
         num = den = _ZERO
-        for v, p in x_dist.atoms:
+        for v, p in disc.atoms:
             iv = indemnity_value(i, v)  # raises at a negative loss
             if v - iv >= xf:
                 num += iv * p
@@ -475,36 +476,37 @@ def marketable_check(
 ) -> OrderVerdict:
     """Whether E[I(X) | X - I(X) >= x] >= P0 at every relevant x.
 
-    Discrete losses check exactly at the atoms of the retained loss, in one
-    upper-tail pass of tail_condition over (X - I(X), I(X) - P0).  For an
-    exponential loss with a fixed or stop-loss schedule the conditional mean
-    is nondecreasing in x (the payout event only gains relative weight), so
-    its infimum is the expected indemnity, its value at x = 0, compared
-    against P0 with a 1e-9 float cushion.  A premium that fails this
-    comparison at x = 0 can never satisfy the condition everywhere, and it
-    triggers a warning before the verdict.
+    Finite losses (as_discrete, so a Bernoulli or a point mass too) check
+    exactly at the atoms of the retained loss, in one upper-tail pass of
+    tail_condition over (X - I(X), I(X) - P0).  For an exponential loss with
+    a fixed or stop-loss schedule the conditional mean is nondecreasing in x
+    (the payout event only gains relative weight), so its infimum is the
+    expected indemnity, its value at x = 0, compared against P0 with a 1e-9
+    float cushion.  A premium that fails this comparison at x = 0 can never
+    satisfy the condition everywhere, and it triggers a warning before the
+    verdict.
     """
     p0f = as_fraction(p0)
     if p0f < 0:
         raise InputError(f"premium must be nonnegative, got {p0f}")
     expected = conditional_indemnity_mean(i, x_dist, 0)
-    discrete = isinstance(x_dist, DiscreteDist)
-    p0v = p0f if discrete else _real(p0f, "premium p0")
-    # the condition at x = 0, exact for a discrete loss and within the float
+    disc = as_discrete(x_dist)
+    p0v = p0f if disc is not None else _real(p0f, "premium p0")
+    # the condition at x = 0, exact for a finite loss and within the float
     # cushion otherwise; the warning and the verdict both read it
-    reachable = expected >= (p0v if discrete else p0v - _MARKET_TOL)
+    reachable = expected >= (p0v if disc is not None else p0v - _MARKET_TOL)
     if not reachable:
         warnings.warn(
             "premium exceeds the expected indemnity; the marketability "
             "condition cannot hold at every threshold",
             stacklevel=2,
         )
-    if discrete:
+    if disc is not None:
         # a negative loss has already raised in indemnity_value
         # E[I(X) - P0 | R >= x] >= 0 over the retained losses R = X - I(X)
-        ivals = [indemnity_value(i, v) for v, _ in x_dist.atoms]
+        ivals = [indemnity_value(i, v) for v, _ in disc.atoms]
         verdict = tail_condition(
-            ((v - iv, iv - p0f, p) for (v, p), iv in zip(x_dist.atoms, ivals)), "upper"
+            ((v - iv, iv - p0f, p) for (v, p), iv in zip(disc.atoms, ivals)), "upper"
         )
         if verdict.holds:
             return verdict
@@ -578,7 +580,7 @@ def _utility_value(u: Utility, t: float) -> float:
 
 
 def indifference_premium(
-    u: Utility, wealth: RationalLike, x_dist: DiscreteDist, i: IndemnitySchedule
+    u: Utility, wealth: RationalLike, x_dist: Dist, i: IndemnitySchedule
 ) -> Fraction | float:
     """The premium P* solving E[u(w - X + I(X) - P)] = E[u(w - X)].
 
@@ -586,9 +588,11 @@ def indifference_premium(
     and P = max I(X) under-shoots, so [0, max I] brackets the unique root;
     bisection refines to 1e-10.  Linear utility returns the exact expected
     indemnity.  Power utility requires w - X >= 0 on the support; premiums
-    that push an outcome below zero wealth count as infinitely bad.
+    that push an outcome below zero wealth count as infinitely bad.  The loss
+    must be finite (as_discrete, so a Bernoulli or a point mass too).
     """
-    if not isinstance(x_dist, DiscreteDist):
+    x_dist = as_discrete(x_dist)
+    if x_dist is None:
         raise InputError("indifference premiums are defined for discrete losses")
     if isinstance(u, LinearUtility):
         return conditional_indemnity_mean(i, x_dist, 0)

@@ -64,7 +64,8 @@ def _load(path: str, parse: Callable):
             obj = json.load(fh)
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # JSON is UTF-8 text, and json.load recurses once per nested level
         raise InputError(f"{path}: malformed JSON: {exc}") from exc
     except ValueError as exc:
         if "integer string conversion" not in str(exc):
@@ -283,7 +284,7 @@ def _cmd_premium(args):
 def _cmd_stoploss_compare(args):
     j = _load(args.joint, joint_from_json)
     ds = None
-    if args.deductibles:
+    if args.deductibles is not None:
         ds = [_parse_rational(s, "deductible") for s in args.deductibles.split(",")]
     cmp = apps.stop_loss_compare(j, ds)
     inputs = {"joint": joint_to_json(j),
@@ -304,7 +305,7 @@ def _cmd_protective_put(args):
     params = apps.BSParams(args.spot, args.strike, args.sigma, args.drift,
                            args.horizon)
     grid = None
-    if args.x_grid:
+    if args.x_grid is not None:
         try:
             grid = [float(s) for s in args.x_grid.split(",")]
         except ValueError as exc:

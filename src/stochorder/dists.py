@@ -23,10 +23,12 @@ messages: Fraction types, positive probabilities, strictly increasing values
 or distinct joint cells, total mass 1.  The first defective atom decides.
 
 The parametric families (Normal, Exponential, Bernoulli, LogNormal,
-PointMass) carry float parameters and hold their binary64 closed forms as
-methods.  The generic functions (and risk.es / stop_loss) take the exact
-route on a DiscreteDist, and on a family round the argument to a float once
-(_real) and call its method.  The codecs read one table of family kinds.
+PointMass) carry float parameters.  A finite law is exact everywhere: every
+generic function (and risk.es / phi / stop_loss) asks as_discrete for the
+exact law, which a Bernoulli or a point mass has, and sums over its atoms.
+Only the continuous families, Normal, Exponential and LogNormal, hold
+binary64 closed forms as methods; on them the argument is rounded to a float
+once (_real).  The codecs read one table of family kinds.
 
 Quantiles follow the right-quantile convention
 
@@ -243,14 +245,13 @@ class DiscreteDist:
 
 
 class _Family:
-    """A parametric family: its binary64 closed forms are methods, its kind the
-    JSON "type".  The base negates a finite family exactly, else it raises."""
+    """A parametric family, its kind the JSON "type".  A continuous family
+    holds its binary64 closed forms as methods; a finite one (Bernoulli,
+    PointMass) holds none, since as_discrete is its exact law.  The base
+    raises for a map its family does not define."""
 
     def negate(self) -> Dist:
-        disc = as_discrete(self)
-        if disc is None:
-            raise UnsupportedPairingError(f"negation is not defined for {type(self).__name__}")
-        return negate(disc)
+        raise UnsupportedPairingError(f"negation is not defined for {type(self).__name__}")
 
     def affine(self, a: float, b: float) -> Dist:
         raise UnsupportedPairingError(f"affine map is not defined for {type(self).__name__}")
@@ -381,41 +382,6 @@ class Bernoulli(_Family):
         if not 0.0 <= self.q <= 1.0:
             raise InputError(f"q must lie in [0, 1], got {self.q}")
 
-    def cdf(self, x: float) -> float:
-        if x < 0.0:
-            return 0.0
-        if x < 1.0:
-            return 1.0 - self.q
-        return 1.0
-
-    def quantile_right(self, t: float) -> float:
-        # P(X <= 0) = 1 - q exceeds t exactly when t < 1 - q
-        return 0.0 if t < 1.0 - self.q else 1.0
-
-    def mean(self) -> float:
-        return self.q
-
-    def variance(self) -> float:
-        return self.q * (1.0 - self.q)
-
-    def lower_tail_mean(self, x: float) -> float:
-        if x < 0.0:
-            raise IrrelevantThresholdError(f"P(X <= {x}) = 0")
-        if x < 1.0:
-            if self.q == 1.0:
-                raise IrrelevantThresholdError(f"P(X <= {x}) = 0")
-            return 0.0
-        return self.q
-
-    def upper_tail_mean(self, x: float) -> float:
-        if x <= 0.0:
-            return self.q
-        if x <= 1.0:
-            if self.q == 0.0:
-                raise IrrelevantThresholdError(f"P(X >= {x}) = 0")
-            return 1.0
-        raise IrrelevantThresholdError(f"P(X >= {x}) = 0")
-
 
 @dataclass(frozen=True)
 class LogNormal(_Family):
@@ -487,34 +453,6 @@ class PointMass(_Family):
     def __post_init__(self) -> None:
         _check_finite("c", self.c)
 
-    def cdf(self, x: float) -> float:
-        return 1.0 if x >= self.c else 0.0
-
-    def quantile_right(self, t: float) -> float:
-        return self.c
-
-    def mean(self) -> float:
-        return self.c
-
-    def variance(self) -> float:
-        return 0.0
-
-    def lower_tail_mean(self, x: float) -> float:
-        if x < self.c:
-            raise IrrelevantThresholdError(f"P(X <= {x}) = 0")
-        return self.c
-
-    def upper_tail_mean(self, x: float) -> float:
-        if x > self.c:
-            raise IrrelevantThresholdError(f"P(X >= {x}) = 0")
-        return self.c
-
-    def negate(self) -> PointMass:
-        return PointMass(-self.c)
-
-    def affine(self, a: float, b: float) -> PointMass:
-        return PointMass(a * self.c + b)
-
 
 Dist = Union[DiscreteDist, Normal, Exponential, Bernoulli, LogNormal, PointMass]
 
@@ -529,7 +467,7 @@ def _check_finite(name: str, x: object) -> float:
 
 
 def _real(x: RationalLike, name: str) -> float:
-    """x, named name, as a parametric family takes it: a float as given, the rest rounded once."""
+    """x, named name, as a closed form takes it: a float as given, the rest rounded once."""
     if isinstance(x, float):
         return x
     q = as_fraction(x)
@@ -624,7 +562,8 @@ def point_mass_dist(value: RationalLike) -> DiscreteDist:
 
 
 def as_discrete(d: Dist) -> DiscreteDist | None:
-    """Exact discrete form for finite-support kinds; None for the rest."""
+    """The exact law of a finite kind (a Bernoulli or a point mass included);
+    None for a continuous family.  The one test of whether a law is finite."""
     if isinstance(d, DiscreteDist):
         return d
     if isinstance(d, PointMass):
@@ -751,11 +690,12 @@ def bisection(left: Callable[[float], bool], lo: float, hi: float, tol: float) -
 
 
 def cdf(d: Dist, x: RationalLike) -> Fraction | float:
-    """P(X <= x).  Exact Fraction for discrete laws, float for parametric."""
-    if isinstance(d, DiscreteDist):
+    """P(X <= x).  Exact Fraction for finite laws, float for continuous ones."""
+    disc = as_discrete(d)
+    if disc is not None:
         xf = as_fraction(x)
         total = _ZERO
-        for v, p in d.atoms:
+        for v, p in disc.atoms:
             if v <= xf:
                 total += p
             else:
@@ -766,16 +706,17 @@ def cdf(d: Dist, x: RationalLike) -> Fraction | float:
 
 def quantile_right(d: Dist, t: RationalLike) -> Fraction | float:
     """Right quantile Q(t) = inf{x : P(X <= x) > t} for t in (0, 1)."""
-    if isinstance(d, DiscreteDist):
+    disc = as_discrete(d)
+    if disc is not None:
         tf = as_fraction(t)
         if not 0 < tf < 1:
             raise InputError(f"quantile level must lie in (0, 1), got {tf}")
         cum = _ZERO
-        for v, p in d.atoms:
+        for v, p in disc.atoms:
             cum += p
             if cum > tf:
                 return v
-        return d.atoms[-1][0]  # unreachable: cum reaches 1 > t
+        return disc.atoms[-1][0]  # unreachable: cum reaches 1 > t
     tv = _real(t, "level t")
     if not 0.0 < tv < 1.0:
         raise InputError(f"quantile level must lie in (0, 1), got {tv}")
@@ -783,15 +724,17 @@ def quantile_right(d: Dist, t: RationalLike) -> Fraction | float:
 
 
 def mean(d: Dist) -> Fraction | float:
-    if isinstance(d, DiscreteDist):
-        return sum((v * p for v, p in d.atoms), _ZERO)
+    disc = as_discrete(d)
+    if disc is not None:
+        return sum((v * p for v, p in disc.atoms), _ZERO)
     return _family(d).mean()
 
 
 def variance(d: Dist) -> Fraction | float:
-    if isinstance(d, DiscreteDist):
-        m = mean(d)
-        return sum(((v - m) ** 2 * p for v, p in d.atoms), _ZERO)
+    disc = as_discrete(d)
+    if disc is not None:
+        m = mean(disc)
+        return sum(((v - m) ** 2 * p for v, p in disc.atoms), _ZERO)
     return _family(d).variance()
 
 
@@ -810,36 +753,40 @@ def _tail_mean(d: DiscreteDist, x: RationalLike, op: str) -> Fraction:
 
 def lower_tail_mean(d: Dist, x: RationalLike) -> Fraction | float:
     """E[X | X <= x].  Raises IrrelevantThresholdError when P(X <= x) = 0."""
-    if isinstance(d, DiscreteDist):
-        return _tail_mean(d, x, "<=")
+    disc = as_discrete(d)
+    if disc is not None:
+        return _tail_mean(disc, x, "<=")
     return _family(d).lower_tail_mean(_real(x, "threshold x"))
 
 
 def upper_tail_mean(d: Dist, x: RationalLike) -> Fraction | float:
     """E[X | X >= x].  Raises IrrelevantThresholdError when P(X >= x) = 0."""
-    if isinstance(d, DiscreteDist):
-        return _tail_mean(d, x, ">=")
+    disc = as_discrete(d)
+    if disc is not None:
+        return _tail_mean(disc, x, ">=")
     return _family(d).upper_tail_mean(_real(x, "threshold x"))
 
 
 def negate(d: Dist) -> Dist:
-    """Law of -X.  Defined for discrete, Normal, Bernoulli and PointMass."""
-    if isinstance(d, DiscreteDist):
-        return affine(d, -1, 0)
+    """Law of -X.  Defined for finite laws and Normal."""
+    disc = as_discrete(d)
+    if disc is not None:
+        return affine(disc, -1, 0)
     return _family(d).negate()
 
 
 def affine(d: Dist, a: RationalLike, b: RationalLike) -> Dist:
-    """Law of a*X + b for discrete laws, Normal and PointMass."""
-    if isinstance(d, DiscreteDist):
+    """Law of a*X + b for finite laws and Normal."""
+    disc = as_discrete(d)
+    if disc is not None:
         af, bf = as_fraction(a), as_fraction(b)
         if not af:
             return point_mass_dist(bf)
         # a x / V + b over q V s, for a = n / q and b = r / s; a < 0 reverses the order
-        (n, q), (r, s), (xs, V, ws, D) = af.as_integer_ratio(), bf.as_integer_ratio(), d.ints
+        (n, q), (r, s), (xs, V, ws, D) = af.as_integer_ratio(), bf.as_integer_ratio(), disc.ints
         step = 1 if n > 0 else -1
         xs, V = _reduced([n * s * x + r * q * V for x in xs[::step]], q * V * s)
-        atoms = tuple(zip([Fraction(x, V) for x in xs], d.probs[::step]))
+        atoms = tuple(zip([Fraction(x, V) for x in xs], disc.probs[::step]))
         return _trusted(DiscreteDist, atoms, LawInts(xs, V, ws[::step], D))
     return _family(d).affine(_real(as_fraction(a), "slope a"), _real(as_fraction(b), "intercept b"))
 

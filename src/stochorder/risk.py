@@ -20,7 +20,9 @@ ascending points,
     SL(t) = E[(X - t)+] = sum_{v > t} v * P(X = v) - t * P(X > t);
 
 it serves stop_loss, the premium curves of apps.stop_loss_compare and the
-transform oracles of orders.  A parametric law is its family's closed form.
+transform oracles of orders.  A finite law is whatever as_discrete makes of
+it, a Bernoulli or a point mass included; a continuous family is its
+closed form.
 """
 
 from __future__ import annotations

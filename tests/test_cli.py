@@ -314,6 +314,33 @@ class TestAppliedCommands:
         assert code == 0
         assert report["result"]["deductibles"] == [0, "1/2"]
 
+    def test_stoploss_compare_empty_grid_exits_2(self, run, tmp_path):
+        j = _write(tmp_path / "j.json", _joint([(0, 0, "1/2"), (2, 1, "1/2")]))
+        code, report, cap = run("stoploss-compare", "--deductibles", "", j)
+        assert (code, report) == (2, None)
+        assert cap.err == "error: bad deductible '': cannot parse rational from ''\n"
+
+    @pytest.mark.parametrize("family, law", [
+        ({"type": "bernoulli", "q": 0.25}, _discrete([0, 1], ["3/4", "1/4"])),
+        ({"type": "point", "c": 2.5}, _discrete(["5/2"], [1])),
+    ], ids=["bernoulli", "point"])
+    @pytest.mark.parametrize("argv, exit_code", [
+        (["marketable", "--p0", "1/10"], 0),
+        (["marketable", "--p0", "3"], 1),
+        (["premium", "--utility", "exp:1", "--wealth", "10"], 0),
+    ], ids=["marketable-holds", "marketable-fails", "premium"])
+    def test_finite_family_loss_reports_as_its_exact_law(self, run, tmp_path, family, law,
+                                                          argv, exit_code):
+        i = _write(tmp_path / "i.json", {"kind": "stop_loss", "deductible": "1/2"})
+        reports = []
+        for name, loss in (("f.json", family), ("d.json", law)):
+            code, report, _ = run(*argv, "--indemnity", i, "--loss", _write(tmp_path / name, loss))
+            assert code == exit_code
+            assert report["inputs"].pop("loss") == loss
+            del report["timing_ms"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+
     def test_protective_put(self, run):
         code, report, _ = run(
             "protective-put", "--spot", "1", "--strike", "1", "--sigma", "0.2",
@@ -340,6 +367,14 @@ class TestAppliedCommands:
         assert (code, report) == (2, None)
         assert cap.err.startswith("error: x grid point must be finite")
 
+    def test_protective_put_empty_grid_exits_2(self, run):
+        code, report, cap = run(
+            "protective-put", "--spot", "1", "--strike", "1", "--sigma", "0.2",
+            "--drift", "-0.05", "--horizon", "1", "--t", "0.5", "--x-grid", "",
+        )
+        assert (code, report) == (2, None)
+        assert cap.err == "error: bad x grid ''\n"
+
 
 class TestErrorPaths:
     def test_missing_file(self, run, tmp_path):
@@ -364,6 +399,20 @@ class TestErrorPaths:
         code, report, cap = run("es", "--level", "0", str(p))
         assert (code, report, cap.out) == (2, None, "")
         assert cap.err == f"error: {p}: a number has more than 4300 digits\n"
+
+    def test_byte_outside_utf8_names_the_file(self, run, tmp_path):
+        p = tmp_path / "bytes.json"
+        p.write_bytes(b'{"type":"discrete","atoms":[{"x":1\xff,"p":1}]}')
+        code, report, cap = run("es", "--level", "0", str(p))
+        assert (code, report, cap.out) == (2, None, "")
+        assert cap.err.startswith(f"error: {p}: malformed JSON: 'utf-8' codec can't decode byte 0xff")
+
+    def test_deep_nesting_names_the_file(self, run, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000 + "]" * 100_000)
+        code, report, cap = run("es", "--level", "0", str(p))
+        assert (code, report, cap.out) == (2, None, "")
+        assert cap.err.startswith(f"error: {p}: malformed JSON: maximum recursion depth exceeded")
 
     def test_wrong_schema(self, run, tmp_path):
         p = _write(tmp_path / "w.json", {"type": "discrete", "atoms": []})

@@ -1,10 +1,13 @@
-"""Parametric families: bit-identical closed forms, codecs, non-laws, overflow.
+"""Parametric families: bit-identical closed forms, finite families as their
+exact laws, codecs, non-laws, overflow.
 
 family_bits.json holds every generic operation on each of the five families
 at fixed arguments (levels 0, interior and tail; points below, inside and
 above each support), recorded as float.hex for floats, exact strings for
-Fractions and laws, and type plus message for errors.  Regenerate it only
-from a commit whose numbers are trusted:
+Fractions and laws, and type plus message for errors.  A Bernoulli or a point
+mass holds no closed form: every operation on it records what the same
+operation records on as_discrete of it.  Regenerate the file only from a
+commit whose numbers are trusted:
 
     PYTHONPATH=src python tests/test_families.py > tests/family_bits.json
 """
@@ -27,6 +30,7 @@ from stochorder import (
     Normal,
     PointMass,
     affine,
+    as_discrete,
     cdf,
     dist_from_json,
     dist_to_json,
@@ -72,20 +76,23 @@ def _record(f, *args) -> str:
     return f"{type(out).__name__}:{out!r}"
 
 
+def operations():
+    """(name, function, arguments after the law) for every generic operation."""
+    for op, f in UNARY.items():
+        yield op, f, ()
+    for op, f in AT_POINT.items():
+        for x in POINTS:
+            yield f"{op} {x!r}", f, (x,)
+    for op, f in AT_LEVEL.items():
+        for p in LEVELS:
+            yield f"{op} {p!r}", f, (p,)
+    for a, b in AFFINE:
+        yield f"affine {a!r} {b!r}", affine, (a, b)
+
+
 def family_table() -> dict[str, str]:
-    table = {}
-    for name, d in FAMILIES.items():
-        for op, f in UNARY.items():
-            table[f"{name} {op}"] = _record(f, d)
-        for op, f in AT_POINT.items():
-            for x in POINTS:
-                table[f"{name} {op} {x!r}"] = _record(f, d, x)
-        for op, f in AT_LEVEL.items():
-            for p in LEVELS:
-                table[f"{name} {op} {p!r}"] = _record(f, d, p)
-        for a, b in AFFINE:
-            table[f"{name} affine {a!r} {b!r}"] = _record(affine, d, a, b)
-    return table
+    return {f"{name} {op}": _record(f, d, *args)
+            for name, d in FAMILIES.items() for op, f, args in operations()}
 
 
 def test_every_generic_operation_is_bit_identical():
@@ -93,6 +100,17 @@ def test_every_generic_operation_is_bit_identical():
     got = family_table()
     assert got.keys() == expected.keys()
     assert {k: v for k, v in got.items() if v != expected[k]} == {}
+
+
+@pytest.mark.parametrize("d", [Bernoulli(0.0), Bernoulli(0.25), Bernoulli(0.3), Bernoulli(1.0),
+                               PointMass(0.7), PointMass(-2.5)], ids=repr)
+def test_a_finite_family_is_its_exact_law(d):
+    # the codec alone tells the family from its law
+    exact = as_discrete(d)
+    records = {op: (_record(f, d, *args), _record(f, exact, *args))
+               for op, f, args in operations() if f is not dist_to_json}
+    assert len(records) == 85
+    assert {op: r for op, r in records.items() if r[0] != r[1]} == {}
 
 
 class TestExponentialLowerTailMean:

@@ -1,6 +1,6 @@
-"""Package hygiene: no unread imports, no writes through an object's
-__dict__, no numpy at run time, and the Newton-built Gauss-Legendre rule of
-apps against numpy's."""
+"""Package hygiene: no unread imports (in the tests and scripts too), no
+writes through an object's __dict__, no numpy at run time, and the
+Newton-built Gauss-Legendre rule of apps against numpy's."""
 
 import ast
 import math
@@ -14,9 +14,13 @@ import pytest
 
 from stochorder import apps
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+HERE = Path(__file__).resolve().parent
+SRC = HERE.parent / "src"
 # the package's modules, and the seeded generators the tests and scripts share
-MODULES = sorted((SRC / "stochorder").glob("*.py")) + [Path(__file__).with_name("gen.py")]
+MODULES = sorted((SRC / "stochorder").glob("*.py")) + [HERE / "gen.py"]
+# the rest of the tests and the scripts, named with their folder
+OTHERS = [p for p in sorted(HERE.glob("*.py")) + sorted((HERE.parent / "scripts").glob("*.py"))
+          if p not in MODULES]
 
 
 def _unread_imports(path: Path) -> list[str]:
@@ -38,7 +42,8 @@ def _unread_imports(path: Path) -> list[str]:
     return [name for name in imported if name not in read]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + OTHERS,
+                         ids=lambda p: p.name if p in MODULES else f"{p.parent.name}/{p.name}")
 def test_every_relative_import_is_read(path):
     # absolute imports, the standard library's included, count too
     assert _unread_imports(path) == []
