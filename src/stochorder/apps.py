@@ -6,9 +6,13 @@ stop-loss dominance reports, and the protective-put conditional-drift
 verification under zero-rate Black-Scholes dynamics.
 
 Each quantity has one route: the improver's sufficient condition is the
-conditions kernel anchored on the sum, and E[I(X)] is
-conditional_indemnity_mean at x = 0.  Float routes round rationals with
-dists._real, so one beyond binary64 is an InputError.
+conditions kernel anchored on the sum, marketability of a finite loss is
+cond_icx on the joint of (X - I(X), I(X) - P0), and E[I(X)] is
+conditional_indemnity_mean at x = 0.  The exponential-utility premium is
+the closed form (K(X) - K(X - I)) / a, K(Y) = log E[exp(a Y)]; the power
+utility's is a bisection.  The protective put's tolerances are in units of
+max(spot, strike).  Float routes round rationals with dists._real, so one
+beyond binary64 is an InputError.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import cache
 from operator import add
 from typing import Iterable, Sequence, Union
 
-from .conditions import _first_failure, cond_classic, cond_icx, cond_new, tail_condition
+from .conditions import _first_failure, cond_classic, cond_icx, cond_new
 from .dists import (
     Dist,
     Exponential,
@@ -42,6 +46,7 @@ from .dists import (
     joint_sum,
     lower_tail_mean,
     norm_cdf,
+    normalize_joint,
     norm_pdf,
     rational_to_json as r2j,
     rescale,
@@ -477,8 +482,8 @@ def marketable_check(
     """Whether E[I(X) | X - I(X) >= x] >= P0 at every relevant x.
 
     Finite losses (as_discrete, so a Bernoulli or a point mass too) check
-    exactly at the atoms of the retained loss, in one upper-tail pass of
-    tail_condition over (X - I(X), I(X) - P0).  For an exponential loss with
+    exactly at the atoms of the retained loss: the condition is cond_icx on
+    the joint law of (X - I(X), I(X) - P0).  For an exponential loss with
     a fixed or stop-loss schedule the conditional mean is nondecreasing in x
     (the payout event only gains relative weight), so its infimum is the
     expected indemnity, its value at x = 0, compared against P0 with a 1e-9
@@ -505,9 +510,9 @@ def marketable_check(
         # a negative loss has already raised in indemnity_value
         # E[I(X) - P0 | R >= x] >= 0 over the retained losses R = X - I(X)
         ivals = [indemnity_value(i, v) for v, _ in disc.atoms]
-        verdict = tail_condition(
-            ((v - iv, iv - p0f, p) for (v, p), iv in zip(disc.atoms, ivals)), "upper"
-        )
+        verdict = cond_icx(normalize_joint(
+            (v - iv, iv - p0f, p) for (v, p), iv in zip(disc.atoms, ivals)
+        ))
         if verdict.holds:
             return verdict
         w = verdict.witness
@@ -566,17 +571,28 @@ def utility_from_spec(spec: str) -> Utility:
     raise InputError(f"unknown utility spec {spec!r}; use linear, exp:A or power:G")
 
 
-def _utility_value(u: Utility, t: float) -> float:
-    if isinstance(u, LinearUtility):
-        return t
-    if isinstance(u, ExponentialUtility):
-        # saturate deep in the loss tail instead of overflowing
-        return -math.exp(min(-u.aversion * t, 700.0))
-    if isinstance(u, PowerUtility):
-        if t < 0.0:
-            return -math.inf
-        return t**u.gamma
-    raise InputError(f"unknown utility {u!r}")
+def _log_mgf(a: float, ys: list[float], ps: list[float]) -> tuple[float, float]:
+    """(top, r) with log E[exp(a Y)] = a * top + r, top = max Y.
+
+    Log-sum-exp about the largest value: every exponent a * (y - top) is
+    nonpositive, and r = log1p(sum of p * expm1(a * (y - top))) keeps its
+    digits as a -> 0; a sum near -1 (a rare top atom under a large aversion)
+    takes the plain logarithm instead.
+    """
+    top = max(ys)
+    s = math.fsum(p * math.expm1(a * (y - top)) for y, p in zip(ys, ps))
+    if s > -0.5:
+        return top, math.log1p(s)
+    return top, math.log(math.fsum(p * math.exp(a * (y - top)) for y, p in zip(ys, ps)))
+
+
+def _exponential_premium(a: float, xs: list[float], ps: list[float], ivs: list[float]) -> float:
+    """P = (K(X) - K(X - I)) / a with K(Y) = log E[exp(a Y)]; wealth cancels."""
+    if math.isinf(a * max(xs)):
+        raise InputError(f"aversion {a} times the largest loss {max(xs)} exceeds binary64")
+    top_x, r_x = _log_mgf(a, xs, ps)
+    top_r, r_r = _log_mgf(a, [x - iv for x, iv in zip(xs, ivs)], ps)
+    return (top_x - top_r) + (r_x - r_r) / a
 
 
 def indifference_premium(
@@ -584,12 +600,17 @@ def indifference_premium(
 ) -> Fraction | float:
     """The premium P* solving E[u(w - X + I(X) - P)] = E[u(w - X)].
 
-    The left side is strictly decreasing in P, P = 0 over-shoots (I >= 0)
-    and P = max I(X) under-shoots, so [0, max I] brackets the unique root;
-    bisection refines to 1e-10.  Linear utility returns the exact expected
-    indemnity.  Power utility requires w - X >= 0 on the support; premiums
-    that push an outcome below zero wealth count as infinitely bad.  The loss
-    must be finite (as_discrete, so a Bernoulli or a point mass too).
+    Linear utility returns the exact expected indemnity.  Exponential
+    utility u(t) = -exp(-a t) has the closed form P = (K(X) - K(X - I)) / a,
+    K(Y) = log E[exp(a Y)], free of the wealth; an a * X beyond binary64 is
+    an InputError.  Power utility bisects: the left side is strictly
+    decreasing in P, P = 0 over-shoots (I >= 0) and P = max I(X)
+    under-shoots, so [0, max I] brackets the unique root, refined to 1e-10.
+    It requires w - X >= 0 on the support; premiums that push an outcome
+    below zero wealth count as infinitely bad, and expected utilities that
+    do not move in binary64 (a wealth too large for the losses) are an
+    InputError.  The loss must be finite (as_discrete, so a Bernoulli or a
+    point mass too).
     """
     x_dist = as_discrete(x_dist)
     if x_dist is None:
@@ -601,23 +622,32 @@ def indifference_premium(
     xs = [_real(v, "loss atom") for v, _ in x_dist.atoms]
     ps = [_real(p, "probability") for _, p in x_dist.atoms]
     ivs = [_real(iv, "indemnity") for iv in ivals]  # 0 <= I(x) <= x: a huge loss is named first
-    if isinstance(u, PowerUtility):
-        if any(w - x < 0 for x in xs):
-            raise InputError("power utility needs w - X >= 0 on the whole support")
-    baseline = sum(p * _utility_value(u, w - x) for x, p in zip(xs, ps))
+    hi = max(ivs)
+    if isinstance(u, ExponentialUtility):
+        return _exponential_premium(u.aversion, xs, ps, ivs) if hi else 0.0
+    if not isinstance(u, PowerUtility):
+        raise InputError(f"unknown utility {u!r}")
+    if any(w - x < 0 for x in xs):
+        raise InputError("power utility needs w - X >= 0 on the whole support")
+
+    def expected(shifts: Iterable[float]) -> float:
+        return sum(p * (t**u.gamma if t >= 0.0 else -math.inf) for p, t in zip(ps, shifts))
+
+    baseline = expected(w - x for x in xs)
 
     def gap(premium: float) -> float:
-        val = sum(
-            p * _utility_value(u, w - x + iv - premium)
-            for x, p, iv in zip(xs, ps, ivs)
-        )
-        return val - baseline
+        return expected(w - x + iv - premium for x, iv in zip(xs, ivs)) - baseline
 
-    hi = max(ivs)
     if hi == 0.0:
         return 0.0
-    if gap(0.0) < 0.0 or gap(hi) > 0.0:
+    g0 = gap(0.0)
+    if g0 < 0.0 or gap(hi) > 0.0:
         raise InputError("bracket expansion failure: no root in [0, max I(X)]")
+    if g0 == 0.0:
+        raise InputError(
+            f"power utility at wealth {w} does not resolve the indemnity in binary64; "
+            "the premium is undetermined"
+        )
     return bisection(lambda premium: gap(premium) >= 0.0, 0.0, hi, 1e-10)
 
 
@@ -807,21 +837,25 @@ def protective_put_check(
 
     Z_t = P_t - P_0 is the put's gain; the position X_t + Z_t is strictly
     increasing in the spot (checked numerically along with the put's
-    monotonicity), so each conditioning event is a lower tail of the normal
-    generator and splits off a clean quadrature interval.  The intermediate
-    inequality E[P_t] >= P_0 - 1e-9 is the whole-space case and is checked
-    first.  The default grid is 101 points spanning 5 standard deviations
-    of the position value around its mean.  Grid points below the reachable
-    position range (their events have probability below 1e-15) are skipped.
+    monotonicity, to 1e-12), so each conditioning event is a lower tail of
+    the normal generator and splits off a clean quadrature interval.  The
+    intermediate inequality E[P_t] >= P_0 - 1e-9 is the whole-space case and
+    is checked first.  Every tolerance is in units of max(spot, strike), so
+    the verdict does not depend on the currency unit.  The default grid is
+    101 points spanning 5 standard deviations of the position value around
+    its mean.  Grid points below the reachable position range (their events
+    have probability below 1e-15) are skipped.
     """
     t = _check_finite("t", t)
     if not 0.0 < t < params.horizon:
         raise InputError(f"t must lie in (0, horizon), got {t}")
     p0 = bs_put(params, 0.0, params.spot)
+    unit = max(params.spot, params.strike)
+    tol = _PUT_TOL * unit
     gs, wphi = _density_weights(-_QUAD_RANGE, _QUAD_RANGE)
     spots, puts, positions = _position_values(params, t, gs, p0)
     for name, values, sign in (("put", puts, 1), ("position", positions, -1)):
-        if any(sign * (b - a) > 1e-12 for a, b in zip(values, values[1:])):
+        if any(sign * (b - a) > 1e-12 * unit for a, b in zip(values, values[1:])):
             direction = "decreasing" if sign > 0 else "increasing"
             raise InternalError(
                 f"{name} value is not {direction} in the spot",
@@ -830,7 +864,7 @@ def protective_put_check(
             )
     mean_put = math.fsum(w * p for w, p in zip(wphi, puts))
     gain_full = mean_put - p0
-    if gain_full < -_PUT_TOL:
+    if gain_full < -tol:
         return OrderVerdict(False, Witness("threshold_x", positions[-1], gain_full, 0.0))
 
     if x_grid is None:
@@ -858,6 +892,6 @@ def protective_put_check(
         num = math.fsum(w * (p - p0) for w, p in zip(sub_wphi, sub_puts))
         den = math.fsum(sub_wphi)
         cond = num / den
-        if cond < -_PUT_TOL:
+        if cond < -tol:
             return OrderVerdict(False, Witness("threshold_x", x, cond, 0.0))
     return OrderVerdict(True, None)

@@ -228,7 +228,7 @@ def _format_cell(v) -> str:
 def _cmd_table(args):
     rows = _bernoulli_rows() if args.which == "bernoulli" else _gaussian_rows()
     if args.format == "json":
-        inputs = {"which": args.which, "grid": args.grid}
+        inputs = {"which": args.which}
         return inputs, rows, None, 0, f"{args.which} region grid, {len(rows)} cells"
     cols = list(rows[0])
     if args.format == "csv":
@@ -366,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_synthesize)
 
     p = sub.add_parser("discretize", help="midpoint-quantile discretization of a law")
-    p.add_argument("--grid", "--n", dest="n", required=True, type=int,
+    p.add_argument("--grid", dest="n", required=True, type=int,
                    help="number of equal-probability atoms (>= 2)")
     p.add_argument("--out", help="write the discrete law JSON to this file")
     p.add_argument("dist")
@@ -374,7 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="emit a dependence-region grid")
     p.add_argument("which", choices=["bernoulli", "gaussian"])
-    p.add_argument("--grid", default="default", choices=["default"])
     p.add_argument("--format", default="csv", choices=["csv", "md", "json"])
     p.set_defaults(handler=_cmd_table)
 

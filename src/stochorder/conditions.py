@@ -15,27 +15,27 @@ cond_on_difference:  E[Z | Y - Z <= x] <= 0 at every relevant x, for a joint of
 The events {W <= x}, {W >= x} and {W = x} change only at atoms of the
 anchor, so its distinct values are a complete test set, and
 E[Z | event] has the sign of E[Z; event].  All five conditions, and
-apps.improver_check, call one kernel function, _first_failure, over integer
-columns (the joint's, JointDist.ints; tail_condition scales its cells once):
-it sums z * p and p over the cells of each anchor value, once, and walks the
-anchors, ascending, once per requested tail, with a prefix sum (the lower
-tail), a suffix sum (the upper tail) or the group sums alone (the point
-events).  It reports the first failing threshold, as a direct evaluation at
-each threshold would.  cond_cx_pair reads E[Z] straight from the integer
-columns and asks one call for both tails.
+apps.improver_check, call one kernel function, _first_failure, over a
+joint's integer columns (JointDist.ints; apps.marketable_check is cond_icx
+on the joint of retained loss and indemnity margin): it sums z * p and p
+over the cells of each anchor value, once, and walks the anchors,
+ascending, once per requested tail, with a prefix sum (the lower tail), a
+suffix sum (the upper tail) or the group sums alone (the point events).
+It reports the first failing threshold, as a direct evaluation at each
+threshold would.  cond_cx_pair reads E[Z] straight from the integer columns
+and asks one call for both tails.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .dists import InternalError, JointDist, as_integers
+from .dists import InternalError, JointDist
 from .orders import OrderVerdict, Witness
 
 __all__ = [
-    "tail_condition",
     "cond_new",
     "cond_classic",
     "cond_icx",
@@ -46,8 +46,6 @@ __all__ = [
 _ZERO = Fraction(0)
 
 _HOLDS = OrderVerdict(True, None)
-
-Cells = Iterable[tuple[Fraction, Fraction, Fraction]]
 
 
 def _first_failure(anchors: Sequence[int], va: int, zs: Sequence[int], vz: int,
@@ -92,19 +90,6 @@ def _first_failure(anchors: Sequence[int], va: int, zs: Sequence[int], vz: int,
         else:
             verdicts.append(_HOLDS)
     return verdicts
-
-
-def tail_condition(cells: Cells, tail: str) -> OrderVerdict:
-    """Sign condition on E[Z | event] over (anchor, z, p) cells in any order.
-
-    tail "lower" checks E[Z | A <= x] <= 0, "upper" checks E[Z | A >= x] >= 0
-    and "point" checks E[Z | A = x] <= 0, at every anchor value x.  The
-    cells need not be sorted; repeated cells add up.
-    """
-    if tail not in ("lower", "upper", "point"):
-        raise ValueError(f"unknown tail {tail!r}")
-    (a, va), (z, vz), (p, d) = [as_integers(col) for col in zip(*cells)] or [([], 1)] * 3
-    return _first_failure(a, va, z, vz, p, d, tail)[0]
 
 
 def cond_new(j: JointDist) -> OrderVerdict:

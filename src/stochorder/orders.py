@@ -328,7 +328,7 @@ def _cx_exact(dx: DiscreteDist, dy: DiscreteDist) -> OrderVerdict:
 
 
 def _cx_normal(nx: Normal, ny: Normal) -> OrderVerdict:
-    if abs(nx.mu - ny.mu) > 1e-12:
+    if nx.mu != ny.mu:
         return _fails("level_p", 1.0, nx.mu, ny.mu)
     if nx.sigma <= ny.sigma:
         return _HOLDS

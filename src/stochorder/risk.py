@@ -12,8 +12,9 @@ On a finite law every evaluator works over integers, from the law's
 integer form (DiscreteDist.ints): values over the lcm V of their
 denominators, probabilities over the lcm D of theirs; a level or point
 asked for moves only the atoms it reaches onto its own lcm.  Each result
-becomes one Fraction.  es and phi sum the upper tail down to the one level,
-and phi_envelope builds all breakpoints at once.  stop_loss_transform is the
+becomes one Fraction.  es and phi sum the upper tail down to the one level;
+phi is the envelope, and its values at the law's cumulative probabilities
+are the breakpoints, between which it is linear.  stop_loss_transform is the
 integer kernel of the stop-loss transform, one pass of suffix sums over
 ascending points,
 
@@ -29,9 +30,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from operator import itemgetter
 from typing import Sequence
 
@@ -47,76 +46,11 @@ from .dists import (
 )
 
 __all__ = [
-    "PhiEnvelope",
-    "phi_envelope",
     "es",
     "phi",
     "stop_loss",
     "stop_loss_transform",
 ]
-
-
-@dataclass(frozen=True)
-class PhiEnvelope:
-    """Piecewise-linear concave envelope p -> (1-p) ES_p of a finite law.
-
-    points are (p, value) breakpoints with p strictly increasing from 0 to 1.
-    Between breakpoints the envelope is linear with slope -Q(p).
-    """
-
-    points: tuple[tuple[Fraction, Fraction], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.points) < 2 or self.points[0][0] != 0 or self.points[-1][0] != 1:
-            raise InputError("envelope must span p = 0 .. 1")
-        ps = [p for p, _ in self.points]
-        if any(b <= a for a, b in zip(ps, ps[1:])):
-            raise InputError("envelope breakpoints must be strictly increasing")
-        if self.points[-1][1] != 0:
-            raise InputError("envelope must vanish at p = 1")
-
-    @property
-    def levels(self) -> tuple[Fraction, ...]:
-        return tuple(p for p, _ in self.points)
-
-    def value_at(self, p: RationalLike) -> Fraction:
-        pf = as_fraction(p)
-        if not 0 <= pf <= 1:
-            raise InputError(f"level must lie in [0, 1], got {pf}")
-        k = bisect_right(self.points, pf, key=itemgetter(0)) - 1
-        if k == len(self.points) - 1:
-            return self.points[-1][1]
-        p0, v0 = self.points[k]
-        p1, v1 = self.points[k + 1]
-        return v0 + (v1 - v0) * (pf - p0) / (p1 - p0)
-
-    def es_at(self, p: RationalLike) -> Fraction:
-        pf = as_fraction(p)
-        if not 0 <= pf < 1:
-            raise InputError(f"expected shortfall needs p in [0, 1), got {pf}")
-        return self.value_at(pf) / (1 - pf)
-
-    def slopes(self) -> tuple[Fraction, ...]:
-        """Per-segment slopes, left to right; concavity <=> nonincreasing."""
-        pairs = zip(self.points, self.points[1:])
-        return tuple((v1 - v0) / (p1 - p0) for (p0, v0), (p1, v1) in pairs)
-
-
-def phi_envelope(d: DiscreteDist) -> PhiEnvelope:
-    """Exact envelope of a finite law.
-
-    Breakpoints sit at the cumulative probabilities; the value at each is the
-    partial upper-tail expectation sum_{j>k} x_j * (P_j - P_{j-1}).  Both are
-    summed over integers (values over the lcm V of their denominators,
-    probabilities over the lcm D of theirs), and each breakpoint becomes a
-    Fraction once.
-    """
-    xs, V, ws, D = d.ints
-    # tails[k] = sum_{j>=k} x_j w_j in units of 1 / (V D); tails[n] = 0
-    tails = list(accumulate((x * w for x, w in zip(reversed(xs), reversed(ws))), initial=0))[::-1]
-    return PhiEnvelope(tuple(
-        (Fraction(c, D), Fraction(t, V * D)) for c, t in zip(accumulate(ws, initial=0), tails)
-    ))
 
 
 def _upper_tail(d: DiscreteDist, p: Fraction) -> tuple[int, int, int, int]:

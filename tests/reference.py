@@ -15,7 +15,10 @@ comonotone pair; the improver tests use it to tell which joints are.
 normalize, normalize_joint and phi_envelope_points are the
 Fraction routes of canonicalisation and of the expected-shortfall envelope:
 a Fraction-keyed merge, a sort by Fraction comparison and one Fraction
-division or sum per atom, where the library works over integers.
+division or sum per atom, where the library works over integers.  es and
+phi read the envelope by linear interpolation between its breakpoints,
+where the library sums the upper tail down to the one level; the check_icx
+and check_ssd routes compare two envelopes at every breakpoint of either.
 solve_transport decides coupling feasibility by exact LP: a dense phase-1
 simplex over Fractions with Bland's rule.  Its cost grows steeply with the
 support sizes, so the tests call it on at most 6 x 6 atoms.
@@ -39,7 +42,6 @@ from stochorder import (
     joint_sum,
 )
 from stochorder.orders import OrderVerdict, Witness
-from stochorder.risk import PhiEnvelope, phi_envelope
 
 _ZERO = Fraction(0)
 _HOLDS = OrderVerdict(True, None)
@@ -119,13 +121,36 @@ def _pair(x, y):
     return dx, dy
 
 
-def _merged_levels(ex: PhiEnvelope, ey: PhiEnvelope) -> list[Fraction]:
-    return sorted(set(ex.levels) | set(ey.levels))
+def _value_at(points, p: Fraction) -> Fraction:
+    """The envelope at p, interpolated linearly between its breakpoints."""
+    for (p0, v0), (p1, v1) in zip(points, points[1:]):
+        if p0 <= p <= p1:
+            return v0 + (v1 - v0) * (p - p0) / (p1 - p0)
+    raise AssertionError(f"level {p} outside [0, 1]")
 
 
-def _integrated_lower_quantile(env: PhiEnvelope, p: Fraction) -> Fraction:
+def phi(d: DiscreteDist, p) -> Fraction:
+    """(1 - p) ES_p: the envelope through phi_envelope_points."""
+    pf = as_fraction(p)
+    if not 0 <= pf <= 1:
+        raise InputError(f"level must lie in [0, 1], got {pf}")
+    return _value_at(phi_envelope_points(d), pf)
+
+
+def es(d: DiscreteDist, p) -> Fraction:
+    pf = as_fraction(p)
+    if not 0 <= pf < 1:
+        raise InputError(f"expected shortfall needs p in [0, 1), got {pf}")
+    return _value_at(phi_envelope_points(d), pf) / (1 - pf)
+
+
+def _merged_levels(px, py) -> list[Fraction]:
+    return sorted({p for p, _ in px} | {p for p, _ in py})
+
+
+def _integrated_lower_quantile(points, p: Fraction) -> Fraction:
     # integral of Q over (0, p) = mean - integral over (p, 1)
-    return env.points[0][1] - env.value_at(p)
+    return points[0][1] - _value_at(points, p)
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +160,11 @@ def _integrated_lower_quantile(env: PhiEnvelope, p: Fraction) -> Fraction:
 
 def check_icx(x, y) -> OrderVerdict:
     dx, dy = _pair(x, y)
-    ex, ey = phi_envelope(dx), phi_envelope(dy)
+    ex, ey = phi_envelope_points(dx), phi_envelope_points(dy)
     for p in _merged_levels(ex, ey):
         if p == 1:
             continue  # both envelopes vanish there
-        vx, vy = ex.value_at(p), ey.value_at(p)
+        vx, vy = _value_at(ex, p), _value_at(ey, p)
         if vx < vy:
             return OrderVerdict(False, Witness("level_p", p, vx / (1 - p), vy / (1 - p)))
     return _HOLDS
@@ -147,7 +172,7 @@ def check_icx(x, y) -> OrderVerdict:
 
 def check_ssd(x, y) -> OrderVerdict:
     dx, dy = _pair(x, y)
-    ex, ey = phi_envelope(dx), phi_envelope(dy)
+    ex, ey = phi_envelope_points(dx), phi_envelope_points(dy)
     for p in _merged_levels(ex, ey):
         if p == 0:
             continue  # both integrals vanish there

@@ -11,7 +11,7 @@ import random
 import time
 import warnings
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from scipy.integrate import quad
 
@@ -42,7 +42,7 @@ from stochorder import (
     normalize,
     oracle_icx,
     oracle_ssd,
-    phi_envelope,
+    phi,
     protective_put_check,
     quantile_right,
     stop_loss,
@@ -194,7 +194,10 @@ def test_criterion_5_tail_measure_invariants():
     for _ in range(300):
         d = random_discrete(rng)
         assert es(d, 0) == mean(d)
-        slopes = phi_envelope(d).slopes()
+        levels = list(accumulate(d.probs, initial=F(0)))
+        values = [phi(d, p) for p in levels]
+        slopes = [(v1 - v0) / (p1 - p0)
+                  for p0, p1, v0, v1 in zip(levels, levels[1:], values, values[1:])]
         assert all(b <= a for a, b in zip(slopes, slopes[1:]))
         levels = sorted({F(k, 7) for k in range(7)} | {F(k, 13) for k in range(13)})
         vals = [es(d, p) for p in levels]

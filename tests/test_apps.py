@@ -483,6 +483,43 @@ class TestIndifferencePremium:
         p2 = indifference_premium(ExponentialUtility(1.5), 15, x, i)
         assert p2 >= p1 - 1e-9
 
+    FLAT = (normalize([(0, 1), (2, 1)]),
+            PiecewiseIndemnity(((F(0), F(0)), (F(1), F(0)), (F(2), F(1)))))
+
+    def test_exponential_premium_is_free_of_the_wealth(self):
+        x, i = self.FLAT
+        ps = [indifference_premium(ExponentialUtility(1.0), w, x, i) for w in (10, 800, 1e20)]
+        assert ps[0] == ps[1] == ps[2] == pytest.approx(0.81367, abs=1e-5)
+
+    def test_exponential_premium_solves_the_indifference_equation(self):
+        x, i = uniform(0, 1, 4), StopLossIndemnity(1)
+        a, w = 0.7, 5.0
+        p = indifference_premium(ExponentialUtility(a), w, x, i)
+        def eu(premium):
+            return sum(-math.exp(-a * (w - v + float(indemnity_value(i, v)) - premium)) for v in (0, 1, 4)) / 3
+        assert eu(p) == pytest.approx(sum(-math.exp(-a * (w - v)) for v in (0, 1, 4)) / 3, rel=1e-14)
+
+    def test_small_aversion_tends_to_the_expected_indemnity(self):
+        x, i = self.FLAT
+        assert indifference_premium(ExponentialUtility(1e-17), 10, x, i) == pytest.approx(0.5, abs=1e-9)
+
+    def test_rare_top_atom_under_large_aversion(self):
+        # every other atom's weight rounds to 1.0 and its expm1 to -1: log1p(-1) is undefined
+        x = normalize([(0, 10**20 - 1), (30, 1)])
+        p = indifference_premium(ExponentialUtility(100.0), 10, x, StopLossIndemnity(0))
+        assert p == pytest.approx(30 + math.log(1e-20) / 100, rel=1e-12)
+
+    def test_aversion_beyond_binary64_rejected(self):
+        x, i = self.FLAT
+        with pytest.raises(InputError, match="^aversion 1e\\+308 "):
+            indifference_premium(ExponentialUtility(1e308), 10, x, i)
+
+    def test_power_premium_unresolved_at_large_wealth(self):
+        x, i = self.FLAT
+        assert 0.5 < indifference_premium(PowerUtility(0.5), 10, x, i) < 1.0
+        with pytest.raises(InputError, match="^power utility at wealth 1e\\+20 "):
+            indifference_premium(PowerUtility(0.5), 1e20, x, i)
+
     def test_utility_spec_parsing(self):
         assert utility_from_spec("linear") == LinearUtility()
         assert utility_from_spec("exp:0.5") == ExponentialUtility(0.5)
@@ -597,6 +634,16 @@ class TestProtectivePut:
             protective_put_check(self.PARAMS, 1.0)
         with pytest.raises(InputError):
             protective_put_check(self.PARAMS, 0.5, x_grid=[])
+
+    @pytest.mark.parametrize("k", range(13))
+    @pytest.mark.parametrize("drift", [0.0, -0.05])
+    def test_verdict_is_free_of_the_currency_unit(self, k, drift):
+        unit = float(10**k)
+        assert protective_put_check(BSParams(unit, unit, 0.2, drift, 1.0), 0.5).holds
+
+    @pytest.mark.parametrize("spot, strike", [(1.0, 1e6), (1e6, 1.0), (1.0, 1e9), (1e9, 1.0)])
+    def test_holds_for_far_apart_spot_and_strike(self, spot, strike):
+        assert protective_put_check(BSParams(spot, strike, 0.2, 0.0, 1.0), 0.5).holds
 
     def test_non_finite_grid_points_rejected(self):
         for grid in ([float("nan")], [0.5, float("nan")], [float("inf")], [0.5, -math.inf]):

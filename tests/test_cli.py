@@ -201,8 +201,17 @@ class TestDiscretize:
 
     def test_bad_n(self, run, tmp_path):
         d = _write(tmp_path / "d.json", {"type": "normal", "mu": 0, "sigma": 1})
-        code, _, cap = run("discretize", "--n", "1", d)
+        code, _, cap = run("discretize", "--grid", "1", d)
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["discretize", "--n", "8", "d.json"],
+        ["table", "bernoulli", "--grid", "default"],
+    ], ids=["discretize-n", "table-grid"])
+    def test_one_spelling_per_option(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestTable:
@@ -227,6 +236,7 @@ class TestTable:
     def test_bernoulli_json(self, run):
         code, report, _ = run("table", "bernoulli", "--format", "json")
         assert code == 0
+        assert report["inputs"] == {"which": "bernoulli"}
         rows = report["result"]
         assert len(rows) == 16 * 21
         cell = next(r for r in rows if r["c"] == 0.6 and r["rho"] == 0.5)
@@ -296,6 +306,14 @@ class TestAppliedCommands:
                               "--indemnity", i, "--loss", loss)
         assert code == 0
         assert report["result"] >= 1.0
+
+    def test_premium_power_unresolved_at_large_wealth_exits_2(self, run, tmp_path):
+        i = _write(tmp_path / "i.json", {"kind": "piecewise", "knots": [[0, 0], [1, 0], [2, 1]]})
+        loss = _write(tmp_path / "l.json", _discrete([0, 2]))
+        code, report, cap = run("premium", "--utility", "power:0.5", "--wealth", "1e20",
+                                "--indemnity", i, "--loss", loss)
+        assert (code, report) == (2, None)
+        assert cap.err.startswith("error: power utility at wealth 1e+20 ")
 
     def test_stoploss_compare(self, run, tmp_path):
         j = _write(

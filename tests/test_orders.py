@@ -30,7 +30,7 @@ from stochorder import (
 )
 from stochorder.dists import DiscreteDist
 from stochorder.orders import OrderVerdict, Witness
-from stochorder.risk import es, phi_envelope
+from stochorder.risk import es, phi
 
 from . import reference as ref
 from .test_dists import discrete_dists, uniform
@@ -38,8 +38,7 @@ from .test_dists import discrete_dists, uniform
 
 def psi(d, p):
     """Integrated lower quantile: mean - phi(p)."""
-    env = phi_envelope(d)
-    return env.points[0][1] - env.value_at(p)
+    return mean(d) - phi(d, p)
 
 
 nonneg_dists = st.builds(
@@ -231,6 +230,11 @@ class TestNormalPairs:
         assert check_cx(Normal(0.0, 1.0), Normal(0.0, 2.0)).holds
         assert not check_cx(Normal(0.0, 2.0), Normal(0.0, 1.0)).holds
         assert not check_cx(Normal(0.5, 1.0), Normal(0.0, 2.0)).holds
+
+    def test_cx_normal_compares_means_exactly(self):
+        assert check_cx(Normal(0.0, 1.0), Normal(1e-13, 2.0)) == OrderVerdict(
+            False, Witness("level_p", 1.0, 0.0, 1e-13)
+        )
 
     def test_st_requires_equal_sigma(self):
         assert check_st(Normal(2.0, 1.5), Normal(0.0, 1.5)).holds

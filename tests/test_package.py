@@ -1,6 +1,7 @@
 """Package hygiene: no unread imports (in the tests and scripts too), no
-writes through an object's __dict__, no numpy at run time, and the
-Newton-built Gauss-Legendre rule of apps against numpy's."""
+writes through an object's __dict__, no numpy at run time, a reference
+module that imports none of the routes it checks, and the Newton-built
+Gauss-Legendre rule of apps against numpy's."""
 
 import ast
 import math
@@ -55,6 +56,40 @@ def test_unread_absolute_import_is_caught(tmp_path):
                       "import json as j\nfrom itertools import compress, chain\n"
                       "chain(os.sep)\n")
     assert _unread_imports(module) == ["j", "compress"]
+
+
+def _reference_leaks(path: Path) -> list[str]:
+    """Names the file imports from the code the reference routes check: any
+    name of stochorder.risk or stochorder.conditions, and any of
+    stochorder.orders but its verdict types, also through the package."""
+    from stochorder import conditions, orders, risk
+
+    allowed = {"OrderVerdict", "Witness"}
+    checked = {"stochorder.risk": set(risk.__all__), "stochorder.conditions": set(conditions.__all__),
+               "stochorder.orders": set(orders.__all__) - allowed}
+    leaks = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            leaks += [a.name for a in node.names if a.name in checked]
+        elif isinstance(node, ast.ImportFrom) and node.module in checked:
+            leaks += [f"{node.module}.{a.name}" for a in node.names if a.name not in allowed]
+        elif isinstance(node, ast.ImportFrom) and node.module == "stochorder":
+            leaks += [a.name for a in node.names if any(a.name in names for names in checked.values())]
+    return leaks
+
+
+def test_reference_shares_no_code_with_what_it_checks():
+    assert _reference_leaks(HERE / "reference.py") == []
+
+
+def test_reference_leak_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import stochorder.risk\nfrom stochorder import cdf, es, cond_new, Witness\n"
+                      "from stochorder.orders import OrderVerdict, check_ssd\n"
+                      "from stochorder.conditions import _first_failure\n")
+    assert _reference_leaks(module) == ["stochorder.risk", "es", "cond_new",
+                                        "stochorder.orders.check_ssd",
+                                        "stochorder.conditions._first_failure"]
 
 
 _DICT_WRITERS = {"update", "setdefault", "pop", "popitem", "clear"}

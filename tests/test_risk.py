@@ -15,13 +15,11 @@ from stochorder import (
     InputError,
     LogNormal,
     Normal,
-    PhiEnvelope,
     PointMass,
     es,
     mean,
     normalize,
     phi,
-    phi_envelope,
     point_mass_dist,
     quantile_right,
     stop_loss,
@@ -51,55 +49,51 @@ def es_by_trapezoid(d, p: float, nodes: int = 10_000) -> float:
     return total / (1.0 - p)
 
 
+def breakpoints(d):
+    """(P_k, phi(P_k)) at 0 and every cumulative probability of d."""
+    return [(p, phi(d, p)) for p in itertools.accumulate(d.probs, initial=F(0))]
+
+
 class TestEnvelope:
     def test_uniform01_breakpoints(self):
-        env = phi_envelope(uniform(0, 1))
-        assert env.points == ((F(0), F(1, 2)), (F(1, 2), F(1, 2)), (F(1), F(0)))
+        assert breakpoints(uniform(0, 1)) == [(F(0), F(1, 2)), (F(1, 2), F(1, 2)), (F(1), F(0))]
 
     def test_point_mass_is_line(self):
-        env = phi_envelope(point_mass_dist(F(3)))
-        assert env.points == ((F(0), F(3)), (F(1), F(0)))
+        assert breakpoints(point_mass_dist(F(3))) == [(F(0), F(3)), (F(1), F(0))]
 
     def test_starts_at_mean_ends_at_zero(self):
         d = normalize([(-2, F(1, 3)), (1, F(1, 3)), (5, F(1, 3))])
-        env = phi_envelope(d)
-        assert env.points[0] == (F(0), mean(d))
-        assert env.points[-1] == (F(1), F(0))
+        points = breakpoints(d)
+        assert points[0] == (F(0), mean(d))
+        assert points[-1] == (F(1), F(0))
 
     @given(discrete_dists())
     def test_slopes_are_negated_quantiles_and_concave(self, d):
-        env = phi_envelope(d)
-        slopes = env.slopes()
+        points = breakpoints(d)
+        slopes = [(v1 - v0) / (p1 - p0) for (p0, v0), (p1, v1) in zip(points, points[1:])]
         # one linear piece per atom, slope -value, steering downward
-        assert list(slopes) == [-v for v in d.values]
+        assert slopes == [-v for v in d.values]
         assert all(a >= b for a, b in zip(slopes, slopes[1:]))
 
     @given(discrete_dists(), st.integers(0, 60), st.integers(0, 60))
     def test_increment_is_quantile_integral(self, d, a, b):
         q, p = sorted((F(a, 60), F(b, 60)))
-        env = phi_envelope(d)
+        levels = [c for c, _ in breakpoints(d)]
         integral = F(0)
         lo = q
         while lo < p:
-            hi = min(p, next((c for c, _ in env.points if c > lo), F(1)))
+            hi = min(p, next((c for c in levels if c > lo), F(1)))
             mid = lo + (hi - lo) / 2
             integral += quantile_right(d, mid) * (hi - lo) if mid < 1 else F(0)
             lo = hi
-        assert env.value_at(p) - env.value_at(q) == -integral
+        assert phi(d, p) - phi(d, q) == -integral
 
     @given(discrete_dists())
     def test_value_at_breakpoints_and_midpoints(self, d):
-        env = phi_envelope(d)
-        for (p0, v0), (p1, v1) in zip(env.points, env.points[1:]):
-            assert env.value_at(p0) == v0
-            assert env.value_at((p0 + p1) / 2) == (v0 + v1) / 2
-        assert env.value_at(1) == env.points[-1][1] == 0
-
-    def test_validation(self):
-        with pytest.raises(InputError):
-            PhiEnvelope(((F(0), F(1)), (F(1), F(1))))  # must vanish at 1
-        with pytest.raises(InputError):
-            PhiEnvelope(((F(0), F(1)),))
+        points = breakpoints(d)
+        for (p0, v0), (p1, v1) in zip(points, points[1:]):
+            assert phi(d, (p0 + p1) / 2) == (v0 + v1) / 2
+        assert phi(d, 1) == points[-1][1] == 0
 
 
 class TestEs:
