@@ -10,7 +10,8 @@ values (w and z separately) and all weights of one call to integers over the
 lcm of their denominators (an int weight as it is), merge duplicates in an
 int-keyed dict and sort the int keys; the marginals and joint_sum merge the
 joint's integers alike.  The merge's integers become the law's integer form,
-the weights over their gcd, and each probability is built once.
+the weights over their gcd, and each distinct probability is built once and
+shared by its atoms.
 
 Each finite law holds its integer form, ints, a field outside ==, hash and
 repr: for a DiscreteDist its values over the lcm V of their denominators and
@@ -144,10 +145,10 @@ def as_fraction(x: RationalLike) -> Fraction:
     _MAX_CHARS characters, with an exponent of magnitude at most _MAX_DIGITS
     and a result of at most _MAX_DIGITS digits above and below the line.
     """
-    if isinstance(x, bool):
-        raise InputError("booleans are not numeric values")
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise InputError("booleans are not numeric values")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
@@ -491,7 +492,7 @@ def normalize(raw_atoms: Iterable[tuple[RationalLike, RationalLike]]) -> Discret
     """
     values, weights = [], []
     for value, weight in raw_atoms:
-        v = as_fraction(value)
+        v = value if type(value) is Fraction else as_fraction(value)
         w = weight if type(weight) is int else as_fraction(weight)
         if w.numerator < 0:
             raise InputError(f"negative weight {w} at value {v}")
@@ -535,7 +536,10 @@ def _merged(keys: list, scales: tuple[int, ...], cells: list | None,
     # T first: the weights may share most factors where T shares few, and a gcd of 1 skips the rest
     g = math.gcd(T, *acc.values())
     ps, D = tuple([acc[k] // g for k in order]), T // g
-    probs = [Fraction(p, D) for p in ps]
+    shared = dict.fromkeys(ps)  # one Fraction per distinct weight, shared by its atoms
+    for p in shared:
+        shared[p] = Fraction(p, D)
+    probs = map(shared.__getitem__, ps)
     if len(scales) == 2:
         atoms = tuple([(w, z, p) for (w, z), p in zip(map(first.get, order), probs)])
         ws, zs = zip(*order)
@@ -627,7 +631,8 @@ def normalize_joint(
     """Build a canonical joint law; merges duplicate cells, rescales weights."""
     cells, weights = [], []
     for w, z, weight in raw_atoms:
-        key = (as_fraction(w), as_fraction(z))
+        key = (w if type(w) is Fraction else as_fraction(w),
+               z if type(z) is Fraction else as_fraction(z))
         wt = weight if type(weight) is int else as_fraction(weight)
         if wt.numerator < 0:
             raise InputError(f"negative weight {wt} at cell {key}")
@@ -909,13 +914,21 @@ def joint_to_json(j: JointDist) -> dict:
     }
 
 
+# The most atoms discretize builds; it costs time linear in n.  Through the
+# CLI, `discretize --grid 100000` took 2.0 s on a Normal and 3.0 s on a
+# LogNormal, printing included, at a 78 MB peak (shared 2-vCPU Xeon VM,
+# Python 3.11).
+_MAX_DISCRETIZE = 100_000
+
+
 def discretize(d: Dist, n: int) -> DiscreteDist:
-    """n equal-mass atoms at the midpoint quantiles Q((2k-1)/(2n)), k=1..n.
+    """n equal-mass atoms at the midpoint quantiles Q((2k-1)/(2n)), k=1..n,
+    for 2 <= n <= _MAX_DISCRETIZE.
 
     An approximation for continuous families, never applied silently: callers
     that need a discrete law must invoke it themselves.  Laws that are
-    already finite convert exactly and ignore n: a DiscreteDist passes
-    through, a PointMass becomes its single atom and a Bernoulli its two.
+    already finite convert exactly whatever n in that range: a DiscreteDist
+    passes through, a PointMass becomes its single atom and a Bernoulli its two.
     For a Normal the atoms are generated on the lower half and mirrored
     about mu, so the discretized mean is exactly mu.
     """
@@ -923,6 +936,8 @@ def discretize(d: Dist, n: int) -> DiscreteDist:
         raise InputError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise InputError(f"discretization needs n >= 2 atoms, got {n}")
+    if n > _MAX_DISCRETIZE:
+        raise InputError(f"discretization takes at most {_MAX_DISCRETIZE} atoms, got {n}")
     exact = as_discrete(d)
     if exact is not None:
         return exact

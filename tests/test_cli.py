@@ -204,6 +204,13 @@ class TestDiscretize:
         code, _, cap = run("discretize", "--grid", "1", d)
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["100001", "100000000000"])
+    def test_atom_cap_exits_2(self, run, tmp_path, grid):
+        d = _write(tmp_path / "d.json", {"type": "normal", "mu": 0, "sigma": 1})
+        code, report, cap = run("discretize", "--grid", grid, d)
+        assert (code, report) == (2, None)
+        assert f"at most 100000 atoms, got {grid}" in cap.err
+
     @pytest.mark.parametrize("argv", [
         ["discretize", "--n", "8", "d.json"],
         ["table", "bernoulli", "--grid", "default"],
@@ -466,7 +473,7 @@ class TestOverflow:
         x = _write(tmp_path / "l.json", loss)
         proc = subprocess.run(
             [sys.executable, "-m", "stochorder.cli", *argv, "--indemnity", i, "--loss", x],
-            capture_output=True, text=True, env={"PYTHONPATH": SRC},
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
         )
         return proc.returncode, proc.stdout, proc.stderr.splitlines()
 

@@ -2,6 +2,8 @@
 
 import json
 import math
+import pickle
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -39,8 +41,11 @@ from stochorder import (
     quantile_right,
     variance,
 )
+from stochorder import dists
 from stochorder.dists import lower_tail_mean, norm_cdf, norm_pdf, norm_quantile, upper_tail_mean
 from stochorder.risk import es
+
+from . import reference as ref
 
 
 def uniform(*values) -> DiscreteDist:
@@ -185,7 +190,8 @@ class TestConstruction:
 
     def test_boolean_weights_and_values_rejected(self):
         for build, raw in ((normalize, [(0, True)]), (normalize, [(True, 1)]),
-                           (normalize_joint, [(0, 0, True)]), (normalize_joint, [(0, False, 1)])):
+                           (normalize_joint, [(0, 0, True)]), (normalize_joint, [(0, False, 1)]),
+                           (normalize_joint, [(True, 0, 1)])):
             with pytest.raises(InputError, match="booleans are not numeric values"):
                 build(raw)
 
@@ -272,6 +278,61 @@ class TestIntegerFormRoutes:
         for law in laws:
             assert_validated(law)
         assert joint_marginal_w(j) == d
+
+
+class FractionSubclass(F):
+    """Not a Fraction by type: as_fraction passes it through as it is."""
+
+
+def _spelled(q, k):
+    """q in the k-th of five spellings: int where whole, rational string,
+    float where dyadic, Fraction, FractionSubclass."""
+    forms = [int(q) if q.denominator == 1 else q, f"{q.numerator}/{q.denominator}",
+             float(q) if q.denominator & (q.denominator - 1) == 0 else q, q,
+             FractionSubclass(q.numerator, q.denominator)]
+    return forms[k % 5]
+
+
+def _raw_joint(kind):
+    """Raw (w, z, weight) cells of one kind: cells repeat, so that they merge."""
+    rng = random.Random(f"shared:{kind}")
+    cells = [(F(rng.randint(-6, 6), 2), F(rng.randint(-20, 20), rng.choice((1, 2, 4, 3))))
+             for _ in range(80)]
+    if kind == "equal":
+        return [(w, z, 1) for w, z in cells]
+    if kind == "one-to-three":
+        return [(w, z, rng.randint(1, 3)) for w, z in cells]
+    if kind == "distinct":  # distinct cells with distinct weights
+        return [(w, z, F(k + 1, 3)) for k, (w, z) in enumerate(dict.fromkeys(cells))]
+    return [(_spelled(w, k), _spelled(z, k + 1), _spelled(F(rng.randint(1, 12), 4), k + 2))
+            for k, (w, z) in enumerate(cells)]
+
+
+class TestSharedProbabilities:
+    """Each distinct probability of a canonical law is built once and shared
+    by its atoms; the laws stay the reference's, atom for atom."""
+
+    @pytest.mark.parametrize("kind", ["equal", "one-to-three", "distinct", "mixed"])
+    def test_builders_equal_the_reference(self, kind):
+        raw = _raw_joint(kind)
+        j, rj = normalize_joint(raw), ref.normalize_joint(raw)
+        d, rd = normalize([(w, wt) for w, _, wt in raw]), ref.normalize([(w, wt) for w, _, wt in raw])
+        a, b = F(-3, 2), F(1, 3)
+        pairs = [
+            (d, rd), (j, rj),
+            (joint_marginal_w(j), ref.normalize([(w, p) for w, _, p in rj.atoms])),
+            (joint_sum(j), ref.normalize([(w + z, p) for w, z, p in rj.atoms])),
+            (affine(d, a, b), ref.normalize([(a * v + b, p) for v, p in rd.atoms])),
+        ]
+        for law, want in pairs:
+            assert law.atoms == want.atoms
+            probs = [atom[-1] for atom in law.atoms]
+            assert all(type(p) is F for p in probs)
+            assert len({id(p) for p in probs}) == len(set(probs))
+            again = pickle.loads(pickle.dumps(law))
+            assert again == law and again.ints == law.ints
+        if kind == "distinct":
+            assert len({p for *_, p in j.atoms}) == len(j.atoms)
 
 
 class TestQuantileConvention:
@@ -465,6 +526,17 @@ class TestDiscretize:
     def test_needs_two_atoms(self):
         with pytest.raises(InputError):
             discretize(Normal(0.0, 1.0), 1)
+
+    def test_atom_cap_checked_before_any_atom(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("an atom was built")
+
+        monkeypatch.setattr(dists, "norm_quantile", unreachable)
+        monkeypatch.setattr(dists, "quantile_right", unreachable)
+        for d in (Normal(0.0, 1.0), Exponential(1.0), LogNormal(0.0, 1.0), Bernoulli(0.25)):
+            with pytest.raises(InputError, match="at most 100000 atoms, got 100001"):
+                discretize(d, 100_001)
+        assert discretize(Bernoulli(0.25), 100_000).probs == (F(3, 4), F(1, 4))
 
     def test_point_mass_exact(self):
         d = discretize(PointMass(2.5), 7)
