@@ -44,7 +44,6 @@ from .dists import (
     bisection,
     joint_marginal_w,
     joint_sum,
-    lower_tail_mean,
     norm_cdf,
     normalize_joint,
     norm_pdf,
@@ -129,7 +128,8 @@ _CROSS_CHECK_MARGIN = 1e-6
 def gaussian_cond_new_numeric(case: GaussianCase) -> bool:
     """Numeric route for the lower-tail condition E[Z | W <= x] <= 0.
 
-    E[Z | W <= x] = mu_z + rho*sigma_z*E[W | W <= x]; its sup over x in
+    E[Z | W <= x] = mu_z + rho*sigma_z*E[W | W <= x], where
+    E[W | W <= x] = -pdf(x) / cdf(x) for the standard normal; its sup over x in
     [-8, 8] is combined, at tolerance 1e-8, with the two limit facts: the
     conditional mean tends to mu_z as x -> +inf, and E[W | W <= x] is
     unbounded below as x -> -inf, so any rho < 0 blows the expression up on
@@ -138,7 +138,7 @@ def gaussian_cond_new_numeric(case: GaussianCase) -> bool:
     """
     c = case.rho * case.sigma_z
     x = _COND_RANGE if c >= 0.0 else -_COND_RANGE
-    sup = case.mu_z + c * lower_tail_mean(Normal(0.0, 1.0), x)
+    sup = case.mu_z + c * -(norm_pdf(x) / norm_cdf(x))
     return sup <= _COND_TOL and case.mu_z <= _COND_TOL and case.rho >= -_COND_TOL
 
 

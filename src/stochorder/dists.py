@@ -24,12 +24,15 @@ messages: Fraction types, positive probabilities, strictly increasing values
 or distinct joint cells, total mass 1.  The first defective atom decides.
 
 The parametric families (Normal, Exponential, Bernoulli, LogNormal,
-PointMass) carry float parameters.  A finite law is exact everywhere: every
-generic function (and risk.es / phi / stop_loss) asks as_discrete for the
-exact law, which a Bernoulli or a point mass has, and sums over its atoms.
-Only the continuous families, Normal, Exponential and LogNormal, hold
-binary64 closed forms as methods; on them the argument is rounded to a float
-once (_real).  The codecs read one table of family kinds.
+PointMass) carry float parameters.  A finite law is exact everywhere: mean,
+affine and discretize (and risk.es / phi / stop_loss) ask as_discrete for
+the exact law, which a Bernoulli or a point mass has, and work over its
+atoms.  Only the continuous families hold binary64 closed forms, as methods:
+each of Normal, Exponential and LogNormal its es, stop_loss and mean, and
+the Exponential and the LogNormal their quantile_right for discretize.  The
+argument is rounded to a float once (_real), and a result beyond binary64 is
+an input error (_closed_form).  affine is exact on finite laws and not
+defined on a continuous family.  The codecs read one table of family kinds.
 
 Quantiles follow the right-quantile convention
 
@@ -70,13 +73,7 @@ __all__ = [
     "normalize_joint",
     "point_mass_dist",
     "as_discrete",
-    "cdf",
-    "quantile_right",
     "mean",
-    "variance",
-    "lower_tail_mean",
-    "upper_tail_mean",
-    "negate",
     "affine",
     "joint_marginal_w",
     "joint_sum",
@@ -247,15 +244,10 @@ class DiscreteDist:
 
 class _Family:
     """A parametric family, its kind the JSON "type".  A continuous family
-    holds its binary64 closed forms as methods; a finite one (Bernoulli,
-    PointMass) holds none, since as_discrete is its exact law.  The base
-    raises for a map its family does not define."""
-
-    def negate(self) -> Dist:
-        raise UnsupportedPairingError(f"negation is not defined for {type(self).__name__}")
-
-    def affine(self, a: float, b: float) -> Dist:
-        raise UnsupportedPairingError(f"affine map is not defined for {type(self).__name__}")
+    holds its binary64 closed forms as methods (es, stop_loss and mean; the
+    Exponential and the LogNormal also quantile_right, which discretize
+    reads); a finite one (Bernoulli, PointMass) holds none, since
+    as_discrete is its exact law."""
 
 
 @dataclass(frozen=True)
@@ -270,31 +262,8 @@ class Normal(_Family):
         if self.sigma <= 0:
             raise InputError(f"sigma must be positive, got {self.sigma}")
 
-    def cdf(self, x: float) -> float:
-        return norm_cdf((x - self.mu) / self.sigma)
-
-    def quantile_right(self, t: float) -> float:
-        return self.mu + self.sigma * norm_quantile(t)
-
     def mean(self) -> float:
         return self.mu
-
-    def variance(self) -> float:
-        return self.sigma * self.sigma
-
-    def lower_tail_mean(self, x: float) -> float:
-        z = (x - self.mu) / self.sigma
-        phi_z = norm_cdf(z)
-        if phi_z == 0.0:
-            raise IrrelevantThresholdError(f"P(X <= {x}) underflows to 0")
-        return self.mu - self.sigma * norm_pdf(z) / phi_z
-
-    def upper_tail_mean(self, x: float) -> float:
-        z = (x - self.mu) / self.sigma
-        surv = norm_cdf(-z)
-        if surv == 0.0:
-            raise IrrelevantThresholdError(f"P(X >= {x}) underflows to 0")
-        return self.mu + self.sigma * norm_pdf(z) / surv
 
     def es(self, p: float) -> float:
         if p == 0.0:
@@ -305,18 +274,6 @@ class Normal(_Family):
     def stop_loss(self, t: float) -> float:
         z = (self.mu - t) / self.sigma
         return (self.mu - t) * norm_cdf(z) + self.sigma * norm_pdf(z)
-
-    def negate(self) -> Normal:
-        return Normal(-self.mu, self.sigma)
-
-    def affine(self, a: float, b: float) -> Normal | PointMass:
-        if a == 0.0:
-            return PointMass(b)
-        return Normal(a * self.mu + b, abs(a) * self.sigma)
-
-
-# B_2k / (2k)! for k = 6 down to 1: u / (e^u - 1) = 1 - u/2 + sum of them times u^2k
-_BERNOULLI_SERIES = (-691 / 1307674368000, 1 / 47900160, -1 / 1209600, 1 / 30240, -1 / 720, 1 / 12)
 
 
 @dataclass(frozen=True)
@@ -329,39 +286,11 @@ class Exponential(_Family):
         if self.rate <= 0:
             raise InputError(f"rate must be positive, got {self.rate}")
 
-    def cdf(self, x: float) -> float:
-        return -math.expm1(-self.rate * x) if x > 0 else 0.0
-
     def quantile_right(self, t: float) -> float:
         return -math.log1p(-t) / self.rate
 
     def mean(self) -> float:
         return 1.0 / self.rate
-
-    def variance(self) -> float:
-        return 1.0 / (self.rate * self.rate)
-
-    def lower_tail_mean(self, x: float) -> float:
-        if x <= 0.0:
-            raise IrrelevantThresholdError(f"P(X <= {x}) = 0")
-        r = self.rate
-        u = r * x
-        if u < 0.25:
-            # x (1 - u / (e^u - 1)) / u as a series in u, exact to about an
-            # ulp below 1/4, where the closed form below loses digits
-            s = 0.0
-            for c in _BERNOULLI_SERIES:
-                s = s * u * u + c
-            return x * (0.5 - u * s)
-        # E[X 1{X<=x}] = 1/rate - (x + 1/rate) e^{-rate x}
-        ex = math.exp(-u)
-        num = 1.0 / r - (x + 1.0 / r) * ex
-        den = 1.0 - ex
-        return num / den
-
-    def upper_tail_mean(self, x: float) -> float:
-        # memoryless: E[X | X >= x] = max(x, 0) + 1/rate
-        return max(x, 0.0) + 1.0 / self.rate
 
     def es(self, p: float) -> float:
         # integral of -ln(1-t)/rate over (p,1) gives (1 - ln(1-p))/rate
@@ -396,40 +325,11 @@ class LogNormal(_Family):
         if self.sigma <= 0:
             raise InputError(f"sigma must be positive, got {self.sigma}")
 
-    def cdf(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        return norm_cdf((math.log(x) - self.mu) / self.sigma)
-
     def quantile_right(self, t: float) -> float:
         return math.exp(self.mu + self.sigma * norm_quantile(t))
 
     def mean(self) -> float:
         return math.exp(self.mu + 0.5 * self.sigma * self.sigma)
-
-    def variance(self) -> float:
-        s2 = self.sigma * self.sigma
-        return math.expm1(s2) * math.exp(2.0 * self.mu + s2)
-
-    def lower_tail_mean(self, x: float) -> float:
-        if x <= 0.0:
-            raise IrrelevantThresholdError(f"P(X <= {x}) = 0")
-        z = (math.log(x) - self.mu) / self.sigma
-        den = norm_cdf(z)
-        if den == 0.0:
-            raise IrrelevantThresholdError(f"P(X <= {x}) underflows to 0")
-        num = math.exp(self.mu + 0.5 * self.sigma**2) * norm_cdf(z - self.sigma)
-        return num / den
-
-    def upper_tail_mean(self, x: float) -> float:
-        m = math.exp(self.mu + 0.5 * self.sigma**2)
-        if x <= 0.0:
-            return m
-        z = (math.log(x) - self.mu) / self.sigma
-        den = norm_cdf(-z)
-        if den == 0.0:
-            raise IrrelevantThresholdError(f"P(X >= {x}) underflows to 0")
-        return m * norm_cdf(self.sigma - z) / den
 
     def es(self, p: float) -> float:
         m = math.exp(self.mu + 0.5 * self.sigma**2)
@@ -476,6 +376,19 @@ def _real(x: RationalLike, name: str) -> float:
         return float(q)
     except OverflowError:
         raise InputError(f"{name} near 2**{int(abs(q)).bit_length()} exceeds binary64") from None
+
+
+def _closed_form(law: _Family, f: Callable[[float], float], x: float) -> float:
+    """f(x), a binary64 closed form of the continuous family law: an
+    overflow or a non-finite result is an input error, as _real makes one of
+    an argument beyond binary64."""
+    try:
+        y = f(x)
+    except OverflowError:
+        y = math.inf
+    if not math.isfinite(y):
+        raise InputError(f"{f.__name__} of {law!r} at {x!r} exceeds binary64")
+    return y
 
 
 def _family(d: object) -> _Family:
@@ -694,40 +607,6 @@ def bisection(left: Callable[[float], bool], lo: float, hi: float, tol: float) -
 # ---------------------------------------------------------------------------
 
 
-def cdf(d: Dist, x: RationalLike) -> Fraction | float:
-    """P(X <= x).  Exact Fraction for finite laws, float for continuous ones."""
-    disc = as_discrete(d)
-    if disc is not None:
-        xf = as_fraction(x)
-        total = _ZERO
-        for v, p in disc.atoms:
-            if v <= xf:
-                total += p
-            else:
-                break
-        return total
-    return _family(d).cdf(_real(x, "point x"))
-
-
-def quantile_right(d: Dist, t: RationalLike) -> Fraction | float:
-    """Right quantile Q(t) = inf{x : P(X <= x) > t} for t in (0, 1)."""
-    disc = as_discrete(d)
-    if disc is not None:
-        tf = as_fraction(t)
-        if not 0 < tf < 1:
-            raise InputError(f"quantile level must lie in (0, 1), got {tf}")
-        cum = _ZERO
-        for v, p in disc.atoms:
-            cum += p
-            if cum > tf:
-                return v
-        return disc.atoms[-1][0]  # unreachable: cum reaches 1 > t
-    tv = _real(t, "level t")
-    if not 0.0 < tv < 1.0:
-        raise InputError(f"quantile level must lie in (0, 1), got {tv}")
-    return _family(d).quantile_right(tv)
-
-
 def mean(d: Dist) -> Fraction | float:
     disc = as_discrete(d)
     if disc is not None:
@@ -735,65 +614,21 @@ def mean(d: Dist) -> Fraction | float:
     return _family(d).mean()
 
 
-def variance(d: Dist) -> Fraction | float:
+def affine(d: Dist, a: RationalLike, b: RationalLike) -> DiscreteDist:
+    """Law of a*X + b for a finite law, exact; a continuous family raises
+    UnsupportedPairingError."""
     disc = as_discrete(d)
-    if disc is not None:
-        m = mean(disc)
-        return sum(((v - m) ** 2 * p for v, p in disc.atoms), _ZERO)
-    return _family(d).variance()
-
-
-def _tail_mean(d: DiscreteDist, x: RationalLike, op: str) -> Fraction:
-    """E[X | X op x] for op "<=" or ">=", summed exactly over the atoms."""
-    xf = as_fraction(x)
-    num = den = _ZERO
-    for v, p in d.atoms:
-        if (v <= xf) if op == "<=" else (v >= xf):
-            num += v * p
-            den += p
-    if den == 0:
-        raise IrrelevantThresholdError(f"P(X {op} {xf}) = 0")
-    return num / den
-
-
-def lower_tail_mean(d: Dist, x: RationalLike) -> Fraction | float:
-    """E[X | X <= x].  Raises IrrelevantThresholdError when P(X <= x) = 0."""
-    disc = as_discrete(d)
-    if disc is not None:
-        return _tail_mean(disc, x, "<=")
-    return _family(d).lower_tail_mean(_real(x, "threshold x"))
-
-
-def upper_tail_mean(d: Dist, x: RationalLike) -> Fraction | float:
-    """E[X | X >= x].  Raises IrrelevantThresholdError when P(X >= x) = 0."""
-    disc = as_discrete(d)
-    if disc is not None:
-        return _tail_mean(disc, x, ">=")
-    return _family(d).upper_tail_mean(_real(x, "threshold x"))
-
-
-def negate(d: Dist) -> Dist:
-    """Law of -X.  Defined for finite laws and Normal."""
-    disc = as_discrete(d)
-    if disc is not None:
-        return affine(disc, -1, 0)
-    return _family(d).negate()
-
-
-def affine(d: Dist, a: RationalLike, b: RationalLike) -> Dist:
-    """Law of a*X + b for finite laws and Normal."""
-    disc = as_discrete(d)
-    if disc is not None:
-        af, bf = as_fraction(a), as_fraction(b)
-        if not af:
-            return point_mass_dist(bf)
-        # a x / V + b over q V s, for a = n / q and b = r / s; a < 0 reverses the order
-        (n, q), (r, s), (xs, V, ws, D) = af.as_integer_ratio(), bf.as_integer_ratio(), disc.ints
-        step = 1 if n > 0 else -1
-        xs, V = _reduced([n * s * x + r * q * V for x in xs[::step]], q * V * s)
-        atoms = tuple(zip([Fraction(x, V) for x in xs], disc.probs[::step]))
-        return _trusted(DiscreteDist, atoms, LawInts(xs, V, ws[::step], D))
-    return _family(d).affine(_real(as_fraction(a), "slope a"), _real(as_fraction(b), "intercept b"))
+    if disc is None:
+        raise UnsupportedPairingError(f"affine map is not defined for {type(_family(d)).__name__}")
+    af, bf = as_fraction(a), as_fraction(b)
+    if not af:
+        return point_mass_dist(bf)
+    # a x / V + b over q V s, for a = n / q and b = r / s; a < 0 reverses the order
+    (n, q), (r, s), (xs, V, ws, D) = af.as_integer_ratio(), bf.as_integer_ratio(), disc.ints
+    step = 1 if n > 0 else -1
+    xs, V = _reduced([n * s * x + r * q * V for x in xs[::step]], q * V * s)
+    atoms = tuple(zip([Fraction(x, V) for x in xs], disc.probs[::step]))
+    return _trusted(DiscreteDist, atoms, LawInts(xs, V, ws[::step], D))
 
 
 # ---------------------------------------------------------------------------
@@ -929,8 +764,10 @@ def discretize(d: Dist, n: int) -> DiscreteDist:
     that need a discrete law must invoke it themselves.  Laws that are
     already finite convert exactly whatever n in that range: a DiscreteDist
     passes through, a PointMass becomes its single atom and a Bernoulli its two.
-    For a Normal the atoms are generated on the lower half and mirrored
-    about mu, so the discretized mean is exactly mu.
+    An Exponential or a LogNormal reads its own quantile_right at each level.
+    For a Normal the offsets sigma * norm_quantile(t) from mu are generated on
+    the lower half and mirrored about mu, so the discretized mean is exactly mu.
+    A quantile beyond binary64 is an input error.
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise InputError(f"n must be an integer, got {n!r}")
@@ -941,21 +778,21 @@ def discretize(d: Dist, n: int) -> DiscreteDist:
     exact = as_discrete(d)
     if exact is not None:
         return exact
+    law = _family(d)
+    levels = [(2 * k - 1) / (2 * n) for k in range(1, n + 1)]
     prob = Fraction(1, n)
-    if isinstance(d, Normal):
+    if isinstance(law, Normal):
+
+        def quantile_offset(t: float) -> float:
+            return law.sigma * norm_quantile(t)
+
         # pair each offset with its exact rational negation so the
         # discretized mean is exactly mu
-        center = Fraction(d.mu)
-        offsets = [
-            Fraction(d.sigma * norm_quantile((2 * k - 1) / (2 * n)))
-            for k in range(1, n // 2 + 1)
-        ]
+        center = Fraction(law.mu)
+        offsets = [Fraction(_closed_form(law, quantile_offset, t)) for t in levels[: n // 2]]
         values = [center + off for off in offsets]
         values += [center - off for off in offsets]
         if n % 2 == 1:
             values.append(center)
         return normalize((v, prob) for v in values)
-    if isinstance(d, _Family):  # Exponential and LogNormal: the rest are finite
-        levels = [Fraction(2 * k - 1, 2 * n) for k in range(1, n + 1)]
-        return normalize((quantile_right(d, t), prob) for t in levels)
-    raise InputError(f"cannot discretize {type(d).__name__}")
+    return normalize((_closed_form(law, law.quantile_right, t), prob) for t in levels)

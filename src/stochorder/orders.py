@@ -348,8 +348,8 @@ def _st_normal(nx: Normal, ny: Normal) -> OrderVerdict:
     if nx.mu >= ny.mu:
         return _HOLDS
     t = 0.5 * (nx.mu + ny.mu)
-    sx = 1.0 - nx.cdf(t)
-    sy = 1.0 - ny.cdf(t)
+    sx = 1.0 - norm_cdf((t - nx.mu) / nx.sigma)
+    sy = 1.0 - norm_cdf((t - ny.mu) / ny.sigma)
     return _fails("threshold_x", t, sx, sy)
 
 

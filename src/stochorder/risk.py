@@ -23,7 +23,7 @@ ascending points,
 it serves stop_loss, the premium curves of apps.stop_loss_compare and the
 transform oracles of orders.  A finite law is whatever as_discrete makes of
 it, a Bernoulli or a point mass included; a continuous family is its
-closed form.
+closed form, and a value beyond binary64 there is an input error.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .dists import (
     Dist,
     InputError,
     RationalLike,
+    _closed_form,
     _family,
     _real,
     as_discrete,
@@ -86,7 +87,8 @@ def es(d: Dist, p: RationalLike) -> Fraction | float:
     pv = _real(p, "level p")
     if not 0.0 <= pv < 1.0:
         raise InputError(f"expected shortfall needs p in [0, 1), got {pv}")
-    return _family(d).es(pv)
+    law = _family(d)
+    return _closed_form(law, law.es, pv)
 
 
 def phi(d: Dist, p: RationalLike) -> Fraction | float:
@@ -137,4 +139,5 @@ def stop_loss(d: Dist, t: RationalLike) -> Fraction | float:
         above = [(x * (L // V), w) for x, w in zip(xs[k:], ws[k:])]
         _, (sl,) = stop_loss_transform(above, [n * (L // q)])
         return Fraction(sl, L * D)
-    return _family(d).stop_loss(_real(t, "retention t"))
+    law = _family(d)
+    return _closed_form(law, law.stop_loss, _real(t, "retention t"))

@@ -12,6 +12,10 @@ the atoms (stop_loss).  random_joint is the joint-law generator as it was
 when it hashed Fraction values, kept to pin the random draw sequence.
 is_comonotone decides whether weighted points can be the law of a
 comonotone pair; the improver tests use it to tell which joints are.
+cdf, quantile_right and upper_tail_mean are Fraction sums over a finite
+law's atoms for its distribution function, right quantile and upper tail
+mean, which the library does not hold; check_st and the tail-measure tests
+read them.
 normalize, normalize_joint and phi_envelope_points are the
 Fraction routes of canonicalisation and of the expected-shortfall envelope:
 a Fraction-keyed merge, a sort by Fraction comparison and one Fraction
@@ -27,6 +31,7 @@ support sizes, so the tests call it on at most 6 x 6 atoms.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from stochorder import (
     DiscreteDist,
@@ -35,7 +40,6 @@ from stochorder import (
     StopLossComparison,
     as_discrete,
     as_fraction,
-    cdf,
     conditional_indemnity_mean,
     indemnity_value,
     joint_marginal_w,
@@ -113,6 +117,31 @@ def phi_envelope_points(d: DiscreteDist) -> tuple[tuple[Fraction, Fraction], ...
     for k in range(len(d.atoms) - 1, -1, -1):
         vals[k] = vals[k + 1] + d.atoms[k][0] * d.atoms[k][1]
     return ((_ZERO, vals[0]),) + tuple(zip(cums, vals[1:]))
+
+
+def cdf(d: DiscreteDist, x) -> Fraction:
+    """P(X <= x), one Fraction sum over the atoms."""
+    xf = as_fraction(x)
+    return sum((p for v, p in d.atoms if v <= xf), _ZERO)
+
+
+def quantile_right(d: DiscreteDist, t) -> Fraction:
+    """Q(t) = inf{x : P(X <= x) > t} for t in (0, 1): the first atom whose
+    cumulative mass exceeds t."""
+    tf = as_fraction(t)
+    if not 0 < tf < 1:
+        raise InputError(f"quantile level must lie in (0, 1), got {tf}")
+    return next(v for v, c in zip(d.values, accumulate(d.probs)) if c > tf)
+
+
+def upper_tail_mean(d: DiscreteDist, x) -> Fraction:
+    """E[X | X >= x], by Fraction sums over the atoms at or above x."""
+    xf = as_fraction(x)
+    top = [(v, p) for v, p in d.atoms if v >= xf]
+    mass = sum((p for _, p in top), _ZERO)
+    if not mass:
+        raise InputError(f"P(X >= {xf}) = 0")
+    return sum((v * p for v, p in top), _ZERO) / mass
 
 
 def _pair(x, y):

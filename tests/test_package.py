@@ -84,7 +84,7 @@ def test_reference_shares_no_code_with_what_it_checks():
 
 def test_reference_leak_is_caught(tmp_path):
     module = tmp_path / "m.py"
-    module.write_text("import stochorder.risk\nfrom stochorder import cdf, es, cond_new, Witness\n"
+    module.write_text("import stochorder.risk\nfrom stochorder import mean, es, cond_new, Witness\n"
                       "from stochorder.orders import OrderVerdict, check_ssd\n"
                       "from stochorder.conditions import _first_failure\n")
     assert _reference_leaks(module) == ["stochorder.risk", "es", "cond_new",

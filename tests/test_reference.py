@@ -51,7 +51,6 @@ from stochorder import (
     joint_marginal_w,
     joint_sum,
     marketable_check,
-    negate,
     normalize,
     normalize_joint,
     oracle_icx,
@@ -449,7 +448,7 @@ class TestCachedIntegerForm:
         except InputError:
             return
         _assert_cached_form(d)
-        _assert_cached_form(negate(d))
+        _assert_cached_form(affine(d, -1, 0))
 
     @settings(max_examples=150, deadline=None)
     @given(laws(weights=st.one_of(st.integers(1, 59), coprime_weights)),
@@ -457,7 +456,7 @@ class TestCachedIntegerForm:
     def test_laws_and_their_transforms(self, x, a, b):
         _assert_cached_form(x)
         _assert_cached_form(DiscreteDist(x.atoms))
-        _assert_cached_form(negate(x))
+        _assert_cached_form(affine(x, -1, 0))
         _assert_cached_form(affine(x, a, b))
         _assert_cached_form(discretize(x, 3))
 
@@ -484,8 +483,8 @@ class TestCachedIntegerForm:
         for d in (Bernoulli(0.25), Bernoulli(0.3), Bernoulli(0.0), Bernoulli(1.0), PointMass(-2.5), PointMass(0.1)):
             _assert_cached_form(as_discrete(d))
             _assert_cached_form(discretize(d, 4))
-            _assert_cached_form(negate(as_discrete(d)))
-        _assert_cached_form(negate(Bernoulli(0.3)))
+            _assert_cached_form(affine(as_discrete(d), -1, 0))
+        _assert_cached_form(affine(Bernoulli(0.3), -1, 0))
 
     def test_discretized_continuous_laws(self):
         for d in (Normal(0.5, 2.0), Exponential(1.5), LogNormal(0.0, 0.5)):
