@@ -11,31 +11,31 @@ Both existence statements are Strassen's theorem, so check_ssd or check_cx
 decides first, exactly, and a failing pair returns that checker's witness
 as its certificate.  A holding pair is built directly, with no search.
 
-Martingale mode is the left-curtain coupling (Beiglboeck and Juillet, Ann.
-Probab. 2016).  The atoms (x, a) of X are taken in ascending order, and
-each takes its shadow in what is left of Y: the remaining mass between
-quantile levels t and t + a whose barycenter is x.  The window's first
-moment G(t + a) - G(t), with G the integrated quantile of the remainder, is
-piecewise linear and nondecreasing in t, so t is solved for exactly by
-sliding the window up through the atoms, starting from the highest t at
-which it still lies wholly below x.  While X <=cx Y every window exists:
-the shadow of a sum of measures exists and is the shadow of the first part
-followed by the shadow of the second in what the first left.
+Both modes end in the left-curtain coupling (Beiglboeck and Juillet, Ann.
+Probab. 2016) of a law U <=cx Y with Y.  The atoms (x, a) of U are taken in
+ascending order, and each takes its shadow in what is left of Y: the
+remaining mass between quantile levels t and t + a whose barycenter is x.
+The window's first moment G(t + a) - G(t), with G the integrated quantile of
+the remainder, is piecewise linear and nondecreasing in t, so t is solved
+for exactly by sliding the window up through the atoms, starting from the
+highest t at which it still lies wholly below x.  While U <=cx Y every
+window exists: the shadow of a sum of measures exists and is the shadow of
+the first part followed by the shadow of the second in what the first left.
 
-Supermartingale mode goes through an intermediate law U.  With G_X and G_Y
-the integrated quantiles (the integrals of Q_X and Q_Y over (0, p)), put
-h(p) = min over q >= p of (G_X - G_Y)(q) and G_U = G_X - h.  X >=ssd Y
-means G_X >= G_Y, so h runs from h(0) = 0 to h(1) = E[X] - E[Y] (the gap in
-means), is nondecreasing, and G_Y <= G_U with equality at p = 1: U <=cx Y.
-Where h is flat, Q_U = Q_X; where h rises it equals G_X - G_Y, so Q_U = Q_Y,
-and Q_Y <= Q_X there.  At a level p where a rising stretch begins, G_X - G_Y
-did not fall into p, so Q_X <= Q_Y just below p; where one ends, Q_Y <= Q_X.
-So Q_U only steps up where it switches between Q_X and Q_Y, G_U is convex,
-and Q_U <= Q_X throughout.  The comonotone coupling of (X, U) moves every
-atom weakly down, the left-curtain coupling of (U, Y) adds no drift, and
-their composition is a supermartingale coupling of (X, Y).  G_X - G_Y is
-linear between the merged cumulative levels of X and Y, so h and U take one
-pass over those levels, with at most one extra cut between two of them.
+U is the intermediate law: with G_X and G_Y the integrated quantiles (the
+integrals of Q_X and Q_Y over (0, p)), put h(p) = min over q >= p of
+(G_X - G_Y)(q) and G_U = G_X - h.  X >=ssd Y means G_X >= G_Y, so h runs
+from h(0) = 0 to h(1) = E[X] - E[Y] (the gap in means), is nondecreasing,
+and G_Y <= G_U with equality at p = 1: U <=cx Y.  Where h is flat,
+Q_U = Q_X; where h rises it equals G_X - G_Y, so Q_U = Q_Y, and Q_Y <= Q_X
+there.  At a level p where a rising stretch begins, G_X - G_Y did not fall
+into p, so Q_X <= Q_Y just below p; where one ends, Q_Y <= Q_X.  So Q_U
+only steps up where it switches between Q_X and Q_Y, G_U is convex, and
+Q_U <= Q_X throughout.  The comonotone coupling of (X, U) moves every atom
+weakly down, the left-curtain coupling of (U, Y) adds no drift, and their
+composition is a supermartingale coupling of (X, Y); under equal means
+h = 0 and U = X, so martingale mode is the same construction.  The ssd walk
+names the atoms holding each merged stretch: one pass, at most one cut each.
 
 verify_coupling rechecks every built coupling with plain sums over its
 nonzero cells, independent of the construction; a holding order whose
@@ -135,13 +135,11 @@ def _synth(x: Dist, y: Dist, martingale: bool) -> SynthResult:
     dy = _require_discrete(y, "Y")
     if dx.support_size() > _MAX_SUPPORT or dy.support_size() > _MAX_SUPPORT:
         raise InputError(f"marginal support exceeds the bound {_MAX_SUPPORT}")
-    checker = check_cx if martingale else check_ssd
+    checker, mode = (check_cx, MODE_MARTINGALE) if martingale else (check_ssd, MODE_SUPERMARTINGALE)
     verdict = checker(dx, dy)
     if not verdict.holds:
         return SynthResult(False, None, verdict.witness)
-    mode = MODE_MARTINGALE if martingale else MODE_SUPERMARTINGALE
-    pieces = [(v, v, p) for v, p in dx.atoms] if martingale else _intermediate(dx, dy)
-    cells = _compose(dx, dy, pieces)
+    cells = _compose(dy, _intermediate(dx, dy))
     coupling = None if cells is None else Coupling(dx.values, dy.values, dx.probs, dy.probs, cells)
     if coupling is None or not verify_coupling(coupling, dx, dy, mode):
         failure = "cannot place an atom" if cells is None else "fails verification"
@@ -154,9 +152,9 @@ def _synth(x: Dist, y: Dist, martingale: bool) -> SynthResult:
 
 
 def _compose(
-    dx: DiscreteDist, dy: DiscreteDist, pieces: list[tuple[Fraction, Fraction, Fraction]]
+    dy: DiscreteDist, pieces: list[tuple[int, Fraction, Fraction]]
 ) -> tuple[tuple[int, int, Fraction], ...] | None:
-    """The cells of the coupling of X with U given as pieces (x, u, mass),
+    """The cells of the coupling of X with U given as pieces (row, u, mass),
     composed with the left-curtain coupling of (U, Y); None if the curtain
     fails.  Pieces of one row can reach one column: their cells merge."""
     law_u: dict[Fraction, Fraction] = {}
@@ -167,11 +165,10 @@ def _compose(
     if curtain is None:
         return None
     shadows = {u: (mass, shadow) for (u, mass), shadow in zip(atoms_u, curtain)}
-    index = {v: i for i, v in enumerate(dx.values)}
     cells: dict[tuple[int, int], Fraction] = {}
-    for xv, u, mass in pieces:
+    for i, u, mass in pieces:
         total, shadow = shadows[u]
-        i, f = index[xv], mass / total
+        f = mass / total
         for k, share in shadow:
             cells[i, k] = cells.get((i, k), _ZERO) + f * share
     return tuple((i, k, p) for (i, k), p in sorted(cells.items()))
@@ -265,25 +262,25 @@ def _shadow(
     return lo, [lo_room, *rs[lo + 1:hi], rs[hi] - hi_room]
 
 
-def _intermediate(dx: DiscreteDist, dy: DiscreteDist) -> list[tuple[Fraction, Fraction, Fraction]]:
+def _intermediate(dx: DiscreteDist, dy: DiscreteDist) -> list[tuple[int, Fraction, Fraction]]:
     """The comonotone coupling of X with the intermediate law U, as pieces
-    (x, u, mass); G_U = G_X - h as in the module docstring.
-
-    Runs on the merged levels of the integer walk that decides ssd: Q_X and
-    Q_Y are constant between two levels, G_X - G_Y linear.
-    """
-    x, y, V, D = _scale(dx, dy)
-    levels = [(0, 0, 0), *_walk(x, y)]  # (P, G_X, G_Y) in units 1/D and 1/(V D)
-    pieces = []
-    floor = levels[-1][1] - levels[-1][2]  # h(1); below, h at the segment's end
-    for (p0, gx0, gy0), (p1, gx1, gy1) in zip(levels[-2::-1], levels[:0:-1]):
-        xv, yv = (gx1 - gx0) // (p1 - p0), (gy1 - gy0) // (p1 - p0)
-        g0, floor = gx0 - gy0, min(floor, gx1 - gy1)
+    (row, u, mass); G_U = G_X - h as in the module docstring.  Between two
+    merged levels of the walk that decides ssd, atoms i of X and j of Y hold
+    the mass, G_X - G_Y moves at the rate of their gap, and u is one of them."""
+    x, y, _, D = _scale(dx, dy)
+    xv, yv, xs, ys = x[0], y[0], dx.values, dy.values
+    levels = [(0, 0, 0, 0, 0), *_walk(x, y)]  # (P, i, j, G_X, G_Y) in units 1/D and 1/(V D)
+    # mass in units 1/D, one piece per row and u: a row meets each shadow once
+    pieces: dict[tuple[int, Fraction], Fraction | int] = {}
+    floor = levels[-1][3] - levels[-1][4]  # h(1); below, h at the segment's end
+    for (p0, _, _, gx0, gy0), (p1, i, j, gx1, gy1) in zip(levels[-2::-1], levels[:0:-1]):
+        g0, floor, rate = gx0 - gy0, min(floor, gx1 - gy1), xv[i] - yv[j]
         # h = G_X - G_Y (U = Y) up to the cut, then flat at floor (U = X)
-        cut = Fraction(floor - g0, xv - yv) if xv > yv and g0 < floor else _ZERO
-        pieces += [(Fraction(xv, V), Fraction(yv, V), cut / D),
-                   (Fraction(xv, V), Fraction(xv, V), (p1 - p0 - cut) / D)]
-    return [piece for piece in pieces if piece[2]]
+        cut = Fraction(floor - g0, rate) if rate > 0 and g0 < floor else 0
+        for key, mass in (((i, ys[j]), cut), ((i, xs[i]), p1 - p0 - cut)):
+            if mass:
+                pieces[key] = pieces.get(key, 0) + mass
+    return [(i, u, Fraction(mass, D)) for (i, u), mass in pieces.items()]
 
 
 def _indexed(c: Coupling) -> bool:

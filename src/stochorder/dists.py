@@ -378,16 +378,17 @@ def _real(x: RationalLike, name: str) -> float:
         raise InputError(f"{name} near 2**{int(abs(q)).bit_length()} exceeds binary64") from None
 
 
-def _closed_form(law: _Family, f: Callable[[float], float], x: float) -> float:
-    """f(x), a binary64 closed form of the continuous family law: an
-    overflow or a non-finite result is an input error, as _real makes one of
-    an argument beyond binary64."""
+def _closed_form(law: _Family, f: Callable[..., float], *x: float) -> float:
+    """f(*x), a binary64 closed form of the continuous family law at no point
+    or one: an overflow or a non-finite result is an input error, as _real
+    makes one of an argument beyond binary64."""
     try:
-        y = f(x)
+        y = f(*x)
     except OverflowError:
         y = math.inf
     if not math.isfinite(y):
-        raise InputError(f"{f.__name__} of {law!r} at {x!r} exceeds binary64")
+        at = "".join(f" at {v!r}" for v in x)
+        raise InputError(f"{f.__name__} of {law!r}{at} exceeds binary64")
     return y
 
 
@@ -611,7 +612,8 @@ def mean(d: Dist) -> Fraction | float:
     disc = as_discrete(d)
     if disc is not None:
         return sum((v * p for v, p in disc.atoms), _ZERO)
-    return _family(d).mean()
+    law = _family(d)
+    return _closed_form(law, law.mean)
 
 
 def affine(d: Dist, a: RationalLike, b: RationalLike) -> DiscreteDist:

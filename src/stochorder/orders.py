@@ -13,14 +13,14 @@ there: the grid is a complete finite test set (Dentcheva and Ruszczynski,
 SIAM J. Optim. 2003; Mueller and Stoyan 2002, section 1.5).  ssd compares
 G_X >= G_Y on the grid; icx compares E[X] - G_X >= E[Y] - G_Y below p = 1,
 which is (1 - p) times the expected-shortfall gap; cx adds equal means to
-ssd.  Survival functions are steps that change only at atoms, so st is
-decided on the merged support.  Each pair is read over integers (values
-over the lcm V of all value denominators, probabilities over the lcm D of
-all probability denominators): the integer form of each law
-(DiscreteDist.ints) moves onto V and D with one multiply per atom, and only
-a witness is turned back into exact Fractions.  Normal pairs use
-mean/deviation closed forms.  Every negative verdict carries a witness whose
-lhs/rhs re-evaluate to the violation.
+ssd.  st reads the same grid: X >=st Y iff Q_X >= Q_Y, and between two
+levels each quantile is the one atom of its law that the walk names.  Each
+pair is read over integers (values over the lcm V of all value
+denominators, probabilities over the lcm D of all probability
+denominators): the integer form of each law (DiscreteDist.ints) moves onto
+V and D with one multiply per atom, and only a witness is turned back into
+exact Fractions.  Normal pairs use mean/deviation closed forms.  Every
+negative verdict carries a witness whose lhs/rhs re-evaluate to the violation.
 
 oracle_ssd and oracle_icx decide the same discrete relations through an
 unrelated finite family of test functions (E[min(X, t)] and E[(X - t)+] over
@@ -39,8 +39,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, groupby, repeat
-from operator import itemgetter
+from itertools import chain, groupby
 from typing import Callable, Iterator, Sequence, Union
 
 from .dists import (
@@ -161,25 +160,26 @@ def _mean(x: _IntLaw) -> int:
     return sum(v * w for v, w in zip(*x))
 
 
-def _walk(x: _IntLaw, y: _IntLaw) -> Iterator[tuple[int, int, int]]:
-    """(P, G_X, G_Y) at every merged cumulative level P, ascending, ending at D.
+def _walk(x: _IntLaw, y: _IntLaw) -> Iterator[tuple[int, int, int, int, int]]:
+    """(P, i, j, G_X, G_Y) at every merged cumulative level P, ascending,
+    ending at D; atom i of X and atom j of Y hold the mass just below P.
 
     G is the integrated lower quantile in units of 1 / (V D): the sum of
     value times weight over the lowest mass P.
     """
     (xv, xw), (yv, yw) = x, y
     i = j = p = gx = gy = 0
-    cx, cy = xw[0], yw[0]
+    cx, cy, last = xw[0], yw[0], len(xv) - 1
     while True:
         nxt = cx if cx < cy else cy
-        gx += xv[i] * (nxt - p)
-        gy += yv[j] * (nxt - p)
-        p = nxt
-        yield p, gx, gy
+        step, p = nxt - p, nxt
+        gx += xv[i] * step
+        gy += yv[j] * step
+        yield p, i, j, gx, gy
         if cx == p:
-            i += 1
-            if i == len(xv):
+            if i == last:
                 return  # both laws end at P = D
+            i += 1
             cx += xw[i]
         if cy == p:
             j += 1
@@ -188,7 +188,7 @@ def _walk(x: _IntLaw, y: _IntLaw) -> Iterator[tuple[int, int, int]]:
 
 def _ssd_walk(x: _IntLaw, y: _IntLaw, V: int, D: int) -> OrderVerdict:
     """X >=ssd Y: G_X >= G_Y at every merged level (p = 1 compares the means)."""
-    for p, gx, gy in _walk(x, y):
+    for p, _, _, gx, gy in _walk(x, y):
         if gx < gy:
             return _fails("level_p", Fraction(p, D), Fraction(gx, V * D), Fraction(gy, V * D))
     return _HOLDS
@@ -197,7 +197,7 @@ def _ssd_walk(x: _IntLaw, y: _IntLaw, V: int, D: int) -> OrderVerdict:
 def _icx_walk(x: _IntLaw, y: _IntLaw, V: int, D: int) -> OrderVerdict:
     """X >=icx Y: the same walk down from the means, at the levels below p = 1."""
     mx, my = _mean(x), _mean(y)
-    for p, gx, gy in chain(((0, 0, 0),), _walk(x, y)):
+    for p, _, _, gx, gy in chain(((0, 0, 0, 0, 0),), _walk(x, y)):
         if p < D and mx - gx < my - gy:
             s = V * (D - p)
             return _fails("level_p", Fraction(p, D), Fraction(mx - gx, s), Fraction(my - gy, s))
@@ -221,14 +221,13 @@ def _ssd_exact(
 
 
 def _st_walk(x: _IntLaw, y: _IntLaw, V: int, D: int) -> OrderVerdict:
-    """X >=st Y: P(X > t) >= P(Y > t) at every atom t of either law, ascending."""
-    fx = fy = 0  # mass at or below t
-    atoms = heapq.merge(zip(x[0], x[1], repeat(0)), zip(y[0], repeat(0), y[1]))
-    for t, at_t in groupby(atoms, key=itemgetter(0)):
-        for _, wx, wy in at_t:
-            fx, fy = fx + wx, fy + wy
-        if fx > fy:
-            return _fails("threshold_x", Fraction(t, V), Fraction(D - fx, D), Fraction(D - fy, D))
+    """X >=st Y: Q_X >= Q_Y on every stretch of the merged grid.  Where that
+    first fails, t = Q_X is the least t with P(X <= t) > P(Y <= t)."""
+    (xv, xw), (yv, yw) = x, y
+    for _, i, j, _, _ in _walk(x, y):
+        if xv[i] < yv[j]:
+            return _fails("threshold_x", Fraction(xv[i], V),
+                          Fraction(D - sum(xw[:i + 1]), D), Fraction(D - sum(yw[:j]), D))
     return _HOLDS
 
 

@@ -100,7 +100,9 @@ def phi(d: Dist, p: RationalLike) -> Fraction | float:
             raise InputError(f"level must lie in [0, 1], got {pf}")
         acc, V, D, _ = _upper_tail(disc, pf)
         return Fraction(acc, V * D)
-    family, pv = _family(d), _real(p, "level p")  # a non-law fails before the level-1 shortcut
+    family, pv = _family(d), _real(p, "level p")  # a non-law fails before the level checks
+    if not 0.0 <= pv <= 1.0:
+        raise InputError(f"level must lie in [0, 1], got {pv}")
     return 0.0 if pv == 1.0 else (1.0 - pv) * es(family, pv)
 
 

@@ -90,6 +90,13 @@ class TestRiskCommands:
         code, report, _ = run("stoploss", "--deductible", "1/2", dist)
         assert code == 0 and report["result"] == "1/4"
 
+    @pytest.mark.parametrize("level", ["1.5", "-0.5"])
+    def test_phi_level_outside_the_unit_interval_on_a_normal_exits_2(self, run, tmp_path, level):
+        dist = _write(tmp_path / "n.json", {"type": "normal", "mu": 0, "sigma": 1})
+        code, report, cap = run("phi", f"--level={level}", dist)
+        assert (code, report, cap.out) == (2, None, "")
+        assert cap.err == f"error: level must lie in [0, 1], got {level}\n"
+
     def test_bad_level(self, run, tmp_path):
         dist = _write(tmp_path / "d.json", _discrete([0, 1]))
         code, _, cap = run("es", "--level", "one", dist)

@@ -354,6 +354,47 @@ class TestTenThousandAtoms:
             assert verify_coupling(res.coupling, x, ys, mode)
 
 
+class TestOneConstruction:
+    """Both modes run the intermediate-law construction; under equal means it
+    leaves every atom of X in place."""
+
+    def test_spreads_keep_every_atom_and_take_the_plain_left_curtain(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            dx = random_discrete(rng, 8)
+            dy = mean_preserving_spread(rng, dx)
+            if rng.random() < 0.5:
+                dy = mean_preserving_spread(rng, dy)
+            assert all(u == dx.values[i] for i, u, _ in coupling._intermediate(dx, dy))
+            curtain = coupling._left_curtain(dx.atoms, dy)
+            cells = tuple(sorted((i, k, share) for i, shadow in enumerate(curtain)
+                                 for k, share in shadow))
+            assert synth_martingale(dx, dy).coupling.cells == cells
+
+    def test_one_piece_per_row_and_value(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            dx = random_discrete(rng, 8)
+            dy = random_shift_down(rng, mean_preserving_spread(rng, dx))
+            pieces = coupling._intermediate(dx, dy)
+            assert len({(i, u) for i, u, _ in pieces}) == len(pieces)
+            assert sum(mass for _, _, mass in pieces) == 1
+
+    def test_point_mass_against_a_wide_law_at_the_cap(self):
+        # every stretch of the walk lies in the one row of X, which meets the
+        # shadow of U = X once, not once per stretch
+        n = coupling._MAX_SUPPORT
+        x = point_mass_dist(0)
+        y = normalize((k - F(n - 1, 2), 1) for k in range(n))
+        for synth, mode, shift in ((synth_martingale, "martingale", 0),
+                                   (synth_supermartingale, "supermartingale", F(1, 3))):
+            ys = affine(y, 1, -shift)
+            assert sum(u == 0 for _, u, _ in coupling._intermediate(x, ys)) == 1
+            res = synth(x, ys)
+            assert res.feasible and len(res.coupling.cells) == n
+            assert verify_coupling(res.coupling, x, ys, mode)
+
+
 class TestInternalErrors:
     def test_rejected_coupling_raises_with_both_routes(self, monkeypatch):
         x, y = uniform(0, 2), uniform(-1, 3)

@@ -165,6 +165,12 @@ class TestOverflow:
         with pytest.raises(UnsupportedPairingError):
             affine(d, 1, -(10**400))
 
+    @pytest.mark.parametrize("d", [LogNormal(0.0, 40.0), Exponential(1e-320)], ids=repr)
+    def test_mean_beyond_binary64_is_an_input_error(self, d):
+        with pytest.raises(InputError) as exc:
+            mean(d)
+        assert str(exc.value) == f"mean of {d!r} exceeds binary64"
+
     @pytest.mark.parametrize("law, argv", OVERFLOWS, ids=OVERFLOW_IDS)
     def test_closed_form_beyond_binary64_is_an_input_error(self, law, argv):
         op, _, arg = argv

@@ -4,7 +4,9 @@ The discrete routes are exact; every failing verdict must carry a witness
 that reproduces the violated inequality.
 """
 
+import random
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -26,11 +28,13 @@ from stochorder import (
     point_mass_dist,
     stop_loss,
 )
+from stochorder import orders
 from stochorder.dists import DiscreteDist
 from stochorder.orders import OrderVerdict, Witness
 from stochorder.risk import es, phi
 
 from . import reference as ref
+from .gen import mean_preserving_spread, random_discrete, random_shift_down
 from .test_dists import discrete_dists, uniform
 
 
@@ -289,3 +293,45 @@ class TestVerdictInvariants:
         assert not check_ssd(x, point_mass_dist(1)).holds
         assert check_ssd(point_mass_dist(2), x).holds  # 2 = mean(X)
         assert not check_ssd(point_mass_dist(F(19, 10)), x).holds
+
+
+class TestMergeWalk:
+    """_walk names the atoms of X and Y that hold each stretch of the merged
+    quantile grid; the deciders and coupling synthesis read those indices."""
+
+    @staticmethod
+    def _pairs(rng, count):
+        for _ in range(count):
+            x = random_discrete(rng, 8)
+            y = rng.choice((random_shift_down, mean_preserving_spread))(rng, x)
+            yield from ((x, y), (y, x), (x, random_discrete(rng, 8)))
+
+    def test_each_level_names_the_atoms_holding_the_stretch_below_it(self):
+        for dx, dy in self._pairs(random.Random(17), 200):
+            x, y, V, D = orders._scale(dx, dy)
+            cum_x, cum_y = list(accumulate(x[1])), list(accumulate(y[1]))
+            steps = list(orders._walk(x, y))
+            assert [p for p, *_ in steps] == sorted(set(cum_x) | set(cum_y))
+            p0 = gx0 = gy0 = 0
+            for p, i, j, gx, gy in steps:
+                assert (cum_x[i - 1] if i else 0) < p <= cum_x[i]
+                assert (cum_y[j - 1] if j else 0) < p <= cum_y[j]
+                assert (gx - gx0, gy - gy0) == (x[0][i] * (p - p0), y[0][j] * (p - p0))
+                p0, gx0, gy0 = p, gx, gy
+            assert steps[-1] == (D, len(dx.atoms) - 1, len(dy.atoms) - 1,
+                                 mean(dx) * V * D, mean(dy) * V * D)
+
+    def test_planted_late_st_failure_at_two_thousand_atoms(self):
+        # Y is X with its middle atom moved up, short of the next one: every
+        # stretch below it holds, and t = that atom is the least threshold
+        # at which P(X <= t) > P(Y <= t)
+        n, k = 2000, 1000
+        rng = random.Random(29)
+        x = normalize((3 * v, F(rng.randint(1, 59), 60)) for v in range(n))
+        y = normalize((v + 1 if idx == k else v, p) for idx, (v, p) in enumerate(x.atoms))
+        t = x.values[k]
+        survival_x = sum(p for v, p in x.atoms if v > t)
+        survival_y = sum(p for v, p in y.atoms if v > t)
+        assert survival_y == survival_x + x.probs[k]
+        assert check_st(x, y) == OrderVerdict(False, Witness("threshold_x", t, survival_x, survival_y))
+        assert check_st(y, x).holds

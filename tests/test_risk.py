@@ -138,6 +138,18 @@ class TestEs:
     def test_phi_at_one_is_zero(self):
         assert phi(uniform(0, 5), 1) == 0
 
+    @pytest.mark.parametrize("p, shown", [(1.5, "1.5"), (-0.5, "-0.5"), (F(3, 2), "1.5"),
+                                          (float("nan"), "nan")])
+    def test_phi_level_domain_on_a_continuous_law(self, p, shown):
+        # the finite route's message, the level shown as the closed form takes it
+        with pytest.raises(InputError) as finite:
+            phi(uniform(0, 1), F(3, 2))
+        assert str(finite.value) == "level must lie in [0, 1], got 3/2"
+        for d in (Normal(0.0, 1.0), Exponential(0.8), LogNormal(0.1, 0.5)):
+            with pytest.raises(InputError) as exc:
+                phi(d, p)
+            assert str(exc.value) == f"level must lie in [0, 1], got {shown}"
+
     @pytest.mark.parametrize(
         "d", [Normal(0.3, 1.7), Exponential(0.8), LogNormal(0.1, 0.5)]
     )
