@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Time cap x cap supermartingale synthesis, the measurement behind the cap.
+"""Time supermartingale synthesis at the cap, the measurement behind the cap.
 
 The support cap of coupling synthesis (`coupling._MAX_SUPPORT`) is
-the largest size, in steps of 500, at which every feasible cap x cap
-supermartingale synthesis takes under 1 s.  This script times
-`synth_supermartingale` on three families, three seeds each, at sizes 1500,
+the largest size, in steps of 500, at which every feasible synthesis of laws
+of at most that many atoms takes under 1 s.  This script times
+`synth_supermartingale` on four families, three seeds each, at sizes 1500,
 2000, ... and stops after the first size at which some synthesis takes 1 s
 or more:
 
@@ -13,7 +13,9 @@ or more:
     wide      a narrow law against a wide one, means aligned, then the wide
               one shifted down by 1/3;
     bimodal   the narrow law against two far clusters, aligned and shifted
-              likewise.
+              likewise;
+    point     a point mass at the mean of the wide law against that law
+              shifted down by 1/3: one row spans every merged stretch.
 
 Each feasible line also gives the time of `coupling_to_joint` on the result,
 which the `synthesize` command runs after the synthesis; the cap does not
@@ -57,10 +59,14 @@ def _aligned(x, y):
     return affine(y, 1, mean(x) - mean(y) - SHIFT)
 
 
+def _wide(rng, n):
+    values = rng.sample(range(-100 * n, 100 * n), n)
+    return normalize((F(v, 4 * n), F(rng.randint(1, 59), 60)) for v in values)
+
+
 def wide(rng, n):
     x = _narrow(rng, n)
-    values = rng.sample(range(-100 * n, 100 * n), n)
-    return x, _aligned(x, normalize((F(v, 4 * n), F(rng.randint(1, 59), 60)) for v in values))
+    return x, _aligned(x, _wide(rng, n))
 
 
 def bimodal(rng, n):
@@ -71,7 +77,13 @@ def bimodal(rng, n):
     return x, _aligned(x, y)
 
 
-FAMILIES = {"spreads": spreads, "wide": wide, "bimodal": bimodal}
+def point(rng, n):
+    y = _wide(rng, n)
+    x = normalize([(mean(y), 1)])
+    return x, _aligned(x, y)
+
+
+FAMILIES = {"spreads": spreads, "wide": wide, "bimodal": bimodal, "point": point}
 
 
 def main() -> None:

@@ -33,7 +33,6 @@ from .dists import (
     InternalError,
     IrrelevantThresholdError,
     JointDist,
-    Normal,
     RationalLike,
     UnsupportedPairingError,
     _check_finite,
@@ -143,15 +142,13 @@ def gaussian_cond_new_numeric(case: GaussianCase) -> bool:
 
 
 def gaussian_ssd_check(case: GaussianCase) -> bool:
-    """Parametric route for W + Z <=ssd W via the Normal order criterion."""
-    var_sum = 1.0 + 2.0 * case.rho * case.sigma_z + case.sigma_z**2
-    if var_sum <= 0.0:
-        # W + Z collapses to a point; an unbounded-below Normal never
-        # dominates a constant at every level
-        return False
-    w = Normal(0.0, 1.0)
-    total = Normal(case.mu_z, math.sqrt(var_sum))
-    return check_ssd(w, total).holds
+    """Parametric route for W + Z <=ssd W via the Normal order criterion.
+
+    N(0, 1) >=ssd N(mu_z, s) iff 0 >= mu_z and s >= 1, read off the
+    parameters with no witness scan; s^2 - 1 = sigma_z * (2 rho + sigma_z)
+    is the variance Z adds to W.
+    """
+    return case.mu_z <= 0.0 and case.sigma_z * (2.0 * case.rho + case.sigma_z) >= 0.0
 
 
 def gaussian_region(case: GaussianCase) -> RegionFlags:
@@ -271,20 +268,22 @@ class ImproverFlags:
 
     in_s: the sum X + Z dominates X in ssd.
     in_n: E[Z | X + Z <= x] >= 0 at every relevant x (sufficient for in_s).
+    witness: the witness of check_ssd(X + Z, X), None when in_s.
     """
 
     in_s: bool
     in_n: bool
+    witness: Witness | None
 
 
 def improver_check(j: JointDist) -> ImproverFlags:
     marg = joint_marginal_w(j)
     total = joint_sum(j)
-    in_s = check_ssd(total, marg).holds
+    ssd = check_ssd(total, marg)
     # anchor on the sum with the sign of Z flipped: E[-Z | X+Z <= x] <= 0
     f = j.ints
     in_n = _first_failure(*f.combined(), [-z for z in f.z], f.VZ, f.p, f.D, "lower")[0].holds
-    return ImproverFlags(in_s=in_s, in_n=in_n)
+    return ImproverFlags(in_s=ssd.holds, in_n=in_n, witness=ssd.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +664,15 @@ class StopLossComparison:
     base_premiums: tuple[Fraction, ...]
     summed_premiums: tuple[Fraction, ...]
     dominates: bool
+
+    @property
+    def verdict(self) -> OrderVerdict:
+        """Dominance, failing at the least deductible whose summed premium is
+        below the base premium."""
+        for d, s, b in zip(self.deductibles, self.summed_premiums, self.base_premiums):
+            if s < b:
+                return OrderVerdict(False, Witness("angle_t", d, s, b))
+        return OrderVerdict(True)
 
 
 def stop_loss_compare(

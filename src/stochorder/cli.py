@@ -7,6 +7,9 @@ Exit codes: 0 the checked property holds (or the computation succeeded),
 (a result too large to print included), 3 internal error (two routes that
 must agree did not; no report).
 Tables default to CSV on stdout; pass --format json for the full report.
+Each handler returns (inputs, result, verdict, summary), verdict an
+OrderVerdict or None for a plain computation; main alone turns the verdict
+into the exit code and the report's witness, and writes --out.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import json
 import sys
 import time
 import warnings
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Callable
 
@@ -39,7 +43,15 @@ from .dists import (
     joint_to_json,
     rational_to_json,
 )
-from .orders import check_cx, check_icx, check_ssd, check_st, oracle_icx, oracle_ssd
+from .orders import (
+    OrderVerdict,
+    check_cx,
+    check_icx,
+    check_ssd,
+    check_st,
+    oracle_icx,
+    oracle_ssd,
+)
 from .risk import es, phi, stop_loss
 
 __all__ = ["main"]
@@ -49,12 +61,6 @@ def _json_default(o: object):
     if isinstance(o, Fraction):
         return rational_to_json(o)
     raise TypeError(f"not JSON serializable: {o!r}")
-
-
-def _witness_json(w) -> dict | None:
-    if w is None:
-        return None
-    return {"kind": w.kind, "value": w.value, "lhs": w.lhs, "rhs": w.rhs}
 
 
 def _load(path: str, parse: Callable):
@@ -95,31 +101,20 @@ def _write_payload(path: str, payload: object) -> None:
         raise InputError(f"{path}: {exc}") from exc
 
 
-# each handler returns (inputs_echo, result_payload, witness, exit_code, summary)
+# subcommand: (function, argument name, summary label, help)
+_RISK: dict[str, tuple[Callable, str, str, str]] = {
+    "es": (es, "level", "es at level", "expected shortfall of a law at a level"),
+    "phi": (phi, "level", "phi at level", "scaled tail integral (1-p) * ES_p"),
+    "stoploss": (stop_loss, "deductible", "stop-loss premium at", "stop-loss premium E[(X - d)+]"),
+}
 
 
-def _cmd_es(args):
+def _cmd_risk(args):
+    f, name, label, _ = _RISK[args.subcommand]
     d = _load(args.dist, dist_from_json)
-    level = _parse_rational(args.level, "level")
-    value = es(d, level)
-    inputs = {"level": level, "dist": dist_to_json(d)}
-    return inputs, value, None, 0, f"es at level {level}: {value}"
-
-
-def _cmd_phi(args):
-    d = _load(args.dist, dist_from_json)
-    level = _parse_rational(args.level, "level")
-    value = phi(d, level)
-    inputs = {"level": level, "dist": dist_to_json(d)}
-    return inputs, value, None, 0, f"phi at level {level}: {value}"
-
-
-def _cmd_stoploss(args):
-    d = _load(args.dist, dist_from_json)
-    deductible = _parse_rational(args.deductible, "deductible")
-    value = stop_loss(d, deductible)
-    inputs = {"deductible": deductible, "dist": dist_to_json(d)}
-    return inputs, value, None, 0, f"stop-loss premium at {deductible}: {value}"
+    point = _parse_rational(getattr(args, name), name)
+    value = f(d, point)
+    return {name: point, "dist": dist_to_json(d)}, value, None, f"{label} {point}: {value}"
 
 
 _ORDER_CHECKS: dict[str, Callable] = {
@@ -144,8 +139,7 @@ def _cmd_check_order(args):
     inputs = {"relation": args.relation, "oracle": bool(args.oracle),
               "x": dist_to_json(x), "y": dist_to_json(y)}
     state = "holds" if verdict.holds else "fails"
-    return (inputs, {"holds": verdict.holds}, verdict.witness,
-            0 if verdict.holds else 1, f"{args.relation} {state}")
+    return inputs, {"holds": verdict.holds}, verdict, f"{args.relation} {state}"
 
 
 _CONDS: dict[str, Callable] = {
@@ -162,8 +156,7 @@ def _cmd_check_cond(args):
     verdict = _CONDS[args.which](j)
     inputs = {"which": args.which, "joint": joint_to_json(j)}
     state = "holds" if verdict.holds else "fails"
-    return (inputs, {"holds": verdict.holds}, verdict.witness,
-            0 if verdict.holds else 1, f"condition {args.which} {state}")
+    return inputs, {"holds": verdict.holds}, verdict, f"condition {args.which} {state}"
 
 
 def _cmd_synthesize(args):
@@ -172,24 +165,18 @@ def _cmd_synthesize(args):
     synth = synth_supermartingale if args.mode == "ssd" else synth_martingale
     res = synth(x, y)
     inputs = {"mode": args.mode, "x": dist_to_json(x), "y": dist_to_json(y)}
-    if res.feasible:
-        payload = joint_to_json(coupling_to_joint(res.coupling))
-        if args.out:
-            _write_payload(args.out, payload)
-        result = {"feasible": True, "coupling": payload}
-        return inputs, result, None, 0, f"{args.mode} coupling synthesized"
-    return (inputs, {"feasible": False, "coupling": None}, res.certificate,
-            1, f"no {args.mode} coupling exists")
+    payload = joint_to_json(coupling_to_joint(res.coupling)) if res.feasible else None
+    summary = (f"{args.mode} coupling synthesized" if res.feasible
+               else f"no {args.mode} coupling exists")
+    return (inputs, {"feasible": res.feasible, "coupling": payload},
+            OrderVerdict(res.feasible, res.certificate), summary)
 
 
 def _cmd_discretize(args):
     d = _load(args.dist, dist_from_json)
     out = discretize(d, args.n)
-    payload = dist_to_json(out)
-    if args.out:
-        _write_payload(args.out, payload)
     inputs = {"n": args.n, "dist": dist_to_json(d)}
-    return inputs, payload, None, 0, f"discretized to {out.support_size()} atoms"
+    return inputs, dist_to_json(out), None, f"discretized to {out.support_size()} atoms"
 
 
 def _bernoulli_rows() -> list[dict]:
@@ -227,11 +214,12 @@ def _format_cell(v) -> str:
 
 def _cmd_table(args):
     rows = _bernoulli_rows() if args.which == "bernoulli" else _gaussian_rows()
-    if args.format == "json":
-        inputs = {"which": args.which}
-        return inputs, rows, None, 0, f"{args.which} region grid, {len(rows)} cells"
+    return {"which": args.which}, rows, None, f"{args.which} region grid, {len(rows)} cells"
+
+
+def _table_text(rows: list[dict], fmt: str) -> str:
     cols = list(rows[0])
-    if args.format == "csv":
+    if fmt == "csv":
         lines = [",".join(cols)]
         lines += [",".join(_format_cell(r[c]) for c in cols) for r in rows]
     else:  # md
@@ -239,9 +227,7 @@ def _cmd_table(args):
                  "|" + "|".join(" --- " for _ in cols) + "|"]
         lines += ["| " + " | ".join(_format_cell(r[c]) for c in cols) + " |"
                   for r in rows]
-    print("\n".join(lines))
-    print(f"{args.which} region grid, {len(rows)} cells", file=sys.stderr)
-    return None, None, None, 0, None  # table already emitted
+    return "\n".join(lines)
 
 
 def _cmd_improver(args):
@@ -250,7 +236,7 @@ def _cmd_improver(args):
     inputs = {"joint": joint_to_json(j)}
     result = {"in_s": flags.in_s, "in_n": flags.in_n}
     state = "improves" if flags.in_s else "does not improve"
-    return (inputs, result, None, 0 if flags.in_s else 1,
+    return (inputs, result, OrderVerdict(flags.in_s, flags.witness),
             f"Z {state} X in ssd (sufficient condition: {flags.in_n})")
 
 
@@ -266,8 +252,7 @@ def _cmd_marketable(args):
     inputs = {"indemnity": apps.indemnity_to_json(i),
               "loss": dist_to_json(loss), "p0": p0}
     state = "marketable" if verdict.holds else "not marketable"
-    return (inputs, {"holds": verdict.holds}, verdict.witness,
-            0 if verdict.holds else 1, f"contract is {state} at premium {p0}")
+    return inputs, {"holds": verdict.holds}, verdict, f"contract is {state} at premium {p0}"
 
 
 def _cmd_premium(args):
@@ -278,7 +263,7 @@ def _cmd_premium(args):
     value = apps.indifference_premium(u, wealth, loss, i)
     inputs = {"utility": args.utility, "wealth": wealth,
               "indemnity": apps.indemnity_to_json(i), "loss": dist_to_json(loss)}
-    return inputs, value, None, 0, f"indifference premium: {value}"
+    return inputs, value, None, f"indifference premium: {value}"
 
 
 def _cmd_stoploss_compare(args):
@@ -297,8 +282,7 @@ def _cmd_stoploss_compare(args):
         "dominates": cmp.dominates,
     }
     state = "dominates" if cmp.dominates else "does not dominate"
-    return (inputs, result, cmp.condition.witness, 0 if cmp.dominates else 1,
-            f"summed stop-loss curve {state} the base curve")
+    return inputs, result, cmp.verdict, f"summed stop-loss curve {state} the base curve"
 
 
 def _cmd_protective_put(args):
@@ -318,8 +302,7 @@ def _cmd_protective_put(args):
               "horizon": params.horizon, "t": args.t}
     result = {"holds": verdict.holds, "p0": p0, "expected_put": expected}
     state = "holds" if verdict.holds else "fails"
-    return (inputs, result, verdict.witness, 0 if verdict.holds else 1,
-            f"conditional put drift condition {state} at t={args.t}")
+    return inputs, result, verdict, f"conditional put drift condition {state} at t={args.t}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -330,20 +313,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("es", help="expected shortfall of a law at a level")
-    p.add_argument("--level", required=True, help="tail level in [0, 1), rational or decimal")
-    p.add_argument("dist", help="distribution JSON file")
-    p.set_defaults(handler=_cmd_es)
-
-    p = sub.add_parser("phi", help="scaled tail integral (1-p) * ES_p")
-    p.add_argument("--level", required=True)
-    p.add_argument("dist")
-    p.set_defaults(handler=_cmd_phi)
-
-    p = sub.add_parser("stoploss", help="stop-loss premium E[(X - d)+]")
-    p.add_argument("--deductible", required=True)
-    p.add_argument("dist")
-    p.set_defaults(handler=_cmd_stoploss)
+    for name, (_, arg, _, text) in _RISK.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument(f"--{arg}", required=True, help="rational or decimal")
+        p.add_argument("dist", help="distribution JSON file")
+        p.set_defaults(handler=_cmd_risk)
 
     p = sub.add_parser("check-order", help="decide a stochastic order between two laws")
     p.add_argument("--relation", required=True, choices=sorted(_ORDER_CHECKS))
@@ -419,17 +393,23 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        inputs, result, witness, code, summary = args.handler(args)
-        if inputs is None and result is None and summary is None:
-            return code  # table formats that bypass the JSON report
-        report = {
-            "subcommand": args.subcommand,
-            "inputs": inputs,
-            "result": result,
-            "witness": _witness_json(witness),
-            "timing_ms": round((time.perf_counter() - start) * 1000.0, 3),
-        }
-        text = json.dumps(report, sort_keys=True, default=_json_default)
+        inputs, result, verdict, summary = args.handler(args)
+        witness = None if verdict is None else verdict.witness  # None iff it holds
+        code = 0 if witness is None else 1
+        if getattr(args, "out", None) and code == 0:
+            payload = result["coupling"] if args.subcommand == "synthesize" else result
+            _write_payload(args.out, payload)
+        if getattr(args, "format", "json") != "json":
+            text = _table_text(result, args.format)
+        else:
+            report = {
+                "subcommand": args.subcommand,
+                "inputs": inputs,
+                "result": result,
+                "witness": witness and asdict(witness),
+                "timing_ms": round((time.perf_counter() - start) * 1000.0, 3),
+            }
+            text = json.dumps(report, sort_keys=True, default=_json_default)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -443,8 +423,7 @@ def main(argv: list[str] | None = None) -> int:
               "above or below the line and cannot be printed", file=sys.stderr)
         return 2
     print(text)
-    if summary:
-        print(summary, file=sys.stderr)
+    print(summary, file=sys.stderr)
     return code
 
 

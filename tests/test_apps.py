@@ -50,12 +50,14 @@ from stochorder import (
     utility_from_spec,
 )
 from stochorder import apps
+from stochorder.orders import Witness
 from stochorder.dists import norm_cdf, norm_pdf
 
 from . import reference as ref
 from .gen import (
     gaussian_improver_joint,
     random_comonotone_improver_joint,
+    random_joint,
 )
 from .test_dists import discrete_dists, uniform
 
@@ -92,6 +94,17 @@ class TestGaussianRegion:
         # rho = -1, sigma = 1 collapses W + Z to a point mass
         assert not gaussian_ssd_check(GaussianCase(-0.2, 1.0, -1.0))
         assert not gaussian_region(GaussianCase(-0.2, 1.0, -1.0)).ssd
+
+    def test_just_below_the_ssd_boundary_decides_from_the_parameters(self):
+        # these rho sit past the 1e-6 band, so the parametric route runs
+        # there, and it must not scan for a witness
+        for mu in (-10.0, -3.0, -1.0, -0.5, -0.1, -0.01):
+            for sigma in (0.25, 0.5, 1.0, 2.0, 4.0):
+                for delta in (1e-5, 1e-4, 1e-3, 1e-2, 0.05):
+                    case = GaussianCase(mu, sigma, max(-1.0, -sigma / 2 - delta))
+                    ssd = case.rho >= -sigma / 2  # only where rho = -1 clamps
+                    assert gaussian_ssd_check(case) == ssd, case
+                    assert dataclasses.astuple(gaussian_region(case)) == (ssd, False, False), case
 
     def test_ssd_threshold_scales_with_sigma(self):
         # boundary sits at rho = -sigma/2 = -0.75
@@ -207,6 +220,17 @@ class TestImprovers:
             assert ref.is_comonotone((w, w + z, p) for w, z, p in j.atoms)
             flags = improver_check(j)
             assert flags.in_s == flags.in_n
+
+    def test_witness_is_the_sum_against_the_marginal(self):
+        rng = random.Random(41)
+        failing = 0
+        for _ in range(300):
+            j = random_joint(rng)
+            flags = improver_check(j)
+            want = ref.check_ssd(joint_sum(j), joint_marginal_w(j))
+            assert (flags.in_s, flags.witness) == (want.holds, want.witness)
+            failing += not flags.in_s
+        assert failing > 50
 
     def test_non_comonotone_rejected(self):
         # the gap exhibit is outside the comonotone case
@@ -562,6 +586,22 @@ class TestStopLossComparison:
         j = normalize_joint([(0, 1, F(1, 2)), (3, 0, F(1, 2))])
         cmp = stop_loss_compare(j)
         assert cmp.dominates  # adding a nonnegative Z always dominates
+
+    def test_verdict_fails_at_the_least_deductible_below_the_base(self):
+        rng = random.Random(43)
+        failing = 0
+        for _ in range(300):
+            j = random_joint(rng, nonneg_w=True)
+            cmp = stop_loss_compare(j)
+            base, total = joint_marginal_w(j), joint_sum(j)
+            below = [d for d in cmp.deductibles if ref.stop_loss(total, d) < ref.stop_loss(base, d)]
+            assert cmp.verdict.holds == cmp.dominates == (not below)
+            if below:
+                failing += 1
+                d = below[0]
+                assert cmp.verdict.witness == Witness(
+                    "angle_t", d, ref.stop_loss(total, d), ref.stop_loss(base, d))
+        assert failing > 50
 
     def test_custom_deductibles(self):
         j = normalize_joint([(0, 0, F(1, 2)), (2, 1, F(1, 2))])
