@@ -7,9 +7,11 @@ a float converts to the dyadic rational it actually is.
 
 Canonicalisation is integer work.  normalize and normalize_joint scale all
 values (w and z separately) and all weights of one call to integers over the
-lcm of their denominators (an int weight as it is), merge duplicates in an
-int-keyed dict and sort the int keys; the marginals and joint_sum merge the
-joint's integers alike.  The merge's integers become the law's integer form,
+lcm of their denominators (an int weight as it is, an all-int weight column
+over 1), merge duplicates in an int-keyed dict and sort the int keys; the
+marginals and joint_sum merge the joint's integers alike.  Keys that arrive
+strictly ascending are already merged and sorted: they skip the dict and the
+sort.  The merge's integers become the law's integer form,
 the weights over their gcd, and each distinct probability is built once and
 shared by its atoms.
 
@@ -50,7 +52,7 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 __all__ = [
     "StochOrderError",
@@ -402,7 +404,9 @@ def normalize(raw_atoms: Iterable[tuple[RationalLike, RationalLike]]) -> Discret
     """Build a canonical discrete law from (value, weight) pairs.
 
     Weights must be nonnegative with positive total; they are rescaled to sum
-    to one.  Duplicate values merge, zero-weight atoms drop.
+    to one.  Duplicate values merge, zero-weight atoms drop.  Atoms that
+    arrive with strictly ascending values are the law's order as they stand
+    and take no merge (see _merged).
     """
     values, weights = [], []
     for value, weight in raw_atoms:
@@ -417,9 +421,13 @@ def normalize(raw_atoms: Iterable[tuple[RationalLike, RationalLike]]) -> Discret
     return _merged(keys, (V,), values, as_integers(weights)[0])
 
 
-def as_integers(xs: Iterable[Fraction | int]) -> tuple[list[int], int]:
+def as_integers(xs: Sequence[Fraction | int]) -> tuple[Sequence[int], int]:
     """The rationals xs as integers over the lcm L of their denominators, and
-    L: xs[k] == ints[k] / L."""
+    L: xs[k] == ints[k] / L.  A column of plain ints is its own integer form:
+    xs itself, over L = 1."""
+    # the first atom settles a column of Fractions, the usual case, at no cost
+    if xs and type(xs[0]) is int and all(map(operator.is_, map(type, xs), repeat(int))):
+        return xs, 1
     ratios = [x.as_integer_ratio() for x in xs]
     L = math.lcm(*[d for _, d in ratios])
     return [n * (L // d) for n, d in ratios], L
@@ -431,34 +439,40 @@ def _reduced(keys: list[int], V: int) -> tuple[tuple[int, ...], int]:
     return tuple([k // g for k in keys]), V // g
 
 
-def _merged(keys: list, scales: tuple[int, ...], cells: list | None,
-            weights: Iterable[int]) -> DiscreteDist | JointDist:
-    """The law of cells with integer weights, merged by key: values over the
-    least scale V (scales (V,); cells None makes them keys / V) or (w, z) cells
-    over the least (VW, VZ).  The keys, the merged weights over their gcd g and
-    D = total / g are what as_integers makes of the public columns: the ints."""
-    acc, first = {}, {}
-    for k, cell, m in zip(keys, keys if cells is None else cells, weights):
-        if k in acc:
-            acc[k] += m
-        else:
-            acc[k], first[k] = m, cell
-    if not acc:
+def _merged(keys: Sequence, scales: tuple[int, ...], cells: Sequence | None,
+            weights: Sequence[int]) -> DiscreteDist | JointDist:
+    """The law of cells with positive integer weights, merged by key: values
+    over the least scale V (scales (V,); cells None makes them keys / V) or
+    (w, z) cells over the least (VW, VZ).  The keys, the merged weights over
+    their gcd g and D = total / g are what as_integers makes of the public
+    columns: the ints.  Keys already strictly ascending are the order as they
+    stand, with their weights and cells; any other keys merge in a dict and sort."""
+    if all(map(operator.lt, keys, keys[1:])):
+        order, ms, firsts = keys, weights, keys if cells is None else cells
+    else:
+        acc, first = {}, {}
+        for k, cell, m in zip(keys, keys if cells is None else cells, weights):
+            if k in acc:
+                acc[k] += m
+            else:
+                acc[k], first[k] = m, cell
+        order = sorted(acc)
+        ms, firsts = list(map(acc.__getitem__, order)), map(first.__getitem__, order)
+    if not order:
         raise InputError("total weight must be positive")
-    order = sorted(acc)
-    T = sum(acc.values())
+    T = sum(ms)
     # T first: the weights may share most factors where T shares few, and a gcd of 1 skips the rest
-    g = math.gcd(T, *acc.values())
-    ps, D = tuple([acc[k] // g for k in order]), T // g
+    g = math.gcd(T, *ms)
+    ps, D = tuple([m // g for m in ms]), T // g
     shared = dict.fromkeys(ps)  # one Fraction per distinct weight, shared by its atoms
     for p in shared:
         shared[p] = Fraction(p, D)
     probs = map(shared.__getitem__, ps)
     if len(scales) == 2:
-        atoms = tuple([(w, z, p) for (w, z), p in zip(map(first.get, order), probs)])
+        atoms = tuple([(w, z, p) for (w, z), p in zip(firsts, probs)])
         ws, zs = zip(*order)
         return _trusted(JointDist, atoms, JointInts(ws, scales[0], zs, scales[1], ps, D))
-    values = [Fraction(x, scales[0]) for x in order] if cells is None else map(first.get, order)
+    values = [Fraction(x, scales[0]) for x in order] if cells is None else firsts
     return _trusted(DiscreteDist, tuple(zip(values, probs)), LawInts(tuple(order), scales[0], ps, D))
 
 
@@ -542,7 +556,8 @@ def _check_total(ps: list[int], D: int) -> None:
 def normalize_joint(
     raw_atoms: Iterable[tuple[RationalLike, RationalLike, RationalLike]],
 ) -> JointDist:
-    """Build a canonical joint law; merges duplicate cells, rescales weights."""
+    """Build a canonical joint law; merges duplicate cells, rescales weights.
+    Cells that arrive strictly ascending by (w, z) take no merge (see _merged)."""
     cells, weights = [], []
     for w, z, weight in raw_atoms:
         key = (w if type(w) is Fraction else as_fraction(w),
@@ -554,7 +569,7 @@ def normalize_joint(
             cells.append(key)
             weights.append(wt)
     # a cell's key is (w VW, z VZ), each column over the lcm of its own denominators
-    (ws, VW), (zs, VZ) = as_integers(w for w, _ in cells), as_integers(z for _, z in cells)
+    (ws, VW), (zs, VZ) = as_integers([w for w, _ in cells]), as_integers([z for _, z in cells])
     return _merged(list(zip(ws, zs)), (VW, VZ), cells, as_integers(weights)[0])
 
 
@@ -649,6 +664,17 @@ def affine(d: Dist, a: RationalLike, b: RationalLike) -> DiscreteDist:
 # that exactness is never silently lost.  Values may be ints, floats or
 # rational strings.
 
+# The most atoms of a law and cells of a joint that the codecs read, checked
+# before any atom is parsed, and the most atoms discretize builds: one bound,
+# so that every discretize output reads back.  Each costs time linear in the
+# count.  Through the CLI at the cap, printing included (shared 2-vCPU Xeon
+# VM, Python 3.11; its speed varies by up to 1.7x): `discretize --grid 100000`
+# took 0.9-1.0 s on a Normal and 1.4-1.5 s on a LogNormal at a 77 MB peak;
+# `es --level 1/2` on a law of 100,000 atoms 0.86-0.94 s at 76 MB, 88 MB with
+# the atoms shuffled; `check-cond --which new` on a joint of 100 x 1,000 cells
+# 1.2-1.4 s at 107 MB, 1.4-1.6 s at 119 MB with the cells shuffled.
+_MAX_ATOMS = 100_000
+
 
 def rational_to_json(q: Fraction) -> int | str:
     return int(q) if q.denominator == 1 else str(q)
@@ -690,6 +716,8 @@ def dist_from_json(obj: object) -> Dist:
         atoms = obj.get("atoms")
         if not isinstance(atoms, list) or not atoms:
             raise InputError("discrete law needs a non-empty 'atoms' list")
+        if len(atoms) > _MAX_ATOMS:
+            raise InputError(f"discrete law takes at most {_MAX_ATOMS} atoms, got {len(atoms)}")
         raw = []
         for i, a in enumerate(atoms):
             if not isinstance(a, dict) or "x" not in a or "p" not in a:
@@ -723,6 +751,8 @@ def joint_from_json(obj: object) -> JointDist:
     atoms = obj.get("atoms")
     if not isinstance(atoms, list) or not atoms:
         raise InputError("joint law needs a non-empty 'atoms' list")
+    if len(atoms) > _MAX_ATOMS:
+        raise InputError(f"joint law takes at most {_MAX_ATOMS} cells, got {len(atoms)}")
     raw = []
     for i, a in enumerate(atoms):
         if not isinstance(a, dict) or not {"w", "z", "p"} <= set(a):
@@ -751,16 +781,9 @@ def joint_to_json(j: JointDist) -> dict:
     }
 
 
-# The most atoms discretize builds; it costs time linear in n.  Through the
-# CLI, `discretize --grid 100000` took 2.0 s on a Normal and 3.0 s on a
-# LogNormal, printing included, at a 78 MB peak (shared 2-vCPU Xeon VM,
-# Python 3.11).
-_MAX_DISCRETIZE = 100_000
-
-
 def discretize(d: Dist, n: int) -> DiscreteDist:
     """n equal-mass atoms at the midpoint quantiles Q((2k-1)/(2n)), k=1..n,
-    for 2 <= n <= _MAX_DISCRETIZE.
+    for 2 <= n <= _MAX_ATOMS.
 
     An approximation for continuous families, never applied silently: callers
     that need a discrete law must invoke it themselves.  Laws that are
@@ -775,8 +798,8 @@ def discretize(d: Dist, n: int) -> DiscreteDist:
         raise InputError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise InputError(f"discretization needs n >= 2 atoms, got {n}")
-    if n > _MAX_DISCRETIZE:
-        raise InputError(f"discretization takes at most {_MAX_DISCRETIZE} atoms, got {n}")
+    if n > _MAX_ATOMS:
+        raise InputError(f"discretization takes at most {_MAX_ATOMS} atoms, got {n}")
     exact = as_discrete(d)
     if exact is not None:
         return exact
@@ -789,12 +812,14 @@ def discretize(d: Dist, n: int) -> DiscreteDist:
             return law.sigma * norm_quantile(t)
 
         # pair each offset with its exact rational negation so the
-        # discretized mean is exactly mu
+        # discretized mean is exactly mu; the values go to normalize in
+        # ascending order (lower half, centre, mirrored upper half), which
+        # it takes without a merge
         center = Fraction(law.mu)
         offsets = [Fraction(_closed_form(law, quantile_offset, t)) for t in levels[: n // 2]]
         values = [center + off for off in offsets]
-        values += [center - off for off in offsets]
         if n % 2 == 1:
             values.append(center)
+        values += [center - off for off in reversed(offsets)]
         return normalize((v, prob) for v in values)
     return normalize((_closed_form(law, law.quantile_right, t), prob) for t in levels)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from stochorder import dist_from_json, joint_from_json
+from stochorder import dist_from_json, dists, joint_from_json
 from stochorder.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -445,6 +445,26 @@ class TestErrorPaths:
         code, report, cap = run("es", "--level", "0", str(p))
         assert (code, report, cap.out) == (2, None, "")
         assert cap.err.startswith(f"error: {p}: malformed JSON: maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize("argv, parse, obj, what", [
+        (["es", "--level", "0"], dist_from_json, _discrete([0] * 100_001, [1] * 100_001),
+         "discrete law takes at most 100000 atoms, got 100001"),
+        (["check-cond", "--which", "new"], joint_from_json, _joint([(0, 0, 1)] * 100_001),
+         "joint law takes at most 100000 cells, got 100001"),
+    ], ids=["law", "joint"])
+    def test_atom_cap_exits_2_before_parsing(self, run, tmp_path, monkeypatch, argv, parse, obj, what):
+        def unreachable(*args):
+            raise AssertionError("an atom was parsed")
+
+        monkeypatch.setattr(dists, "_value_from_json", unreachable)
+        monkeypatch.setattr(dists, "_prob_from_json", unreachable)
+        p = _write(tmp_path / "big.json", obj)
+        code, report, cap = run(*argv, p)
+        assert (code, report, cap.out) == (2, None, "")
+        assert cap.err == f"error: {p}: {what}\n"
+        del obj["atoms"][0]  # at the cap the codec goes on to parse
+        with pytest.raises(AssertionError, match="an atom was parsed"):
+            parse(obj)
 
     def test_wrong_schema(self, run, tmp_path):
         p = _write(tmp_path / "w.json", {"type": "discrete", "atoms": []})

@@ -2,6 +2,7 @@
 
 import json
 import math
+import operator
 import pickle
 import random
 from fractions import Fraction as F
@@ -273,6 +274,70 @@ class TestIntegerFormRoutes:
         for law in laws:
             assert_validated(law)
         assert joint_marginal_w(j) == d
+
+
+def _ascending(raw):
+    """raw's cells merged by key and sorted, zero weights dropped: keys
+    strictly ascending, the weights summed in their own spelling (int where
+    every merged weight is an int)."""
+    acc = {}
+    for *key, wt in raw:
+        k = tuple(map(as_fraction, key))
+        acc[k] = acc.get(k, 0) + (wt if type(wt) is int else as_fraction(wt))
+    return [(*k, wt) for k, wt in sorted(acc.items()) if wt]
+
+
+def assert_same_law(law, other):
+    assert law.atoms == other.atoms and law.ints == other.ints
+
+
+class TestAscendingInput:
+    """Keys that arrive strictly ascending are taken as they stand, any other
+    keys merge: both give one law, atom for atom and integer for integer, and
+    an all-int weight column gives the integers its Fractions give."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(value_pool, value_pool, any_weight), max_size=10), st.randoms())
+    def test_order_of_arrival_changes_nothing(self, raw, rnd):
+        try:
+            j = normalize_joint(raw)
+        except InputError:
+            assert not any(as_fraction(wt) for _, _, wt in raw)
+            return
+        pairs = [(w, wt) for w, _, wt in raw]
+        d = normalize(pairs)
+        assert_same_law(d, ref.normalize(pairs))
+        assert_same_law(j, ref.normalize_joint(raw))
+        for form in (rnd.sample(raw, len(raw)), _ascending(raw)):
+            assert_same_law(normalize_joint(form), j)
+            assert_same_law(normalize([(w, wt) for w, _, wt in form]), d)
+        assert_same_law(normalize(_ascending(pairs)), d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(value_pool, value_pool, st.integers(0, 30)), max_size=10),
+           st.booleans())
+    def test_int_weights_equal_their_fractions(self, raw, ascending):
+        if not any(wt for _, _, wt in raw):
+            return
+        raw = _ascending(raw) if ascending else raw
+        as_fractions = [(w, z, F(wt)) for w, z, wt in raw]
+        assert_same_law(normalize_joint(raw), normalize_joint(as_fractions))
+        assert_same_law(normalize([(w, wt) for w, _, wt in raw]),
+                        normalize([(w, wt) for w, _, wt in as_fractions]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(value_pool, any_weight), min_size=1, max_size=10),
+           st.lists(value_pool, min_size=10, max_size=10))
+    def test_marginal_and_sum_of_an_ascending_w_column(self, pairs, zs):
+        if not any(as_fraction(wt) for _, wt in pairs):
+            return
+        j = normalize_joint([(w, z, wt) for (w, wt), z in zip(_ascending(pairs), zs)])
+        assert all(map(operator.lt, j.ints.w, j.ints.w[1:]))
+        for law, want in ((joint_marginal_w(j), [(w, p) for w, _, p in j.atoms]),
+                          (joint_sum(j), [(w + z, p) for w, z, p in j.atoms])):
+            assert_validated(law)
+            assert_same_law(law, ref.normalize(want))
+        assert joint_marginal_w(j) == normalize(pairs)
 
 
 class FractionSubclass(F):
