@@ -1,21 +1,21 @@
 #!/usr/bin/env python3
-"""Time supermartingale synthesis at the cap, the measurement behind the cap.
+"""Time coupling synthesis at the cap, the measurement behind the cap.
 
 The support cap of coupling synthesis (`coupling._MAX_SUPPORT`) is
 the largest size, in steps of 500, at which every feasible synthesis of laws
-of at most that many atoms takes under 1 s.  This script times
-`synth_supermartingale` on four families, three seeds each, at sizes 1500,
-2000, ... and stops after the first size at which some synthesis takes 1 s
-or more:
+of at most that many atoms takes under 1 s, in either mode.  This script
+builds four families of pairs with equal means, three seeds each, at sizes
+1500, 2000, ..., times `synth_martingale` on each pair and
+`synth_supermartingale` on the pair with its second law shifted down by
+1/3, and stops after the first size at which some synthesis takes 1 s or
+more:
 
     spreads   random values and weights against pairwise mean-preserving
-              spreads of them, shifted down by 1/3;
-    wide      a narrow law against a wide one, means aligned, then the wide
-              one shifted down by 1/3;
-    bimodal   the narrow law against two far clusters, aligned and shifted
-              likewise;
-    point     a point mass at the mean of the wide law against that law
-              shifted down by 1/3: one row spans every merged stretch.
+              spreads of them;
+    wide      a narrow law against a wide one, means aligned;
+    bimodal   the narrow law against two far clusters, aligned likewise;
+    point     a point mass at the mean of the wide law against that law:
+              one row spans every merged stretch.
 
 Each feasible line also gives the time of `coupling_to_joint` on the result,
 which the `synthesize` command runs after the synthesis; the cap does not
@@ -32,7 +32,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from stochorder import affine, coupling, coupling_to_joint, mean, normalize, synth_supermartingale
+from stochorder import (
+    affine,
+    coupling,
+    coupling_to_joint,
+    mean,
+    normalize,
+    synth_martingale,
+    synth_supermartingale,
+)
 
 SHIFT = F(1, 3)
 START, STEP, SEEDS = 1500, 500, (1, 2, 3)
@@ -48,7 +56,7 @@ def spreads(rng, n):
         d = F(rng.randint(1, 60), 7) * p * q
         y += [(a - d / p, p), (b + d / q, q)]
     y += x.atoms[n - n % 2:]
-    return x, affine(normalize(y), 1, -SHIFT)
+    return x, normalize(y)
 
 
 def _narrow(rng, n):
@@ -56,7 +64,7 @@ def _narrow(rng, n):
 
 
 def _aligned(x, y):
-    return affine(y, 1, mean(x) - mean(y) - SHIFT)
+    return affine(y, 1, mean(x) - mean(y))
 
 
 def _wide(rng, n):
@@ -94,19 +102,22 @@ def main() -> None:
         for name, family in FAMILIES.items():
             for seed in SEEDS:
                 x, y = family(random.Random(seed), n)
-                start = time.perf_counter()
-                res = synth_supermartingale(x, y)
-                elapsed = time.perf_counter() - start
-                line = (f"n={n} {name} seed={seed} {len(x.atoms)}x{len(y.atoms)} "
-                        f"feasible={res.feasible} {elapsed:.3f} s")
-                if res.feasible:
-                    worst = max(worst, elapsed)
+                for synth, ys in ((synth_martingale, y),
+                                  (synth_supermartingale, affine(y, 1, -SHIFT))):
                     start = time.perf_counter()
-                    coupling_to_joint(res.coupling)
-                    line += f", coupling_to_joint {time.perf_counter() - start:.3f} s"
-                print(line, flush=True)
+                    res = synth(x, ys)
+                    elapsed = time.perf_counter() - start
+                    line = (f"n={n} {name} seed={seed} {synth.__name__} {len(x.atoms)}x{len(ys.atoms)} "
+                            f"feasible={res.feasible} {elapsed:.3f} s")
+                    if res.feasible:
+                        worst = max(worst, elapsed)
+                        start = time.perf_counter()
+                        coupling_to_joint(res.coupling)
+                        line += f", coupling_to_joint {time.perf_counter() - start:.3f} s"
+                    print(line, flush=True)
         print(f"n={n}: slowest feasible synthesis {worst:.3f} s", flush=True)
         n += STEP
+
 
 if __name__ == "__main__":
     main()

@@ -37,15 +37,25 @@ composition is a supermartingale coupling of (X, Y); under equal means
 h = 0 and U = X, so martingale mode is the same construction.  The ssd walk
 names the atoms holding each merged stretch: one pass, at most one cut each.
 
-verify_coupling rechecks every built coupling with plain sums over its
-nonzero cells, independent of the construction; a holding order whose
-construction cannot place an atom or does not verify raises InternalError.
+The construction runs on the pair's integer forms (orders._scale): values
+are ints over one scale V, and masses are ints over one scale M = D L, with
+D the pair's probability scale and L the lcm of the cuts' denominators.  A
+mass becomes a Fraction only where a window ends inside an atom at a level
+that no int over M reaches, and so do the masses that step touches; each
+cell's Fraction is built once, from its integer parts.
+
+verify_coupling rechecks every built coupling with its own integer sums,
+per row and per column over the nonzero cells, independent of the
+construction; a holding order whose construction cannot place an atom or
+does not verify raises InternalError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .dists import (
@@ -55,8 +65,10 @@ from .dists import (
     InternalError,
     JointDist,
     as_discrete,
+    as_integers,
+    rescale,
 )
-from .orders import Witness, _scale, _walk, check_cx, check_ssd
+from .orders import Witness, _IntLaw, _scale, _walk, check_cx, check_ssd
 
 __all__ = [
     "Coupling",
@@ -74,7 +86,14 @@ _ZERO = Fraction(0)
 MODE_SUPERMARTINGALE = "supermartingale"
 MODE_MARTINGALE = "martingale"
 
-_MAX_SUPPORT = 2500  # per-marginal support bound for synthesis
+# The most atoms per marginal that synthesis takes.  scripts/support_cap.py
+# at 2500 x 2500, both modes, three seeds of four families (shared 2-vCPU Xeon
+# VM, Python 3.11; its speed varies by up to 1.7x): wide 0.17-0.22 s, bimodal
+# 0.16-0.19 s, spreads 0.02-0.08 s, a point mass against the wide law
+# 0.01-0.02 s; coupling_to_joint took up to 0.18 s more.  The script's 1 s
+# rule first failed at 11,000 atoms (1.02 s, supermartingale mode), but the
+# `synthesize` command also pays for coupling_to_joint.
+_MAX_SUPPORT = 2500
 
 
 @dataclass(frozen=True)
@@ -139,7 +158,8 @@ def _synth(x: Dist, y: Dist, martingale: bool) -> SynthResult:
     verdict = checker(dx, dy)
     if not verdict.holds:
         return SynthResult(False, None, verdict.witness)
-    cells = _compose(dy, _intermediate(dx, dy))
+    ix, iy, _, D = _scale(dx, dy)
+    cells = _compose(ix, iy, D)
     coupling = None if cells is None else Coupling(dx.values, dy.values, dx.probs, dy.probs, cells)
     if coupling is None or not verify_coupling(coupling, dx, dy, mode):
         failure = "cannot place an atom" if cells is None else "fails verification"
@@ -151,37 +171,41 @@ def _synth(x: Dist, y: Dist, martingale: bool) -> SynthResult:
     return SynthResult(True, coupling, None)
 
 
-def _compose(
-    dy: DiscreteDist, pieces: list[tuple[int, Fraction, Fraction]]
-) -> tuple[tuple[int, int, Fraction], ...] | None:
-    """The cells of the coupling of X with U given as pieces (row, u, mass),
-    composed with the left-curtain coupling of (U, Y); None if the curtain
-    fails.  Pieces of one row can reach one column: their cells merge."""
-    law_u: dict[Fraction, Fraction] = {}
+def _compose(x: _IntLaw, y: _IntLaw, D: int) -> tuple[tuple[int, int, Fraction], ...] | None:
+    """The cells of the coupling of X with U (_intermediate) composed with
+    the left-curtain coupling of (U, Y), for laws over one value scale and
+    one probability scale D; None if the curtain fails.  Pieces of one row
+    can reach one column: their cells merge."""
+    pieces, L = _intermediate(x, y)
+    law_u: dict[int, int] = {}
     for _, u, mass in pieces:
-        law_u[u] = law_u.get(u, _ZERO) + mass
+        law_u[u] = law_u.get(u, 0) + mass
     atoms_u = sorted(law_u.items())
-    curtain = _left_curtain(atoms_u, dy)
+    curtain = _left_curtain(atoms_u, y[0], rescale(y[1], L))
     if curtain is None:
         return None
     shadows = {u: (mass, shadow) for (u, mass), shadow in zip(atoms_u, curtain)}
+    M = D * L
     cells: dict[tuple[int, int], Fraction] = {}
     for i, u, mass in pieces:
         total, shadow = shadows[u]
-        f = mass / total
+        scale = total * M
         for k, share in shadow:
-            cells[i, k] = cells.get((i, k), _ZERO) + f * share
+            cell = Fraction(share * mass, scale)
+            cells[i, k] = cells[i, k] + cell if (i, k) in cells else cell
     return tuple((i, k, p) for (i, k), p in sorted(cells.items()))
 
 
 def _left_curtain(
-    rows: Sequence[tuple[Fraction, Fraction]], dy: DiscreteDist
-) -> list[list[tuple[int, Fraction]]] | None:
+    rows: list[tuple[int, int]], vals: Sequence[int], rems: Sequence[int]
+) -> list[list[tuple[int, Fraction | int]]] | None:
     """Each row's shadow as (column, mass) pairs, rows (x, a) taken
-    ascending, or None when some row has no window of barycenter x."""
+    ascending, or None when some row has no window of barycenter x.  The
+    rows' and the columns' values (vals) share one scale, their masses
+    (a and rems) another."""
     # the columns with mass left: index, value and remaining mass
-    cols, vals, rems = list(range(len(dy.atoms))), list(dy.values), list(dy.probs)
-    below, k0 = _ZERO, 0  # the mass in rems[:k0], the values below x
+    cols, vals, rems = list(range(len(vals))), list(vals), list(rems)
+    below, k0 = 0, 0  # the mass in rems[:k0], the values below x
     out = []
     for x, a in rows:
         while k0 < len(vals) and vals[k0] < x:
@@ -208,22 +232,24 @@ def _left_curtain(
 
 
 def _shadow(
-    x: Fraction, a: Fraction, vs: list[Fraction], rs: list[Fraction], k0: int, below: Fraction
-) -> tuple[int, list[Fraction]] | None:
+    x: int, a: int, vs: list[int], rs: list[Fraction | int], k0: int, below: Fraction | int
+) -> tuple[int, list[Fraction | int]] | None:
     """The atoms (vs, rs) between quantile levels t and t + a, for the t at
     which their barycenter is x, as (first index, masses), or None.
 
     vs[:k0], of total mass below, are the values below x.  The window slides
     up from the highest t at which it lies wholly below x (or from t = 0);
     between the levels where either end crosses into the next atom its
-    moment grows at the rate vs[hi] - vs[lo].
+    moment grows at the rate vs[hi] - vs[lo].  Masses stay ints until the
+    last step of a window ends inside an atom at a level no int reaches:
+    that step is a Fraction, and so is every mass it touches.
     """
     target = x * a
     # fill the window at the start; lo_room and hi_room are the mass of
     # atom lo above t and of atom hi above t + a
-    moment, rest = _ZERO, a
+    moment, rest = 0, a
     if below > a:  # the top mass a below x
-        lo, hi, hi_room = k0, k0 - 1, _ZERO
+        lo, hi, hi_room = k0, k0 - 1, 0
         while rest:
             lo -= 1
             step = min(rest, rs[lo])
@@ -248,7 +274,10 @@ def _shadow(
         rate = vs[hi] - vs[lo]
         gain = rate * step
         if moment + gain >= target:
-            step, gain = (target - moment) / rate, target - moment
+            gain = target - moment
+            step, short = divmod(gain, rate)
+            if short:
+                step = Fraction(gain, rate)
         moment += gain
         lo_room -= step
         hi_room -= step
@@ -262,25 +291,35 @@ def _shadow(
     return lo, [lo_room, *rs[lo + 1:hi], rs[hi] - hi_room]
 
 
-def _intermediate(dx: DiscreteDist, dy: DiscreteDist) -> list[tuple[int, Fraction, Fraction]]:
+def _intermediate(x: _IntLaw, y: _IntLaw) -> tuple[list[tuple[int, int, int]], int]:
     """The comonotone coupling of X with the intermediate law U, as pieces
-    (row, u, mass); G_U = G_X - h as in the module docstring.  Between two
-    merged levels of the walk that decides ssd, atoms i of X and j of Y hold
-    the mass, G_X - G_Y moves at the rate of their gap, and u is one of them."""
-    x, y, _, D = _scale(dx, dy)
-    xv, yv, xs, ys = x[0], y[0], dx.values, dy.values
+    (row, u, mass), and L; G_U = G_X - h as in the module docstring.  Values
+    keep the laws' one scale; masses go over D L, with D the laws' scale and
+    L the lcm of the cuts' denominators.  Between two merged levels of the
+    walk that decides ssd, atoms i of X and j of Y hold the mass, G_X - G_Y
+    moves at the rate of their gap, and u is one of them."""
+    xv, yv = x[0], y[0]
     levels = [(0, 0, 0, 0, 0), *_walk(x, y)]  # (P, i, j, G_X, G_Y) in units 1/D and 1/(V D)
-    # mass in units 1/D, one piece per row and u: a row meets each shadow once
-    pieces: dict[tuple[int, Fraction], Fraction | int] = {}
+    # each stretch (i, j, its mass, the cut as numerator and denominator), in units 1/D
+    stretches, L = [], 1
     floor = levels[-1][3] - levels[-1][4]  # h(1); below, h at the segment's end
     for (p0, _, _, gx0, gy0), (p1, i, j, gx1, gy1) in zip(levels[-2::-1], levels[:0:-1]):
         g0, floor, rate = gx0 - gy0, min(floor, gx1 - gy1), xv[i] - yv[j]
         # h = G_X - G_Y (U = Y) up to the cut, then flat at floor (U = X)
-        cut = Fraction(floor - g0, rate) if rate > 0 and g0 < floor else 0
-        for key, mass in (((i, ys[j]), cut), ((i, xs[i]), p1 - p0 - cut)):
+        cut, den = 0, 1
+        if rate > 0 and g0 < floor:
+            g = gcd(floor - g0, rate)
+            cut, den = (floor - g0) // g, rate // g
+            L = lcm(L, den)
+        stretches.append((i, j, p1 - p0, cut, den))
+    # one piece per row and u: a row meets each shadow once
+    pieces: dict[tuple[int, int], int] = {}
+    for i, j, width, cut, den in stretches:
+        cut *= L // den
+        for key, mass in (((i, yv[j]), cut), ((i, xv[i]), width * L - cut)):
             if mass:
                 pieces[key] = pieces.get(key, 0) + mass
-    return [(i, u, Fraction(mass, D)) for (i, u), mass in pieces.items()]
+    return [(i, u, mass) for (i, u), mass in pieces.items()], L
 
 
 def _indexed(c: Coupling) -> bool:
@@ -296,9 +335,12 @@ def _indexed(c: Coupling) -> bool:
 def verify_coupling(c: Coupling, x: Dist, y: Dist, mode: str) -> bool:
     """Recheck a coupling against its marginals and drift constraints.
 
-    Independent arithmetic from the construction: plain sums over the
-    cells.  A cell out of strictly ascending (row, column) order,
-    with a row or column not an int in range, or with a negative mass, fails.
+    Independent arithmetic from the construction: the cells are grouped by
+    row and by column, each group's masses go over that group's own lcm,
+    and every row sum, column sum and row drift is an integer sum compared
+    with the marginals' integer forms.  A cell out of strictly ascending
+    (row, column) order, with a row or column not an int in range, or with a
+    negative or non-finite mass, fails.
     """
     if mode not in (MODE_SUPERMARTINGALE, MODE_MARTINGALE):
         raise InputError(f"unknown mode {mode!r}")
@@ -307,16 +349,32 @@ def verify_coupling(c: Coupling, x: Dist, y: Dist, mode: str) -> bool:
     if (c.row_values, c.col_values, c.row_probs, c.col_probs) != (
             dx.values, dy.values, dx.probs, dy.probs) or not _indexed(c):
         return False
-    n, m = len(c.row_values), len(c.col_values)
-    rows, drifts, cols = [_ZERO] * n, [_ZERO] * n, [_ZERO] * m
+    fx, fy = dx.ints, dy.ints
+    row_cols: list[list[int]] = [[] for _ in fx.values]
+    row_masses: list[list] = [[] for _ in fx.values]
+    col_masses: list[list] = [[] for _ in fy.values]
     for i, j, mass in c.cells:
-        if mass < 0:
+        row_cols[i].append(j)
+        row_masses[i].append(mass)
+        col_masses[j].append(mass)
+    try:
+        rows = [as_integers(ms) for ms in row_masses]
+        cols = [as_integers(ms) for ms in col_masses]
+    except (ValueError, OverflowError):  # a float mass that is no rational: nan or inf
+        return False
+    for (ms, L), w in zip(cols, fy.weights):
+        if sum(ms) * fy.D != w * L:
             return False
-        rows[i] += mass
-        drifts[i] += (c.col_values[j] - c.row_values[i]) * mass
-        cols[j] += mass
-    drift_ok = not any(drifts) if mode == MODE_MARTINGALE else all(d <= 0 for d in drifts)
-    return drift_ok and tuple(rows) == c.row_probs and tuple(cols) == c.col_probs
+    martingale = mode == MODE_MARTINGALE
+    for (ms, L), w, v, js in zip(rows, fx.weights, fx.values, row_cols):
+        total = sum(ms)
+        if total * fx.D != w * L or min(ms) < 0:
+            return False
+        # the row's drift, the sum of (y_j - x_i) m_ij, times V_X V_Y L
+        drift = fx.V * sum(map(mul, map(fy.values.__getitem__, js), ms)) - fy.V * v * total
+        if drift > 0 or martingale and drift:
+            return False
+    return True
 
 
 def coupling_to_joint(c: Coupling) -> JointDist:

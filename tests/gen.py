@@ -15,7 +15,9 @@ from stochorder.dists import (
     DiscreteDist,
     JointDist,
     Normal,
+    affine,
     discretize,
+    mean,
     normalize,
     normalize_joint,
 )
@@ -26,6 +28,7 @@ __all__ = [
     "random_joint",
     "random_shift_down",
     "mean_preserving_spread",
+    "narrow_against_wide",
     "random_comonotone_improver_joint",
     "gaussian_improver_joint",
 ]
@@ -102,6 +105,22 @@ def mean_preserving_spread(rng: random.Random, x: DiscreteDist) -> DiscreteDist:
         else:
             raw.append((v, p))
     return normalize(raw)
+
+
+def narrow_against_wide(
+    rng: random.Random, n: int, bimodal: bool = False
+) -> tuple[DiscreteDist, DiscreteDist]:
+    """A narrow law of n atoms and a wide (or bimodal) law of n atoms with
+    the same mean, as in scripts/support_cap.py: X <=cx Y, and the windows
+    of the left curtain end inside atoms of Y at masses that are no integer
+    multiple of 1/D, D the lcm of both laws' probability denominators."""
+    x = normalize((Fraction(k, n) - Fraction(1, 2), rng.randint(1, 59)) for k in range(n))
+    if bimodal:
+        values = (Fraction(v, 4 * n) + (10 if v > 0 else -10) for v in rng.sample(range(-n, n), n))
+    else:
+        values = (Fraction(v, 4 * n) for v in rng.sample(range(-100 * n, 100 * n), n))
+    y = normalize((v, rng.randint(1, 59)) for v in values)
+    return x, affine(y, 1, mean(x) - mean(y))
 
 
 def random_comonotone_improver_joint(rng: random.Random) -> JointDist:

@@ -23,6 +23,8 @@ division or sum per atom, where the library works over integers.  es and
 phi read the envelope by linear interpolation between its breakpoints,
 where the library sums the upper tail down to the one level; the check_icx
 and check_ssd routes compare two envelopes at every breakpoint of either.
+coupling_cells is the construction of coupling synthesis with every mass
+a Fraction, where the library carries masses as integers over one scale.
 solve_transport decides coupling feasibility by exact LP: a dense phase-1
 simplex over Fractions with Bland's rule.  Its cost grows steeply with the
 support sizes, so the tests call it on at most 6 x 6 atoms.
@@ -360,6 +362,120 @@ def stop_loss_compare(j: JointDist, deductibles=None) -> StopLossComparison:
         summed_premiums=summed_curve,
         dominates=all(s >= b for s, b in zip(summed_curve, base_curve)),
     )
+
+
+# ---------------------------------------------------------------------------
+# The coupling construction over Fractions
+# ---------------------------------------------------------------------------
+
+
+def coupling_cells(x, y) -> tuple[tuple[int, int, Fraction], ...] | None:
+    """The cells (row, column, mass) of the coupling that coupling synthesis
+    builds for a holding pair, in both modes, or None if some atom has no
+    shadow: the comonotone coupling of X with the intermediate law U
+    (G_U = G_X - h, h the running minimum of G_X - G_Y from above) composed
+    with the left-curtain coupling of (U, Y), each U atom taking the window
+    of the remaining Y mass with its barycenter.  Every quantity is a Fraction.
+    """
+    dx, dy = _pair(x, y)
+    xs, ys = dx.values, dy.values
+    # the merged walk: (P, i, j, G_X, G_Y) at every merged level P, atoms i
+    # and j holding the mass just below P, G the integrated lower quantiles
+    levels = [(_ZERO, 0, 0, _ZERO, _ZERO)]
+    i = j = 0
+    p = gx = gy = _ZERO
+    cx, cy = dx.probs[0], dy.probs[0]
+    while p < 1:
+        nxt = min(cx, cy)
+        gx += xs[i] * (nxt - p)
+        gy += ys[j] * (nxt - p)
+        p = nxt
+        levels.append((p, i, j, gx, gy))
+        if cx == p and p < 1:
+            i += 1
+            cx += dx.probs[i]
+        if cy == p and p < 1:
+            j += 1
+            cy += dy.probs[j]
+    # the pieces (row, u) -> mass of the comonotone coupling of X with U
+    pieces: dict[tuple[int, Fraction], Fraction] = {}
+    floor = levels[-1][3] - levels[-1][4]
+    for (p0, _, _, gx0, gy0), (p1, i, j, gx1, gy1) in zip(levels[-2::-1], levels[:0:-1]):
+        g0, floor, rate = gx0 - gy0, min(floor, gx1 - gy1), xs[i] - ys[j]
+        cut = (floor - g0) / rate if rate > 0 and g0 < floor else _ZERO
+        for key, mass in (((i, ys[j]), cut), ((i, xs[i]), p1 - p0 - cut)):
+            if mass:
+                pieces[key] = pieces.get(key, _ZERO) + mass
+    law_u: dict[Fraction, Fraction] = {}
+    for (_, u), mass in pieces.items():
+        law_u[u] = law_u.get(u, _ZERO) + mass
+    # the left curtain: each atom (u, a) of U, ascending, takes its shadow in
+    # the remaining columns (cols, vs, rs); vs[:k0] of mass below lie below u
+    cols, vs, rs = list(range(len(ys))), list(ys), list(dy.probs)
+    below, k0 = _ZERO, 0
+    shadows = {}
+    for u, a in sorted(law_u.items()):
+        while k0 < len(vs) and vs[k0] < u:
+            below += rs[k0]
+            k0 += 1
+        # the window of mass a starts as the top mass a below u, or the
+        # bottom mass a, and slides up until its moment reaches u a;
+        # lo_room and hi_room are the mass of atom lo above t and of atom
+        # hi above t + a
+        target, moment, rest = u * a, _ZERO, a
+        if below > a:
+            lo, hi, hi_room = k0, k0 - 1, _ZERO
+            while rest:
+                lo -= 1
+                step = min(rest, rs[lo])
+                moment += vs[lo] * step
+                rest -= step
+            lo_room = step
+        else:
+            lo, hi, lo_room = 0, -1, rs[0]
+            while rest:
+                hi += 1
+                step = min(rest, rs[hi])
+                moment += vs[hi] * step
+                rest -= step
+            hi_room = rs[hi] - step
+        while moment < target:
+            if not hi_room:
+                hi += 1
+                if hi == len(vs):
+                    return None
+                hi_room = rs[hi]
+            step = min(lo_room, hi_room)
+            rate = vs[hi] - vs[lo]
+            gain = rate * step
+            if moment + gain >= target:
+                step, gain = (target - moment) / rate, target - moment
+            moment += gain
+            lo_room -= step
+            hi_room -= step
+            if not lo_room:
+                lo += 1
+                lo_room = rs[lo]
+        if moment != target:
+            return None
+        shares = [a] if lo == hi else [lo_room, *rs[lo + 1:hi], rs[hi] - hi_room]
+        shadows[u] = a, [(cols[k], share) for k, share in enumerate(shares, lo)]
+        for k, share in enumerate(shares, lo):
+            rs[k] -= share
+            if k < k0:
+                below -= share
+        dead = [k for k in range(lo, lo + len(shares)) if not rs[k]]
+        if dead:
+            d0, d1 = dead[0], dead[-1] + 1
+            del cols[d0:d1], vs[d0:d1], rs[d0:d1]
+            k0 -= max(0, min(d1, k0) - d0)
+    # each piece of row i spreads over its U atom's shadow in proportion
+    cells: dict[tuple[int, int], Fraction] = {}
+    for (i, u), mass in pieces.items():
+        total, shadow = shadows[u]
+        for k, share in shadow:
+            cells[i, k] = cells.get((i, k), _ZERO) + mass / total * share
+    return tuple((i, k, q) for (i, k), q in sorted(cells.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,9 @@ from stochorder import (
     verify_coupling,
 )
 from stochorder import coupling
+from stochorder.orders import _scale
 
-from .gen import mean_preserving_spread, random_discrete, random_shift_down
+from .gen import mean_preserving_spread, narrow_against_wide, random_discrete, random_shift_down
 from .test_dists import discrete_dists, uniform
 
 
@@ -170,6 +171,123 @@ class TestVerifier:
         c, x, y = self._feasible_pair()
         with pytest.raises(InputError):
             verify_coupling(c, x, y, "submartingale")
+
+
+def _sums(c):
+    """Each row's sum and drift and each column's sum, over Fractions."""
+    rows, drifts, cols = {}, {}, {}
+    for i, j, mass in c.cells:
+        rows[i] = rows.get(i, 0) + mass
+        drifts[i] = drifts.get(i, 0) + (c.col_values[j] - c.row_values[i]) * mass
+        cols[j] = cols.get(j, 0) + mass
+    return rows, drifts, cols
+
+
+class TestVerifierAtSize:
+    """A 400 x 400 narrow-against-wide martingale coupling, whose masses
+    carry many denominators, and mutations of its cells that keep some of
+    the sums the verifier compares."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        x, y = narrow_against_wide(random.Random(3), 400)
+        c = synth_martingale(x, y).coupling
+        assert len({mass.denominator for _, _, mass in c.cells}) > 10
+        return c, x, y
+
+    def _mutated(self, c, changes):
+        """c with each (row, column) cell's mass moved by the given amount."""
+        cells = {(i, j): mass for i, j, mass in c.cells}
+        for key, delta in changes:
+            cells[key] = cells.get(key, 0) + delta
+        return Coupling(c.row_values, c.col_values, c.row_probs, c.col_probs,
+                        tuple((i, j, mass) for (i, j), mass in sorted(cells.items())))
+
+    def _rejected(self, c, x, y):
+        return not any(verify_coupling(c, x, y, mode) for mode in ("martingale", "supermartingale"))
+
+    def test_unmutated_coupling_verifies(self, built):
+        c, x, y = built
+        assert verify_coupling(c, x, y, "martingale")
+        assert verify_coupling(c, x, y, "supermartingale")
+
+    def test_mass_moved_within_a_row(self, built):
+        c, x, y = built
+        (i, a, m), (_, b, _) = next(pair for pair in zip(c.cells, c.cells[1:]) if pair[0][0] == pair[1][0])
+        bad = self._mutated(c, [((i, a), -m / 3), ((i, b), m / 3)])
+        assert _sums(bad)[0] == _sums(c)[0]
+        assert self._rejected(bad, x, y)
+
+    def test_mass_moved_within_a_column(self, built):
+        c, x, y = built
+        by_column = sorted(c.cells, key=lambda cell: (cell[1], cell[0]))
+        (r1, j, m), (r2, _, _) = next(pair for pair in zip(by_column, by_column[1:])
+                                      if pair[0][1] == pair[1][1])
+        bad = self._mutated(c, [((r1, j), -m / 3), ((r2, j), m / 3)])
+        assert _sums(bad)[2] == _sums(c)[2]
+        assert self._rejected(bad, x, y)
+
+    def test_cell_moved_to_another_column_of_its_row(self, built):
+        c, x, y = built
+        i, j, m = c.cells[len(c.cells) // 2]
+        taken = {k for r, k, _ in c.cells if r == i}
+        k = next(k for k in range(j + 1, len(c.col_values)) if k not in taken)
+        bad = self._mutated(c, [((i, j), -m), ((i, k), m)])
+        assert _sums(bad)[0] == _sums(c)[0] and _sums(bad)[1] != _sums(c)[1]
+        assert self._rejected(bad, x, y)
+
+    def test_mass_moved_around_a_rectangle(self, built):
+        # rows i1 < i2 and columns j1 < j2: every row and column sum is kept
+        # and row i1 drifts up
+        c, x, y = built
+        i1, j1, m1 = c.cells[0]
+        i2, j2, m2 = next(cell for cell in c.cells if cell[0] > i1 and cell[1] > j1)
+        eps = min(m1, m2) / 2
+        bad = self._mutated(c, [((i1, j1), -eps), ((i1, j2), eps), ((i2, j2), -eps), ((i2, j1), eps)])
+        rows, drifts, cols = _sums(bad)
+        assert (rows, cols) == (_sums(c)[0], _sums(c)[2]) and drifts[i1] > 0
+        assert self._rejected(bad, x, y)
+
+    def test_compensated_negative_mass(self, built):
+        # row a gains d (y3 - y2, y1 - y3, y2 - y1) on columns j1 < j2 < j3 and
+        # row b loses it: every sum and drift is kept, and cell (b, j1) turns
+        # negative
+        c, x, y = built
+        b, j1, m = c.cells[len(c.cells) // 3]
+        a = b - 1 if b else b + 1
+        j2, j3 = j1 + 1, j1 + 2
+        y1, y2, y3 = c.col_values[j1:j1 + 3]
+        d = 2 * m / (y3 - y2)
+        shifts = list(zip((j1, j2, j3), (d * (y3 - y2), d * (y1 - y3), d * (y2 - y1))))
+        bad = self._mutated(c, [((a, j), s) for j, s in shifts] + [((b, j), -s) for j, s in shifts])
+        assert _sums(bad) == _sums(c)
+        assert min(mass for _, _, mass in bad.cells) < 0
+        assert self._rejected(bad, x, y)
+
+    # hand-built couplings with int, bool and float masses, summed exactly:
+    # in float-rounded-sums 0.1 + 0.4 rounds to 0.5 in binary64, but the two
+    # floats' exact sum misses every marginal mass of 1/2
+    @pytest.mark.parametrize("x, y, cells, holds", [
+        ([(0, 1)], [(0, 1)], ((0, 0, 1),), True),
+        ([(0, 1)], [(0, 1)], ((0, 0, True),), True),
+        ([(0, 1)], [(0, 1)], ((0, 0, 1.0),), True),
+        ([(0, 1)], [(-1, 1), (1, 1)], ((0, 0, 0.5), (0, 1, 0.5)), True),
+        ([(0, 1), (1, 1)], [(F(-1, 2), 1), (F(1, 2), 2), (F(3, 2), 1)],
+         ((0, 0, 0.25), (0, 1, 0.25), (1, 1, 0.25), (1, 2, 0.25)), True),
+        ([(0, 1)], [(-1, 1), (0, 1), (1, 1)], ((0, 0, 1 / 3), (0, 1, 1 / 3), (0, 2, 1 / 3)), False),
+        ([(0, 1)], [(-1, 1), (1, 1)], ((0, 0, 0.25), (0, 1, 0.75)), False),
+        ([(0, 1)], [(-1, 1), (1, 1)], ((0, 0, float("nan")), (0, 1, 0.5)), False),
+        ([(0, 1)], [(-1, 1), (1, 1)], ((0, 0, float("inf")), (0, 1, 0.5)), False),
+        ([(0, 1)], [(0, 1)], ((0, 0, 2),), False),
+        ([(0, 1)], [(-1, 1), (1, 1)], ((0, 0, True), (0, 1, False)), False),
+        ([(0, 1), (1, 1)], [(-10, 1), (-9, 1)], ((0, 0, 0.1), (0, 1, 0.4), (1, 0, 0.4), (1, 1, 0.1)),
+         False),
+    ], ids=["int", "bool", "float-one", "float-halves", "float-square", "float-thirds",
+            "float-drift", "nan", "inf", "int-too-large", "bool-pair", "float-rounded-sums"])
+    def test_int_bool_and_float_masses(self, x, y, cells, holds):
+        x, y = normalize(x), normalize(y)
+        c = Coupling(x.values, y.values, x.probs, y.probs, cells)
+        assert verify_coupling(c, x, y, "supermartingale") == holds
 
 
 class TestRoundtrip:
@@ -365,9 +483,11 @@ class TestOneConstruction:
             dy = mean_preserving_spread(rng, dx)
             if rng.random() < 0.5:
                 dy = mean_preserving_spread(rng, dy)
-            assert all(u == dx.values[i] for i, u, _ in coupling._intermediate(dx, dy))
-            curtain = coupling._left_curtain(dx.atoms, dy)
-            cells = tuple(sorted((i, k, share) for i, shadow in enumerate(curtain)
+            x, y, _, D = _scale(dx, dy)
+            pieces, L = coupling._intermediate(x, y)
+            assert all(u == x[0][i] for i, u, _ in pieces)
+            curtain = coupling._left_curtain(list(zip(*x)), *y)
+            cells = tuple(sorted((i, k, F(share, D * L)) for i, shadow in enumerate(curtain)
                                  for k, share in shadow))
             assert synth_martingale(dx, dy).coupling.cells == cells
 
@@ -376,9 +496,10 @@ class TestOneConstruction:
         for _ in range(300):
             dx = random_discrete(rng, 8)
             dy = random_shift_down(rng, mean_preserving_spread(rng, dx))
-            pieces = coupling._intermediate(dx, dy)
+            x, y, _, D = _scale(dx, dy)
+            pieces, L = coupling._intermediate(x, y)
             assert len({(i, u) for i, u, _ in pieces}) == len(pieces)
-            assert sum(mass for _, _, mass in pieces) == 1
+            assert F(sum(mass for _, _, mass in pieces), D * L) == 1
 
     def test_point_mass_against_a_wide_law_at_the_cap(self):
         # every stretch of the walk lies in the one row of X, which meets the
@@ -389,7 +510,8 @@ class TestOneConstruction:
         for synth, mode, shift in ((synth_martingale, "martingale", 0),
                                    (synth_supermartingale, "supermartingale", F(1, 3))):
             ys = affine(y, 1, -shift)
-            assert sum(u == 0 for _, u, _ in coupling._intermediate(x, ys)) == 1
+            pieces, _ = coupling._intermediate(*_scale(x, ys)[:2])
+            assert sum(u == 0 for _, u, _ in pieces) == 1
             res = synth(x, ys)
             assert res.feasible and len(res.coupling.cells) == n
             assert verify_coupling(res.coupling, x, ys, mode)
@@ -410,7 +532,7 @@ class TestInternalErrors:
 
     def test_unplaced_atom_raises(self, monkeypatch):
         x, y = uniform(0, 1), uniform(F(-1, 2), F(1, 2))
-        monkeypatch.setattr(coupling, "_left_curtain", lambda rows, dy: None)
+        monkeypatch.setattr(coupling, "_left_curtain", lambda rows, vals, rems: None)
         with pytest.raises(InternalError, match="cannot place an atom") as exc:
             synth_supermartingale(x, y)
         assert exc.value.routes == {"check_ssd": check_ssd(x, y), "construction": None}

@@ -60,13 +60,15 @@ def test_unread_absolute_import_is_caught(tmp_path):
 
 def _reference_leaks(path: Path) -> list[str]:
     """Names the file imports from the code the reference routes check: any
-    name of stochorder.risk or stochorder.conditions, and any of
-    stochorder.orders but its verdict types, also through the package."""
-    from stochorder import conditions, orders, risk
+    name of stochorder.risk, stochorder.conditions or stochorder.coupling,
+    and any of stochorder.orders but its verdict types, also through the
+    package."""
+    from stochorder import conditions, coupling, orders, risk
 
     allowed = {"OrderVerdict", "Witness"}
     checked = {"stochorder.risk": set(risk.__all__), "stochorder.conditions": set(conditions.__all__),
-               "stochorder.orders": set(orders.__all__) - allowed}
+               "stochorder.orders": set(orders.__all__) - allowed,
+               "stochorder.coupling": set(coupling.__all__)}
     leaks = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
@@ -86,10 +88,14 @@ def test_reference_leak_is_caught(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("import stochorder.risk\nfrom stochorder import mean, es, cond_new, Witness\n"
                       "from stochorder.orders import OrderVerdict, check_ssd\n"
-                      "from stochorder.conditions import _first_failure\n")
+                      "from stochorder.conditions import _first_failure\n"
+                      "import stochorder.coupling\nfrom stochorder import Coupling, verify_coupling\n"
+                      "from stochorder.coupling import _left_curtain\n")
     assert _reference_leaks(module) == ["stochorder.risk", "es", "cond_new",
                                         "stochorder.orders.check_ssd",
-                                        "stochorder.conditions._first_failure"]
+                                        "stochorder.conditions._first_failure",
+                                        "stochorder.coupling", "Coupling", "verify_coupling",
+                                        "stochorder.coupling._left_curtain"]
 
 
 _DICT_WRITERS = {"update", "setdefault", "pop", "popitem", "clear"}

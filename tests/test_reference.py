@@ -9,12 +9,14 @@ with the per-point evaluations in `tests/reference.py`: the whole verdict
 must be equal, witness included, and every witness field must be an exact
 Fraction.  stop_loss and stop_loss_compare equal per-deductible Fraction
 sums.  Coupling synthesis is compared with exact LP feasibility on small
-supports, and random_joint draws the joints its Fraction-hashing form drew.
-The integer form each finite law caches is as_integers of its public
-Fractions on every construction path, and caching it changes none of ==,
-hash, repr or pickle.
+supports and, cell for cell, with the construction over Fractions, and
+random_joint draws the joints its Fraction-hashing form drew.  The
+integer form each finite law caches is as_integers of its public Fractions
+on every construction path, and caching it changes none of ==, hash, repr
+or pickle.
 """
 
+import math
 import pickle
 import random
 import warnings
@@ -409,6 +411,39 @@ class TestSynthesisMatchesReference:
                 assert verify_coupling(res.coupling, x, y, mode)
             else:
                 assert res.certificate == verdict.witness
+
+
+class TestConstructionMatchesReference:
+    """The integer construction builds exactly the cells of the Fraction one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_generated_pairs_both_modes(self, rng):
+        x = gen.random_discrete(rng, 25)
+        for y in (gen.random_shift_down(rng, x), gen.mean_preserving_spread(rng, x),
+                  gen.random_shift_down(rng, gen.mean_preserving_spread(rng, x)),
+                  gen.random_discrete(rng, 25)):
+            for synth, _, _ in SYNTH_MODES:
+                res = synth(x, y)
+                if res.feasible:
+                    assert res.coupling.cells == ref.coupling_cells(x, y)
+
+    def test_windows_ending_inside_atoms_both_modes(self):
+        cut_inside = 0
+        for seed in range(24):
+            rng = random.Random(seed)
+            x, y = gen.narrow_against_wide(rng, rng.randint(2, 60), seed % 2)
+            for synth, shift in ((synth_martingale, 0), (synth_supermartingale, F(1, 3))):
+                ys = affine(y, 1, -shift)
+                res = synth(x, ys)
+                assert res.feasible
+                assert res.coupling.cells == ref.coupling_cells(x, ys)
+            # martingale mode keeps U = X, so its masses are ints over the
+            # pair's D unless a window's last step cut an atom
+            D = math.lcm(*(p.denominator for p in (*x.probs, *y.probs)))
+            cells = synth_martingale(x, y).coupling.cells
+            cut_inside += any((q * D).denominator != 1 for _, _, q in cells)
+        assert cut_inside == 24
 
 
 class TestGeneratorMatchesReference:
