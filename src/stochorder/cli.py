@@ -10,6 +10,10 @@ Tables default to CSV on stdout; pass --format json for the full report.
 Each handler returns (inputs, result, verdict, summary), verdict an
 OrderVerdict or None for a plain computation; main alone turns the verdict
 into the exit code and the report's witness, and writes --out.
+Only dists is imported here, for main's error handling: each handler imports
+the modules it calls, and the dispatch tables name functions that the
+handler looks up in its module, so a process loads what its subcommand runs
+(discretize: dists alone; the apps subcommands: all but coupling).
 """
 
 from __future__ import annotations
@@ -23,15 +27,6 @@ from dataclasses import asdict
 from fractions import Fraction
 from typing import Callable
 
-from . import apps
-from .conditions import (
-    cond_classic,
-    cond_cx_pair,
-    cond_icx,
-    cond_new,
-    cond_on_difference,
-)
-from .coupling import coupling_to_joint, synth_martingale, synth_supermartingale
 from .dists import (
     InputError,
     InternalError,
@@ -43,16 +38,6 @@ from .dists import (
     joint_to_json,
     rational_to_json,
 )
-from .orders import (
-    OrderVerdict,
-    check_cx,
-    check_icx,
-    check_ssd,
-    check_st,
-    oracle_icx,
-    oracle_ssd,
-)
-from .risk import es, phi, stop_loss
 
 __all__ = ["main"]
 
@@ -101,65 +86,76 @@ def _write_payload(path: str, payload: object) -> None:
         raise InputError(f"{path}: {exc}") from exc
 
 
-# subcommand: (function, argument name, summary label, help)
-_RISK: dict[str, tuple[Callable, str, str, str]] = {
-    "es": (es, "level", "es at level", "expected shortfall of a law at a level"),
-    "phi": (phi, "level", "phi at level", "scaled tail integral (1-p) * ES_p"),
-    "stoploss": (stop_loss, "deductible", "stop-loss premium at", "stop-loss premium E[(X - d)+]"),
+# subcommand: (function of risk, argument name, summary label, help)
+_RISK: dict[str, tuple[str, str, str, str]] = {
+    "es": ("es", "level", "es at level", "expected shortfall of a law at a level"),
+    "phi": ("phi", "level", "phi at level", "scaled tail integral (1-p) * ES_p"),
+    "stoploss": ("stop_loss", "deductible", "stop-loss premium at", "stop-loss premium E[(X - d)+]"),
 }
 
 
 def _cmd_risk(args):
+    from . import risk
+
     f, name, label, _ = _RISK[args.subcommand]
     d = _load(args.dist, dist_from_json)
     point = _parse_rational(getattr(args, name), name)
-    value = f(d, point)
+    value = getattr(risk, f)(d, point)
     return {name: point, "dist": dist_to_json(d)}, value, None, f"{label} {point}: {value}"
 
 
-_ORDER_CHECKS: dict[str, Callable] = {
-    "ssd": check_ssd,
-    "icx": check_icx,
-    "cx": check_cx,
-    "st": check_st,
+# relation: function of orders
+_ORDER_CHECKS: dict[str, str] = {
+    "ssd": "check_ssd",
+    "icx": "check_icx",
+    "cx": "check_cx",
+    "st": "check_st",
 }
 
-_ORDER_ORACLES: dict[str, Callable] = {"ssd": oracle_ssd, "icx": oracle_icx}
+_ORDER_ORACLES: dict[str, str] = {"ssd": "oracle_ssd", "icx": "oracle_icx"}
 
 
 def _cmd_check_order(args):
+    from . import orders
+
     x = _load(args.x, dist_from_json)
     y = _load(args.y, dist_from_json)
     if args.oracle:
         if args.relation not in _ORDER_ORACLES:
             raise InputError(f"no oracle route for relation {args.relation!r}")
-        verdict = _ORDER_ORACLES[args.relation](x, y)
+        verdict = getattr(orders, _ORDER_ORACLES[args.relation])(x, y)
     else:
-        verdict = _ORDER_CHECKS[args.relation](x, y)
+        verdict = getattr(orders, _ORDER_CHECKS[args.relation])(x, y)
     inputs = {"relation": args.relation, "oracle": bool(args.oracle),
               "x": dist_to_json(x), "y": dist_to_json(y)}
     state = "holds" if verdict.holds else "fails"
     return inputs, {"holds": verdict.holds}, verdict, f"{args.relation} {state}"
 
 
-_CONDS: dict[str, Callable] = {
-    "new": cond_new,
-    "classic": cond_classic,
-    "icx": cond_icx,
-    "cx": cond_cx_pair,
-    "thm2": cond_on_difference,
+# condition: function of conditions
+_CONDS: dict[str, str] = {
+    "new": "cond_new",
+    "classic": "cond_classic",
+    "icx": "cond_icx",
+    "cx": "cond_cx_pair",
+    "thm2": "cond_on_difference",
 }
 
 
 def _cmd_check_cond(args):
+    from . import conditions
+
     j = _load(args.joint, joint_from_json)
-    verdict = _CONDS[args.which](j)
+    verdict = getattr(conditions, _CONDS[args.which])(j)
     inputs = {"which": args.which, "joint": joint_to_json(j)}
     state = "holds" if verdict.holds else "fails"
     return inputs, {"holds": verdict.holds}, verdict, f"condition {args.which} {state}"
 
 
 def _cmd_synthesize(args):
+    from .coupling import coupling_to_joint, synth_martingale, synth_supermartingale
+    from .orders import OrderVerdict
+
     x = _load(args.x, dist_from_json)
     y = _load(args.y, dist_from_json)
     synth = synth_supermartingale if args.mode == "ssd" else synth_martingale
@@ -180,6 +176,8 @@ def _cmd_discretize(args):
 
 
 def _bernoulli_rows() -> list[dict]:
+    from . import apps
+
     rows = []
     for ci in range(0, 16):
         for ri in range(-10, 11):
@@ -194,6 +192,8 @@ def _bernoulli_rows() -> list[dict]:
 
 
 def _gaussian_rows() -> list[dict]:
+    from . import apps
+
     rows = []
     for mu in (-0.5, -0.1, 0.0, 0.1):
         for sigma in (0.5, 1.0, 2.0):
@@ -231,6 +231,9 @@ def _table_text(rows: list[dict], fmt: str) -> str:
 
 
 def _cmd_improver(args):
+    from . import apps
+    from .orders import OrderVerdict
+
     j = _load(args.joint, joint_from_json)
     flags = apps.improver_check(j)
     inputs = {"joint": joint_to_json(j)}
@@ -241,6 +244,8 @@ def _cmd_improver(args):
 
 
 def _cmd_marketable(args):
+    from . import apps
+
     i = _load(args.indemnity, apps.indemnity_from_json)
     loss = _load(args.loss, dist_from_json)
     p0 = _parse_rational(args.p0, "premium")
@@ -256,6 +261,8 @@ def _cmd_marketable(args):
 
 
 def _cmd_premium(args):
+    from . import apps
+
     u = apps.utility_from_spec(args.utility)
     i = _load(args.indemnity, apps.indemnity_from_json)
     loss = _load(args.loss, dist_from_json)
@@ -267,6 +274,8 @@ def _cmd_premium(args):
 
 
 def _cmd_stoploss_compare(args):
+    from . import apps
+
     j = _load(args.joint, joint_from_json)
     ds = None
     if args.deductibles is not None:
@@ -286,6 +295,8 @@ def _cmd_stoploss_compare(args):
 
 
 def _cmd_protective_put(args):
+    from . import apps
+
     params = apps.BSParams(args.spot, args.strike, args.sigma, args.drift,
                            args.horizon)
     grid = None
@@ -328,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_check_order)
 
     p = sub.add_parser("check-cond", help="check a dependence condition on a joint law")
-    p.add_argument("--which", required=True, choices=["new", "classic", "icx", "cx", "thm2"])
+    p.add_argument("--which", required=True, choices=list(_CONDS))
     p.add_argument("joint")
     p.set_defaults(handler=_cmd_check_cond)
 

@@ -1,5 +1,7 @@
-"""Command-line interface: reports, exit codes, table formats, file output."""
+"""Command-line interface: reports, exit codes, table formats, file output,
+the modules each subcommand loads and the handlers' dispatch tables."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -9,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from stochorder import dist_from_json, dists, joint_from_json
+from stochorder import cli, dist_from_json, dists, joint_from_json
 from stochorder.cli import main
+
+from .test_cli_reports import FILES, INVOCATIONS, PUT
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -573,3 +577,113 @@ def test_cli_import_leaves_numpy_out():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": SRC})
     assert out.stdout.strip() == "False"
+
+
+# The package modules each subcommand loads, past the package itself: a
+# handler imports what it calls, so coupling loads for synthesize alone and
+# apps for the six applied subcommands alone.
+_APPLIED = {"dists", "risk", "orders", "conditions", "apps"}
+FOOTPRINT = {
+    "es": {"dists", "risk"},
+    "phi": {"dists", "risk"},
+    "stoploss": {"dists", "risk"},
+    "check-order": {"dists", "risk", "orders"},
+    "check-cond": {"dists", "risk", "orders", "conditions"},
+    "synthesize": {"dists", "risk", "orders", "coupling"},
+    "discretize": {"dists"},
+    "table": _APPLIED,
+    "improver": _APPLIED,
+    "marketable": _APPLIED,
+    "premium": _APPLIED,
+    "stoploss-compare": _APPLIED,
+    "protective-put": _APPLIED,
+}
+
+# one input per family that exits 2 on a missing file, or on a bad grid
+_MISSING = {
+    "risk": ["es", "--level", "1/2", "missing.json"],
+    "check-order": ["check-order", "--relation", "ssd", "x.json", "missing.json"],
+    "check-cond": ["check-cond", "--which", "new", "missing.json"],
+    "synthesize": ["synthesize", "--mode", "cx", "missing.json", "x.json"],
+    "discretize": ["discretize", "--grid", "8", "missing.json"],
+    "applied": ["improver", "missing.json"],
+    "protective-put": ["protective-put", *PUT, "--t", "0.5", "--x-grid", "a,b"],
+}
+
+# runs the command-line module as `python -m stochorder.cli` does, then
+# prints the package modules it loaded on the last line of stdout
+_FOOTPRINT_PROBE = """\
+import json, runpy, sys
+sys.argv = ["stochorder", *sys.argv[1:]]
+try:
+    runpy.run_module("stochorder.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m.split(".")[1] for m in sys.modules
+                               if m.startswith("stochorder.") and m != "stochorder.cli")]))
+"""
+
+
+def _subcommands() -> dict:
+    return cli._build_parser()._subparsers._group_actions[0].choices
+
+
+def _footprint(argv, folder):
+    for name, obj in FILES.items():
+        (folder / name).write_text(json.dumps(obj))
+    out = subprocess.run([sys.executable, "-c", _FOOTPRINT_PROBE, *argv], capture_output=True,
+                         text=True, cwd=folder, env={**os.environ, "PYTHONPATH": SRC})
+    code, modules = json.loads(out.stdout.splitlines()[-1])
+    return code, set(modules), out
+
+
+class TestStartup:
+    def test_every_subcommand_has_a_footprint(self):
+        assert set(_subcommands()) == set(FOOTPRINT)
+
+    @pytest.mark.parametrize("subcommand", sorted(FOOTPRINT))
+    def test_each_subcommand_loads_only_what_it_runs(self, subcommand, tmp_path):
+        argv = next(argv for argv in INVOCATIONS.values() if argv[0] == subcommand)
+        code, modules, out = _footprint(argv, tmp_path)
+        assert code in (0, 1), out.stderr
+        assert modules == FOOTPRINT[subcommand]
+
+    @pytest.mark.parametrize("family", sorted(_MISSING))
+    def test_an_input_error_loads_no_more(self, family, tmp_path):
+        argv = _MISSING[family]
+        code, modules, out = _footprint(argv, tmp_path)
+        assert code == 2
+        assert out.stdout.count("\n") == 1 and out.stderr.startswith("error: ")
+        assert modules <= FOOTPRINT[argv[0]]
+
+    def test_help_loads_dists_alone(self, tmp_path):
+        code, modules, out = _footprint(["--help"], tmp_path)
+        assert code == 0 and out.stdout.startswith("usage: stochorder")
+        assert modules == {"dists"}
+
+
+class TestDispatchTables:
+    """The tables name functions that each handler looks up in its module."""
+
+    @pytest.mark.parametrize("table, module", [
+        ([f for f, *_ in cli._RISK.values()], "risk"),
+        (cli._ORDER_CHECKS.values(), "orders"),
+        (cli._ORDER_ORACLES.values(), "orders"),
+        (cli._CONDS.values(), "conditions"),
+    ], ids=["risk", "order-checks", "order-oracles", "conditions"])
+    def test_every_name_resolves_in_its_module(self, table, module):
+        module = importlib.import_module(f"stochorder.{module}")
+        for name in table:
+            assert name in module.__all__ and callable(getattr(module, name)), name
+
+    def test_choices_are_the_tables_keys(self):
+        commands = _subcommands()
+        assert set(cli._RISK) <= set(commands)
+
+        def choices(subcommand, dest):
+            action, = (a for a in commands[subcommand]._actions if a.dest == dest)
+            return action.choices
+
+        assert choices("check-order", "relation") == sorted(cli._ORDER_CHECKS)
+        assert set(cli._ORDER_ORACLES) <= set(cli._ORDER_CHECKS)
+        assert choices("check-cond", "which") == list(cli._CONDS)

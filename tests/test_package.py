@@ -1,9 +1,11 @@
 """Package hygiene: no unread imports (in the tests and scripts too), no
 writes through an object's __dict__, no numpy at run time, a reference
-module that imports none of the routes it checks, and the Newton-built
-Gauss-Legendre rule of apps against numpy's."""
+module that imports none of the routes it checks, the Newton-built
+Gauss-Legendre rule of apps against numpy's, and the lazy package namespace
+(what each name loads, and `import *` binding the modules' public names)."""
 
 import ast
+import json
 import math
 import os
 import subprocess
@@ -161,3 +163,53 @@ class TestLegendreRule:
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
             got = math.fsum(w * x**k for x, w in zip(xs, ws))
             assert got == pytest.approx(exact, abs=1e-14), k
+
+
+def _fresh(probe: str):
+    """What the probe prints as JSON, run in a new interpreter on the package's sources."""
+    out = subprocess.run([sys.executable, "-c", "import json, sys\n" + probe],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+_LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('stochorder'))))"
+_PUBLIC_MODULES = ["apps", "conditions", "coupling", "dists", "orders", "risk"]
+
+
+class TestLazyNamespace:
+    def test_import_loads_no_submodule(self):
+        probe = "import stochorder\nassert stochorder.__version__ == '0.1.0'\n" + _LOADED
+        assert _fresh(probe) == ["stochorder"]
+
+    @pytest.mark.parametrize("statement, loaded", [
+        ("from stochorder import risk", ["dists", "risk"]),
+        ("from stochorder import dists", ["dists"]),
+        ("import stochorder; stochorder.orders", ["dists", "orders", "risk"]),
+        ("from stochorder import cli", ["cli", "dists"]),
+        ("import stochorder; stochorder.normalize", _PUBLIC_MODULES),
+    ])
+    def test_a_name_loads_what_it_needs(self, statement, loaded):
+        assert _fresh(f"{statement}\n{_LOADED}") == ["stochorder"] + [f"stochorder.{m}" for m in loaded]
+
+    def test_star_and_dir_give_the_union_of_the_modules_all(self):
+        probe = (
+            "import importlib\nns = {}\nexec('from stochorder import *', ns)\ndel ns['__builtins__']\n"
+            "mods = [importlib.import_module('stochorder.' + m) for m in %r]\n"
+            "public = {n: getattr(m, n) for m in mods for n in m.__all__}\n"
+            "assert sum(len(m.__all__) for m in mods) == len(public)\n"
+            "assert all(ns[n] is public[n] for n in public)\n"
+            "import stochorder\nassert set(public) <= set(dir(stochorder))\n"
+            "print(json.dumps(sorted(ns) == sorted(public)))" % _PUBLIC_MODULES
+        )
+        assert _fresh(probe) is True
+
+    @pytest.mark.parametrize("name, loaded", [("no_such_name", _PUBLIC_MODULES),
+                                              ("_private", []), ("__wrapped__", [])])
+    def test_unknown_attribute_raises(self, name, loaded):
+        # a private name is never public, so asking for one loads nothing
+        probe = (f"import stochorder\ntry:\n    stochorder.{name}\nexcept AttributeError as e:\n"
+                 "    loaded = sorted(m for m in sys.modules if m.startswith('stochorder.'))\n"
+                 "    print(json.dumps([str(e), loaded]))")
+        assert _fresh(probe) == [f"module 'stochorder' has no attribute {name!r}",
+                                 [f"stochorder.{m}" for m in loaded]]
