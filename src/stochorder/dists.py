@@ -9,9 +9,11 @@ Canonicalisation is integer work.  normalize and normalize_joint scale all
 values (w and z separately) and all weights of one call to integers over the
 lcm of their denominators (an int weight as it is, an all-int weight column
 over 1), merge duplicates in an int-keyed dict and sort the int keys; the
-marginals and joint_sum merge the joint's integers alike.  Keys that arrive
-strictly ascending are already merged and sorted: they skip the dict and the
-sort.  The merge's integers become the law's integer form,
+marginals and joint_sum merge the joint's integers alike.  A joint cell's key
+is one int, w S + z with S one more than the spread of the z integers: a step
+of w then outweighs any step of z, so the keys order as the (w, z) cells do.
+Keys that arrive strictly ascending are already merged and sorted: they skip
+the dict and the sort.  The merge's integers become the law's integer form,
 the weights over their gcd, and each distinct probability is built once and
 shared by its atoms.
 
@@ -51,7 +53,7 @@ import operator
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 __all__ = [
@@ -418,7 +420,7 @@ def normalize(raw_atoms: Iterable[tuple[RationalLike, RationalLike]]) -> Discret
             values.append(v)
             weights.append(w)
     keys, V = as_integers(values)
-    return _merged(keys, (V,), values, as_integers(weights)[0])
+    return _merged(keys, (V,), (values,), as_integers(weights)[0])
 
 
 def as_integers(xs: Sequence[Fraction | int]) -> tuple[Sequence[int], int]:
@@ -439,25 +441,27 @@ def _reduced(keys: list[int], V: int) -> tuple[tuple[int, ...], int]:
     return tuple([k // g for k in keys]), V // g
 
 
-def _merged(keys: Sequence, scales: tuple[int, ...], cells: Sequence | None,
+def _merged(keys: Sequence[int], scales: tuple[int, ...], cols: Sequence[Sequence],
             weights: Sequence[int]) -> DiscreteDist | JointDist:
-    """The law of cells with positive integer weights, merged by key: values
-    over the least scale V (scales (V,); cells None makes them keys / V) or
-    (w, z) cells over the least (VW, VZ).  The keys, the merged weights over
-    their gcd g and D = total / g are what as_integers makes of the public
-    columns: the ints.  Keys already strictly ascending are the order as they
-    stand, with their weights and cells; any other keys merge in a dict and sort."""
+    """The law of cells with positive integer weights, merged by int keys that
+    order as the cells do: values over the least scale V (scales (V,); cols
+    their Fractions, or none to make them keys / V) or (w, z) cells over the
+    least (VW, VZ) (cols: w and z as Fractions, then as integers).  The int
+    columns, the merged weights over their gcd g and D = total / g are what
+    as_integers makes of the public columns: the ints.  Strictly ascending keys
+    stand as they are; others merge in a dict and sort, each with its first cell's columns."""
     if all(map(operator.lt, keys, keys[1:])):
-        order, ms, firsts = keys, weights, keys if cells is None else cells
+        order, ms = keys, weights
     else:
         acc, first = {}, {}
-        for k, cell, m in zip(keys, keys if cells is None else cells, weights):
+        for k, i, m in zip(keys, count(), weights):
             if k in acc:
                 acc[k] += m
             else:
-                acc[k], first[k] = m, cell
+                acc[k], first[k] = m, i
         order = sorted(acc)
-        ms, firsts = list(map(acc.__getitem__, order)), map(first.__getitem__, order)
+        ms, at = list(map(acc.__getitem__, order)), list(map(first.__getitem__, order))
+        cols = [map(col.__getitem__, at) for col in cols]
     if not order:
         raise InputError("total weight must be positive")
     T = sum(ms)
@@ -468,19 +472,25 @@ def _merged(keys: Sequence, scales: tuple[int, ...], cells: Sequence | None,
     for p in shared:
         shared[p] = Fraction(p, D)
     probs = map(shared.__getitem__, ps)
-    if len(scales) == 2:
-        atoms = tuple([(w, z, p) for (w, z), p in zip(firsts, probs)])
-        ws, zs = zip(*order)
-        return _trusted(JointDist, atoms, JointInts(ws, scales[0], zs, scales[1], ps, D))
-    values = [Fraction(x, scales[0]) for x in order] if cells is None else firsts
-    return _trusted(DiscreteDist, tuple(zip(values, probs)), LawInts(tuple(order), scales[0], ps, D))
+    if len(scales) == 1:
+        values = cols[0] if cols else [Fraction(x, scales[0]) for x in order]
+        return _trusted(DiscreteDist, tuple(zip(values, probs)), LawInts(tuple(order), scales[0], ps, D))
+    w, z, ws, zs = cols
+    ints = JointInts(tuple(ws), scales[0], tuple(zs), scales[1], ps, D)
+    return _trusted(JointDist, tuple(zip(w, z, probs)), ints)
+
+
+def _cell_keys(ws: Sequence[int], zs: Sequence[int]) -> list[int]:
+    """One int key per joint cell, ordered as the (w, z) pairs (see the module docstring)."""
+    S = max(zs) - min(zs) + 1 if zs else 1
+    return [w * S + z for w, z in zip(ws, zs)]
 
 
 def _trusted(cls: type, atoms: tuple, ints: LawInts | JointInts) -> DiscreteDist | JointDist:
     """A cls of atoms built here with their integer form ints, checked over ints (positive
-    weights summing to D, ascending values or distinct cells): a breach is a defect here."""
+    weights summing to D, ascending values or cell keys): a breach is a defect here."""
     ps, D = ints[-2:]
-    keys = ints.values if cls is DiscreteDist else list(zip(ints.w, ints.z))
+    keys = ints.values if cls is DiscreteDist else _cell_keys(ints.w, ints.z)
     if min(ps) <= 0 or sum(ps) != D or not all(map(operator.lt, keys, keys[1:])):
         raise InternalError("a canonical law breaks its invariants", {"ints": ints}, atoms)
     law = object.__new__(cls)
@@ -557,30 +567,30 @@ def normalize_joint(
     raw_atoms: Iterable[tuple[RationalLike, RationalLike, RationalLike]],
 ) -> JointDist:
     """Build a canonical joint law; merges duplicate cells, rescales weights.
-    Cells that arrive strictly ascending by (w, z) take no merge (see _merged)."""
-    cells, weights = [], []
+    Cells that arrive strictly ascending by (w, z) keep their order (see _merged)."""
+    wf, zf, weights = [], [], []
     for w, z, weight in raw_atoms:
-        key = (w if type(w) is Fraction else as_fraction(w),
-               z if type(z) is Fraction else as_fraction(z))
+        w = w if type(w) is Fraction else as_fraction(w)
+        z = z if type(z) is Fraction else as_fraction(z)
         wt = weight if type(weight) is int else as_fraction(weight)
         if wt.numerator < 0:
-            raise InputError(f"negative weight {wt} at cell {key}")
+            raise InputError(f"negative weight {wt} at cell {(w, z)}")
         if wt.numerator:
-            cells.append(key)
+            wf.append(w)
+            zf.append(z)
             weights.append(wt)
-    # a cell's key is (w VW, z VZ), each column over the lcm of its own denominators
-    (ws, VW), (zs, VZ) = as_integers([w for w, _ in cells]), as_integers([z for _, z in cells])
-    return _merged(list(zip(ws, zs)), (VW, VZ), cells, as_integers(weights)[0])
+    (ws, VW), (zs, VZ) = as_integers(wf), as_integers(zf)
+    return _merged(_cell_keys(ws, zs), (VW, VZ), (wf, zf, ws, zs), as_integers(weights)[0])
 
 
 def joint_marginal_w(j: JointDist) -> DiscreteDist:
-    return _merged(j.ints.w, (j.ints.VW,), [w for w, _, _ in j.atoms], j.ints.p)
+    return _merged(j.ints.w, (j.ints.VW,), ([w for w, _, _ in j.atoms],), j.ints.p)
 
 
 def joint_sum(j: JointDist) -> DiscreteDist:
     """Law of W + Z."""
     sums, L = _reduced(*j.ints.combined())
-    return _merged(sums, (L,), None, j.ints.p)
+    return _merged(sums, (L,), (), j.ints.p)
 
 
 # ---------------------------------------------------------------------------

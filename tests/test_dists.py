@@ -8,7 +8,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
@@ -230,13 +230,22 @@ class TestConstruction:
         assert str(exc.value) == (discrete if width == 2 else joint)
 
     def test_trusted_path_breach_is_internal(self):
-        from stochorder.dists import InternalError, LawInts, _trusted
+        from stochorder.dists import InternalError, JointInts, LawInts, _trusted
 
         atoms = ((F(0), F(1, 2)), (F(1), F(1, 2)))
         for ints in (LawInts((0, 1), 1, (1, 0), 1), LawInts((1, 0), 1, (1, 1), 2),
                      LawInts((0, 1), 1, (1, 1), 3)):
             with pytest.raises(InternalError):
                 _trusted(DiscreteDist, atoms, ints)
+        # a joint's cells: same w with z descending, a repeated cell, a zero mass, a wrong total
+        cells = ((F(0), F(1), F(1, 2)), (F(0), F(0), F(1, 2)))
+        for ints in (JointInts((0, 0), 1, (1, 0), 1, (1, 1), 2), JointInts((0, 0), 1, (1, 1), 1, (1, 1), 2),
+                     JointInts((0, 1), 1, (1, 0), 1, (1, 0), 1), JointInts((0, 1), 1, (1, 0), 1, (1, 1), 3)):
+            with pytest.raises(InternalError):
+                _trusted(JointDist, cells, ints)
+        # the same w with z ascending, and z at both ends of its range one w apart, pass
+        for ints in (JointInts((0, 0), 1, (0, 1), 1, (1, 1), 2), JointInts((0, 1), 1, (1, 0), 1, (1, 1), 2)):
+            assert _trusted(JointDist, cells, ints).ints == ints
 
 
 # raw weights in every spelling the constructors take, zero included
@@ -291,6 +300,28 @@ def assert_same_law(law, other):
     assert law.atoms == other.atoms and law.ints == other.ints
 
 
+# joints at the edges of a cell's int key, w S + z with S one more than the
+# spread of the z integers
+EDGE_JOINTS = [
+    [(F(1, 2), -3, 2)],  # one cell
+    [(0, 5, 1), ("-1/2", "5", 2), (3, F(5), 1), (0, 5.0, 1)],  # constant z: S = 1
+    [(-3, "-1/2", 1), (-3, -7, 2), (F(-1, 3), -2, 1), (-3, -0.5, 2), (-1, -7, 1)],  # negative w and z
+    [(0, 2**70 + 1, 1), (0, -(2**66), 2), (1, F(2**65 + 1, 3), 1), (1, -(2**66), 3)],  # z beyond 2**64
+    [(1, 2, 1), (1, 1, 2), (1, 0, 3)],  # one w, z descending: the merge path
+    [(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4)],  # z at both ends of its range, w one apart
+    [(0, 2**64, 1), (1, -(2**64), 2)],  # both ends beyond 2**64, w one apart
+]
+
+
+def with_edge_joints(*rest):
+    """Run a property on each of EDGE_JOINTS as an explicit example, followed by rest."""
+    def apply(test):
+        for raw in EDGE_JOINTS:
+            test = example(raw, *rest)(test)
+        return test
+    return apply
+
+
 class TestAscendingInput:
     """Keys that arrive strictly ascending are taken as they stand, any other
     keys merge: both give one law, atom for atom and integer for integer, and
@@ -298,6 +329,7 @@ class TestAscendingInput:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(value_pool, value_pool, any_weight), max_size=10), st.randoms())
+    @with_edge_joints(random.Random(5))
     def test_order_of_arrival_changes_nothing(self, raw, rnd):
         try:
             j = normalize_joint(raw)

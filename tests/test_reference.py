@@ -68,6 +68,7 @@ from stochorder.risk import es, phi, stop_loss
 from . import gen
 from . import reference as ref
 from .gen import random_joint
+from .test_dists import with_edge_joints
 
 # value families: half-integer lattice (negative values included), small
 # rationals on mixed denominators, and dyadic floats with 53-bit denominators
@@ -262,6 +263,7 @@ class TestCanonicalLawsMatchReference:
 
     @settings(max_examples=250, deadline=None)
     @given(raw_cells(3))
+    @with_edge_joints()
     def test_normalize_joint(self, raw):
         assert _canonical(normalize_joint, raw) == _canonical(ref.normalize_joint, raw)
 
