@@ -325,16 +325,21 @@ class StopLossIndemnity:
 class PiecewiseIndemnity:
     """Piecewise-linear schedule through knots, extended by the last slope.
 
-    Knots must start at (0, 0) with strictly increasing x and 0 <= y <= x;
-    by linearity that bounds every intermediate point too, and the final
-    slope must lie in [0, 1] so the extension stays within [0, x].
+    Knots are [x, y] pairs of rationals, from (0, 0) with strictly
+    increasing x and 0 <= y <= x; by linearity that bounds every
+    intermediate point too, and the final slope must lie in [0, 1] so the
+    extension stays within [0, x].
     """
 
     knots: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        knots = tuple((as_fraction(x), as_fraction(y)) for x, y in self.knots)
-        object.__setattr__(self, "knots", knots)
+        knots = []
+        for k in self.knots:
+            if not isinstance(k, (list, tuple)) or len(k) != 2:
+                raise InputError(f"knot must be a [x, y] pair, got {k!r}")
+            knots.append((as_fraction(k[0]), as_fraction(k[1])))
+        object.__setattr__(self, "knots", tuple(knots))
         if len(knots) < 2:
             raise InputError("piecewise schedule needs at least two knots")
         if knots[0] != (0, 0):
@@ -387,17 +392,12 @@ def indemnity_from_json(obj: object) -> IndemnitySchedule:
         for name in names:
             if name not in obj:
                 raise InputError(f"missing parameter {name!r}")
-        return cls(*(as_fraction(obj[name]) for name in names))
+        return cls(*(obj[name] for name in names))
     if kind == "piecewise":
         knots = obj.get("knots")
         if not isinstance(knots, list):
             raise InputError("piecewise indemnity needs a 'knots' list")
-        pairs = []
-        for k in knots:
-            if not isinstance(k, (list, tuple)) or len(k) != 2:
-                raise InputError(f"knot must be a [x, y] pair, got {k!r}")
-            pairs.append((as_fraction(k[0]), as_fraction(k[1])))
-        return PiecewiseIndemnity(tuple(pairs))
+        return PiecewiseIndemnity(knots)
     raise InputError(f"unknown indemnity kind {kind!r}")
 
 

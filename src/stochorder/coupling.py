@@ -7,9 +7,9 @@ Z = Y - W for the coordinate pair (W, Y),
     supermartingale mode:  E[Z | W = w] <= 0 at every atom w   (exists iff X >=ssd Y)
     martingale mode:       E[Z | W = w]  = 0 at every atom w   (exists iff X <=cx Y)
 
-Both existence statements are Strassen's theorem, so check_ssd or check_cx
-decides first, exactly, and a failing pair returns that checker's witness
-as its certificate.  A holding pair is built directly, with no search.
+Both existence statements are Strassen's theorem, so the exact route of
+check_ssd or check_cx decides first, and a failing pair returns its witness
+as the certificate.  A holding pair is built directly, with no search.
 
 Both modes end in the left-curtain coupling (Beiglboeck and Juillet, Ann.
 Probab. 2016) of a law U <=cx Y with Y.  The atoms (x, a) of U are taken in
@@ -37,12 +37,13 @@ composition is a supermartingale coupling of (X, Y); under equal means
 h = 0 and U = X, so martingale mode is the same construction.  The ssd walk
 names the atoms holding each merged stretch: one pass, at most one cut each.
 
-The construction runs on the pair's integer forms (orders._scale): values
-are ints over one scale V, and masses are ints over one scale M = D L, with
-D the pair's probability scale and L the lcm of the cuts' denominators.  A
-mass becomes a Fraction only where a window ends inside an atom at a level
-that no int over M reaches, and so do the masses that step touches; each
-cell's Fraction is built once, from its integer parts.
+The decision and the construction read one scaling of the pair's integer
+forms (orders._scale): values are ints over one scale V, and masses are
+ints over one scale M = D L, with D the pair's probability scale and L the
+lcm of the cuts' denominators.  A mass becomes a Fraction only where a
+window ends inside an atom at a level that no int over M reaches, and so do
+the masses that step touches; each cell's Fraction is built once, from its
+integer parts.
 
 verify_coupling rechecks every built coupling with its own integer sums,
 per row and per column over the nonzero cells, independent of the
@@ -68,7 +69,7 @@ from .dists import (
     as_integers,
     rescale,
 )
-from .orders import Witness, _IntLaw, _scale, _walk, check_cx, check_ssd
+from .orders import Witness, _cx_exact, _IntLaw, _scale, _ssd_exact, _walk
 
 __all__ = [
     "Coupling",
@@ -154,18 +155,19 @@ def _synth(x: Dist, y: Dist, martingale: bool) -> SynthResult:
     dy = _require_discrete(y, "Y")
     if dx.support_size() > _MAX_SUPPORT or dy.support_size() > _MAX_SUPPORT:
         raise InputError(f"marginal support exceeds the bound {_MAX_SUPPORT}")
-    checker, mode = (check_cx, MODE_MARTINGALE) if martingale else (check_ssd, MODE_SUPERMARTINGALE)
-    verdict = checker(dx, dy)
+    checker, decide, mode = (("check_cx", _cx_exact, MODE_MARTINGALE) if martingale
+                             else ("check_ssd", _ssd_exact, MODE_SUPERMARTINGALE))
+    ix, iy, V, D = _scale(dx, dy)
+    verdict = decide(dx, dy, ix, iy, V, D)
     if not verdict.holds:
         return SynthResult(False, None, verdict.witness)
-    ix, iy, _, D = _scale(dx, dy)
     cells = _compose(ix, iy, D)
     coupling = None if cells is None else Coupling(dx.values, dy.values, dx.probs, dy.probs, cells)
     if coupling is None or not verify_coupling(coupling, dx, dy, mode):
         failure = "cannot place an atom" if cells is None else "fails verification"
         raise InternalError(
-            f"{checker.__name__} holds but the {mode} construction {failure}",
-            routes={checker.__name__: verdict, "construction": cells},
+            f"{checker} holds but the {mode} construction {failure}",
+            routes={checker: verdict, "construction": cells},
             inputs=(dx, dy),
         )
     return SynthResult(True, coupling, None)

@@ -690,17 +690,15 @@ def rational_to_json(q: Fraction) -> int | str:
     return int(q) if q.denominator == 1 else str(q)
 
 
-def _prob_from_json(v: object, where: str) -> Fraction:
+def _prob_from_json(v: object, i: int) -> Fraction:
     if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise InputError(
-            f"{where}: probability must be an int or a rational string, got {v!r}"
-        )
+        raise InputError(f"atom {i}: probability must be an int or a rational string, got {v!r}")
     return as_fraction(v)
 
 
-def _value_from_json(v: object, where: str) -> Fraction:
+def _value_from_json(v: object, i: int) -> Fraction:
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
-        raise InputError(f"{where}: value must be a number or rational string, got {v!r}")
+        raise InputError(f"atom {i}: value must be a number or rational string, got {v!r}")
     return as_fraction(v)
 
 
@@ -718,24 +716,35 @@ def _float_param(obj: dict, key: str) -> float:
 _FAMILIES = {f.kind: f for f in (Normal, Exponential, Bernoulli, LogNormal, PointMass)}
 
 
+def _atoms_from_json(obj: dict, keys: tuple[str, ...]) -> list[tuple[Fraction, ...]]:
+    """The 'atoms' list of a discrete law, keyed ("x", "p"), or of a joint
+    law, keyed ("w", "z", "p"), as exact tuples in the keys' order.  The count
+    cap is checked before any atom; the weights' signs are left to normalize,
+    so every atom's shape and types are checked before any weight."""
+    if len(keys) == 3:
+        law, what, shape = "joint law", "cells", "joint atom {} must be an object with 'w', 'z' and 'p'"
+    else:
+        law, what, shape = "discrete law", "atoms", "atom {} must be an object with 'x' and 'p'"
+    atoms = obj.get("atoms")
+    if not isinstance(atoms, list) or not atoms:
+        raise InputError(f"{law} needs a non-empty 'atoms' list")
+    if len(atoms) > _MAX_ATOMS:
+        raise InputError(f"{law} takes at most {_MAX_ATOMS} {what}, got {len(atoms)}")
+    *values, weight = keys
+    need, raw = set(keys), []
+    for i, a in enumerate(atoms):
+        if not isinstance(a, dict) or not a.keys() >= need:
+            raise InputError(shape.format(i))
+        raw.append((*[_value_from_json(a[k], i) for k in values], _prob_from_json(a[weight], i)))
+    return raw
+
+
 def dist_from_json(obj: object) -> Dist:
     if not isinstance(obj, dict):
         raise InputError("distribution JSON must be an object")
     kind = obj.get("type")
     if kind == "discrete":
-        atoms = obj.get("atoms")
-        if not isinstance(atoms, list) or not atoms:
-            raise InputError("discrete law needs a non-empty 'atoms' list")
-        if len(atoms) > _MAX_ATOMS:
-            raise InputError(f"discrete law takes at most {_MAX_ATOMS} atoms, got {len(atoms)}")
-        raw = []
-        for i, a in enumerate(atoms):
-            if not isinstance(a, dict) or "x" not in a or "p" not in a:
-                raise InputError(f"atom {i} must be an object with 'x' and 'p'")
-            raw.append(
-                (_value_from_json(a["x"], f"atom {i}"), _prob_from_json(a["p"], f"atom {i}"))
-            )
-        return normalize(raw)
+        return normalize(_atoms_from_json(obj, ("x", "p")))
     family = _FAMILIES.get(kind) if isinstance(kind, str) else None
     if family is None:
         raise InputError(f"unknown distribution type {kind!r}")
@@ -758,23 +767,7 @@ def joint_from_json(obj: object) -> JointDist:
         raise InputError("joint JSON must be an object")
     if obj.get("type") != "joint":
         raise InputError(f"expected type 'joint', got {obj.get('type')!r}")
-    atoms = obj.get("atoms")
-    if not isinstance(atoms, list) or not atoms:
-        raise InputError("joint law needs a non-empty 'atoms' list")
-    if len(atoms) > _MAX_ATOMS:
-        raise InputError(f"joint law takes at most {_MAX_ATOMS} cells, got {len(atoms)}")
-    raw = []
-    for i, a in enumerate(atoms):
-        if not isinstance(a, dict) or not {"w", "z", "p"} <= set(a):
-            raise InputError(f"joint atom {i} must be an object with 'w', 'z' and 'p'")
-        raw.append(
-            (
-                _value_from_json(a["w"], f"atom {i}"),
-                _value_from_json(a["z"], f"atom {i}"),
-                _prob_from_json(a["p"], f"atom {i}"),
-            )
-        )
-    return normalize_joint(raw)
+    return normalize_joint(_atoms_from_json(obj, ("w", "z", "p")))
 
 
 def joint_to_json(j: JointDist) -> dict:

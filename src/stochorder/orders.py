@@ -13,13 +13,14 @@ there: the grid is a complete finite test set (Dentcheva and Ruszczynski,
 SIAM J. Optim. 2003; Mueller and Stoyan 2002, section 1.5).  ssd compares
 G_X >= G_Y on the grid; icx compares E[X] - G_X >= E[Y] - G_Y below p = 1,
 which is (1 - p) times the expected-shortfall gap; cx adds equal means to
-ssd.  st reads the same grid: X >=st Y iff Q_X >= Q_Y, and between two
-levels each quantile is the one atom of its law that the walk names.  Each
-pair is read over integers (values over the lcm V of all value
-denominators, probabilities over the lcm D of all probability
-denominators): the integer form of each law (DiscreteDist.ints) moves onto
-V and D with one multiply per atom, and only a witness is turned back into
-exact Fractions.  Normal pairs use mean/deviation closed forms.  Every
+ssd.  check_ssd also reads G_X(p) as E[X] - (1 - p) ES_p(X): the icx walk
+over both laws' lists reversed sums (1 - p) ES_p from the top.  st reads the
+same grid: X >=st Y iff Q_X >= Q_Y, and between two levels each quantile is
+the one atom of its law that the walk names.  Each pair is read over
+integers (values over the lcm V of all value denominators, probabilities
+over the lcm D of all probability denominators): the integer form of each
+law (DiscreteDist.ints) moves onto V and D with one multiply per atom, and
+only a witness is turned back into exact Fractions.  Normal pairs use mean/deviation closed forms.  Every
 negative verdict carries a witness whose lhs/rhs re-evaluate to the violation.
 
 oracle_ssd and oracle_icx decide the same discrete relations through an
@@ -35,11 +36,10 @@ fool both routes at once.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import chain
 from typing import Callable, Iterator, Sequence, Union
 
 from .dists import (
@@ -151,11 +151,6 @@ def _scale(dx: DiscreteDist, dy: DiscreteDist) -> tuple[_IntLaw, _IntLaw, int, i
             (rescale(fy.values, V // fy.V), rescale(fy.weights, D // fy.D)), V, D)
 
 
-def _negated(x: _IntLaw) -> _IntLaw:
-    """The law of -X, values again ascending."""
-    return [-v for v in reversed(x[0])], x[1][::-1]
-
-
 def _mean(x: _IntLaw) -> int:
     return sum(v * w for v, w in zip(*x))
 
@@ -208,13 +203,14 @@ def _ssd_exact(
     dx: DiscreteDist, dy: DiscreteDist, x: _IntLaw, y: _IntLaw, V: int, D: int
 ) -> OrderVerdict:
     """Both exact ssd routes, which must agree: integrated lower quantiles, and
-    the increasing convex comparison of the negated pair."""
+    the icx walk over both laws' lists reversed, which sums (1 - p) ES_p from
+    the top and compares E[X] - (1 - p) ES_p(X) >= E[Y] - (1 - p) ES_p(Y)."""
     verdict = _ssd_walk(x, y, V, D)
-    dual = _icx_walk(_negated(y), _negated(x), V, D)
+    dual = _icx_walk(*((v[::-1], w[::-1]) for v, w in (x, y)), V, D)
     if dual.holds != verdict.holds:
         raise InternalError(
             "ssd decision routes disagree",
-            {"integrated_quantiles": verdict, "negated_icx": dual},
+            {"integrated_quantiles": verdict, "shortfall_from_top": dual},
             (dx, dy),
         )
     return verdict
@@ -273,10 +269,10 @@ def check_ssd(x: Dist, y: Dist) -> OrderVerdict:
     """Decide X >=ssd Y.
 
     Finite pairs run two independent exact routes and insist they agree:
-    integrated lower quantiles on the merged grid, and the increasing convex
-    comparison of the negated pair.  The witness reports the integrated
-    lower quantile comparison at the first violating level (p = 1 compares
-    the means).
+    integrated lower quantiles on the merged grid, and
+    E[X] - (1 - p) ES_p(X) >= E[Y] - (1 - p) ES_p(Y), summed from the top of
+    both laws.  The witness reports the integrated lower quantile comparison
+    at the first violating level (p = 1 compares the means).
     """
     return _decide("ssd order check", x, y,
                    lambda dx, dy: _ssd_exact(dx, dy, *_scale(dx, dy)), _ssd_normal)
@@ -315,11 +311,13 @@ def _normal_lower_witness(nx: Normal, ny: Normal) -> Witness:
 
 def check_cx(x: Dist, y: Dist) -> OrderVerdict:
     """Decide X <=cx Y: equal means and X >=ssd Y (Y spreads X)."""
-    return _decide("cx order check", x, y, _cx_exact, _cx_normal)
+    return _decide("cx order check", x, y,
+                   lambda dx, dy: _cx_exact(dx, dy, *_scale(dx, dy)), _cx_normal)
 
 
-def _cx_exact(dx: DiscreteDist, dy: DiscreteDist) -> OrderVerdict:
-    x, y, V, D = _scale(dx, dy)
+def _cx_exact(
+    dx: DiscreteDist, dy: DiscreteDist, x: _IntLaw, y: _IntLaw, V: int, D: int
+) -> OrderVerdict:
     mx, my = _mean(x), _mean(y)
     if mx != my:
         return _fails("level_p", Fraction(1), Fraction(mx, V * D), Fraction(my, V * D))
@@ -372,7 +370,7 @@ def _oracle_transforms(
         raise UnsupportedPairingError(f"{name} is defined for finite-support pairs")
     n = len(dx.atoms)
     vs, V = as_integers(dx.values + dy.values)
-    ts = [t for t, _ in groupby(heapq.merge(vs[:n], vs[n:]))]
+    ts = sorted(set(vs))
     curves = []
     for d, xs in ((dx, vs[:n]), (dy, vs[n:])):
         ws, D = as_integers(d.probs)

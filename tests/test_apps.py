@@ -260,6 +260,23 @@ class TestIndemnities:
         with pytest.raises(InputError):
             indemnity_value(StopLossIndemnity(1), -1)
 
+    @pytest.mark.parametrize("knots, bad", [
+        (((0, 0, 1), (2, 1)), "(0, 0, 1)"),
+        (((0, 0), 5), "5"),
+        ([[0, 0], [2]], "[2]"),
+    ])
+    def test_piecewise_knot_must_be_a_pair(self, knots, bad):
+        with pytest.raises(InputError) as exc:
+            PiecewiseIndemnity(knots)
+        assert str(exc.value) == f"knot must be a [x, y] pair, got {bad}"
+
+    @pytest.mark.parametrize("read", [indemnity_to_json, lambda i: indemnity_value(i, 1)],
+                             ids=["to_json", "value"])
+    def test_unknown_schedule_rejected(self, read):
+        with pytest.raises(InputError) as exc:
+            read("stop_loss")
+        assert str(exc.value) == "unknown indemnity schedule 'stop_loss'"
+
     def test_validation(self):
         with pytest.raises(InputError):
             FixedIndemnity(0, 0)

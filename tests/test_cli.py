@@ -146,6 +146,14 @@ class TestCheckOrder:
         code, report, _ = run("check-order", "--relation", "ssd", x, y)
         assert code == 0 and report["result"]["holds"] is True
 
+    def test_parametric_normal_icx_mean_failure(self, run, tmp_path):
+        x = _write(tmp_path / "x.json", {"type": "normal", "mu": 0, "sigma": 1})
+        y = _write(tmp_path / "y.json", {"type": "normal", "mu": 1, "sigma": 1})
+        code, report, _ = run("check-order", "--relation", "icx", x, y)
+        assert code == 1
+        assert report["result"] == {"holds": False}
+        assert report["witness"] == {"kind": "level_p", "value": 0.0, "lhs": 0.0, "rhs": 1.0}
+
 
 class TestCheckCond:
     def test_new_holds(self, run, tmp_path):
@@ -528,7 +536,11 @@ class TestOverflow:
         ({"kind": [1], "threshold": 1, "amount": 1}, "unknown indemnity kind [1]"),
         ({"kind": {"a": 1}, "threshold": 1, "amount": 1}, "unknown indemnity kind {'a': 1}"),
         ({"kind": 3, "threshold": 1, "amount": 1}, "unknown indemnity kind 3"),
-    ], ids=["missing-field", "list-kind", "dict-kind", "int-kind"])
+        ({"kind": "piecewise", "knots": {}}, "piecewise indemnity needs a 'knots' list"),
+        ({"kind": "piecewise", "knots": [[0, 0]]}, "piecewise schedule needs at least two knots"),
+        ({"kind": "piecewise", "knots": [[0, 0], [2]]}, "knot must be a [x, y] pair, got [2]"),
+    ], ids=["missing-field", "list-kind", "dict-kind", "int-kind", "knots-not-list", "one-knot",
+            "short-knot"])
     def test_bad_indemnity_json_is_one_error_line(self, tmp_path, indemnity, message):
         code, out, err = self._cli(tmp_path, indemnity, _discrete([0, 2]),
                                    "marketable", "--p0", "0")

@@ -605,6 +605,37 @@ class TestJson:
         with pytest.raises(InputError):
             dist_from_json({"type": "triangular", "a": 0})
 
+    @pytest.mark.parametrize("parse, obj, message", [
+        (dist_from_json, ["discrete"], "distribution JSON must be an object"),
+        (dist_from_json, {"type": "discrete", "atoms": {}},
+         "discrete law needs a non-empty 'atoms' list"),
+        (dist_from_json, {"type": "discrete", "atoms": [{"x": 0, "p": 1}, {"p": 1}]},
+         "atom 1 must be an object with 'x' and 'p'"),
+        (dist_from_json, {"type": "discrete", "atoms": [{"x": None, "p": 1}]},
+         "atom 0: value must be a number or rational string, got None"),
+        (dist_from_json, {"type": "discrete", "atoms": [{"x": 0, "p": 0.5}]},
+         "atom 0: probability must be an int or a rational string, got 0.5"),
+        (joint_from_json, "joint", "joint JSON must be an object"),
+        (joint_from_json, {"type": "discrete", "atoms": [{"w": 0, "z": 0, "p": 1}]},
+         "expected type 'joint', got 'discrete'"),
+        (joint_from_json, {"type": "joint", "atoms": []}, "joint law needs a non-empty 'atoms' list"),
+        (joint_from_json, {"type": "joint", "atoms": [{"w": 0, "z": 0, "p": 1}, [0, 0, 1]]},
+         "joint atom 1 must be an object with 'w', 'z' and 'p'"),
+        (joint_from_json, {"type": "joint", "atoms": [{"w": 0, "z": True, "p": 1}]},
+         "atom 0: value must be a number or rational string, got True"),
+        # every atom's shape and types are read before any weight's sign
+        (dist_from_json, {"type": "discrete", "atoms": [{"x": 0, "p": -1}, {"x": 1}]},
+         "atom 1 must be an object with 'x' and 'p'"),
+        (dist_from_json, {"type": "discrete", "atoms": [{"x": 0, "p": -1}, {"x": [], "p": 1}]},
+         "atom 1: value must be a number or rational string, got []"),
+        (joint_from_json, {"type": "joint", "atoms": [{"w": 0, "z": 0, "p": -1}, {"w": 0, "p": 1}]},
+         "joint atom 1 must be an object with 'w', 'z' and 'p'"),
+    ])
+    def test_bad_json_message(self, parse, obj, message):
+        with pytest.raises(InputError) as exc:
+            parse(obj)
+        assert str(exc.value) == message
+
 
 class TestDiscretize:
     def test_needs_two_atoms(self):

@@ -234,6 +234,12 @@ class TestNormalPairs:
     def test_icx_holds_with_larger_mean_and_spread(self):
         assert check_icx(Normal(1.0, 2.0), Normal(0.0, 1.0)).holds
 
+    def test_icx_smaller_mean_fails_at_level_zero(self):
+        # ES_0 is the mean
+        assert check_icx(Normal(0.0, 1.0), Normal(1.0, 1.0)) == OrderVerdict(
+            False, Witness("level_p", 0.0, 0.0, 1.0)
+        )
+
     def test_cx_normal(self):
         assert check_cx(Normal(0.0, 1.0), Normal(0.0, 2.0)).holds
         assert not check_cx(Normal(0.0, 2.0), Normal(0.0, 1.0)).holds
@@ -276,7 +282,7 @@ class TestRouteDisagreement:
         assert routes["integrated_quantiles"] == OrderVerdict(
             False, Witness("level_p", F(1, 2), F(0), F(1, 2))
         )
-        assert routes["negated_icx"].holds
+        assert routes["shortfall_from_top"].holds
         assert exc.value.inputs == (x, y)
 
 

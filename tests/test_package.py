@@ -60,6 +60,40 @@ def test_unread_absolute_import_is_caught(tmp_path):
     assert _unread_imports(module) == ["j", "compress"]
 
 
+def _unread_private_names(paths: list[Path]) -> list[str]:
+    """Module-level private names (one leading underscore) that a def, class
+    or assignment in one of the files binds and none of the files reads, by
+    name or as an attribute."""
+    defined, read = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [t.id for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [name for name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_every_private_name_is_read():
+    assert _unread_private_names(sorted((SRC / "stochorder").glob("*.py"))) == []
+
+
+def test_unread_private_name_is_caught(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text("_A = 1\n_B: int = 2\n__all__ = []\n\ndef _f():\n    return _A\n\n"
+                 "def _g():\n    pass\n\nclass _C:\n    pass\n\nclass D:\n    _attr = 0\n")
+    b.write_text("from .a import _C\nfrom . import a\na._f()\n_C.__name__\n")
+    assert _unread_private_names([a, b]) == ["_B", "_g"]
+
+
 def _reference_leaks(path: Path) -> list[str]:
     """Names the file imports from the code the reference routes check: any
     name of stochorder.risk, stochorder.conditions or stochorder.coupling,
