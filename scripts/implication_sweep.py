@@ -55,10 +55,10 @@ def main() -> None:
         ssd = check_ssd(joint_marginal_w(j), joint_sum(j)).holds
         if classic and not new:
             sys.exit(f"implication broken (classic without lower-tail):\n"
-                     f"{joint_to_json(j)}")
+                     f"{joint_to_json(j.atoms)}")
         if new and not ssd:
             sys.exit(f"implication broken (lower-tail without dominance):\n"
-                     f"{joint_to_json(j)}")
+                     f"{joint_to_json(j.atoms)}")
         tallies["classic"] += classic
         tallies["new"] += new
         tallies["ssd"] += ssd
@@ -73,7 +73,7 @@ def main() -> None:
         cmp = stop_loss_compare(j)
         if not cmp.dominates:
             sys.exit(f"implication broken (upper-tail without stop-loss "
-                     f"dominance):\n{joint_to_json(j)}")
+                     f"dominance):\n{joint_to_json(j.atoms)}")
         dominated += 1
 
     print(f"lower-tail sweep: classic {tallies['classic']}, "

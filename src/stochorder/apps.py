@@ -334,6 +334,8 @@ class PiecewiseIndemnity:
     knots: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.knots, Sequence):
+            raise InputError(f"knots must be a sequence of [x, y] pairs, got {self.knots!r}")
         knots = []
         for k in self.knots:
             if not isinstance(k, (list, tuple)) or len(k) != 2:

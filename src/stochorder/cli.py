@@ -147,13 +147,13 @@ def _cmd_check_cond(args):
 
     j = _load(args.joint, joint_from_json)
     verdict = getattr(conditions, _CONDS[args.which])(j)
-    inputs = {"which": args.which, "joint": joint_to_json(j)}
+    inputs = {"which": args.which, "joint": joint_to_json(j.atoms)}
     state = "holds" if verdict.holds else "fails"
     return inputs, {"holds": verdict.holds}, verdict, f"condition {args.which} {state}"
 
 
 def _cmd_synthesize(args):
-    from .coupling import coupling_to_joint, synth_martingale, synth_supermartingale
+    from .coupling import _joint_cells, synth_martingale, synth_supermartingale
     from .orders import OrderVerdict
 
     x = _load(args.x, dist_from_json)
@@ -161,7 +161,8 @@ def _cmd_synthesize(args):
     synth = synth_supermartingale if args.mode == "ssd" else synth_martingale
     res = synth(x, y)
     inputs = {"mode": args.mode, "x": dist_to_json(x), "y": dist_to_json(y)}
-    payload = joint_to_json(coupling_to_joint(res.coupling)) if res.feasible else None
+    # _synth rechecked the coupling (verify_coupling): its cells print as they stand
+    payload = joint_to_json(_joint_cells(res.coupling)) if res.feasible else None
     summary = (f"{args.mode} coupling synthesized" if res.feasible
                else f"no {args.mode} coupling exists")
     return (inputs, {"feasible": res.feasible, "coupling": payload},
@@ -236,7 +237,7 @@ def _cmd_improver(args):
 
     j = _load(args.joint, joint_from_json)
     flags = apps.improver_check(j)
-    inputs = {"joint": joint_to_json(j)}
+    inputs = {"joint": joint_to_json(j.atoms)}
     result = {"in_s": flags.in_s, "in_n": flags.in_n}
     state = "improves" if flags.in_s else "does not improve"
     return (inputs, result, OrderVerdict(flags.in_s, flags.witness),
@@ -281,7 +282,7 @@ def _cmd_stoploss_compare(args):
     if args.deductibles is not None:
         ds = [_parse_rational(s, "deductible") for s in args.deductibles.split(",")]
     cmp = apps.stop_loss_compare(j, ds)
-    inputs = {"joint": joint_to_json(j),
+    inputs = {"joint": joint_to_json(j.atoms),
               "deductibles": list(cmp.deductibles)}
     result = {
         "condition_holds": cmp.condition.holds,

@@ -88,13 +88,14 @@ MODE_SUPERMARTINGALE = "supermartingale"
 MODE_MARTINGALE = "martingale"
 
 # The most atoms per marginal that synthesis takes.  scripts/support_cap.py
-# at 2500 x 2500, both modes, three seeds of four families (shared 2-vCPU Xeon
-# VM, Python 3.11; its speed varies by up to 1.7x): wide 0.17-0.22 s, bimodal
-# 0.16-0.19 s, spreads 0.02-0.08 s, a point mass against the wide law
-# 0.01-0.02 s; coupling_to_joint took up to 0.18 s more.  The script's 1 s
-# rule first failed at 11,000 atoms (1.02 s, supermartingale mode), but the
-# `synthesize` command also pays for coupling_to_joint.
-_MAX_SUPPORT = 2500
+# times the whole `synthesize` command in process (both laws' JSON read and
+# parsed, the synthesis with its recheck, the report built and serialized) in
+# both modes, three seeds of four families; three runs on a shared 2-vCPU Xeon
+# VM, Python 3.11, whose speed varies by up to 2x.  At 4000 x 4000: wide
+# 0.57-0.96 s, bimodal 0.76-0.93 s, spreads 0.17-0.54 s, a point mass against
+# the wide law 0.12-0.19 s.  The script's 1 s rule first failed at 4500 atoms
+# in two runs (1.08 and 1.19 s) and at 5000 in the third (1.05 s).
+_MAX_SUPPORT = 4000
 
 
 @dataclass(frozen=True)
@@ -379,11 +380,17 @@ def verify_coupling(c: Coupling, x: Dist, y: Dist, mode: str) -> bool:
     return True
 
 
+def _joint_cells(c: Coupling) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """The coupling's nonzero cells as (w, z, mass) with z = y - w; cells
+    ascending in (row, column) ascend in (w, z)."""
+    ws, ys = c.row_values, c.col_values
+    return [(ws[i], ys[j] - ws[i], mass) for i, j, mass in c.cells if mass]
+
+
 def coupling_to_joint(c: Coupling) -> JointDist:
     """The coupling as a joint law of (W, Z) with Z = Y - W: its nonzero
-    cells as they stand, since cells ascending in (row, column) ascend in
-    (w, z).  Cells out of that order or out of range raise InputError."""
+    cells as they stand.  Cells out of (row, column) order or out of range
+    raise InputError."""
     if not _indexed(c):
         raise InputError("coupling cells must be ints in range, strictly ascending in (row, column)")
-    ws, ys = c.row_values, c.col_values
-    return JointDist(tuple((ws[i], ys[j] - ws[i], mass) for i, j, mass in c.cells if mass))
+    return JointDist(tuple(_joint_cells(c)))

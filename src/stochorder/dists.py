@@ -770,7 +770,8 @@ def joint_from_json(obj: object) -> JointDist:
     return normalize_joint(_atoms_from_json(obj, ("w", "z", "p")))
 
 
-def joint_to_json(j: JointDist) -> dict:
+def joint_to_json(atoms: Iterable[tuple[Fraction, Fraction, Fraction]]) -> dict:
+    """A joint law's JSON from its cells (w, z, p), written as they stand."""
     return {
         "type": "joint",
         "atoms": [
@@ -779,7 +780,7 @@ def joint_to_json(j: JointDist) -> dict:
                 "z": rational_to_json(z),
                 "p": rational_to_json(p),
             }
-            for w, z, p in j.atoms
+            for w, z, p in atoms
         ],
     }
 

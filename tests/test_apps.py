@@ -270,6 +270,12 @@ class TestIndemnities:
             PiecewiseIndemnity(knots)
         assert str(exc.value) == f"knot must be a [x, y] pair, got {bad}"
 
+    @pytest.mark.parametrize("knots", [5, None, iter([(0, 0), (2, 1)])])
+    def test_piecewise_knots_must_be_a_sequence(self, knots):
+        with pytest.raises(InputError) as exc:
+            PiecewiseIndemnity(knots)
+        assert str(exc.value) == f"knots must be a sequence of [x, y] pairs, got {knots!r}"
+
     @pytest.mark.parametrize("read", [indemnity_to_json, lambda i: indemnity_value(i, 1)],
                              ids=["to_json", "value"])
     def test_unknown_schedule_rejected(self, read):

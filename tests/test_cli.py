@@ -4,6 +4,7 @@ the modules each subcommand loads and the handlers' dispatch tables."""
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -11,9 +12,21 @@ from pathlib import Path
 
 import pytest
 
-from stochorder import cli, dist_from_json, dists, joint_from_json
+from stochorder import (
+    cli,
+    coupling,
+    coupling_to_joint,
+    dist_from_json,
+    dist_to_json,
+    dists,
+    joint_from_json,
+    joint_to_json,
+    synth_martingale,
+    synth_supermartingale,
+)
 from stochorder.cli import main
 
+from .gen import mean_preserving_spread, narrow_against_wide, random_discrete, random_shift_down
 from .test_cli_reports import FILES, INVOCATIONS, PUT
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -206,6 +219,62 @@ class TestSynthesize:
         assert code == 1
         assert report["result"] == {"feasible": False, "coupling": None}
         assert report["witness"] is not None
+
+    @pytest.mark.parametrize("mode, synth", [("ssd", synth_supermartingale),
+                                             ("cx", synth_martingale)])
+    def test_report_and_out_file_write_the_couplings_joint(self, run, tmp_path, mode, synth):
+        # the command writes the verified coupling's own cells: the canonical
+        # joint's atoms, in the report and in the --out file alike
+        rng = random.Random(24)
+        pairs = [narrow_against_wide(rng, 12), narrow_against_wide(rng, 9, bimodal=True)]
+        for k in range(60):
+            x = random_discrete(rng)
+            spread = mean_preserving_spread(rng, x)
+            pairs.append((x, (spread, random_shift_down(rng, spread), random_discrete(rng))[k % 3]))
+        seen = set()
+        for x, y in pairs:
+            paths = [_write(tmp_path / name, dist_to_json(d)) for name, d in (("x.json", x), ("y.json", y))]
+            out = tmp_path / "coupling.json"
+            out.unlink(missing_ok=True)
+            code, report, _ = run("synthesize", "--mode", mode, "--out", str(out), *paths)
+            res = synth(x, y)
+            seen.add(res.feasible)
+            assert code == (0 if res.feasible else 1)
+            if res.feasible:
+                want = joint_to_json(coupling_to_joint(res.coupling).atoms)
+                assert report["result"]["coupling"] == want
+                assert json.loads(out.read_text()) == want
+            else:
+                assert report["result"]["coupling"] is None and not out.exists()
+        assert seen == {True, False}
+
+
+class TestSynthesisCap:
+    """The support cap at the command line: coupling._MAX_SUPPORT atoms per
+    marginal pass, one more exits 2 before anything is written."""
+
+    @pytest.fixture(autouse=True)
+    def cap(self, monkeypatch):
+        monkeypatch.setattr(coupling, "_MAX_SUPPORT", 4)
+
+    def test_marginals_at_the_cap_synthesize(self, run, tmp_path):
+        x = _write(tmp_path / "x.json", _discrete([0, 1, 2, 3]))
+        y = _write(tmp_path / "y.json", _discrete([-1, 0, 1, 2]))
+        out = tmp_path / "coupling.json"
+        code, report, _ = run("synthesize", "--mode", "ssd", "--out", str(out), x, y)
+        assert code == 0 and report["result"]["feasible"] is True
+        assert json.loads(out.read_text()) == report["result"]["coupling"]
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_a_marginal_over_the_cap_exits_2_and_writes_nothing(self, run, tmp_path, side):
+        laws = {"x": _discrete([0, 1, 2, 3]), "y": _discrete([-1, 0, 1, 2])}
+        laws[side] = _discrete([-2, -1, 0, 1, 2])
+        x, y = (_write(tmp_path / f"{k}.json", law) for k, law in laws.items())
+        out = tmp_path / "coupling.json"
+        code, report, cap = run("synthesize", "--mode", "ssd", "--out", str(out), x, y)
+        assert code == 2 and report is None
+        assert "marginal support exceeds the bound 4" in cap.err
+        assert not out.exists()
 
 
 class TestDiscretize:

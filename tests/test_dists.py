@@ -595,7 +595,7 @@ class TestJson:
 
     def test_joint_round_trip(self):
         j = normalize_joint([(0, -0.5, F(1, 4)), (1, F(1, 3), F(3, 4))])
-        assert joint_from_json(joint_to_json(j)) == j
+        assert joint_from_json(joint_to_json(j.atoms)) == j
 
     def test_json_serializable(self):
         d = normalize([(F(1, 3), F(1))])

@@ -52,3 +52,19 @@ def test_bit_growth_times_laws_and_joints_at_one_size(monkeypatch, capsys):
     cells = script.coprime_joint(30)
     assert len(cells) == 30 and cells == sorted(cells)
     assert int(joint_bits) == script.normalize_joint(cells).ints.D.bit_length()
+
+
+def test_support_cap_times_the_command_at_one_size(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("support_cap", ROOT / "scripts" / "support_cap.py")
+    script = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", sys.path[:])  # the script puts src/ on the path
+    spec.loader.exec_module(script)
+    worst = script.measure(60)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 * 3 * 2
+    times = []
+    for line in lines:
+        head, tail = line.split(" feasible=True command ")
+        assert head.startswith("n=60 ") and tail.endswith(" s")
+        times.append(float(tail[:-2]))
+    assert 0 < worst and f"{worst:.3f}" == f"{max(times):.3f}"
