@@ -8,11 +8,15 @@ verification under zero-rate Black-Scholes dynamics.
 Each quantity has one route: the improver's sufficient condition is the
 conditions kernel anchored on the sum, marketability of a finite loss is
 cond_icx on the joint of (X - I(X), I(X) - P0), and E[I(X)] is
-conditional_indemnity_mean at x = 0.  The exponential-utility premium is
-the closed form (K(X) - K(X - I)) / a, K(Y) = log E[exp(a Y)]; the power
-utility's is a bisection.  The protective put's tolerances are in units of
-max(spot, strike).  Float routes round rationals with dists._real, so one
-beyond binary64 is an InputError.
+conditional_indemnity_mean at x = 0.  The Bernoulli region and the improver
+decide on integer forms: W and W + Z are merged integer laws (dists._merge)
+for check_ssd's two routes (orders._ssd_exact), next to the conditions
+kernel; public laws are built only to report a disagreement of those
+routes.  The exponential-utility premium is the closed form
+(K(X) - K(X - I)) / a, K(Y) = log E[exp(a Y)]; the power utility's is a
+bisection.  The protective put's tolerances are in units of max(spot,
+strike).  Float routes round rationals with dists._real, so one beyond
+binary64 is an InputError.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from functools import cache
 from operator import add
 from typing import Iterable, Sequence, Union
 
-from .conditions import _first_failure, cond_classic, cond_icx, cond_new
+from .conditions import _first_failure, cond_icx
 from .dists import (
     Dist,
     Exponential,
@@ -33,9 +37,12 @@ from .dists import (
     InternalError,
     IrrelevantThresholdError,
     JointDist,
+    JointInts,
+    LawInts,
     RationalLike,
     UnsupportedPairingError,
     _check_finite,
+    _merge,
     _real,
     as_discrete,
     as_fraction,
@@ -49,7 +56,7 @@ from .dists import (
     rational_to_json as r2j,
     rescale,
 )
-from .orders import OrderVerdict, Witness, check_ssd
+from .orders import OrderVerdict, Witness, _scale, _ssd_exact
 from .risk import stop_loss_transform
 
 __all__ = [
@@ -87,7 +94,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -209,43 +215,58 @@ class BernoulliCase:
             raise InputError(f"rho must lie in [-1, 1], got {self.rho}")
 
 
+def _bernoulli_ints(case: BernoulliCase) -> JointInts:
+    """The case's joint over integers: w over 1, z over c's denominator and,
+    for rho = rn / rd, the masses rd + rn (aligned cells) and rd - rn (crossed
+    ones) over 4 rd.  The cells ascend in (w, z); empty ones drop."""
+    cn, cd = case.c.as_integer_ratio()
+    rn, rd = case.rho.as_integer_ratio()
+    align, cross = rd + rn, rd - rn
+    if align < 0 or cross < 0:
+        raise InputError(f"cell masses must be nonnegative, got rho={case.rho}")
+    cells = ((0, -cn, align), (0, cd - cn, cross), (1, -cn, cross), (1, cd - cn, align))
+    w, z, p = zip(*(cell for cell in cells if cell[2]))
+    return JointInts(w, 1, z, cd, p, 4 * rd)
+
+
 def bernoulli_joint(case: BernoulliCase) -> JointDist:
     """The exact four-cell joint law of (W, Z); degenerate cells drop."""
-    align = (1 + case.rho) / 4
-    cross = (1 - case.rho) / 4
-    # ascending in (w, z), with total mass 1: the cells are the canonical form
-    cells = [
-        (Fraction(0), -case.c, align),
-        (Fraction(0), 1 - case.c, cross),
-        (Fraction(1), -case.c, cross),
-        (Fraction(1), 1 - case.c, align),
-    ]
-    if any(p < 0 for _, _, p in cells):
-        raise InputError(f"cell masses must be nonnegative, got rho={case.rho}")
-    return JointDist(tuple(cell for cell in cells if cell[2]))
+    f = _bernoulli_ints(case)
+    return JointDist(tuple((Fraction(w), Fraction(z, f.VZ), Fraction(p, f.D))
+                           for w, z, p in zip(f.w, f.z, f.p)))
+
+
+def _marginal_and_sum(f: JointInts) -> tuple[LawInts, LawInts, list[int], int]:
+    """W and W + Z as integer laws over f.D, and W + Z at every cell over
+    L = lcm(VW, VZ), and L."""
+    ws, ps, _ = _merge(f.w, f.p)
+    sums, L = f.combined()
+    ss, qs, _ = _merge(sums, f.p)
+    return LawInts(ws, f.VW, ps, f.D), LawInts(ss, L, qs, f.D), sums, L
 
 
 def bernoulli_region(case: BernoulliCase) -> RegionFlags:
     """Exact region membership via checkers, asserted against closed forms.
 
-    The checker route (cond_new / cond_classic / check_ssd on the four-cell
-    joint) and the closed-form inequalities must agree exactly; both run in
-    rational arithmetic, so any disagreement is a defect, not noise.
+    The checker route (the lower-tail and point conditions on the four-cell
+    joint, and W >=ssd W + Z) runs on the joint's integer form; the closed
+    form compares the numerators and denominators of c and rho.  Both are
+    exact, so any disagreement is a defect, not noise.
     """
-    j = bernoulli_joint(case)
-    w = joint_marginal_w(j)
-    total = joint_sum(j)
-    checker = RegionFlags(
-        ssd=check_ssd(w, total).holds,
-        cond_new=cond_new(j).holds,
-        cond_classic=cond_classic(j).holds,
-    )
-    lower = 1 - 2 * case.c
-    upper = 2 * case.c - 1
+    f = _bernoulli_ints(case)
+    w, total, _, _ = _marginal_and_sum(f)
+    ssd = _ssd_exact(lambda: (joint_marginal_w(j := bernoulli_joint(case)), joint_sum(j)),
+                     *_scale(w, total))
+    new, classic = _first_failure(*f, "lower", "point")
+    checker = RegionFlags(ssd=ssd.holds, cond_new=new.holds, cond_classic=classic.holds)
+    (cn, cd), (rn, rd) = case.c.as_integer_ratio(), case.rho.as_integer_ratio()
+    half = 2 * cn >= cd  # c >= 1/2
+    lower = rn * cd >= (cd - 2 * cn) * rd  # rho >= 1 - 2c
+    upper = rn * cd <= (2 * cn - cd) * rd  # rho <= 2c - 1
     analytic = RegionFlags(
-        ssd=case.c >= _HALF and case.rho >= lower,
-        cond_new=case.c >= _HALF and case.rho >= lower,
-        cond_classic=case.c >= _HALF and lower <= case.rho <= upper,
+        ssd=half and lower,
+        cond_new=half and lower,
+        cond_classic=half and lower and upper,
     )
     if checker != analytic:
         raise InternalError(
@@ -277,12 +298,13 @@ class ImproverFlags:
 
 
 def improver_check(j: JointDist) -> ImproverFlags:
-    marg = joint_marginal_w(j)
-    total = joint_sum(j)
-    ssd = check_ssd(total, marg)
-    # anchor on the sum with the sign of Z flipped: E[-Z | X+Z <= x] <= 0
+    """Both memberships over the joint's integer form: check_ssd's two routes
+    on X + Z against X, and the lower-tail condition anchored on the sum."""
     f = j.ints
-    in_n = _first_failure(*f.combined(), [-z for z in f.z], f.VZ, f.p, f.D, "lower")[0].holds
+    marg, total, sums, L = _marginal_and_sum(f)
+    ssd = _ssd_exact(lambda: (joint_sum(j), joint_marginal_w(j)), *_scale(total, marg))
+    # anchor on the sum with the sign of Z flipped: E[-Z | X+Z <= x] <= 0
+    in_n = _first_failure(sums, L, [-z for z in f.z], f.VZ, f.p, f.D, "lower")[0].holds
     return ImproverFlags(in_s=ssd.holds, in_n=in_n, witness=ssd.witness)
 
 

@@ -15,8 +15,10 @@ cond_on_difference:  E[Z | Y - Z <= x] <= 0 at every relevant x, for a joint of
 The events {W <= x}, {W >= x} and {W = x} change only at atoms of the
 anchor, so its distinct values are a complete test set, and
 E[Z | event] has the sign of E[Z; event].  All five conditions, and
-apps.improver_check, call one kernel function, _first_failure, over a
-joint's integer columns (JointDist.ints; apps.marketable_check is cond_icx
+apps.improver_check (anchored on the sum W + Z, with -Z) and
+apps.bernoulli_region (over the case's integer cells), call one kernel
+function, _first_failure, over a joint's integer columns (JointDist.ints,
+or JointInts built from integers; apps.marketable_check is cond_icx
 on the joint of retained loss and indemnity margin): it sums z * p and p
 over the cells of each anchor value, once, and walks the anchors,
 ascending, once per requested tail, with a prefix sum (the lower tail), a

@@ -90,12 +90,13 @@ MODE_MARTINGALE = "martingale"
 # The most atoms per marginal that synthesis takes.  scripts/support_cap.py
 # times the whole `synthesize` command in process (both laws' JSON read and
 # parsed, the synthesis with its recheck, the report built and serialized) in
-# both modes, three seeds of four families; three runs on a shared 2-vCPU Xeon
-# VM, Python 3.11, whose speed varies by up to 2x.  At 4000 x 4000: wide
-# 0.57-0.96 s, bimodal 0.76-0.93 s, spreads 0.17-0.54 s, a point mass against
-# the wide law 0.12-0.19 s.  The script's 1 s rule first failed at 4500 atoms
-# in two runs (1.08 and 1.19 s) and at 5000 in the third (1.05 s).
-_MAX_SUPPORT = 4000
+# both modes, three seeds of four families, three times each, and reads the
+# median of each command's three times.  Three runs on a shared 2-vCPU Xeon
+# VM, Python 3.11, whose speed varies by up to 2x: at 4500 x 4500 the medians
+# were wide 0.61-0.96 s, bimodal 0.59-0.97 s, spreads 0.19-0.54 s and a point
+# mass against the wide law 0.10-0.19 s, and the 1 s rule first failed at
+# 5000 atoms in all three (1.07, 1.13 and 1.02 s).
+_MAX_SUPPORT = 4500
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,8 @@ def _synth(x: Dist, y: Dist, martingale: bool) -> SynthResult:
         raise InputError(f"marginal support exceeds the bound {_MAX_SUPPORT}")
     checker, decide, mode = (("check_cx", _cx_exact, MODE_MARTINGALE) if martingale
                              else ("check_ssd", _ssd_exact, MODE_SUPERMARTINGALE))
-    ix, iy, V, D = _scale(dx, dy)
-    verdict = decide(dx, dy, ix, iy, V, D)
+    ix, iy, V, D = _scale(dx.ints, dy.ints)
+    verdict = decide(lambda: (dx, dy), ix, iy, V, D)
     if not verdict.holds:
         return SynthResult(False, None, verdict.witness)
     cells = _compose(ix, iy, D)

@@ -449,18 +449,9 @@ def _merged(keys: Sequence[int], scales: tuple[int, ...], cols: Sequence[Sequenc
     least (VW, VZ) (cols: w and z as Fractions, then as integers).  The int
     columns, the merged weights over their gcd g and D = total / g are what
     as_integers makes of the public columns: the ints.  Strictly ascending keys
-    stand as they are; others merge in a dict and sort, each with its first cell's columns."""
-    if all(map(operator.lt, keys, keys[1:])):
-        order, ms = keys, weights
-    else:
-        acc, first = {}, {}
-        for k, i, m in zip(keys, count(), weights):
-            if k in acc:
-                acc[k] += m
-            else:
-                acc[k], first[k] = m, i
-        order = sorted(acc)
-        ms, at = list(map(acc.__getitem__, order)), list(map(first.__getitem__, order))
+    stand as they are; others merge (_merge), each with its first cell's columns."""
+    order, ms, at = _merge(keys, weights)
+    if at is not None:
         cols = [map(col.__getitem__, at) for col in cols]
     if not order:
         raise InputError("total weight must be positive")
@@ -478,6 +469,24 @@ def _merged(keys: Sequence[int], scales: tuple[int, ...], cols: Sequence[Sequenc
     w, z, ws, zs = cols
     ints = JointInts(tuple(ws), scales[0], tuple(zs), scales[1], ps, D)
     return _trusted(JointDist, tuple(zip(w, z, probs)), ints)
+
+
+def _merge(keys: Sequence[int], weights: Sequence[int]
+           ) -> tuple[Sequence[int], Sequence[int], list[int] | None]:
+    """Cells with int keys that order as the cells do, merged: the distinct keys
+    ascending, their summed weights and the index of each key's first cell.
+    Strictly ascending keys stand as they are, with None for the indices; others
+    merge in a dict and sort."""
+    if all(map(operator.lt, keys, keys[1:])):
+        return keys, weights, None
+    acc, first = {}, {}
+    for k, i, m in zip(keys, count(), weights):
+        if k in acc:
+            acc[k] += m
+        else:
+            acc[k], first[k] = m, i
+    order = sorted(acc)
+    return order, list(map(acc.__getitem__, order)), list(map(first.__getitem__, order))
 
 
 def _cell_keys(ws: Sequence[int], zs: Sequence[int]) -> list[int]:

@@ -20,8 +20,10 @@ the one atom of its law that the walk names.  Each pair is read over
 integers (values over the lcm V of all value denominators, probabilities
 over the lcm D of all probability denominators): the integer form of each
 law (DiscreteDist.ints) moves onto V and D with one multiply per atom, and
-only a witness is turned back into exact Fractions.  Normal pairs use mean/deviation closed forms.  Every
-negative verdict carries a witness whose lhs/rhs re-evaluate to the violation.
+only a witness is turned back into exact Fractions; apps passes integer
+laws of its own merges to the same ssd routes.  Normal pairs use
+mean/deviation closed forms.  Every negative verdict carries a witness whose
+lhs/rhs re-evaluate to the violation.
 
 oracle_ssd and oracle_icx decide the same discrete relations through an
 unrelated finite family of test functions (E[min(X, t)] and E[(X - t)+] over
@@ -39,13 +41,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from operator import mul
 from typing import Callable, Iterator, Sequence, Union
 
 from .dists import (
     DiscreteDist,
     Dist,
     InternalError,
+    LawInts,
     Normal,
     UnsupportedPairingError,
     as_discrete,
@@ -142,17 +145,16 @@ def _decide(
 _IntLaw = tuple[Sequence[int], Sequence[int]]
 
 
-def _scale(dx: DiscreteDist, dy: DiscreteDist) -> tuple[_IntLaw, _IntLaw, int, int]:
-    """Both laws over the lcms V and D of their value and probability
-    denominators, from their integer forms."""
-    fx, fy = dx.ints, dy.ints
+def _scale(fx: LawInts, fy: LawInts) -> tuple[_IntLaw, _IntLaw, int, int]:
+    """Two integer forms (DiscreteDist.ints, or a merge's over any V and D) over
+    the lcms V and D of their value and probability scales."""
     V, D = math.lcm(fx.V, fy.V), math.lcm(fx.D, fy.D)
     return ((rescale(fx.values, V // fx.V), rescale(fx.weights, D // fx.D)),
             (rescale(fy.values, V // fy.V), rescale(fy.weights, D // fy.D)), V, D)
 
 
 def _mean(x: _IntLaw) -> int:
-    return sum(v * w for v, w in zip(*x))
+    return sum(map(mul, *x))
 
 
 def _walk(x: _IntLaw, y: _IntLaw) -> Iterator[tuple[int, int, int, int, int]]:
@@ -190,28 +192,32 @@ def _ssd_walk(x: _IntLaw, y: _IntLaw, V: int, D: int) -> OrderVerdict:
 
 
 def _icx_walk(x: _IntLaw, y: _IntLaw, V: int, D: int) -> OrderVerdict:
-    """X >=icx Y: the same walk down from the means, at the levels below p = 1."""
+    """X >=icx Y: the same walk down from the means, at the levels below p = 1
+    (at p = 1 both sides are 0)."""
     mx, my = _mean(x), _mean(y)
-    for p, _, _, gx, gy in chain(((0, 0, 0, 0, 0),), _walk(x, y)):
-        if p < D and mx - gx < my - gy:
+    if mx < my:
+        return _fails("level_p", Fraction(0), Fraction(mx, V * D), Fraction(my, V * D))
+    for p, _, _, gx, gy in _walk(x, y):
+        if mx - gx < my - gy:
             s = V * (D - p)
             return _fails("level_p", Fraction(p, D), Fraction(mx - gx, s), Fraction(my - gy, s))
     return _HOLDS
 
 
 def _ssd_exact(
-    dx: DiscreteDist, dy: DiscreteDist, x: _IntLaw, y: _IntLaw, V: int, D: int
+    inputs: Callable[[], object], x: _IntLaw, y: _IntLaw, V: int, D: int
 ) -> OrderVerdict:
     """Both exact ssd routes, which must agree: integrated lower quantiles, and
     the icx walk over both laws' lists reversed, which sums (1 - p) ES_p from
-    the top and compares E[X] - (1 - p) ES_p(X) >= E[Y] - (1 - p) ES_p(Y)."""
+    the top and compares E[X] - (1 - p) ES_p(X) >= E[Y] - (1 - p) ES_p(Y).
+    A disagreement reports inputs(), built on that path only."""
     verdict = _ssd_walk(x, y, V, D)
     dual = _icx_walk(*((v[::-1], w[::-1]) for v, w in (x, y)), V, D)
     if dual.holds != verdict.holds:
         raise InternalError(
             "ssd decision routes disagree",
             {"integrated_quantiles": verdict, "shortfall_from_top": dual},
-            (dx, dy),
+            inputs(),
         )
     return verdict
 
@@ -234,7 +240,8 @@ def _st_walk(x: _IntLaw, y: _IntLaw, V: int, D: int) -> OrderVerdict:
 
 def check_icx(x: Dist, y: Dist) -> OrderVerdict:
     """Decide X >=icx Y, i.e. ES_p(X) >= ES_p(Y) for every p in [0, 1)."""
-    return _decide("icx order check", x, y, lambda dx, dy: _icx_walk(*_scale(dx, dy)), _icx_normal)
+    return _decide("icx order check", x, y,
+                   lambda dx, dy: _icx_walk(*_scale(dx.ints, dy.ints)), _icx_normal)
 
 
 def _icx_normal(nx: Normal, ny: Normal) -> OrderVerdict:
@@ -275,7 +282,8 @@ def check_ssd(x: Dist, y: Dist) -> OrderVerdict:
     at the first violating level (p = 1 compares the means).
     """
     return _decide("ssd order check", x, y,
-                   lambda dx, dy: _ssd_exact(dx, dy, *_scale(dx, dy)), _ssd_normal)
+                   lambda dx, dy: _ssd_exact(lambda: (dx, dy), *_scale(dx.ints, dy.ints)),
+                   _ssd_normal)
 
 
 def _ssd_normal(nx: Normal, ny: Normal) -> OrderVerdict:
@@ -312,16 +320,17 @@ def _normal_lower_witness(nx: Normal, ny: Normal) -> Witness:
 def check_cx(x: Dist, y: Dist) -> OrderVerdict:
     """Decide X <=cx Y: equal means and X >=ssd Y (Y spreads X)."""
     return _decide("cx order check", x, y,
-                   lambda dx, dy: _cx_exact(dx, dy, *_scale(dx, dy)), _cx_normal)
+                   lambda dx, dy: _cx_exact(lambda: (dx, dy), *_scale(dx.ints, dy.ints)),
+                   _cx_normal)
 
 
 def _cx_exact(
-    dx: DiscreteDist, dy: DiscreteDist, x: _IntLaw, y: _IntLaw, V: int, D: int
+    inputs: Callable[[], object], x: _IntLaw, y: _IntLaw, V: int, D: int
 ) -> OrderVerdict:
     mx, my = _mean(x), _mean(y)
     if mx != my:
         return _fails("level_p", Fraction(1), Fraction(mx, V * D), Fraction(my, V * D))
-    return _ssd_exact(dx, dy, x, y, V, D)
+    return _ssd_exact(inputs, x, y, V, D)
 
 
 def _cx_normal(nx: Normal, ny: Normal) -> OrderVerdict:
@@ -334,7 +343,8 @@ def _cx_normal(nx: Normal, ny: Normal) -> OrderVerdict:
 
 def check_st(x: Dist, y: Dist) -> OrderVerdict:
     """Decide X >=st Y: P(X > t) >= P(Y > t) for every t."""
-    return _decide("st order check", x, y, lambda dx, dy: _st_walk(*_scale(dx, dy)), _st_normal)
+    return _decide("st order check", x, y,
+                   lambda dx, dy: _st_walk(*_scale(dx.ints, dy.ints)), _st_normal)
 
 
 def _st_normal(nx: Normal, ny: Normal) -> OrderVerdict:

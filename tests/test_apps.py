@@ -29,6 +29,9 @@ from stochorder import (
     bernoulli_joint,
     bernoulli_region,
     bs_put,
+    check_ssd,
+    cond_classic,
+    cond_new,
     conditional_indemnity_mean,
     expected_put_value,
     gaussian_cond_new_numeric,
@@ -187,6 +190,20 @@ class TestBernoulliRegion:
             for ri in range(-10, 11, 2):
                 bernoulli_region(BernoulliCase(F(ci, 10), F(ri, 10)))
 
+    def test_integer_route_matches_the_public_laws_over_the_table_grid(self):
+        # the region decides on the joint's integer form; the public route
+        # (laws built from bernoulli_joint) and the reference agree cell by cell
+        for ci in range(0, 16):
+            for ri in range(-10, 11):
+                case = BernoulliCase(F(ci, 10), F(ri, 10))
+                j = bernoulli_joint(case)
+                w, total = joint_marginal_w(j), joint_sum(j)
+                flags = bernoulli_region(case)
+                public = (check_ssd(w, total).holds, cond_new(j).holds, cond_classic(j).holds)
+                reference = (ref.check_ssd(w, total).holds, ref.cond_new(j).holds,
+                             ref.cond_classic(j).holds)
+                assert (flags.ssd, flags.cond_new, flags.cond_classic) == public == reference
+
 
 class TestImprovers:
     def test_gaussian_gap_cases(self):
@@ -231,6 +248,21 @@ class TestImprovers:
             assert (flags.in_s, flags.witness) == (want.holds, want.witness)
             failing += not flags.in_s
         assert failing > 50
+
+    def test_integer_route_matches_the_public_laws(self):
+        # flags and witnesses equal those of the public laws' routes and of
+        # the reference, over the generator's joints of both kinds
+        rng = random.Random(29)
+        joints = [random_joint(rng, nonneg_w=k % 2 == 1) for k in range(200)]
+        joints += [random_comonotone_improver_joint(rng) for _ in range(100)]
+        for j in joints:
+            flags = improver_check(j)
+            total, w = joint_sum(j), joint_marginal_w(j)
+            flipped = normalize_joint((a + z, -z, p) for a, z, p in j.atoms)
+            public = check_ssd(total, w)
+            assert (flags.in_s, flags.witness) == (public.holds, public.witness)
+            assert public == ref.check_ssd(total, w)
+            assert flags.in_n == cond_new(flipped).holds == ref.cond_new(flipped).holds
 
     def test_non_comonotone_rejected(self):
         # the gap exhibit is outside the comonotone case
@@ -738,13 +770,36 @@ class TestInternalErrors:
     def test_bernoulli_closed_form(self, monkeypatch):
         case = BernoulliCase(F(3, 5), F(1, 2))
         real = bernoulli_region(case)
-        monkeypatch.setattr(apps, "cond_classic", lambda j: apps.OrderVerdict(True))
+        real_first_failure = apps._first_failure  # one call decides (lower, point)
+
+        def classic_holds(*args):
+            return [real_first_failure(*args)[0], apps.OrderVerdict(True)]
+
+        monkeypatch.setattr(apps, "_first_failure", classic_holds)
         with pytest.raises(InternalError) as exc:
             bernoulli_region(case)
         routes = exc.value.routes
         assert routes["closed_form"] == real
         assert routes["checker"] == type(real)(real.ssd, real.cond_new, True)
         assert exc.value.inputs == case
+
+    def test_ssd_routes_in_both_checks(self, monkeypatch):
+        # the integer routes keep check_ssd's dual cross-check, and the
+        # error reports the public laws of the two sides
+        from stochorder import orders
+
+        monkeypatch.setattr(orders, "_icx_walk", lambda *args: apps.OrderVerdict(True))
+        drag = normalize_joint([(0, -1, F(1, 2)), (1, 0, F(1, 2))])
+        with pytest.raises(InternalError, match="ssd decision routes disagree") as exc:
+            improver_check(drag)
+        assert not exc.value.routes["integrated_quantiles"].holds
+        assert exc.value.routes["shortfall_from_top"].holds
+        assert exc.value.inputs == (joint_sum(drag), joint_marginal_w(drag))
+        case = BernoulliCase(F(2, 5), F(1, 2))  # outside the ssd region
+        with pytest.raises(InternalError, match="ssd decision routes disagree") as exc:
+            bernoulli_region(case)
+        j = bernoulli_joint(case)
+        assert exc.value.inputs == (joint_marginal_w(j), joint_sum(j))
 
     def test_stop_loss_compare(self, monkeypatch):
         j = normalize_joint([(0, 0, F(1, 2)), (2, -1, F(1, 2))])  # no dominance

@@ -483,7 +483,7 @@ class TestOneConstruction:
             dy = mean_preserving_spread(rng, dx)
             if rng.random() < 0.5:
                 dy = mean_preserving_spread(rng, dy)
-            x, y, _, D = _scale(dx, dy)
+            x, y, _, D = _scale(dx.ints, dy.ints)
             pieces, L = coupling._intermediate(x, y)
             assert all(u == x[0][i] for i, u, _ in pieces)
             curtain = coupling._left_curtain(list(zip(*x)), *y)
@@ -496,7 +496,7 @@ class TestOneConstruction:
         for _ in range(300):
             dx = random_discrete(rng, 8)
             dy = random_shift_down(rng, mean_preserving_spread(rng, dx))
-            x, y, _, D = _scale(dx, dy)
+            x, y, _, D = _scale(dx.ints, dy.ints)
             pieces, L = coupling._intermediate(x, y)
             assert len({(i, u) for i, u, _ in pieces}) == len(pieces)
             assert F(sum(mass for _, _, mass in pieces), D * L) == 1
@@ -510,7 +510,7 @@ class TestOneConstruction:
         for synth, mode, shift in ((synth_martingale, "martingale", 0),
                                    (synth_supermartingale, "supermartingale", F(1, 3))):
             ys = affine(y, 1, -shift)
-            pieces, _ = coupling._intermediate(*_scale(x, ys)[:2])
+            pieces, _ = coupling._intermediate(*_scale(x.ints, ys.ints)[:2])
             assert sum(u == 0 for _, u, _ in pieces) == 1
             res = synth(x, ys)
             assert res.feasible and len(res.coupling.cells) == n

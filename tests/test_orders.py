@@ -314,7 +314,7 @@ class TestMergeWalk:
 
     def test_each_level_names_the_atoms_holding_the_stretch_below_it(self):
         for dx, dy in self._pairs(random.Random(17), 200):
-            x, y, V, D = orders._scale(dx, dy)
+            x, y, V, D = orders._scale(dx.ints, dy.ints)
             cum_x, cum_y = list(accumulate(x[1])), list(accumulate(y[1]))
             steps = list(orders._walk(x, y))
             assert [p for p, *_ in steps] == sorted(set(cum_x) | set(cum_y))
