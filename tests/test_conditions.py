@@ -23,7 +23,7 @@ from stochorder import (
 )
 from stochorder.orders import OrderVerdict, Witness
 
-from .gen import random_joint
+from .gen import mean_preserving_spread, random_discrete, random_joint
 from .reference import is_comonotone
 
 
@@ -176,6 +176,63 @@ class TestImplications:
             False, Witness("threshold_x", F(0), F(1), F(0))
         )
         assert calls == [("lower", "upper")]
+
+
+def _quantile_joint(x, y):
+    """The comonotone joint of (X, Y) as a joint of (W, Z) = (X, Y - X):
+    on each stretch of the merged quantile grid, atom i of X holds the mass
+    just below the level and so does atom j of Y, and the cell is
+    (x_i, y_j - x_i) with the stretch's width."""
+    cells, i, j, p = [], 0, 0, F(0)
+    cx, cy = x.probs[0], y.probs[0]
+    while p < 1:
+        level = min(cx, cy)
+        cells.append((x.values[i], y.values[j] - x.values[i], level - p))
+        p = level
+        if cx == p < 1:
+            i += 1
+            cx += x.probs[i]
+        if cy == p < 1:
+            j += 1
+            cy += y.probs[j]
+    return normalize_joint(cells)
+
+
+class TestOnlyIf:
+    """The paper's conditions are sufficient, and every holding order has
+    some joint that meets them: the quantile joint of (W, W + Z), whose
+    marginals are W and W + Z."""
+
+    def _holding(self, seed, draws, decide):
+        rng, found = random.Random(seed), 0
+        for _ in range(draws):
+            j = random_joint(rng)
+            w, total = joint_marginal_w(j), joint_sum(j)
+            if decide(w, total).holds:
+                found += 1
+                q = _quantile_joint(w, total)
+                assert (joint_marginal_w(q), joint_sum(q)) == (w, total)
+                yield q
+        assert found > draws // 3
+
+    def test_dominance_yields_a_joint_meeting_the_lower_tail_condition(self):
+        for q in self._holding(20260818, 1500, check_ssd):
+            assert cond_new(q).holds, q
+
+    def test_icx_dominance_yields_a_joint_meeting_the_upper_tail_condition(self):
+        for q in self._holding(7, 1500, lambda w, total: check_icx(total, w)):
+            assert cond_icx(q).holds, q
+
+    def test_spreads_yield_a_joint_meeting_the_pair_condition(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            x = random_discrete(rng, 8)
+            y = mean_preserving_spread(rng, x)
+            if rng.random() < 0.5:
+                y = mean_preserving_spread(rng, y)
+            q = _quantile_joint(x, y)
+            assert (joint_marginal_w(q), joint_sum(q)) == (x, y)
+            assert cond_cx_pair(q).holds, (x, y)
 
 
 class TestCouplingTransport:

@@ -16,11 +16,14 @@ on every construction path, and caching it changes none of ==, hash, repr
 or pickle.
 """
 
+import importlib.util
 import math
 import pickle
 import random
+import sys
 import warnings
 from fractions import Fraction as F
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +72,8 @@ from . import gen
 from . import reference as ref
 from .gen import random_joint
 from .test_dists import with_edge_joints
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 # value families: half-integer lattice (negative values included), small
 # rationals on mixed denominators, and dyadic floats with 53-bit denominators
@@ -446,6 +451,39 @@ class TestConstructionMatchesReference:
             cells = synth_martingale(x, y).coupling.cells
             cut_inside += any((q * D).denominator != 1 for _, _, q in cells)
         assert cut_inside == 24
+
+    def test_support_cap_families_both_modes(self, monkeypatch):
+        # the four families of scripts/support_cap.py, whose windows cut
+        # atoms that later windows cut again
+        spec = importlib.util.spec_from_file_location("support_cap", SCRIPTS / "support_cap.py")
+        script = importlib.util.module_from_spec(spec)
+        monkeypatch.setattr(sys, "path", sys.path[:])  # the script puts src/ on the path
+        spec.loader.exec_module(script)
+        for name, family in script.FAMILIES.items():
+            for seed in (1, 2, 3):
+                x, y = family(random.Random(seed), 100 * seed)
+                for synth, ys, mode in ((synth_martingale, y, "martingale"),
+                                        (synth_supermartingale, affine(y, 1, -script.SHIFT),
+                                         "supermartingale")):
+                    res = synth(x, ys)
+                    assert res.feasible, (name, seed, mode)
+                    assert res.coupling.cells == ref.coupling_cells(x, ys), (name, seed, mode)
+                    assert verify_coupling(res.coupling, x, ys, mode)
+
+    def test_windows_ending_on_atoms_already_cut_both_modes(self):
+        # four rows end windows inside Y's atom -108 (column 1); its
+        # remainder goes over 11, 33 and then 165 = 3 5 11 units of 1/D
+        # (D = 110): each later cut's denominator is coprime to the last
+        x = normalize([(-330, 4), (-220, 1), (165, 3), (275, 3)])
+        y = normalize([(-438, 3), (-108, 3), (112, 1), (442, 3)])
+        cells = synth_martingale(x, y).coupling.cells
+        assert cells == ref.coupling_cells(x, y)
+        assert [(q * 110).denominator for _, j, q in cells if j == 1] == [11, 33, 55, 165]
+        assert verify_coupling(synth_martingale(x, y).coupling, x, y, "martingale")
+        ys = affine(y, 1, F(-1, 3))
+        res = synth_supermartingale(x, ys)
+        assert res.coupling.cells == ref.coupling_cells(x, ys)
+        assert verify_coupling(res.coupling, x, ys, "supermartingale")
 
 
 class TestGeneratorMatchesReference:
