@@ -40,10 +40,14 @@ names the atoms holding each merged stretch: one pass, at most one cut each.
 The decision and the construction read one scaling of the pair's integer
 forms (orders._scale): values are ints over one scale V, and masses are
 ints over one scale M = D L, with D the pair's probability scale and L the
-lcm of the cuts' denominators.  A mass becomes a Fraction only where a
-window ends inside an atom at a level that no int over M reaches, and so do
-the masses that step touches; each cell's Fraction is built once, from its
-integer parts.
+lcm of the cuts' denominators.  Where a window's last step ends inside an
+atom at a level that no int over M reaches, that atom keeps what is left of
+it as an int over its own small denominator, the step's rate over its gcd
+with the moment still missing.  A later window works over the lcm of the
+denominators of the atoms it touches and of its own last step; what it
+leaves of its two end atoms goes over that lcm, reduced, and every other
+mass stays an int over M.  Each cell's mass is summed as an integer and its
+Fraction built once.
 
 verify_coupling rechecks every built coupling with its own integer sums,
 per row and per column over the nonzero cells, independent of the
@@ -92,11 +96,11 @@ MODE_MARTINGALE = "martingale"
 # parsed, the synthesis with its recheck, the report built and serialized) in
 # both modes, three seeds of four families, three times each, and reads the
 # median of each command's three times.  Three runs on a shared 2-vCPU Xeon
-# VM, Python 3.11, whose speed varies by up to 2x: at 4500 x 4500 the medians
-# were wide 0.61-0.96 s, bimodal 0.59-0.97 s, spreads 0.19-0.54 s and a point
-# mass against the wide law 0.10-0.19 s, and the 1 s rule first failed at
-# 5000 atoms in all three (1.07, 1.13 and 1.02 s).
-_MAX_SUPPORT = 4500
+# VM, Python 3.11, whose speed varies by up to 2x: at 8000 x 8000 the medians
+# were wide 0.61-0.99 s, bimodal 0.59-0.98 s, spreads 0.32-0.74 s and a point
+# mass against the wide law 0.20-0.35 s, and the 1 s rule first failed at
+# 9000, 8500 and 8500 atoms (1.16, 1.08 and 1.14 s, the wide law at seed 3).
+_MAX_SUPPORT = 8000
 
 
 @dataclass(frozen=True)
@@ -179,7 +183,8 @@ def _compose(x: _IntLaw, y: _IntLaw, D: int) -> tuple[tuple[int, int, Fraction],
     """The cells of the coupling of X with U (_intermediate) composed with
     the left-curtain coupling of (U, Y), for laws over one value scale and
     one probability scale D; None if the curtain fails.  Pieces of one row
-    can reach one column: their cells merge."""
+    can reach one column: each cell's parts are summed as integers over one
+    denominator, and its Fraction is built once."""
     pieces, L = _intermediate(x, y)
     law_u: dict[int, int] = {}
     for _, u, mass in pieces:
@@ -188,111 +193,166 @@ def _compose(x: _IntLaw, y: _IntLaw, D: int) -> tuple[tuple[int, int, Fraction],
     curtain = _left_curtain(atoms_u, y[0], rescale(y[1], L))
     if curtain is None:
         return None
-    shadows = {u: (mass, shadow) for (u, mass), shadow in zip(atoms_u, curtain)}
+    # a piece (i, u, mass) puts share * mass / (total q D L) on cell (i, k)
+    # for each (k, share) of the shadow of u, whose shares are over q D L:
+    # share / (q D L) when the piece is all of u
     M = D * L
-    cells: dict[tuple[int, int], Fraction] = {}
+    shadows = {u: (total, q * M, shadow) for (u, total), (q, shadow) in zip(atoms_u, curtain)}
+    rows: dict[int, list[tuple[int, int, list[tuple[int, int]]]]] = {}
     for i, u, mass in pieces:
-        total, shadow = shadows[u]
-        scale = total * M
-        for k, share in shadow:
-            cell = Fraction(share * mass, scale)
-            cells[i, k] = cells[i, k] + cell if (i, k) in cells else cell
-    return tuple((i, k, p) for (i, k), p in sorted(cells.items()))
+        total, qm, shadow = shadows[u]
+        part = (1, qm, shadow) if mass == total else (mass, total * qm, shadow)
+        rows.setdefault(i, []).append(part)
+    cells = []
+    for i in sorted(rows):
+        parts = rows[i]
+        if len(parts) == 1:
+            (mass, scale, shadow), = parts
+            for k, share in shadow:
+                cells.append((i, k, Fraction(share * mass, scale)))
+            continue
+        # the row's pieces can reach one column: sum over one denominator
+        sums: dict[int, tuple[int, int]] = {}
+        for mass, scale, shadow in parts:
+            for k, share in shadow:
+                if k in sums:
+                    n, d = sums[k]
+                    g = gcd(d, scale)
+                    sums[k] = n * (scale // g) + share * mass * (d // g), d // g * scale
+                else:
+                    sums[k] = share * mass, scale
+        for k in sorted(sums):
+            cells.append((i, k, Fraction(*sums[k])))
+    return tuple(cells)
 
 
 def _left_curtain(
     rows: list[tuple[int, int]], vals: Sequence[int], rems: Sequence[int]
-) -> list[list[tuple[int, Fraction | int]]] | None:
-    """Each row's shadow as (column, mass) pairs, rows (x, a) taken
-    ascending, or None when some row has no window of barycenter x.  The
-    rows' and the columns' values (vals) share one scale, their masses
-    (a and rems) another."""
-    # the columns with mass left: index, value and remaining mass
+) -> list[tuple[int, list[tuple[int, int]]]] | None:
+    """Each row's shadow as (q, [(column, share), ...]) with the shares
+    ints over q units of the masses' scale, rows (x, a) taken ascending, or
+    None when some row has no window of barycenter x.  The rows' and the
+    columns' values (vals) share one scale, their masses (a and rems)
+    another."""
+    # the columns with mass left: index, value, and remaining mass as an
+    # int over the column's own denominator (1 until a window cuts it)
     cols, vals, rems = list(range(len(vals))), list(vals), list(rems)
-    below, k0 = 0, 0  # the mass in rems[:k0], the values below x
+    dens = [1] * len(rems)
+    base = k0 = 0  # columns below base are spent; vals[base:k0] lie below x
     out = []
     for x, a in rows:
         while k0 < len(vals) and vals[k0] < x:
-            below += rems[k0]
             k0 += 1
-        window = _shadow(x, a, vals, rems, k0, below)
+        window = _shadow(x, a, vals, rems, dens, base, k0)
         if window is None:
             return None
-        lo, shares = window
+        lo, q, shares = window
         shadow = []
         for k, share in enumerate(shares, lo):
             shadow.append((cols[k], share))
-            rems[k] -= share
-            if k < k0:
-                below -= share
-        out.append(shadow)
-        # the window empties its inner columns and perhaps its ends: one run
+            if q == 1:
+                rems[k] -= share
+            else:  # the remainder over its own lowest denominator
+                rest = rems[k] * (q // dens[k]) - share
+                g = gcd(rest, q)
+                rems[k], dens[k] = rest // g, q // g
+        out.append((q, shadow))
+        # the window empties its inner columns and perhaps its ends: one
+        # run, deleted, or skipped if it is the lowest (a del there would
+        # move every live column)
         dead = [k for k in range(lo, lo + len(shares)) if not rems[k]]
         if dead:
             d0, d1 = dead[0], dead[-1] + 1
-            del cols[d0:d1], vals[d0:d1], rems[d0:d1]
-            k0 -= max(0, min(d1, k0) - d0)
+            if d0 == base:
+                base, k0 = d1, max(k0, d1)
+            else:
+                del cols[d0:d1], vals[d0:d1], rems[d0:d1], dens[d0:d1]
+                k0 -= max(0, min(d1, k0) - d0)
     return out
 
 
 def _shadow(
-    x: int, a: int, vs: list[int], rs: list[Fraction | int], k0: int, below: Fraction | int
-) -> tuple[int, list[Fraction | int]] | None:
-    """The atoms (vs, rs) between quantile levels t and t + a, for the t at
-    which their barycenter is x, as (first index, masses), or None.
+    x: int, a: int, vs: list[int], rs: list[int], ds: list[int], base: int, k0: int
+) -> tuple[int, int, list[int]] | None:
+    """The atoms (vs, rs / ds) between quantile levels t and t + a, for the
+    t at which their barycenter is x, as (first index, q, masses over q), or
+    None.
 
-    vs[:k0], of total mass below, are the values below x.  The window slides
-    up from the highest t at which it lies wholly below x (or from t = 0);
-    between the levels where either end crosses into the next atom its
-    moment grows at the rate vs[hi] - vs[lo].  Masses stay ints until the
-    last step of a window ends inside an atom at a level no int reaches:
-    that step is a Fraction, and so is every mass it touches.
+    The atoms below base are spent, and vs[base:k0] are the values below x.
+    The window slides up from the highest t at which it lies wholly below x
+    (or from t = 0); between the levels where either end crosses into the
+    next atom its moment grows at the rate vs[hi] - vs[lo].  Its masses are
+    ints over q, which starts at 1: an atom it reaches whose denominator ds
+    does not divide q multiplies q, and every mass held, by the missing
+    factor, and so does a last step that ends inside atoms at a level no int
+    over q reaches, by the step's own denominator.
     """
-    target = x * a
-    # fill the window at the start; lo_room and hi_room are the mass of
-    # atom lo above t and of atom hi above t + a
-    moment, rest = 0, a
-    if below > a:  # the top mass a below x
-        lo, hi, hi_room = k0, k0 - 1, 0
-        while rest:
-            lo -= 1
-            step = min(rest, rs[lo])
-            moment += vs[lo] * step
-            rest -= step
-        lo_room = step
-    else:  # the bottom mass a
-        lo, hi, lo_room = 0, -1, rs[0]
+    target, moment, rest, q = x * a, 0, a, 1
+    # fill the window at the start: the top mass a below x, walking down
+    # from k0, or, if less lies below x, the bottom mass a; lo_room and
+    # hi_room are the mass of atom lo above t and of atom hi above t + a
+    lo, hi, hi_room = k0, k0 - 1, 0
+    while rest and lo > base:
+        lo -= 1
+        r, d = rs[lo], ds[lo]
+        if d != q:
+            if q % d:
+                f = d // gcd(q, d)
+                q, target, moment, rest = q * f, target * f, moment * f, rest * f
+            r *= q // d
+        step = min(rest, r)
+        moment += vs[lo] * step
+        rest -= step
+    if rest:  # the bottom mass a: every atom below x and more
         while rest:
             hi += 1
-            step = min(rest, rs[hi])
+            r, d = rs[hi], ds[hi]
+            if d != q:
+                if q % d:
+                    f = d // gcd(q, d)
+                    q, target, moment, rest = q * f, target * f, moment * f, rest * f
+                r *= q // d
+            step = min(rest, r)
             moment += vs[hi] * step
             rest -= step
-        hi_room = rs[hi] - step
+        hi_room = r - step
+        lo_room = rs[lo] * (q // ds[lo])
+    else:
+        lo_room = step
     while moment < target:
         if not hi_room:
             hi += 1
             if hi == len(vs):
                 return None
-            hi_room = rs[hi]
+            r, d = rs[hi], ds[hi]
+            if d != q:
+                if q % d:
+                    f = d // gcd(q, d)
+                    q, target, moment, lo_room = q * f, target * f, moment * f, lo_room * f
+                r *= q // d
+            hi_room = r
         step = min(lo_room, hi_room)
         rate = vs[hi] - vs[lo]
         gain = rate * step
         if moment + gain >= target:
             gain = target - moment
             step, short = divmod(gain, rate)
-            if short:
-                step = Fraction(gain, rate)
+            if short:  # the last step ends inside atoms lo and hi
+                f = rate // gcd(gain, rate)
+                q, moment, lo_room, hi_room, gain = q * f, moment * f, lo_room * f, hi_room * f, gain * f
+                target, step = target * f, gain // rate
         moment += gain
         lo_room -= step
         hi_room -= step
         if not lo_room:
             lo += 1
-            lo_room = rs[lo]
+            lo_room = rs[lo] * (q // ds[lo])
     if moment != target:
         return None
     if lo == hi:
-        return lo, [a]
-    return lo, [lo_room, *rs[lo + 1:hi], rs[hi] - hi_room]
+        return lo, q, [a * q]
+    inner = rs[lo + 1:hi] if q == 1 else [r * (q // d) for r, d in zip(rs[lo + 1:hi], ds[lo + 1:hi])]
+    return lo, q, [lo_room, *inner, rs[hi] * (q // ds[hi]) - hi_room]
 
 
 def _intermediate(x: _IntLaw, y: _IntLaw) -> tuple[list[tuple[int, int, int]], int]:

@@ -487,7 +487,7 @@ class TestOneConstruction:
             pieces, L = coupling._intermediate(x, y)
             assert all(u == x[0][i] for i, u, _ in pieces)
             curtain = coupling._left_curtain(list(zip(*x)), *y)
-            cells = tuple(sorted((i, k, F(share, D * L)) for i, shadow in enumerate(curtain)
+            cells = tuple(sorted((i, k, F(share, D * L * q)) for i, (q, shadow) in enumerate(curtain)
                                  for k, share in shadow))
             assert synth_martingale(dx, dy).coupling.cells == cells
 

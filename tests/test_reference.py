@@ -476,10 +476,10 @@ class TestConstructionMatchesReference:
         # (D = 110): each later cut's denominator is coprime to the last
         x = normalize([(-330, 4), (-220, 1), (165, 3), (275, 3)])
         y = normalize([(-438, 3), (-108, 3), (112, 1), (442, 3)])
-        cells = synth_martingale(x, y).coupling.cells
-        assert cells == ref.coupling_cells(x, y)
-        assert [(q * 110).denominator for _, j, q in cells if j == 1] == [11, 33, 55, 165]
-        assert verify_coupling(synth_martingale(x, y).coupling, x, y, "martingale")
+        res = synth_martingale(x, y)
+        assert res.coupling.cells == ref.coupling_cells(x, y)
+        assert [(q * 110).denominator for _, j, q in res.coupling.cells if j == 1] == [11, 33, 55, 165]
+        assert verify_coupling(res.coupling, x, y, "martingale")
         ys = affine(y, 1, F(-1, 3))
         res = synth_supermartingale(x, ys)
         assert res.coupling.cells == ref.coupling_cells(x, ys)
