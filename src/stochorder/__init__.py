@@ -9,16 +9,17 @@ The namespace is lazy (PEP 562): `import stochorder` loads no submodule.
 `stochorder.risk`, or `from stochorder import risk`, loads that module and
 what it imports, and nothing else; so does `cli`. The first public name
 asked for, or `__all__` (so `from stochorder import *`), or `dir(stochorder)`
-loads all six library modules and binds their public names here: the union
+loads all seven library modules and binds their public names here: the union
 of their `__all__` lists. So a command-line process loads only the modules
-its subcommand runs.
+its subcommand runs.  A submodule missing from _MODULES would load all seven
+on `from . import <it>`, which asks __getattr__ for it as a public name.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
 
-_MODULES = ("apps", "conditions", "coupling", "dists", "orders", "risk")
+_MODULES = ("apps", "conditions", "coupling", "dists", "models", "orders", "risk")
 
 
 def _load_all() -> None:

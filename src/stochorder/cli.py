@@ -13,7 +13,9 @@ into the exit code and the report's witness, and writes --out.
 Only dists is imported here, for main's error handling: each handler imports
 the modules it calls, and the dispatch tables name functions that the
 handler looks up in its module, so a process loads what its subcommand runs
-(discretize: dists alone; the apps subcommands: all but coupling).
+(discretize: dists alone; table gaussian, premium and protective-put: models
+with dists, orders and risk; table bernoulli, improver, marketable and
+stoploss-compare: apps, which loads all but coupling).
 """
 
 from __future__ import annotations
@@ -193,14 +195,14 @@ def _bernoulli_rows() -> list[dict]:
 
 
 def _gaussian_rows() -> list[dict]:
-    from . import apps
+    from . import models
 
     rows = []
     for mu in (-0.5, -0.1, 0.0, 0.1):
         for sigma in (0.5, 1.0, 2.0):
             for ri in range(-9, 10):
-                case = apps.GaussianCase(mu, sigma, ri / 10.0)
-                flags = apps.gaussian_region(case)
+                case = models.GaussianCase(mu, sigma, ri / 10.0)
+                flags = models.gaussian_region(case)
                 rows.append({
                     "mu_z": mu, "sigma_z": sigma, "rho": case.rho,
                     "ssd": int(flags.ssd), "new": int(flags.cond_new),
@@ -245,9 +247,9 @@ def _cmd_improver(args):
 
 
 def _cmd_marketable(args):
-    from . import apps
+    from . import apps, models
 
-    i = _load(args.indemnity, apps.indemnity_from_json)
+    i = _load(args.indemnity, models.indemnity_from_json)
     loss = _load(args.loss, dist_from_json)
     p0 = _parse_rational(args.p0, "premium")
     with warnings.catch_warnings(record=True) as caught:
@@ -255,22 +257,22 @@ def _cmd_marketable(args):
         verdict = apps.marketable_check(i, loss, p0)
     for w in caught:  # one plain line each, ahead of the summary
         print(f"warning: {w.message}", file=sys.stderr)
-    inputs = {"indemnity": apps.indemnity_to_json(i),
+    inputs = {"indemnity": models.indemnity_to_json(i),
               "loss": dist_to_json(loss), "p0": p0}
     state = "marketable" if verdict.holds else "not marketable"
     return inputs, {"holds": verdict.holds}, verdict, f"contract is {state} at premium {p0}"
 
 
 def _cmd_premium(args):
-    from . import apps
+    from . import models
 
-    u = apps.utility_from_spec(args.utility)
-    i = _load(args.indemnity, apps.indemnity_from_json)
+    u = models.utility_from_spec(args.utility)
+    i = _load(args.indemnity, models.indemnity_from_json)
     loss = _load(args.loss, dist_from_json)
     wealth = _parse_rational(args.wealth, "wealth")
-    value = apps.indifference_premium(u, wealth, loss, i)
+    value = models.indifference_premium(u, wealth, loss, i)
     inputs = {"utility": args.utility, "wealth": wealth,
-              "indemnity": apps.indemnity_to_json(i), "loss": dist_to_json(loss)}
+              "indemnity": models.indemnity_to_json(i), "loss": dist_to_json(loss)}
     return inputs, value, None, f"indifference premium: {value}"
 
 
@@ -296,19 +298,19 @@ def _cmd_stoploss_compare(args):
 
 
 def _cmd_protective_put(args):
-    from . import apps
+    from . import models
 
-    params = apps.BSParams(args.spot, args.strike, args.sigma, args.drift,
-                           args.horizon)
+    params = models.BSParams(args.spot, args.strike, args.sigma, args.drift,
+                             args.horizon)
     grid = None
     if args.x_grid is not None:
         try:
             grid = [float(s) for s in args.x_grid.split(",")]
         except ValueError as exc:
             raise InputError(f"bad x grid {args.x_grid!r}") from exc
-    p0 = apps.bs_put(params, 0.0, params.spot)
-    expected = apps.expected_put_value(params, args.t)
-    verdict = apps.protective_put_check(params, args.t, grid)
+    p0 = models.bs_put(params, 0.0, params.spot)
+    expected = models.expected_put_value(params, args.t)
+    verdict = models.protective_put_check(params, args.t, grid)
     inputs = {"spot": params.spot, "strike": params.strike,
               "sigma": params.sigma, "drift": params.drift,
               "horizon": params.horizon, "t": args.t}
@@ -394,7 +396,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drift", type=float, required=True)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--x-grid", help="comma-separated thresholds (default: auto grid)")
+    p.add_argument("--x-grid", help="comma-separated thresholds, checked finite; the verdict "
+                   "holds at every x, so at these too")
     p.set_defaults(handler=_cmd_protective_put)
 
     return parser

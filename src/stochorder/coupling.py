@@ -442,10 +442,13 @@ def verify_coupling(c: Coupling, x: Dist, y: Dist, mode: str) -> bool:
 
 
 def _joint_cells(c: Coupling) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """The coupling's nonzero cells as (w, z, mass) with z = y - w; cells
-    ascending in (row, column) ascend in (w, z)."""
-    ws, ys = c.row_values, c.col_values
-    return [(ws[i], ys[j] - ws[i], mass) for i, j, mass in c.cells if mass]
+    """The coupling's nonzero cells as (w, z, mass) with z = y - w, each z one
+    int difference over the lcm V of every row and column value's
+    denominator; cells ascending in (row, column) ascend in (w, z)."""
+    ws = c.row_values
+    ints, V = as_integers([*ws, *c.col_values])
+    xs, ys = ints[:len(ws)], ints[len(ws):]
+    return [(ws[i], Fraction(ys[j] - xs[i], V), mass) for i, j, mass in c.cells if mass]
 
 
 def coupling_to_joint(c: Coupling) -> JointDist:

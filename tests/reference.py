@@ -28,11 +28,19 @@ a Fraction, where the library carries masses as integers over one scale.
 solve_transport decides coupling feasibility by exact LP: a dense phase-1
 simplex over Fractions with Bland's rule.  Its cost grows steeply with the
 support sizes, so the tests call it on at most 6 x 6 atoms.
+expected_put_value and protective_put_check are the protective put by a
+200-node Gauss-Legendre rule (built by Newton's method on P_n) over the
+real-world law of the spot, with a put price of their own: the mean, and the
+conditional drift condition at every point of an x grid, each conditioning
+event a lower tail of the generator found by bisection, where the library
+reads both off closed forms.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 
 from stochorder import (
@@ -47,6 +55,7 @@ from stochorder import (
     joint_marginal_w,
     joint_sum,
 )
+from stochorder.dists import bisection
 from stochorder.orders import OrderVerdict, Witness
 
 _ZERO = Fraction(0)
@@ -625,3 +634,113 @@ def _phase_one(
         if basis[i] < n:
             solution[basis[i]] = b[i]
     return solution
+
+
+# ---------------------------------------------------------------------------
+# Protective put by quadrature
+# ---------------------------------------------------------------------------
+
+_QUAD_NODES = 200
+_QUAD_RANGE = 8.0
+
+
+@cache
+def _leggauss() -> tuple[list[float], list[float]]:
+    """The _QUAD_NODES-point Gauss-Legendre rule on [-1, 1], nodes ascending:
+    Newton's method on P_n from Tricomi's estimate of each positive root, with
+    weight 2 / ((1 - x^2) P_n'(x)^2) at the converged root; n is even, so the
+    negative roots mirror the positive ones."""
+    n = _QUAD_NODES
+    xs, ws = [], []
+    for k in range(1, n // 2 + 1):
+        x = (1 - (n - 1) / (8 * n**3)) * math.cos(math.pi * (k - 0.25) / (n + 0.5))
+        for _ in range(20):
+            p0, p1 = 1.0, x
+            for m in range(2, n + 1):
+                p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+            dp = n * (x * p1 - p0) / (x * x - 1.0)
+            if abs(p1 / dp) <= 2e-16 * x:
+                break
+            x -= p1 / dp
+        xs.append(x)
+        ws.append(2.0 / ((1.0 - x * x) * dp * dp))
+    return [-x for x in xs] + xs[::-1], ws + ws[::-1]
+
+
+def _phi(g: float) -> float:
+    return math.exp(-0.5 * g * g) / math.sqrt(2.0 * math.pi)
+
+
+def _cdf(g: float) -> float:
+    return 0.5 * math.erfc(-g / math.sqrt(2.0))
+
+
+def put_price(params, tau: float, spot: float) -> float:
+    """The zero-rate Black-Scholes put with tau to expiry, K CDF(-d2) - S CDF(-d1)."""
+    srt = params.sigma * math.sqrt(tau)
+    d1 = (math.log(spot / params.strike) + 0.5 * srt * srt) / srt
+    return params.strike * _cdf(srt - d1) - spot * _cdf(-d1)
+
+
+def spot_at(params, t: float, g: float) -> float:
+    """S_t under the real-world law at the standard normal generator value g."""
+    return params.spot * math.exp((params.drift - 0.5 * params.sigma**2) * t
+                                  + params.sigma * math.sqrt(t) * g)
+
+
+def _density_weights(lo: float, hi: float) -> tuple[list[float], list[float]]:
+    """Gauss-Legendre nodes on [lo, hi], each weight times the normal density there."""
+    xs, ws = _leggauss()
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    gs = [mid + half * x for x in xs]
+    return gs, [half * w * _phi(g) for g, w in zip(gs, ws)]
+
+
+def _positions(params, t: float, gs: list[float], p0: float) -> tuple[list[float], list[float]]:
+    """(put, position S_t + P_t - P_0) at time t on generator values."""
+    spots = [spot_at(params, t, g) for g in gs]
+    puts = [put_price(params, params.horizon - t, s) for s in spots]
+    return puts, [s + p - p0 for s, p in zip(spots, puts)]
+
+
+def expected_put_value(params, t: float) -> float:
+    """E[P_t] by a 200-node Gauss-Legendre rule over 8 standard deviations."""
+    gs, wphi = _density_weights(-_QUAD_RANGE, _QUAD_RANGE)
+    puts, _ = _positions(params, t, gs, 0.0)
+    return math.fsum(w * p for w, p in zip(wphi, puts))
+
+
+def protective_put_check(params, t: float, x_grid=None, tol: float = 1e-9) -> OrderVerdict:
+    """E[P_t - P_0 | S_t + P_t - P_0 <= x] >= -tol max(spot, strike) at every
+    x of the grid, each conditional mean a quadrature over the lower tail of
+    the generator that the position's bisection ends; first the whole space.
+    The default grid is 101 points over 5 standard deviations of the position
+    around its mean; points below the reachable positions are skipped.  The
+    lower-tail reading needs the put decreasing and the position increasing
+    in the spot, which is asserted at the nodes."""
+    p0 = put_price(params, params.horizon, params.spot)
+    unit = max(params.spot, params.strike)
+    gs, wphi = _density_weights(-_QUAD_RANGE, _QUAD_RANGE)
+    puts, positions = _positions(params, t, gs, p0)
+    assert all(b - a <= 1e-12 * unit for a, b in zip(puts, puts[1:]))
+    assert all(a - b <= 1e-12 * unit for a, b in zip(positions, positions[1:]))
+    gain = math.fsum(w * p for w, p in zip(wphi, puts)) - p0
+    if gain < -tol * unit:
+        return OrderVerdict(False, Witness("threshold_x", positions[-1], gain, 0.0))
+    if x_grid is None:
+        mean = math.fsum(w * x for w, x in zip(wphi, positions))
+        sd = math.sqrt(max(math.fsum(w * x * x for w, x in zip(wphi, positions)) - mean**2, 0.0))
+        x_grid = [mean + sd * (-5.0 + k / 10.0) for k in range(101)]
+    for x in sorted(x_grid):
+        if x < positions[0]:
+            continue  # event probability below quadrature resolution
+        g_hi = _QUAD_RANGE
+        if x < positions[-1]:
+            g_hi = bisection(lambda g: _positions(params, t, [g], p0)[1][0] <= x,
+                             -_QUAD_RANGE, _QUAD_RANGE, 1e-12)
+        sub_g, sub_wphi = _density_weights(-_QUAD_RANGE, g_hi)
+        sub_puts, _ = _positions(params, t, sub_g, p0)
+        cond = math.fsum(w * (p - p0) for w, p in zip(sub_wphi, sub_puts)) / math.fsum(sub_wphi)
+        if cond < -tol * unit:
+            return OrderVerdict(False, Witness("threshold_x", x, cond, 0.0))
+    return _HOLDS

@@ -52,7 +52,7 @@ from stochorder import (
     stop_loss_compare,
     utility_from_spec,
 )
-from stochorder import apps
+from stochorder import apps, models
 from stochorder.orders import Witness
 from stochorder.dists import norm_cdf, norm_pdf
 
@@ -753,7 +753,7 @@ class TestInternalErrors:
 
     def test_gaussian_numeric_route(self, monkeypatch):
         case = GaussianCase(-0.2, 0.5, 0.3)  # cond_new holds analytically
-        monkeypatch.setattr(apps, "gaussian_cond_new_numeric", lambda c: False)
+        monkeypatch.setattr(models, "gaussian_cond_new_numeric", lambda c: False)
         with pytest.raises(InternalError) as exc:
             gaussian_region(case)
         assert exc.value.routes == {"numeric_lower_tail": False, "analytic": True}
@@ -761,7 +761,7 @@ class TestInternalErrors:
 
     def test_gaussian_parametric_route(self, monkeypatch):
         case = GaussianCase(-0.1, 1.0, -0.6)  # outside the ssd region
-        monkeypatch.setattr(apps, "gaussian_ssd_check", lambda c: True)
+        monkeypatch.setattr(models, "gaussian_ssd_check", lambda c: True)
         with pytest.raises(InternalError) as exc:
             gaussian_region(case)
         assert exc.value.routes == {"parametric_ssd": True, "analytic": False}
@@ -812,21 +812,16 @@ class TestInternalErrors:
         assert any(s < b for s, b in zip(summed, base))
         assert exc.value.inputs[0] == j
 
-    @pytest.mark.parametrize("column", [1, 2])
-    def test_put_and_position_monotonicity(self, monkeypatch, column):
-        real = apps._position_values
-
-        def bumped(*args):
-            values = list(real(*args))
-            values[column] = values[column].copy()
-            values[column][100] += -1.0 if column == 2 else 1.0
-            return tuple(values)
-
-        monkeypatch.setattr(apps, "_position_values", bumped)
-        params = TestProtectivePut.PARAMS
-        with pytest.raises(InternalError) as exc:
+    @pytest.mark.parametrize("drift, bump", [(-0.05, -1.0), (0.05, 1.0)],
+                             ids=["closed-form-loss", "theorem-fails"])
+    def test_put_drift_theorem_against_the_closed_form(self, monkeypatch, drift, bump):
+        # the drift's sign and the sign of E[P_t] - P_0 must agree; a positive
+        # drift is set past BSParams' rule
+        params = BSParams(1.0, 1.0, 0.2, min(drift, 0.0), 1.0)
+        object.__setattr__(params, "drift", drift)
+        p0 = bs_put(params, 0.0, params.spot)
+        monkeypatch.setattr(models, "expected_put_value", lambda params, t: p0 + bump)
+        with pytest.raises(InternalError, match="the drift's sign and the closed-form mean") as exc:
             protective_put_check(params, 0.5)
-        name = "puts" if column == 1 else "positions"
-        assert set(exc.value.routes) == {"spots", name}
-        assert len(exc.value.routes[name]) == len(exc.value.routes["spots"]) == 200
+        assert exc.value.routes == {"drift_theorem": drift <= 0, "closed_form_gain": bump}
         assert exc.value.inputs == (params, 0.5)

@@ -661,9 +661,11 @@ def test_cli_import_leaves_numpy_out():
 
 
 # The package modules each subcommand loads, past the package itself: a
-# handler imports what it calls, so coupling loads for synthesize alone and
-# apps for the six applied subcommands alone.
-_APPLIED = {"dists", "risk", "orders", "conditions", "apps"}
+# handler imports what it calls, so coupling loads for synthesize alone, apps
+# (and with it conditions and models) for the applied subcommands that run
+# the exact checkers, and models alone for the float routes.
+_APPLIED = {"dists", "risk", "orders", "conditions", "models", "apps"}
+_MODELS = {"dists", "risk", "orders", "models"}
 FOOTPRINT = {
     "es": {"dists", "risk"},
     "phi": {"dists", "risk"},
@@ -672,12 +674,12 @@ FOOTPRINT = {
     "check-cond": {"dists", "risk", "orders", "conditions"},
     "synthesize": {"dists", "risk", "orders", "coupling"},
     "discretize": {"dists"},
-    "table": _APPLIED,
+    "table": _APPLIED,  # table bernoulli, the argv INVOCATIONS holds
     "improver": _APPLIED,
     "marketable": _APPLIED,
-    "premium": _APPLIED,
+    "premium": _MODELS,
     "stoploss-compare": _APPLIED,
-    "protective-put": _APPLIED,
+    "protective-put": _MODELS,
 }
 
 # one input per family that exits 2 on a missing file, or on a bad grid
@@ -728,6 +730,11 @@ class TestStartup:
         code, modules, out = _footprint(argv, tmp_path)
         assert code in (0, 1), out.stderr
         assert modules == FOOTPRINT[subcommand]
+
+    def test_table_gaussian_loads_models_alone(self, tmp_path):
+        code, modules, out = _footprint(["table", "gaussian", "--format", "json"], tmp_path)
+        assert code == 0, out.stderr
+        assert modules == _MODELS
 
     @pytest.mark.parametrize("family", sorted(_MISSING))
     def test_an_input_error_loads_no_more(self, family, tmp_path):

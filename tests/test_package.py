@@ -1,8 +1,9 @@
 """Package hygiene: no unread imports (in the tests and scripts too), no
 writes through an object's __dict__, no numpy at run time, a reference
-module that imports none of the routes it checks, the Newton-built
-Gauss-Legendre rule of apps against numpy's, and the lazy package namespace
-(what each name loads, and `import *` binding the modules' public names)."""
+module that imports none of the routes it checks, the reference's
+Newton-built Gauss-Legendre rule against numpy's, and the lazy package
+namespace (what each name loads, every library module listed in it, and
+`import *` binding the modules' public names)."""
 
 import ast
 import json
@@ -15,7 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochorder import apps
+import stochorder
+
+from . import reference as ref
 
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
@@ -179,21 +182,21 @@ def test_numeric_routes_never_load_numpy(argv):
 
 class TestLegendreRule:
     def test_matches_numpy(self):
-        xs, ws = apps._leggauss()
-        nx, nw = np.polynomial.legendre.leggauss(apps._QUAD_NODES)
-        assert len(xs) == len(ws) == apps._QUAD_NODES
+        xs, ws = ref._leggauss()
+        nx, nw = np.polynomial.legendre.leggauss(ref._QUAD_NODES)
+        assert len(xs) == len(ws) == ref._QUAD_NODES
         assert np.max(np.abs(np.array(xs) - nx)) <= 1e-14
         assert np.max(np.abs(np.array(ws) - nw)) <= 1e-14
 
     def test_nodes_ascend_and_weights_sum_to_two(self):
-        xs, ws = apps._leggauss()
+        xs, ws = ref._leggauss()
         assert all(a < b for a, b in zip(xs, xs[1:]))
         assert -1.0 < xs[0] and xs[-1] < 1.0
         assert math.fsum(ws) == pytest.approx(2.0, abs=1e-14)
 
     def test_exact_up_to_degree_2n_minus_1(self):
-        xs, ws = apps._leggauss()
-        for k in range(2 * apps._QUAD_NODES):
+        xs, ws = ref._leggauss()
+        for k in range(2 * ref._QUAD_NODES):
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
             got = math.fsum(w * x**k for x, w in zip(xs, ws))
             assert got == pytest.approx(exact, abs=1e-14), k
@@ -208,10 +211,16 @@ def _fresh(probe: str):
 
 
 _LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('stochorder'))))"
-_PUBLIC_MODULES = ["apps", "conditions", "coupling", "dists", "orders", "risk"]
+_PUBLIC_MODULES = ["apps", "conditions", "coupling", "dists", "models", "orders", "risk"]
 
 
 class TestLazyNamespace:
+    def test_every_library_module_is_listed(self):
+        # `from . import m` for an unlisted m asks __getattr__ for a public
+        # name, which loads every listed module
+        library = {p.stem for p in (SRC / "stochorder").glob("*.py")} - {"__init__", "cli"}
+        assert sorted(library) == sorted(stochorder._MODULES) == _PUBLIC_MODULES
+
     def test_import_loads_no_submodule(self):
         probe = "import stochorder\nassert stochorder.__version__ == '0.1.0'\n" + _LOADED
         assert _fresh(probe) == ["stochorder"]

@@ -8,8 +8,11 @@ dependence conditions and the discrete marketability check are compared
 with the per-point evaluations in `tests/reference.py`: the whole verdict
 must be equal, witness included, and every witness field must be an exact
 Fraction.  stop_loss and stop_loss_compare equal per-deductible Fraction
-sums.  Coupling synthesis is compared with exact LP feasibility on small
-supports and, cell for cell, with the construction over Fractions, and
+sums.  The protective put's closed forms (E[P_t], and the verdict by the
+drift's sign) are compared with a 200-node quadrature and with scipy's quad
+on random cases.  Coupling synthesis is compared with exact LP feasibility
+on small supports and, cell for cell (joint cells included), with the
+construction over Fractions, and
 random_joint draws the joints its Fraction-hashing form drew.  The
 integer form each finite law caches is as_integers of its public Fractions
 on every construction path, and caching it changes none of ==, hash, repr
@@ -27,9 +30,11 @@ from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from stochorder import (
     Bernoulli,
+    BSParams,
     DiscreteDist,
     Exponential,
     FixedIndemnity,
@@ -42,6 +47,7 @@ from stochorder import (
     StopLossIndemnity,
     affine,
     as_discrete,
+    bs_put,
     check_cx,
     check_icx,
     check_ssd,
@@ -52,6 +58,7 @@ from stochorder import (
     cond_new,
     cond_on_difference,
     discretize,
+    expected_put_value,
     improver_check,
     joint_marginal_w,
     joint_sum,
@@ -60,11 +67,13 @@ from stochorder import (
     normalize_joint,
     oracle_icx,
     oracle_ssd,
+    protective_put_check,
     stop_loss_compare,
     synth_martingale,
     synth_supermartingale,
     verify_coupling,
 )
+from stochorder.coupling import _joint_cells
 from stochorder.dists import as_integers
 from stochorder.risk import es, phi, stop_loss
 
@@ -399,6 +408,75 @@ class TestMarketabilityMatchesReference:
             _assert_exact_equal(marketable_check(i, x, p0), ref.marketable_check(i, x, p0))
 
 
+# tolerances in units of max(spot, strike).  Over the 300 draws below the
+# closed form meets scipy's adaptive quad within 2e-16 and the 200-node rule
+# of the reference within 5e-15.  That rule loses digits as t nears the
+# horizon, where P_t nears the kinked payoff: at-the-money puts (sigma 0.05
+# to 1, horizon 0.05 to 5) read up to 1.2e-9 at t = 0.99 horizon, 1e-15 at
+# t = 0.9 horizon.
+_QUAD_TOL = 1e-12
+_RULE_TOL = 1e-8
+
+
+def _put_draws(seed, count, drift=lambda rng: -rng.uniform(0.0, 0.5)):
+    """Random protective-put cases: spot over strike from 1e-3 to 1e3, strike
+    from 1e-3 to 1e3, sigma in [0.05, 1], horizon in [0.05, 5] and t inside
+    (0, horizon)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        strike, horizon = 10 ** rng.uniform(-3, 3), rng.uniform(0.05, 5.0)
+        params = BSParams(strike * 10 ** rng.uniform(-3, 3), strike, rng.uniform(0.05, 1.0),
+                          0.0, horizon)
+        object.__setattr__(params, "drift", drift(rng))  # a positive drift past BSParams' rule
+        yield params, horizon * rng.uniform(0.01, 0.99)
+
+
+def _lower_tail_gain(params, t, g_hi, p0):
+    """E[P_t - P_0 | G <= g_hi] by scipy's adaptive quadrature over the generator G."""
+    def integrand(g):
+        return (ref.put_price(params, params.horizon - t, ref.spot_at(params, t, g)) - p0) * ref._phi(g)
+
+    unit = max(params.spot, params.strike)
+    value, err = quad(integrand, -12.0, g_hi, epsabs=1e-14 * unit, epsrel=1e-13, limit=200)
+    assert err <= 1e-13 * unit
+    return value / ref._cdf(g_hi)
+
+
+class TestProtectivePutMatchesReference:
+    """E[P_t] and the verdict by closed forms against 200-node quadrature and
+    scipy's quad, over 300 random cases with nonpositive drift."""
+
+    def test_expected_put_value(self):
+        for params, t in _put_draws(27, 300):
+            unit = max(params.spot, params.strike)
+            got = expected_put_value(params, t)
+            assert abs(got - ref.expected_put_value(params, t)) <= _RULE_TOL * unit
+            p0 = bs_put(params, 0.0, params.spot)
+            assert abs(got - p0 - _lower_tail_gain(params, t, 12.0, p0)) <= _QUAD_TOL * unit
+
+    def test_verdict_holds_on_every_lower_tail(self):
+        for params, t in _put_draws(28, 300):
+            assert protective_put_check(params, t) == ref.protective_put_check(
+                params, t, [ref._positions(params, t, [g], 0.0)[1][0] for g in range(-4, 5)])
+            p0 = bs_put(params, 0.0, params.spot)
+            unit = max(params.spot, params.strike)
+            assert all(_lower_tail_gain(params, t, g, p0) >= -1e-9 * unit for g in (-2.0, 0.0, 2.0))
+
+    def test_a_positive_drift_fails_on_the_whole_space(self):
+        # past BSParams' rule the theorem's verdict fails, and the reference
+        # finds the mean gain below zero; a put worth almost nothing cannot
+        # lose 1e-9 of max(spot, strike), so the put is at the money
+        draws = _put_draws(29, 100, drift=lambda rng: rng.uniform(0.05, 0.5))
+        for params, t in draws:
+            object.__setattr__(params, "spot", params.strike)
+            v = protective_put_check(params, t)
+            assert not v.holds and not ref.protective_put_check(params, t).holds
+            w = v.witness
+            assert (w.kind, w.value, w.rhs) == ("threshold_x", math.inf, 0.0)
+            p0 = bs_put(params, 0.0, params.spot)
+            assert abs(w.lhs - _lower_tail_gain(params, t, 12.0, p0)) <= _QUAD_TOL * params.strike
+
+
 SYNTH_MODES = [
     (synth_supermartingale, check_ssd, "supermartingale"),
     (synth_martingale, check_cx, "martingale"),
@@ -420,8 +498,14 @@ class TestSynthesisMatchesReference:
                 assert res.certificate == verdict.witness
 
 
+def _joint_cells_of(x, y, cells):
+    """The (w, z, mass) cells of the reference's (row, column, mass) cells."""
+    return [(x.values[i], y.values[j] - x.values[i], m) for i, j, m in cells if m]
+
+
 class TestConstructionMatchesReference:
-    """The integer construction builds exactly the cells of the Fraction one."""
+    """The integer construction builds exactly the cells of the Fraction one,
+    and the (w, z, mass) cells that synthesize reports read z = y - w off them."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -433,7 +517,9 @@ class TestConstructionMatchesReference:
             for synth, _, _ in SYNTH_MODES:
                 res = synth(x, y)
                 if res.feasible:
-                    assert res.coupling.cells == ref.coupling_cells(x, y)
+                    cells = ref.coupling_cells(x, y)
+                    assert res.coupling.cells == cells
+                    assert _joint_cells(res.coupling) == _joint_cells_of(x, y, cells)
 
     def test_windows_ending_inside_atoms_both_modes(self):
         cut_inside = 0
@@ -467,7 +553,9 @@ class TestConstructionMatchesReference:
                                          "supermartingale")):
                     res = synth(x, ys)
                     assert res.feasible, (name, seed, mode)
-                    assert res.coupling.cells == ref.coupling_cells(x, ys), (name, seed, mode)
+                    cells = ref.coupling_cells(x, ys)
+                    assert res.coupling.cells == cells, (name, seed, mode)
+                    assert _joint_cells(res.coupling) == _joint_cells_of(x, ys, cells)
                     assert verify_coupling(res.coupling, x, ys, mode)
 
     def test_windows_ending_on_atoms_already_cut_both_modes(self):

@@ -32,8 +32,9 @@ def test_cli_startup_times_every_subcommand_in_both_states():
     assert all(float(ms) > 0 for row in rows.values() for ms in row[:2])
     assert rows["discretize"][2:] == ["dists"]
     assert rows["synthesize"][2:] == ["coupling", "dists", "orders", "risk"]
-    assert all("coupling" not in row and "apps" in row
-               for name, row in rows.items() if name.startswith(("table", "protective")))
+    assert rows["table-bernoulli"][2:] == ["apps", "conditions", "dists", "models", "orders", "risk"]
+    assert all(rows[name][2:] == ["dists", "models", "orders", "risk"]
+               for name in ("table-gaussian", "protective-put", "premium"))
 
 
 def test_bit_growth_times_laws_and_joints_at_one_size(monkeypatch, capsys):
