@@ -22,7 +22,14 @@ holds through the rounds, and the rounds interleave the subcommands and both
 states.  Prints the median wall ms per subcommand and state, the bare
 interpreter's first.  Exits 1 if a call exits with a code other than 0 or 1.
 
+--against PATH times the `src/` of a second checkout in the same rounds:
+each tree gets bytecode folders of its own, and every call of this tree is
+paired with the same call of the other, the pair's order alternating, so a
+slow phase of the machine falls on both trees alike.  Each state then has a
+second column, marked *, for the other tree.
+
     python3 scripts/cli_startup.py --rounds 10
+    python3 scripts/cli_startup.py --rounds 20 --against ../parent-checkout
 """
 
 import argparse
@@ -96,8 +103,8 @@ def _argv(name: str) -> list[str]:
     return [sys.executable, "-m", "stochorder.cli", *COMMANDS[name]]
 
 
-def _env(prefix: Path, write: bool) -> dict:
-    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+def _env(src: Path, prefix: Path, write: bool) -> dict:
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p),
                PYTHONPYCACHEPREFIX=str(prefix))
     env.pop("PYTHONDONTWRITEBYTECODE", None)
@@ -113,48 +120,63 @@ def _call(argv: list[str], env: dict, cwd: Path) -> subprocess.CompletedProcess:
     return proc
 
 
-def _fill(prefix: Path, state: str, work: Path) -> dict[str, list[str]]:
-    """Fill a state's bytecode folder; the package modules each subcommand loaded."""
+def _fill(src: Path, prefix: Path, state: str, work: Path) -> dict[str, list[str]]:
+    """Fill a tree's bytecode folder of a state; the package modules each
+    subcommand loaded."""
     loaded = {}
     for name in COMMANDS:
-        proc = _call([sys.executable, "-c", PROBE, *COMMANDS[name]], _env(prefix, True), work)
+        proc = _call([sys.executable, "-c", PROBE, *COMMANDS[name]], _env(src, prefix, True), work)
         loaded[name] = json.loads(proc.stdout.splitlines()[-1])
-    package = prefix / SRC.resolve().relative_to(SRC.resolve().anchor)
+    package = prefix / src.resolve().relative_to(src.resolve().anchor)
     shutil.rmtree(package, ignore_errors=True)
     if state == "compiled":
         subprocess.run([sys.executable, "-X", f"pycache_prefix={prefix}", "-m", "compileall",
-                        "-q", str(SRC / "stochorder")], check=True)
+                        "-q", str(src / "stochorder")], check=True)
     return loaded
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rounds", type=int, default=5, help="timed calls per subcommand and state")
-    args = parser.parse_args()
+    parser.add_argument("--against", type=Path, metavar="PATH",
+                        help="a second checkout whose src/ is timed call for call with this one")
+    args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    srcs = [SRC]
+    if args.against is not None:
+        srcs.append(args.against.resolve() / "src")
+        if not (srcs[1] / "stochorder").is_dir():
+            parser.error(f"--against: {args.against} has no src/stochorder")
+    trees = range(len(srcs))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name, obj in INPUTS.items():
             (work / name).write_text(json.dumps(obj))
-        prefixes = {state: work / f"pycache-{state}" for state in STATES}
-        loaded = _fill(prefixes["none"], "none", work)
-        _fill(prefixes["compiled"], "compiled", work)
+        prefixes = {(t, state): work / f"pycache-{t}-{state}" for t in trees for state in STATES}
+        loaded = {key: _fill(srcs[key[0]], prefix, key[1], work) for key, prefix in prefixes.items()}
         names = [BARE, *COMMANDS]
-        wall = {(state, name): [] for state in STATES for name in names}
+        wall = {(t, state, name): [] for t in trees for state in STATES for name in names}
+        calls = 0
         for r in range(args.rounds):
             for state in STATES[::1 if r % 2 == 0 else -1]:
-                env = _env(prefixes[state], False)
+                envs = [_env(src, prefixes[t, state], False) for t, src in enumerate(srcs)]
                 for name in names:
-                    start = time.perf_counter()
-                    _call(_argv(name), env, work)
-                    wall[state, name].append((time.perf_counter() - start) * 1e3)
+                    for t in trees[::1 if calls % 2 == 0 else -1]:
+                        start = time.perf_counter()
+                        _call(_argv(name), envs[t], work)
+                        wall[t, state, name].append((time.perf_counter() - start) * 1e3)
+                    calls += 1
     print(f"median wall ms over {args.rounds} round(s), Python {sys.version.split()[0]}")
-    print(f"{'subcommand':<20}{'none':>9}{'compiled':>10}  package modules loaded")
+    if args.against is not None:
+        print(f"* {srcs[1]}, alternated call for call with {SRC}")
+    columns = [(state, t, state + "*" * t) for state in STATES for t in trees]
+    header = "".join(f"{label:>{max(9, len(label) + 2)}}" for _, _, label in columns)
+    print(f"{'subcommand':<20}{header}  package modules loaded")
     for name in names:
-        cells = "".join(f"{statistics.median(wall[state, name]):>{w}.1f}"
-                        for state, w in zip(STATES, (9, 10)))
-        modules = " ".join(loaded[name]) if name != BARE else "-"
+        cells = "".join(f"{statistics.median(wall[t, state, name]):>{max(9, len(label) + 2)}.1f}"
+                        for state, t, label in columns)
+        modules = " ".join(loaded[0, "none"][name]) if name != BARE else "-"
         print(f"{name:<20}{cells}  {modules}")
     return 0
 

@@ -17,10 +17,11 @@ ascending order, and each takes its shadow in what is left of Y: the
 remaining mass between quantile levels t and t + a whose barycenter is x.
 The window's first moment G(t + a) - G(t), with G the integrated quantile of
 the remainder, is piecewise linear and nondecreasing in t, so t is solved
-for exactly by sliding the window up through the atoms, starting from the
-highest t at which it still lies wholly below x.  While U <=cx Y every
-window exists: the shadow of a sum of measures exists and is the shadow of
-the first part followed by the shadow of the second in what the first left.
+for exactly: one loop fills the window at the highest t at which it lies
+wholly below x (or at t = 0), and the window slides up from there, carrying
+the moment it still misses down to zero.  While U <=cx Y every window
+exists: the shadow of a sum of measures exists and is the shadow of the
+first part followed by the shadow of the second in what the first left.
 
 U is the intermediate law: with G_X and G_Y the integrated quantiles (the
 integrals of Q_X and Q_Y over (0, p)), put h(p) = min over q >= p of
@@ -279,47 +280,36 @@ def _shadow(
     None.
 
     The atoms below base are spent, and vs[base:k0] are the values below x.
-    The window slides up from the highest t at which it lies wholly below x
-    (or from t = 0); between the levels where either end crosses into the
-    next atom its moment grows at the rate vs[hi] - vs[lo].  Its masses are
-    ints over q, which starts at 1: an atom it reaches whose denominator ds
-    does not divide q multiplies q, and every mass held, by the missing
-    factor, and so does a last step that ends inside atoms at a level no int
-    over q reaches, by the step's own denominator.
+    One loop fills the window at the highest t at which it lies wholly below
+    x: the atoms below x going down from k0 - 1, then, if they hold less
+    than a, those from k0 up (t = 0).  The window slides up from there, and
+    between the levels where either end crosses into the next atom, need,
+    the moment x a less its own, falls at the rate vs[hi] - vs[lo].  Its
+    masses are ints over q, which starts at 1: an atom it reaches whose
+    denominator ds does not divide q multiplies q, need and the mass it
+    tracks by the missing factor, and so does a last step that ends inside
+    atoms at a level no int over q reaches, by the step's own denominator.
     """
-    target, moment, rest, q = x * a, 0, a, 1
-    # fill the window at the start: the top mass a below x, walking down
-    # from k0, or, if less lies below x, the bottom mass a; lo_room and
-    # hi_room are the mass of atom lo above t and of atom hi above t + a
-    lo, hi, hi_room = k0, k0 - 1, 0
-    while rest and lo > base:
-        lo -= 1
-        r, d = rs[lo], ds[lo]
+    need, rest, q, k, dk = x * a, a, 1, k0, -1
+    while rest:
+        k += dk
+        if k < base:  # every atom below x is in: go up from k0
+            k, dk = k0, 1
+        r, d = rs[k], ds[k]
         if d != q:
             if q % d:
                 f = d // gcd(q, d)
-                q, target, moment, rest = q * f, target * f, moment * f, rest * f
+                q, need, rest = q * f, need * f, rest * f
             r *= q // d
         step = min(rest, r)
-        moment += vs[lo] * step
+        need -= vs[k] * step
         rest -= step
-    if rest:  # the bottom mass a: every atom below x and more
-        while rest:
-            hi += 1
-            r, d = rs[hi], ds[hi]
-            if d != q:
-                if q % d:
-                    f = d // gcd(q, d)
-                    q, target, moment, rest = q * f, target * f, moment * f, rest * f
-                r *= q // d
-            step = min(rest, r)
-            moment += vs[hi] * step
-            rest -= step
-        hi_room = r - step
-        lo_room = rs[lo] * (q // ds[lo])
-    else:
-        lo_room = step
-    while moment < target:
+    # lo_room and hi_room are the mass of atom lo above t and of atom hi above t + a
+    if k < k0:  # the top mass a below x
+        lo, hi, lo_room, hi_room = k, k0 - 1, step, 0
+    else:  # the bottom mass a: every atom below x and more
+        lo, hi, lo_room, hi_room = base, k, rs[base] * (q // ds[base]), r - step
+    while need > 0:
         if not hi_room:
             hi += 1
             if hi == len(vs):
@@ -328,26 +318,25 @@ def _shadow(
             if d != q:
                 if q % d:
                     f = d // gcd(q, d)
-                    q, target, moment, lo_room = q * f, target * f, moment * f, lo_room * f
+                    q, need, lo_room = q * f, need * f, lo_room * f
                 r *= q // d
             hi_room = r
         step = min(lo_room, hi_room)
         rate = vs[hi] - vs[lo]
         gain = rate * step
-        if moment + gain >= target:
-            gain = target - moment
-            step, short = divmod(gain, rate)
+        if gain < need:
+            need -= gain
+        else:
+            step, short = divmod(need, rate)
             if short:  # the last step ends inside atoms lo and hi
-                f = rate // gcd(gain, rate)
-                q, moment, lo_room, hi_room, gain = q * f, moment * f, lo_room * f, hi_room * f, gain * f
-                target, step = target * f, gain // rate
-        moment += gain
-        lo_room -= step
-        hi_room -= step
+                f = rate // gcd(need, rate)
+                q, lo_room, hi_room, step = q * f, lo_room * f, hi_room * f, need * f // rate
+            need = 0
+        lo_room, hi_room = lo_room - step, hi_room - step
         if not lo_room:
             lo += 1
             lo_room = rs[lo] * (q // ds[lo])
-    if moment != target:
+    if need:
         return None
     if lo == hi:
         return lo, q, [a * q]

@@ -255,14 +255,12 @@ def indemnity_value(i: IndemnitySchedule, x: RationalLike) -> Fraction:
     if isinstance(i, StopLossIndemnity):
         return max(xf - i.deductible, _ZERO)
     if isinstance(i, PiecewiseIndemnity):
-        ks = i.knots
-        if xf >= ks[-1][0]:
-            (x0, y0), (x1, y1) = ks[-2], ks[-1]
-            return y1 + (y1 - y0) / (x1 - x0) * (xf - x1)
-        for (x0, y0), (x1, y1) in zip(ks, ks[1:]):
-            if x0 <= xf <= x1:
-                return y0 + (y1 - y0) / (x1 - x0) * (xf - x0)
-        raise AssertionError("unreachable: knots cover [0, inf)")
+        # the first segment reaching x; past the last knot, the last
+        # segment's line is the extension
+        for (x0, y0), (x1, y1) in zip(i.knots, i.knots[1:]):
+            if xf <= x1:
+                break
+        return y0 + (y1 - y0) / (x1 - x0) * (xf - x0)
     raise InputError(f"unknown indemnity schedule {i!r}")
 
 

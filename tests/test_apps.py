@@ -328,6 +328,9 @@ class TestIndemnities:
             PiecewiseIndemnity(((F(0), F(0)), (F(2), F(3))))
         with pytest.raises(InputError):
             PiecewiseIndemnity(((F(0), F(0)), (F(2), F(0)), (F(1), F(0))))
+        with pytest.raises(InputError) as exc:
+            PiecewiseIndemnity(((F(0), F(0)),))
+        assert str(exc.value) == "piecewise schedule needs at least two knots"
         with pytest.raises(InputError):
             PiecewiseIndemnity(((F(0), F(0)), (F(1), F(0)), (F(2), F(2))))
 
@@ -357,6 +360,9 @@ class TestIndemnities:
             indemnity_from_json({"kind": "proportional", "share": "1/2"})
         with pytest.raises(InputError):
             indemnity_from_json(["fixed", 1, 1])
+        with pytest.raises(InputError) as exc:
+            indemnity_from_json({"kind": "piecewise"})
+        assert str(exc.value) == "piecewise indemnity needs a 'knots' list"
 
 
 halves = st.integers(0, 12).map(lambda k: F(k, 2))
@@ -529,7 +535,12 @@ class TestIndifferencePremium:
     def test_zero_schedule_zero_premium(self):
         x = uniform(0, 1)
         i = StopLossIndemnity(100)
-        assert indifference_premium(ExponentialUtility(1.0), 10, x, i) == 0.0
+        for u in (ExponentialUtility(1.0), PowerUtility(0.5)):
+            assert indifference_premium(u, 10, x, i) == 0.0, u
+        # the power utility's domain is checked before a zero schedule returns
+        with pytest.raises(InputError) as exc:
+            indifference_premium(PowerUtility(0.5), 10, uniform(0, 20), i)
+        assert str(exc.value) == "power utility needs w - X >= 0 on the whole support"
 
     def test_risk_averse_pays_above_fair_for_slope_one(self):
         x = uniform(0, 2, 5)
@@ -607,10 +618,18 @@ class TestIndifferencePremium:
         for bad in ("quadratic", "exp:", "exp:x", "power:2"):
             with pytest.raises(InputError):
                 utility_from_spec(bad)
+        with pytest.raises(InputError) as exc:
+            ExponentialUtility(0.0)
+        assert str(exc.value) == "aversion must be positive, got 0.0"
 
     def test_parametric_loss_rejected(self):
         with pytest.raises(InputError):
             indifference_premium(LinearUtility(), 10, Exponential(1.0), StopLossIndemnity(1))
+
+    def test_unknown_utility_rejected(self):
+        with pytest.raises(InputError) as exc:
+            indifference_premium("exp:1", 10, uniform(0, 2), StopLossIndemnity(1))
+        assert str(exc.value) == "unknown utility 'exp:1'"
 
 
 class TestStopLossComparison:

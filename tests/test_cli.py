@@ -212,6 +212,14 @@ class TestSynthesize:
         assert atoms[(F(0), F(-1))] == F(3, 8)
         assert atoms[(F(2), F(3))] == F(3, 8)
 
+    def test_out_into_a_missing_directory_exits_2(self, run, tmp_path):
+        x = _write(tmp_path / "x.json", _discrete([0, 2]))
+        y = _write(tmp_path / "y.json", _discrete([-1, 3]))
+        out = tmp_path / "missing" / "coupling.json"
+        code, report, cap = run("synthesize", "--mode", "cx", "--out", str(out), x, y)
+        assert (code, report, cap.out) == (2, None, "")
+        assert cap.err.splitlines() == [f"error: {out}: [Errno 2] No such file or directory: '{out}'"]
+
     def test_infeasible_exit_one(self, run, tmp_path):
         x = _write(tmp_path / "x.json", _discrete([0, 1]))
         y = _write(tmp_path / "y.json", _discrete([0, 2]))

@@ -80,6 +80,10 @@ class TestAsFraction:
         with pytest.raises(InputError):
             as_fraction(True)
 
+    def test_rejects_other_objects(self):
+        with pytest.raises(InputError, match="^cannot interpret <object object at .*> as a rational$"):
+            as_fraction(object())
+
     def test_rejects_non_finite(self):
         with pytest.raises(InputError):
             as_fraction(float("nan"))
@@ -206,6 +210,9 @@ class TestConstruction:
             Bernoulli(1.5)
         with pytest.raises(InputError):
             LogNormal(0.0, -0.1)
+        with pytest.raises(InputError) as exc:
+            Normal("a", 1.0)
+        assert str(exc.value) == "mu must be a real number, got 'a'"
 
     def test_joint_duplicate_cells_merge(self):
         j = normalize_joint([(0, 1, F(1, 4)), (0, 1, F(1, 4)), (1, 0, F(1, 2))])
@@ -556,6 +563,9 @@ class TestNormalHelpers:
     def test_quantile_matches_scipy(self):
         for t in (1e-6, 0.2, 0.5, 0.77, 1 - 1e-6):
             assert norm_quantile(t) == pytest.approx(special.ndtri(t), abs=1e-10)
+        with pytest.raises(InputError) as exc:
+            norm_quantile(0.0)
+        assert str(exc.value) == "quantile level must lie in (0, 1), got 0.0"
 
 
 class TestJointAccessors:
@@ -641,6 +651,9 @@ class TestDiscretize:
     def test_needs_two_atoms(self):
         with pytest.raises(InputError):
             discretize(Normal(0.0, 1.0), 1)
+        with pytest.raises(InputError) as exc:
+            discretize(Normal(0.0, 1.0), 2.5)
+        assert str(exc.value) == "n must be an integer, got 2.5"
 
     def test_atom_cap_checked_before_any_atom(self, monkeypatch):
         def unreachable(*args):

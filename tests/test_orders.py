@@ -292,6 +292,9 @@ class TestVerdictInvariants:
             OrderVerdict(True, Witness("level_p", F(1, 2), F(0), F(1)))
         with pytest.raises(Exception):
             OrderVerdict(False, None)
+        with pytest.raises(ValueError) as exc:
+            Witness("bogus", 0, 0, 0)
+        assert str(exc.value) == "unknown witness kind 'bogus'"
 
     def test_point_mass_vs_law(self):
         x = uniform(0, 4)

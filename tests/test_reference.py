@@ -573,6 +573,23 @@ class TestConstructionMatchesReference:
         assert res.coupling.cells == ref.coupling_cells(x, ys)
         assert verify_coupling(res.coupling, x, ys, "supermartingale")
 
+    def test_window_sliding_onto_an_atom_cut_over_another_denominator_both_modes(self):
+        # a window that has started slides onto an atom an earlier window
+        # cut, whose denominator does not divide the window's q: q and the
+        # mass it tracks are lifted mid-slide.  X <=cx Y with equal means,
+        # so U = X and both modes build these cells.
+        x = normalize([(-8, F(1, 20)), (-4, F(9, 20)), (F(-11, 3), F(1, 20)), (-2, F(1, 5)),
+                       (F(1, 3), F(1, 4))])
+        y = normalize([(F(-66, 7), F(7, 190)), (F(-26, 3), F(3, 310)), (-6, F(81, 260)),
+                       (-4, F(1, 76)), (F(-37, 15), F(5, 124)), (-2, F(1, 5)),
+                       (F(-7, 15), F(5, 34)), (F(1, 2), F(9, 65)), (F(31, 21), F(7, 68))])
+        assert check_cx(x, y).holds
+        for synth, _, mode in SYNTH_MODES:
+            res = synth(x, y)
+            assert len(res.coupling.cells) == 17
+            assert res.coupling.cells == ref.coupling_cells(x, y)
+            assert verify_coupling(res.coupling, x, y, mode)
+
 
 class TestGeneratorMatchesReference:
     def test_random_joint_draws_the_same_joints(self):

@@ -69,3 +69,30 @@ def test_support_cap_times_the_command_at_one_size(monkeypatch, capsys):
         assert head.startswith("n=60 ") and tail.endswith(" s")
         times.append(float(tail[:-2]))
     assert 0 < worst and f"{worst:.3f}" == f"{max(times):.3f}"
+
+
+def test_cli_startup_against_a_second_tree_times_both_call_for_call(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("cli_startup", ROOT / "scripts" / "cli_startup.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "COMMANDS", {"es": script.COMMANDS["es"]})
+    order = []
+    call = script._call
+    # each call's (tree, state), read off its bytecode folder pycache-TREE-STATE
+    monkeypatch.setattr(script, "_call", lambda argv, env, cwd: order.append(
+        tuple(Path(env["PYTHONPYCACHEPREFIX"]).name.split("-")[1:])) or call(argv, env, cwd))
+    assert script.main(["--rounds", "2", "--against", str(ROOT)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"* {ROOT / 'src'}, alternated call for call with {script.SRC}"
+    assert lines[2].split() == ["subcommand", "none", "none*", "compiled", "compiled*",
+                                "package", "modules", "loaded"]
+    rows = {line.split()[0]: line.split()[1:] for line in lines[3:]}
+    assert list(rows) == ["(interpreter)", "es"] and rows["es"][4:] == ["dists", "risk"]
+    assert all(float(ms) > 0 for row in rows.values() for ms in row[:4])
+    # one untimed fill per tree and state, then 2 rounds x 2 states x 2
+    # names, each call paired with the same call of the other tree, the
+    # pair's order alternating
+    assert order[:4] == [("0", "none"), ("0", "compiled"), ("1", "none"), ("1", "compiled")]
+    pairs = list(zip(order[4::2], order[5::2]))
+    assert [(a[0], b[0]) for a, b in pairs] == [("0", "1"), ("1", "0")] * 4
+    assert all(a[1] == b[1] for a, b in pairs)
