@@ -4,7 +4,8 @@ The Bernoulli dependence-region table, stochastic-improver membership,
 marketability of indemnity schedules and stop-loss dominance reports; the
 float and closed-form cases (the Gaussian region, indemnity schedules,
 indifference premiums, the protective put) are in models, which this module
-reads for RegionFlags and the indemnity schedules.
+loads only inside bernoulli_region (RegionFlags) and marketable_check (the
+indemnity schedules), so improver_check and stop_loss_compare run without it.
 
 Each quantity has one route: the improver's sufficient condition is the
 conditions kernel anchored on the sum, marketability of a finite loss is
@@ -23,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .conditions import _first_failure, cond_icx
 from .dists import (
@@ -44,9 +45,11 @@ from .dists import (
     normalize_joint,
     rescale,
 )
-from .models import IndemnitySchedule, RegionFlags, conditional_indemnity_mean, indemnity_value
 from .orders import OrderVerdict, Witness, _scale, _ssd_exact
 from .risk import stop_loss_transform
+
+if TYPE_CHECKING:
+    from .models import IndemnitySchedule, RegionFlags
 
 __all__ = [
     "BernoulliCase",
@@ -121,29 +124,30 @@ def bernoulli_region(case: BernoulliCase) -> RegionFlags:
     form compares the numerators and denominators of c and rho.  Both are
     exact, so any disagreement is a defect, not noise.
     """
+    from .models import RegionFlags
+
     f = _bernoulli_ints(case)
     w, total, _, _ = _marginal_and_sum(f)
     ssd = _ssd_exact(lambda: (joint_marginal_w(j := bernoulli_joint(case)), joint_sum(j)),
                      *_scale(w, total))
     new, classic = _first_failure(*f, "lower", "point")
-    checker = RegionFlags(ssd=ssd.holds, cond_new=new.holds, cond_classic=classic.holds)
+    # the flags in RegionFlags' field order, ssd, cond_new, cond_classic: the
+    # routes compare as tuples, and only the verdict or an error builds flags
+    checker = (ssd.holds, new.holds, classic.holds)
     (cn, cd), (rn, rd) = case.c.as_integer_ratio(), case.rho.as_integer_ratio()
     half = 2 * cn >= cd  # c >= 1/2
     lower = rn * cd >= (cd - 2 * cn) * rd  # rho >= 1 - 2c
     upper = rn * cd <= (2 * cn - cd) * rd  # rho <= 2c - 1
-    analytic = RegionFlags(
-        ssd=half and lower,
-        cond_new=half and lower,
-        cond_classic=half and lower and upper,
-    )
+    analytic = (half and lower, half and lower, half and lower and upper)
     if checker != analytic:
+        checker, analytic = RegionFlags(*checker), RegionFlags(*analytic)
         raise InternalError(
             f"checker route disagrees with the closed-form region "
             f"at c={case.c}, rho={case.rho}: {checker} vs {analytic}",
             routes={"checker": checker, "closed_form": analytic},
             inputs=case,
         )
-    return checker
+    return RegionFlags(*checker)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +202,8 @@ def marketable_check(
     satisfy the condition everywhere, and it triggers a warning before the
     verdict.
     """
+    from .models import conditional_indemnity_mean, indemnity_value
+
     p0f = as_fraction(p0)
     if p0f < 0:
         raise InputError(f"premium must be nonnegative, got {p0f}")

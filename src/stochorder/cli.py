@@ -14,8 +14,9 @@ Only dists is imported here, for main's error handling: each handler imports
 the modules it calls, and the dispatch tables name functions that the
 handler looks up in its module, so a process loads what its subcommand runs
 (discretize: dists alone; table gaussian, premium and protective-put: models
-with dists, orders and risk; table bernoulli, improver, marketable and
-stoploss-compare: apps, which loads all but coupling).
+with dists, orders and risk; improver and stoploss-compare: apps with dists,
+risk, orders and conditions; table bernoulli and marketable: those and
+models too, all but coupling).
 """
 
 from __future__ import annotations

@@ -5,17 +5,21 @@ so every comparison downstream (order checks, dependence conditions, coupling
 feasibility) is exact.  Ints, rational strings and Fractions convert losslessly;
 a float converts to the dyadic rational it actually is.
 
-Canonicalisation is integer work.  normalize and normalize_joint scale all
-values (w and z separately) and all weights of one call to integers over the
-lcm of their denominators (an int weight as it is, an all-int weight column
-over 1), merge duplicates in an int-keyed dict and sort the int keys; the
-marginals and joint_sum merge the joint's integers alike.  A joint cell's key
-is one int, w S + z with S one more than the spread of the z integers: a step
-of w then outweighs any step of z, so the keys order as the (w, z) cells do.
-Keys that arrive strictly ascending are already merged and sorted: they skip
-the dict and the sort.  The merge's integers become the law's integer form,
-the weights over their gcd, and each distinct probability is built once and
-shared by its atoms.
+Canonicalisation is integer work, one pass per column.  normalize and
+normalize_joint scale all values (w and z separately) and all weights of one
+call to integers over the lcm of their distinct denominators (a column with
+one denominator keeps its numerators, with no scaling pass), merge
+duplicates in an int-keyed dict and sort the int keys; the marginals and
+joint_sum merge the joint's integers alike.  The input loop notes whether
+every weight is an int: such a column stands over 1 as it is, with no second
+scan.  A joint cell's key is one int, w S + z with S one more than the
+spread of the z integers: a step of w then outweighs any step of z, so the
+keys order as the (w, z) cells do.  Keys that arrive strictly ascending are
+already merged and sorted: they skip the dict and the sort, and the law's
+invariant check reads those keys instead of building them again.  The
+merge's integers become the law's integer form, the weights over their gcd
+(over 1 they stand as they are), and each distinct probability is built
+once and shared by its atoms.
 
 Each finite law holds its integer form, ints, a field outside ==, hash and
 repr: for a DiscreteDist its values over the lcm V of their denominators and
@@ -236,11 +240,11 @@ class DiscreteDist:
 
     @property
     def values(self) -> tuple[Fraction, ...]:
-        return tuple(v for v, _ in self.atoms)
+        return tuple([v for v, _ in self.atoms])
 
     @property
     def probs(self) -> tuple[Fraction, ...]:
-        return tuple(p for _, p in self.atoms)
+        return tuple([p for _, p in self.atoms])
 
     def support_size(self) -> int:
         return len(self.atoms)
@@ -410,35 +414,44 @@ def normalize(raw_atoms: Iterable[tuple[RationalLike, RationalLike]]) -> Discret
     arrive with strictly ascending values are the law's order as they stand
     and take no merge (see _merged).
     """
-    values, weights = [], []
+    values, weights, all_int = [], [], True
     for value, weight in raw_atoms:
         v = value if type(value) is Fraction else as_fraction(value)
-        w = weight if type(weight) is int else as_fraction(weight)
-        if w.numerator < 0:
+        if type(weight) is int:
+            w = n = weight
+        else:
+            w = as_fraction(weight)
+            n, all_int = w.numerator, False
+        if n < 0:
             raise InputError(f"negative weight {w} at value {v}")
-        if w.numerator:
+        if n:
             values.append(v)
             weights.append(w)
     keys, V = as_integers(values)
-    return _merged(keys, (V,), (values,), as_integers(weights)[0])
+    return _merged(keys, (V,), (values,), weights if all_int else as_integers(weights)[0])
 
 
 def as_integers(xs: Sequence[Fraction | int]) -> tuple[Sequence[int], int]:
     """The rationals xs as integers over the lcm L of their denominators, and
-    L: xs[k] == ints[k] / L.  A column of plain ints is its own integer form:
-    xs itself, over L = 1."""
+    L: xs[k] == ints[k] / L.  A column of plain ints, or an empty one, is its
+    own integer form: xs itself, over L = 1.  Otherwise L is the lcm of the
+    distinct denominators, and where there is one (L itself, 1 for integers)
+    the numerators are the integers, with no scaling pass."""
     # the first atom settles a column of Fractions, the usual case, at no cost
-    if xs and type(xs[0]) is int and all(map(operator.is_, map(type, xs), repeat(int))):
+    if not xs or type(xs[0]) is int and all(map(operator.is_, map(type, xs), repeat(int))):
         return xs, 1
     ratios = [x.as_integer_ratio() for x in xs]
-    L = math.lcm(*[d for _, d in ratios])
+    dens = {d for _, d in ratios}
+    if len(dens) == 1:
+        return [n for n, _ in ratios], dens.pop()
+    L = math.lcm(*dens)
     return [n * (L // d) for n, d in ratios], L
 
 
 def _reduced(keys: list[int], V: int) -> tuple[tuple[int, ...], int]:
     """keys / V as integers over the least scale, and that scale."""
     g = math.gcd(V, *keys)
-    return tuple([k // g for k in keys]), V // g
+    return (tuple(keys), V) if g == 1 else (tuple([k // g for k in keys]), V // g)
 
 
 def _merged(keys: Sequence[int], scales: tuple[int, ...], cols: Sequence[Sequence],
@@ -449,7 +462,9 @@ def _merged(keys: Sequence[int], scales: tuple[int, ...], cols: Sequence[Sequenc
     least (VW, VZ) (cols: w and z as Fractions, then as integers).  The int
     columns, the merged weights over their gcd g and D = total / g are what
     as_integers makes of the public columns: the ints.  Strictly ascending keys
-    stand as they are; others merge (_merge), each with its first cell's columns."""
+    stand as they are, and a joint's invariant check reads them; others merge
+    (_merge), each with its first cell's columns, a law's values being the keys
+    at those cells, so the check over the gathered columns covers the indices."""
     order, ms, at = _merge(keys, weights)
     if at is not None:
         cols = [map(col.__getitem__, at) for col in cols]
@@ -458,17 +473,18 @@ def _merged(keys: Sequence[int], scales: tuple[int, ...], cols: Sequence[Sequenc
     T = sum(ms)
     # T first: the weights may share most factors where T shares few, and a gcd of 1 skips the rest
     g = math.gcd(T, *ms)
-    ps, D = tuple([m // g for m in ms]), T // g
+    ps, D = (tuple(ms), T) if g == 1 else (tuple([m // g for m in ms]), T // g)
     shared = dict.fromkeys(ps)  # one Fraction per distinct weight, shared by its atoms
     for p in shared:
         shared[p] = Fraction(p, D)
     probs = map(shared.__getitem__, ps)
     if len(scales) == 1:
-        values = cols[0] if cols else [Fraction(x, scales[0]) for x in order]
-        return _trusted(DiscreteDist, tuple(zip(values, probs)), LawInts(tuple(order), scales[0], ps, D))
+        xs = tuple(order) if at is None else tuple(map(keys.__getitem__, at))
+        values = cols[0] if cols else [Fraction(x, scales[0]) for x in xs]
+        return _trusted(DiscreteDist, tuple(zip(values, probs)), LawInts(xs, scales[0], ps, D))
     w, z, ws, zs = cols
     ints = JointInts(tuple(ws), scales[0], tuple(zs), scales[1], ps, D)
-    return _trusted(JointDist, tuple(zip(w, z, probs)), ints)
+    return _trusted(JointDist, tuple(zip(w, z, probs)), ints, order if at is None else None)
 
 
 def _merge(keys: Sequence[int], weights: Sequence[int]
@@ -495,11 +511,15 @@ def _cell_keys(ws: Sequence[int], zs: Sequence[int]) -> list[int]:
     return [w * S + z for w, z in zip(ws, zs)]
 
 
-def _trusted(cls: type, atoms: tuple, ints: LawInts | JointInts) -> DiscreteDist | JointDist:
+def _trusted(cls: type, atoms: tuple, ints: LawInts | JointInts,
+             keys: Sequence[int] | None = None) -> DiscreteDist | JointDist:
     """A cls of atoms built here with their integer form ints, checked over ints (positive
-    weights summing to D, ascending values or cell keys): a breach is a defect here."""
+    weights summing to D, strictly ascending values or cell keys): a breach is a defect
+    here.  A joint's keys are the ones its cells were merged by when the caller hands
+    them in (cells that arrived ascending), and are computed from ints otherwise."""
     ps, D = ints[-2:]
-    keys = ints.values if cls is DiscreteDist else _cell_keys(ints.w, ints.z)
+    if keys is None:
+        keys = ints.values if cls is DiscreteDist else _cell_keys(ints.w, ints.z)
     if min(ps) <= 0 or sum(ps) != D or not all(map(operator.lt, keys, keys[1:])):
         raise InternalError("a canonical law breaks its invariants", {"ints": ints}, atoms)
     law = object.__new__(cls)
@@ -577,19 +597,24 @@ def normalize_joint(
 ) -> JointDist:
     """Build a canonical joint law; merges duplicate cells, rescales weights.
     Cells that arrive strictly ascending by (w, z) keep their order (see _merged)."""
-    wf, zf, weights = [], [], []
+    wf, zf, weights, all_int = [], [], [], True
     for w, z, weight in raw_atoms:
         w = w if type(w) is Fraction else as_fraction(w)
         z = z if type(z) is Fraction else as_fraction(z)
-        wt = weight if type(weight) is int else as_fraction(weight)
-        if wt.numerator < 0:
+        if type(weight) is int:
+            wt = n = weight
+        else:
+            wt = as_fraction(weight)
+            n, all_int = wt.numerator, False
+        if n < 0:
             raise InputError(f"negative weight {wt} at cell {(w, z)}")
-        if wt.numerator:
+        if n:
             wf.append(w)
             zf.append(z)
             weights.append(wt)
     (ws, VW), (zs, VZ) = as_integers(wf), as_integers(zf)
-    return _merged(_cell_keys(ws, zs), (VW, VZ), (wf, zf, ws, zs), as_integers(weights)[0])
+    return _merged(_cell_keys(ws, zs), (VW, VZ), (wf, zf, ws, zs),
+                   weights if all_int else as_integers(weights)[0])
 
 
 def joint_marginal_w(j: JointDist) -> DiscreteDist:

@@ -670,8 +670,9 @@ def test_cli_import_leaves_numpy_out():
 
 # The package modules each subcommand loads, past the package itself: a
 # handler imports what it calls, so coupling loads for synthesize alone, apps
-# (and with it conditions and models) for the applied subcommands that run
-# the exact checkers, and models alone for the float routes.
+# (and with it conditions) for the applied subcommands that run the exact
+# checkers, models with it only where a handler reads a region or an
+# indemnity schedule, and models alone for the float routes.
 _APPLIED = {"dists", "risk", "orders", "conditions", "models", "apps"}
 _MODELS = {"dists", "risk", "orders", "models"}
 FOOTPRINT = {
@@ -683,10 +684,10 @@ FOOTPRINT = {
     "synthesize": {"dists", "risk", "orders", "coupling"},
     "discretize": {"dists"},
     "table": _APPLIED,  # table bernoulli, the argv INVOCATIONS holds
-    "improver": _APPLIED,
+    "improver": _APPLIED - {"models"},
     "marketable": _APPLIED,
     "premium": _MODELS,
-    "stoploss-compare": _APPLIED,
+    "stoploss-compare": _APPLIED - {"models"},
     "protective-put": _MODELS,
 }
 

@@ -254,6 +254,29 @@ class TestConstruction:
         for ints in (JointInts((0, 0), 1, (0, 1), 1, (1, 1), 2), JointInts((0, 1), 1, (1, 0), 1, (1, 1), 2)):
             assert _trusted(JointDist, cells, ints).ints == ints
 
+    # a merge that breaks its contract: keys it calls ascending that are not, or
+    # the wrong first cell for each merged key
+    @pytest.mark.parametrize("breach", ["ascending", "first-index"])
+    @pytest.mark.parametrize("build, raw", [
+        (normalize, [(1, 1), (0, 2), (1, 3)]),
+        (normalize_joint, [(1, 0, 1), (0, 5, 2), (1, 0, 3)]),
+    ], ids=["law", "joint"])
+    def test_builders_breach_is_internal(self, monkeypatch, build, raw, breach):
+        from stochorder.dists import InternalError
+
+        merge = dists._merge
+
+        def broken(keys, weights):
+            if breach == "ascending":
+                return keys, weights, None
+            order, ms, at = merge(keys, weights)
+            return order, ms, at[::-1]
+
+        monkeypatch.setattr(dists, "_merge", broken)
+        with pytest.raises(InternalError) as exc:
+            build(raw)
+        assert str(exc.value) == "a canonical law breaks its invariants"
+
 
 # raw weights in every spelling the constructors take, zero included
 any_weight = st.one_of(
@@ -377,6 +400,105 @@ class TestAscendingInput:
             assert_validated(law)
             assert_same_law(law, ref.normalize(want))
         assert joint_marginal_w(j) == normalize(pairs)
+
+
+# rationals as as_integers takes them: ints, Fractions, integer-valued Fractions
+int_or_fraction = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.fractions(max_denominator=10**6),
+    st.integers(-50, 50).map(F),
+)
+
+
+class TestAsIntegers:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(int_or_fraction, max_size=12))
+    @example([])
+    @example([3, F(1, 2), F(1, 3), F(5, 6)])
+    @example([F(4), F(-2), F(0)])
+    @example([F(1, 6), F(1, 6), F(5, 6)])
+    def test_integers_over_the_least_scale(self, xs):
+        ints, L = dists.as_integers(xs)
+        assert len(ints) == len(xs)
+        assert all(F(i) == x * L for i, x in zip(ints, xs))
+        assert L == math.lcm(*(F(x).denominator for x in xs))
+        assert all(type(i) is int for i in ints)
+        if all(type(x) is int for x in xs):
+            assert ints is xs and L == 1
+        if all(F(x).denominator == 1 for x in xs):
+            assert L == 1 and list(ints) == [F(x).numerator for x in xs]
+
+
+def _weights_with(where, other, zero):
+    """An int weight column of five atoms with other at position where, and a zero weight
+    at the first position that is not where when zero is set."""
+    column = [1, 2, 3, 5, 8]
+    if zero:
+        column[1 if where == 0 else 0] = 0
+    column[where] = other
+    return column
+
+
+class TestWeightSpellings:
+    """The builders type the weight column in their input loop: one weight in another
+    spelling anywhere in an int column gives the law that its Fractions give, and a bad
+    weight raises its own message wherever it sits, the first bad atom winning."""
+
+    VALUES = [F(-1, 2), 0, F(1, 3), 2, F(7, 2)]
+    OTHERS = [F(3, 4), "3/4", 0.75, F(3), "0", 0.0]
+
+    def _raws(self, weights):
+        """The law's and the joint's raw atoms, the joint's cells (x, -x)."""
+        return (list(zip(self.VALUES, weights)),
+                [(x, -x, wt) for x, wt in zip(self.VALUES, weights)])
+
+    def _builds(self, weights):
+        law, joint = self._raws(weights)
+        return normalize(law), normalize_joint(joint)
+
+    def _messages(self, weights):
+        """The message each builder raises on the weights."""
+        out = []
+        for build, raw in zip((normalize, normalize_joint), self._raws(weights)):
+            with pytest.raises(InputError) as exc:
+                build(raw)
+            out.append(str(exc.value))
+        return out
+
+    @pytest.mark.parametrize("zero", [False, True])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    @pytest.mark.parametrize("other", OTHERS, ids=repr)
+    def test_one_other_spelling_equals_the_fractions(self, other, where, zero):
+        weights = _weights_with(where, other, zero)
+        fractions = [as_fraction(wt) for wt in weights]
+        for got, want in zip(self._builds(weights), self._builds(fractions)):
+            assert_same_law(got, want)
+            assert_validated(got)
+
+    @pytest.mark.parametrize("other_at", [None, 0, 4])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    @pytest.mark.parametrize("bad, message", [
+        (-2, "negative weight -2 at value {}"),
+        (F(-1, 2), "negative weight -1/2 at value {}"),
+        (True, "booleans are not numeric values"),
+    ], ids=["negative-int", "negative-fraction", "bool"])
+    def test_a_bad_weight_raises_its_message_anywhere(self, bad, message, where, other_at):
+        weights = _weights_with(where, bad, False)
+        if other_at is not None and other_at != where:
+            weights[other_at] = "3/4"
+        v = as_fraction(self.VALUES[where])
+        assert self._messages(weights) == [message.format(v),
+                                           message.replace("value {}", "cell {}").format((v, -v))]
+
+    @pytest.mark.parametrize("first, second, message", [
+        (-2, True, "negative weight -2 at value 0"),
+        (True, -2, "booleans are not numeric values"),
+        (F(-1, 2), -3, "negative weight -1/2 at value 0"),
+        (-3, F(-1, 2), "negative weight -3 at value 0"),
+    ])
+    def test_the_first_bad_weight_wins(self, first, second, message):
+        at_cell = message.replace("at value 0", f"at cell {(F(0), F(0))}")
+        assert self._messages([F(1, 2), first, 4, second, 1]) == [message, at_cell]
 
 
 class FractionSubclass(F):
