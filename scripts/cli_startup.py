@@ -20,13 +20,18 @@ importtime` misses the imports made through importlib, as the package's lazy
 names are).  The timed calls run with PYTHONDONTWRITEBYTECODE=1, so a state
 holds through the rounds, and the rounds interleave the subcommands and both
 states.  Prints the median wall ms per subcommand and state, the bare
-interpreter's first.  Exits 1 if a call exits with a code other than 0 or 1.
+interpreter's first, and on stderr the row "(mean)": the mean of those
+medians over the subcommands.  The `cli` workload runs the subcommands
+round robin, so its ops_per_s follows that mean.  Exits 1 if a call exits
+with a code other than 0 or 1.
 
 --against PATH times the `src/` of a second checkout in the same rounds:
 each tree gets bytecode folders of its own, and every call of this tree is
 paired with the same call of the other, the pair's order alternating, so a
 slow phase of the machine falls on both trees alike.  Each state then has a
-second column, marked *, for the other tree.
+second column, marked *, for the other tree, and stderr has the row
+"(ratio)": per state, the median over the rounds of this tree's mean over
+the subcommands divided by the other tree's.
 
     python3 scripts/cli_startup.py --rounds 10
     python3 scripts/cli_startup.py --rounds 20 --against ../parent-checkout
@@ -171,13 +176,26 @@ def main(argv: list[str] | None = None) -> int:
     if args.against is not None:
         print(f"* {srcs[1]}, alternated call for call with {SRC}")
     columns = [(state, t, state + "*" * t) for state in STATES for t in trees]
-    header = "".join(f"{label:>{max(9, len(label) + 2)}}" for _, _, label in columns)
+    widths = [max(9, len(label) + 2) for _, _, label in columns]
+    header = "".join(f"{label:>{w}}" for (_, _, label), w in zip(columns, widths))
     print(f"{'subcommand':<20}{header}  package modules loaded")
     for name in names:
-        cells = "".join(f"{statistics.median(wall[t, state, name]):>{max(9, len(label) + 2)}.1f}"
-                        for state, t, label in columns)
+        cells = "".join(f"{statistics.median(wall[t, state, name]):>{w}.1f}"
+                        for (state, t, _), w in zip(columns, widths))
         modules = " ".join(loaded[0, "none"][name]) if name != BARE else "-"
         print(f"{name:<20}{cells}  {modules}")
+    # the summary rows go to stderr, so stdout keeps one row per subcommand
+    means = [statistics.fmean(statistics.median(wall[t, state, name]) for name in COMMANDS)
+             for state, t, _ in columns]
+    print(f"{'(mean)':<20}" + "".join(f"{m:>{w}.1f}" for m, w in zip(means, widths)), file=sys.stderr)
+    if args.against is not None:
+        def ratio(state: str, r: int) -> float:  # round r's mean over the subcommands, tree 0 / tree 1
+            return (sum(wall[0, state, name][r] for name in COMMANDS)
+                    / sum(wall[1, state, name][r] for name in COMMANDS))
+        ratios = [f"{statistics.median(ratio(state, r) for r in range(args.rounds)):.3f}"
+                  if t == 0 else "-" for state, t, _ in columns]
+        print(f"{'(ratio)':<20}" + "".join(f"{x:>{w}}" for x, w in zip(ratios, widths)),
+              file=sys.stderr)
     return 0
 
 

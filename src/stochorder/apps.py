@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import TYPE_CHECKING, Iterable
@@ -35,8 +34,10 @@ from .dists import (
     JointInts,
     LawInts,
     RationalLike,
+    _Record,
     _merge,
     _real,
+    _record,
     as_discrete,
     as_fraction,
     as_integers,
@@ -68,8 +69,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BernoulliCase:
+@_record
+class BernoulliCase(_Record):
     """W Bernoulli(1/2) and Z = D - c for a correlated Bernoulli(1/2) D.
 
     The joint law has cell masses P(W=0, D=0) = P(W=1, D=1) = (1+rho)/4 and
@@ -79,9 +80,9 @@ class BernoulliCase:
     c: Fraction
     rho: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c", as_fraction(self.c))
-        object.__setattr__(self, "rho", as_fraction(self.rho))
+    def __init__(self, c: RationalLike, rho: RationalLike) -> None:
+        object.__setattr__(self, "c", as_fraction(c))
+        object.__setattr__(self, "rho", as_fraction(rho))
         if not -1 <= self.rho <= 1:
             raise InputError(f"rho must lie in [-1, 1], got {self.rho}")
 
@@ -155,8 +156,8 @@ def bernoulli_region(case: BernoulliCase) -> RegionFlags:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ImproverFlags:
+@_record
+class ImproverFlags(_Record):
     """Membership of Z in the two improver families for a joint (X, Z).
 
     in_s: the sum X + Z dominates X in ssd.
@@ -167,6 +168,11 @@ class ImproverFlags:
     in_s: bool
     in_n: bool
     witness: Witness | None
+
+    def __init__(self, in_s: bool, in_n: bool, witness: Witness | None) -> None:
+        object.__setattr__(self, "in_s", in_s)
+        object.__setattr__(self, "in_n", in_n)
+        object.__setattr__(self, "witness", witness)
 
 
 def improver_check(j: JointDist) -> ImproverFlags:
@@ -240,8 +246,8 @@ def marketable_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StopLossComparison:
+@_record
+class StopLossComparison(_Record):
     """Premium curves of a loss X and its sum X + Z over a deductible grid."""
 
     condition: OrderVerdict  # upper-tail condition on the joint
@@ -249,6 +255,15 @@ class StopLossComparison:
     base_premiums: tuple[Fraction, ...]
     summed_premiums: tuple[Fraction, ...]
     dominates: bool
+
+    def __init__(self, condition: OrderVerdict, deductibles: tuple[Fraction, ...],
+                 base_premiums: tuple[Fraction, ...], summed_premiums: tuple[Fraction, ...],
+                 dominates: bool) -> None:
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "deductibles", deductibles)
+        object.__setattr__(self, "base_premiums", base_premiums)
+        object.__setattr__(self, "summed_premiums", summed_premiums)
+        object.__setattr__(self, "dominates", dominates)
 
     @property
     def verdict(self) -> OrderVerdict:

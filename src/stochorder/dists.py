@@ -54,8 +54,9 @@ from __future__ import annotations
 
 import math
 import operator
+import reprlib
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import FrozenInstanceError, asdict, dataclass, field, fields
 from fractions import Fraction
 from itertools import chain, count, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
@@ -213,8 +214,57 @@ def rescale(ints: tuple[int, ...], k: int) -> tuple[int, ...] | list[int]:
     return ints if k == 1 else [i * k for i in ints]
 
 
-@dataclass(frozen=True)
-class DiscreteDist:
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+
+class _Record:
+    """A frozen record's ==, hash, repr and refusal of assignment, written once.
+
+    They behave as @dataclass(frozen=True)'s: == holds only within one class,
+    over the compared fields; hash and repr are those of the same tuple and
+    text; assigning or deleting raises FrozenInstanceError.  A frozen
+    dataclass compiles these methods and its __init__ with exec for each
+    class at import; a record shares these and writes its own __init__,
+    which sets its fields with object.__setattr__ and checks them.
+    """
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    @reprlib.recursive_repr()
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._shown])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _record(cls: type) -> type:
+    """cls, a _Record, as a dataclass whose methods are _Record's and its own:
+    dataclass(init=False, repr=False, eq=False) compiles nothing but registers
+    the fields, so fields, asdict, astuple and replace work on it."""
+    dataclass(init=False, repr=False, eq=False)(cls)
+    cls._compared = tuple([f.name for f in fields(cls) if f.compare])
+    cls._shown = tuple([f.name for f in fields(cls) if f.repr])
+    return cls
+
+
+@_record
+class DiscreteDist(_Record):
     """Finite law: atoms sorted by value, positive probabilities, total mass 1.
 
     Construct through normalize(); the constructor validates and sets ints.
@@ -223,8 +273,8 @@ class DiscreteDist:
     atoms: tuple[tuple[Fraction, Fraction], ...]
     ints: LawInts = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        atoms = self.atoms
+    def __init__(self, atoms: tuple[tuple[Fraction, Fraction], ...]) -> None:
+        object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise InputError("discrete law needs at least one atom")
         ok, ((xs, V), (ws, D)) = _integer_columns(atoms, 2)
@@ -250,7 +300,7 @@ class DiscreteDist:
         return len(self.atoms)
 
 
-class _Family:
+class _Family(_Record):
     """A parametric family, its kind the JSON "type".  A continuous family
     holds its binary64 closed forms as methods (es, stop_loss and mean; the
     Exponential and the LogNormal also quantile_right, which discretize
@@ -258,17 +308,21 @@ class _Family:
     as_discrete is its exact law."""
 
 
-@dataclass(frozen=True)
+@_record
 class Normal(_Family):
+    """Normal law N(mu, sigma^2)."""
+
     mu: float
     sigma: float
     kind = "normal"
 
-    def __post_init__(self) -> None:
-        _check_finite("mu", self.mu)
-        _check_finite("sigma", self.sigma)
-        if self.sigma <= 0:
-            raise InputError(f"sigma must be positive, got {self.sigma}")
+    def __init__(self, mu: float, sigma: float) -> None:
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "sigma", sigma)
+        _check_finite("mu", mu)
+        _check_finite("sigma", sigma)
+        if sigma <= 0:
+            raise InputError(f"sigma must be positive, got {sigma}")
 
     def mean(self) -> float:
         return self.mu
@@ -284,15 +338,18 @@ class Normal(_Family):
         return (self.mu - t) * norm_cdf(z) + self.sigma * norm_pdf(z)
 
 
-@dataclass(frozen=True)
+@_record
 class Exponential(_Family):
+    """Exponential law with the given rate (mean 1 / rate)."""
+
     rate: float
     kind = "exponential"
 
-    def __post_init__(self) -> None:
-        _check_finite("rate", self.rate)
-        if self.rate <= 0:
-            raise InputError(f"rate must be positive, got {self.rate}")
+    def __init__(self, rate: float) -> None:
+        object.__setattr__(self, "rate", rate)
+        _check_finite("rate", rate)
+        if rate <= 0:
+            raise InputError(f"rate must be positive, got {rate}")
 
     def quantile_right(self, t: float) -> float:
         return -math.log1p(-t) / self.rate
@@ -310,28 +367,35 @@ class Exponential(_Family):
         return math.exp(-self.rate * t) / self.rate
 
 
-@dataclass(frozen=True)
+@_record
 class Bernoulli(_Family):
-    q: float  # P(X = 1)
+    """Two-point law on {0, 1} with P(X = 1) = q."""
+
+    q: float
     kind = "bernoulli"
 
-    def __post_init__(self) -> None:
-        _check_finite("q", self.q)
-        if not 0.0 <= self.q <= 1.0:
-            raise InputError(f"q must lie in [0, 1], got {self.q}")
+    def __init__(self, q: float) -> None:
+        object.__setattr__(self, "q", q)
+        _check_finite("q", q)
+        if not 0.0 <= q <= 1.0:
+            raise InputError(f"q must lie in [0, 1], got {q}")
 
 
-@dataclass(frozen=True)
+@_record
 class LogNormal(_Family):
+    """Law of exp(Y) for Y normal N(mu, sigma^2)."""
+
     mu: float
     sigma: float
     kind = "lognormal"
 
-    def __post_init__(self) -> None:
-        _check_finite("mu", self.mu)
-        _check_finite("sigma", self.sigma)
-        if self.sigma <= 0:
-            raise InputError(f"sigma must be positive, got {self.sigma}")
+    def __init__(self, mu: float, sigma: float) -> None:
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "sigma", sigma)
+        _check_finite("mu", mu)
+        _check_finite("sigma", sigma)
+        if sigma <= 0:
+            raise InputError(f"sigma must be positive, got {sigma}")
 
     def quantile_right(self, t: float) -> float:
         return math.exp(self.mu + self.sigma * norm_quantile(t))
@@ -354,13 +418,16 @@ class LogNormal(_Family):
         return m * norm_cdf(self.sigma - z) - t * norm_cdf(-z)
 
 
-@dataclass(frozen=True)
+@_record
 class PointMass(_Family):
+    """Degenerate law: all mass at c."""
+
     c: float
     kind = "point"
 
-    def __post_init__(self) -> None:
-        _check_finite("c", self.c)
+    def __init__(self, c: float) -> None:
+        object.__setattr__(self, "c", c)
+        _check_finite("c", c)
 
 
 Dist = Union[DiscreteDist, Normal, Exponential, Bernoulli, LogNormal, PointMass]
@@ -550,15 +617,15 @@ def as_discrete(d: Dist) -> DiscreteDist | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JointDist:
+@_record
+class JointDist(_Record):
     """Finite joint law of a pair (W, Z): distinct (w, z) atoms, total mass 1."""
 
     atoms: tuple[tuple[Fraction, Fraction, Fraction], ...]  # (w, z, prob)
     ints: JointInts = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        atoms = self.atoms
+    def __init__(self, atoms: tuple[tuple[Fraction, Fraction, Fraction], ...]) -> None:
+        object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise InputError("joint law needs at least one atom")
         ok, ((ws, VW), (zs, VZ), (ps, D)) = _integer_columns(atoms, 3)

@@ -21,7 +21,7 @@ beyond binary64 is an InputError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -35,6 +35,8 @@ from .dists import (
     UnsupportedPairingError,
     _check_finite,
     _real,
+    _Record,
+    _record,
     as_discrete,
     as_fraction,
     bisection,
@@ -78,28 +80,36 @@ _ZERO = Fraction(0)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianCase:
+@_record
+class GaussianCase(_Record):
     """Jointly Gaussian (W, Z) with W standardized to N(0, 1)."""
 
     mu_z: float
     sigma_z: float
     rho: float
 
-    def __post_init__(self) -> None:
-        for name in ("mu_z", "sigma_z", "rho"):
-            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
+    def __init__(self, mu_z: float, sigma_z: float, rho: float) -> None:
+        object.__setattr__(self, "mu_z", _check_finite("mu_z", mu_z))
+        object.__setattr__(self, "sigma_z", _check_finite("sigma_z", sigma_z))
+        object.__setattr__(self, "rho", _check_finite("rho", rho))
         if self.sigma_z <= 0:
             raise InputError(f"sigma_z must be positive, got {self.sigma_z}")
         if not -1.0 <= self.rho <= 1.0:
             raise InputError(f"rho must lie in [-1, 1], got {self.rho}")
 
 
-@dataclass(frozen=True)
-class RegionFlags:
+@_record
+class RegionFlags(_Record):
+    """One region-table case: whether W + Z <=ssd W, and the two conditions."""
+
     ssd: bool
     cond_new: bool
     cond_classic: bool
+
+    def __init__(self, ssd: bool, cond_new: bool, cond_classic: bool) -> None:
+        object.__setattr__(self, "ssd", ssd)
+        object.__setattr__(self, "cond_new", cond_new)
+        object.__setattr__(self, "cond_classic", cond_classic)
 
 
 _COND_RANGE = 8.0
@@ -175,16 +185,16 @@ def gaussian_region(case: GaussianCase) -> RegionFlags:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FixedIndemnity:
+@_record
+class FixedIndemnity(_Record):
     """Pays a flat amount once the loss reaches the threshold."""
 
     threshold: Fraction
     amount: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "threshold", as_fraction(self.threshold))
-        object.__setattr__(self, "amount", as_fraction(self.amount))
+    def __init__(self, threshold: RationalLike, amount: RationalLike) -> None:
+        object.__setattr__(self, "threshold", as_fraction(threshold))
+        object.__setattr__(self, "amount", as_fraction(amount))
         if self.threshold <= 0:
             raise InputError("threshold must be positive")
         if not 0 <= self.amount <= self.threshold:
@@ -193,20 +203,20 @@ class FixedIndemnity:
             )
 
 
-@dataclass(frozen=True)
-class StopLossIndemnity:
+@_record
+class StopLossIndemnity(_Record):
     """Pays the excess of the loss over a deductible."""
 
     deductible: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "deductible", as_fraction(self.deductible))
+    def __init__(self, deductible: RationalLike) -> None:
+        object.__setattr__(self, "deductible", as_fraction(deductible))
         if self.deductible < 0:
             raise InputError("deductible must be nonnegative")
 
 
-@dataclass(frozen=True)
-class PiecewiseIndemnity:
+@_record
+class PiecewiseIndemnity(_Record):
     """Piecewise-linear schedule through knots, extended by the last slope.
 
     Knots are [x, y] pairs of rationals, from (0, 0) with strictly
@@ -217,15 +227,16 @@ class PiecewiseIndemnity:
 
     knots: tuple[tuple[Fraction, Fraction], ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.knots, Sequence):
-            raise InputError(f"knots must be a sequence of [x, y] pairs, got {self.knots!r}")
-        knots = []
-        for k in self.knots:
+    def __init__(self, knots: Sequence[Sequence[RationalLike]]) -> None:
+        if not isinstance(knots, Sequence):
+            raise InputError(f"knots must be a sequence of [x, y] pairs, got {knots!r}")
+        pairs = []
+        for k in knots:
             if not isinstance(k, (list, tuple)) or len(k) != 2:
                 raise InputError(f"knot must be a [x, y] pair, got {k!r}")
-            knots.append((as_fraction(k[0]), as_fraction(k[1])))
-        object.__setattr__(self, "knots", tuple(knots))
+            pairs.append((as_fraction(k[0]), as_fraction(k[1])))
+        knots = tuple(pairs)
+        object.__setattr__(self, "knots", knots)
         if len(knots) < 2:
             raise InputError("piecewise schedule needs at least two knots")
         if knots[0] != (0, 0):
@@ -359,28 +370,35 @@ def conditional_indemnity_mean(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearUtility:
-    pass
+@_record
+class LinearUtility(_Record):
+    """u(t) = t: the indifference premium is the expected indemnity."""
+
+    def __init__(self) -> None:
+        pass
 
 
-@dataclass(frozen=True)
-class ExponentialUtility:
+@_record
+class ExponentialUtility(_Record):
+    """u(t) = -exp(-a t) with a = aversion > 0 (constant absolute risk aversion)."""
+
     aversion: float
 
-    def __post_init__(self) -> None:
-        a = _check_finite("aversion", self.aversion)
+    def __init__(self, aversion: float) -> None:
+        a = _check_finite("aversion", aversion)
         object.__setattr__(self, "aversion", a)
         if a <= 0:
             raise InputError(f"aversion must be positive, got {a}")
 
 
-@dataclass(frozen=True)
-class PowerUtility:
+@_record
+class PowerUtility(_Record):
+    """u(t) = t**gamma for t >= 0, with 0 < gamma < 1."""
+
     gamma: float
 
-    def __post_init__(self) -> None:
-        g = _check_finite("gamma", self.gamma)
+    def __init__(self, gamma: float) -> None:
+        g = _check_finite("gamma", gamma)
         object.__setattr__(self, "gamma", g)
         if not 0.0 < g < 1.0:
             raise InputError(f"gamma must lie in (0, 1), got {g}")
@@ -489,8 +507,8 @@ def indifference_premium(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BSParams:
+@_record
+class BSParams(_Record):
     """Zero-interest-rate model; the asset grows at a nonpositive real drift."""
 
     spot: float
@@ -499,9 +517,13 @@ class BSParams:
     drift: float
     horizon: float
 
-    def __post_init__(self) -> None:
-        for name in ("spot", "strike", "sigma", "drift", "horizon"):
-            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
+    def __init__(self, spot: float, strike: float, sigma: float, drift: float,
+                 horizon: float) -> None:
+        object.__setattr__(self, "spot", _check_finite("spot", spot))
+        object.__setattr__(self, "strike", _check_finite("strike", strike))
+        object.__setattr__(self, "sigma", _check_finite("sigma", sigma))
+        object.__setattr__(self, "drift", _check_finite("drift", drift))
+        object.__setattr__(self, "horizon", _check_finite("horizon", horizon))
         if self.spot <= 0 or self.strike <= 0:
             raise InputError("spot and strike must be positive")
         if self.sigma <= 0:

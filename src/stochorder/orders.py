@@ -39,7 +39,6 @@ fool both routes at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterator, Sequence, Union
@@ -51,6 +50,8 @@ from .dists import (
     LawInts,
     Normal,
     UnsupportedPairingError,
+    _Record,
+    _record,
     as_discrete,
     as_integers,
     norm_cdf,
@@ -75,8 +76,8 @@ Number = Union[Fraction, float]
 WITNESS_KINDS = ("level_p", "threshold_x", "angle_t")
 
 
-@dataclass(frozen=True)
-class Witness:
+@_record
+class Witness(_Record):
     """One point at which the claimed inequality is violated.
 
     kind "level_p":     value is a probability level; lhs/rhs are the two
@@ -93,20 +94,28 @@ class Witness:
     lhs: Number
     rhs: Number
 
-    def __post_init__(self) -> None:
-        if self.kind not in WITNESS_KINDS:
-            raise ValueError(f"unknown witness kind {self.kind!r}")
+    def __init__(self, kind: str, value: Number, lhs: Number, rhs: Number) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        if kind not in WITNESS_KINDS:
+            raise ValueError(f"unknown witness kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class OrderVerdict:
+@_record
+class OrderVerdict(_Record):
+    """Whether an order holds, and the witness of its failure when it does not."""
+
     holds: bool
     witness: Witness | None = None
 
-    def __post_init__(self) -> None:
-        if self.holds and self.witness is not None:
+    def __init__(self, holds: bool, witness: Witness | None = None) -> None:
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "witness", witness)
+        if holds and witness is not None:
             raise ValueError("a holding verdict cannot carry a witness")
-        if not self.holds and self.witness is None:
+        if not holds and witness is None:
             raise ValueError("a failing verdict must carry a witness")
 
 

@@ -3,20 +3,28 @@ writes through an object's __dict__, no numpy at run time, a reference
 module that imports none of the routes it checks, the reference's
 Newton-built Gauss-Legendre rule against numpy's, and the lazy package
 namespace (what each name loads, every library module listed in it, and
-`import *` binding the modules' public names)."""
+`import *` binding the modules' public names), and the records: each is a
+dataclass built without generated code, which behaves as a frozen
+dataclass twin of it does."""
 
 import ast
+import dataclasses
+import importlib
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, dataclass, field
+from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stochorder
+from stochorder import coupling, dists, orders
 
 from . import reference as ref
 
@@ -256,3 +264,169 @@ class TestLazyNamespace:
                  "    print(json.dumps([str(e), loaded]))")
         assert _fresh(probe) == [f"module 'stochorder' has no attribute {name!r}",
                                  [f"stochorder.{m}" for m in loaded]]
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+
+def _records() -> list[type]:
+    """Every record of the package: each class a library module defines that
+    is a dataclass or a dists._Record (the base and _Family aside)."""
+    found = []
+    for name in _PUBLIC_MODULES + ["cli"]:
+        module = importlib.import_module(f"stochorder.{name}")
+        found += [c for c in vars(module).values()
+                  if isinstance(c, type) and c.__module__ == module.__name__
+                  and (dataclasses.is_dataclass(c) or issubclass(c, dists._Record))
+                  and c not in (dists._Record, dists._Family)]
+    return found
+
+
+RECORDS = _records()
+
+
+def test_the_package_has_23_records():
+    assert len(RECORDS) == len(set(RECORDS)) == 23
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_record_compiles_nothing_at_import(cls):
+    module = sys.modules[cls.__module__]
+    node = next(n for n in ast.walk(ast.parse(Path(module.__file__).read_text()))
+                if isinstance(n, ast.ClassDef) and n.name == cls.__name__)
+    assert dataclasses.is_dataclass(cls) and issubclass(cls, dists._Record)
+    # a class with no docstring gets one from inspect.signature at import
+    assert ast.get_docstring(node, clean=False) == cls.__doc__ is not None
+    init = vars(cls)["__init__"]
+    assert init.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert init.__code__.co_filename == module.__file__ != "<string>"
+    for method in ("__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+        assert getattr(cls, method) is getattr(dists._Record, method), method
+    for value in vars(cls).values():  # properties included
+        code = getattr(getattr(value, "fget", value), "__code__", None)
+        assert code is None or code.co_filename == module.__file__
+
+
+def test_importing_the_package_compiles_no_source_text():
+    # a frozen dataclass's methods are source text that exec compiles; the
+    # modules themselves load as code objects
+    probe = ("import builtins\nreal, texts = builtins.exec, []\n"
+             "def counting(source, *rest):\n"
+             "    if isinstance(source, str):\n"
+             "        texts.append(source)\n"
+             "    return real(source, *rest)\n"
+             "builtins.exec = counting\n"
+             "import stochorder.cli, stochorder.apps, stochorder.coupling, stochorder.models\n"
+             "builtins.exec = real\nprint(json.dumps(texts))")
+    assert _fresh(probe) == []
+
+
+def test_records_of_two_classes_never_compare_equal():
+    n, ln = dists.Normal(0.5, 1.25), dists.LogNormal(0.5, 1.25)
+    assert dataclasses.astuple(n) == dataclasses.astuple(ln)
+    assert (n == ln, n != ln) == (False, True)
+    kin = dataclasses.make_dataclass("LogNormal", ["mu", "sigma"], frozen=True)
+    assert (n == kin(0.5, 1.25), n != kin(0.5, 1.25)) == (False, True)
+
+
+# twins: what @dataclass(frozen=True) builds for the same fields
+@dataclass(frozen=True)
+class Witness:
+    kind: object
+    value: object
+    lhs: object
+    rhs: object
+
+
+@dataclass(frozen=True)
+class OrderVerdict:
+    holds: object
+    witness: object = None
+
+
+@dataclass(frozen=True)
+class Normal:
+    mu: object
+    sigma: object
+
+
+@dataclass(frozen=True)
+class DiscreteDist:
+    atoms: object
+    ints: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ints", dists.DiscreteDist(self.atoms).ints)
+
+
+@dataclass(frozen=True)
+class Coupling:
+    row_values: object
+    col_values: object
+    row_probs: object
+    col_probs: object
+    cells: object
+
+
+_TWINS = {c.__name__: c for c in (Witness, OrderVerdict, Normal, DiscreteDist, Coupling)}
+
+
+def _cases() -> list[tuple]:
+    """(record, an unequal record of its class, a field and a new value for it)."""
+    w = orders.Witness("level_p", F(1, 2), F(1), F(2))
+    x, y = dists.normalize([(0, 1), (2, 1)]), dists.normalize([(-1, 1), (3, 1)])
+    c = coupling.synth_martingale(x, y).coupling
+    return [
+        (w, orders.Witness("threshold_x", F(1, 2), F(1), F(2)), "lhs", F(3)),
+        (orders.OrderVerdict(False, w), orders.OrderVerdict(True), "witness",
+         orders.Witness("angle_t", 0, 1, 2)),
+        (dists.Normal(0.5, 1.25), dists.Normal(0.5, 2.0), "sigma", 3.0),
+        (x, y, "atoms", y.atoms),
+        (c, coupling.synth_martingale(x, x).coupling, "cells", c.cells[:1]),
+    ]
+
+
+def _twin(r):
+    return _TWINS[type(r).__name__](**{f.name: getattr(r, f.name)
+                                       for f in dataclasses.fields(r) if f.init})
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("r, other, name, new", _cases(), ids=list(_TWINS))
+def test_record_behaves_as_its_frozen_dataclass_twin(r, other, name, new):
+    t, t_other, t_same = _twin(r), _twin(other), _twin(r)
+    same = type(r)(**{f.name: getattr(r, f.name) for f in dataclasses.fields(r) if f.init})
+    assert repr(r) == repr(t) and repr(other) == repr(t_other)
+    assert hash(r) == hash(t) == hash(same) and hash(other) == hash(t_other)
+    # == within one class over the compared fields; other classes are unequal
+    for a, b in ((r, t), (same, t_same), (other, t_other)):
+        assert (a == r, a != r, a == other, a != other) == (b == t, b != t, b == t_other, b != t_other)
+    assert (r == same, r != other, r == t, r != t, t == r) == (True, True, False, True, False)
+    assert r.__eq__(dataclasses.astuple(r)) is t.__eq__(dataclasses.astuple(t)) is NotImplemented
+    # assignment and deletion, of a field or of any other name
+    for attr in (name, "extra"):
+        assert _raised(setattr, r, attr, new) == _raised(setattr, t, attr, new)
+        assert _raised(delattr, r, attr) == _raised(delattr, t, attr)
+        assert _raised(setattr, r, attr, new)[0] is FrozenInstanceError
+    # the field registry: replace, asdict, astuple and fields
+    moved, t_moved = dataclasses.replace(r, **{name: new}), dataclasses.replace(t, **{name: new})
+    assert type(moved) is type(r) and repr(moved) == repr(t_moved) and getattr(moved, name) == new
+    assert dataclasses.asdict(r) == dataclasses.asdict(t)
+    assert dataclasses.astuple(r) == dataclasses.astuple(t)
+    registry = [(f.name, f.init, f.repr, f.compare, f.hash, f.default) for f in dataclasses.fields(r)]
+    assert registry == [(f.name, f.init, f.repr, f.compare, f.hash, f.default)
+                        for f in dataclasses.fields(t)]
+    # a missing or an unknown argument
+    assert _raised(type(r))[0] is _raised(type(t))[0] is TypeError
+    kwargs = {f.name: getattr(r, f.name) for f in dataclasses.fields(r) if f.init}
+    assert _raised(lambda: type(r)(**kwargs, extra=1))[0] is TypeError
+    assert _raised(lambda: type(t)(**kwargs, extra=1))[0] is TypeError
+    back = pickle.loads(pickle.dumps(r))
+    assert type(back) is type(r) and back == r and repr(back) == repr(r)

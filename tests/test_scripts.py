@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -96,3 +97,33 @@ def test_cli_startup_against_a_second_tree_times_both_call_for_call(monkeypatch,
     pairs = list(zip(order[4::2], order[5::2]))
     assert [(a[0], b[0]) for a, b in pairs] == [("0", "1"), ("1", "0")] * 4
     assert all(a[1] == b[1] for a, b in pairs)
+
+
+def test_cli_startup_prints_the_mean_over_subcommands_and_its_paired_ratio(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("cli_startup", ROOT / "scripts" / "cli_startup.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "COMMANDS", {k: script.COMMANDS[k] for k in ("es", "discretize")})
+    monkeypatch.setattr(script, "_fill", lambda src, prefix, state, work: {
+        name: ["dists"] for name in script.COMMANDS})
+    # a clock that each call moves on by its cost: ms per subcommand for
+    # this tree (0) and the other (1), doubled with no bytecode
+    clock = [0.0]
+    cost = {("0", "es"): 10, ("0", "discretize"): 30, ("1", "es"): 20, ("1", "discretize"): 40}
+
+    def call(argv, env, cwd):
+        tree, state = Path(env["PYTHONPYCACHEPREFIX"]).name.split("-")[1:]
+        ms = cost.get((tree, argv[-1] if argv[1] == "-c" else argv[3]), 5)
+        clock[0] += ms * (2 if state == "none" else 1) / 1e3
+
+    monkeypatch.setattr(script, "_call", call)
+    monkeypatch.setattr(script, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    assert script.main(["--rounds", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 5  # title, header, interpreter and the two subcommands
+    assert err.splitlines() == [f"{'(mean)':<20}{40.0:>9.1f}{20.0:>10.1f}"]
+    assert script.main(["--rounds", "3", "--against", str(ROOT)]) == 0
+    out, err = capsys.readouterr()
+    (mean, *means), (ratio, *ratios) = (line.split() for line in err.splitlines())
+    assert (mean, [float(m) for m in means]) == ("(mean)", [40.0, 60.0, 20.0, 30.0])
+    assert (ratio, ratios) == ("(ratio)", ["0.667", "-", "0.667", "-"])
