@@ -37,7 +37,6 @@ from .dists import (
     _Record,
     _merge,
     _real,
-    _record,
     as_discrete,
     as_fraction,
     as_integers,
@@ -69,7 +68,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@_record
 class BernoulliCase(_Record):
     """W Bernoulli(1/2) and Z = D - c for a correlated Bernoulli(1/2) D.
 
@@ -156,7 +154,6 @@ def bernoulli_region(case: BernoulliCase) -> RegionFlags:
 # ---------------------------------------------------------------------------
 
 
-@_record
 class ImproverFlags(_Record):
     """Membership of Z in the two improver families for a joint (X, Z).
 
@@ -246,7 +243,6 @@ def marketable_check(
 # ---------------------------------------------------------------------------
 
 
-@_record
 class StopLossComparison(_Record):
     """Premium curves of a loss X and its sum X + Z over a deductible grid."""
 

@@ -26,7 +26,6 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import asdict
 from fractions import Fraction
 from typing import Callable
 
@@ -422,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
                 "subcommand": args.subcommand,
                 "inputs": inputs,
                 "result": result,
-                "witness": witness and asdict(witness),
+                "witness": witness and witness._asdict(),
                 "timing_ms": round((time.perf_counter() - start) * 1000.0, 3),
             }
             text = json.dumps(report, sort_keys=True, default=_json_default)

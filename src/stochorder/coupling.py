@@ -70,7 +70,6 @@ from .dists import (
     InternalError,
     JointDist,
     _Record,
-    _record,
     as_discrete,
     as_integers,
     rescale,
@@ -105,7 +104,6 @@ MODE_MARTINGALE = "martingale"
 _MAX_SUPPORT = 8000
 
 
-@_record
 class Coupling(_Record):
     """A joint law over support(X) x support(Y) as its nonzero cells
     (row, column, mass), strictly ascending, with exact rational masses."""
@@ -134,7 +132,6 @@ class Coupling(_Record):
         return tuple(map(tuple, rows))
 
 
-@_record
 class SynthResult(_Record):
     """A synthesis outcome: a coupling when feasible, else the order's failure witness."""
 

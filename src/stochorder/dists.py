@@ -56,7 +56,7 @@ import math
 import operator
 import reprlib
 import sys
-from dataclasses import FrozenInstanceError, asdict, dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from fractions import Fraction
 from itertools import chain, count, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
@@ -223,15 +223,26 @@ class _Record:
     """A frozen record's ==, hash, repr and refusal of assignment, written once.
 
     They behave as @dataclass(frozen=True)'s: == holds only within one class,
-    over the compared fields; hash and repr are those of the same tuple and
-    text; assigning or deleting raises FrozenInstanceError.  A frozen
-    dataclass compiles these methods and its __init__ with exec for each
-    class at import; a record shares these and writes its own __init__,
-    which sets its fields with object.__setattr__ and checks them.
+    over _fields; hash and repr are those of the same tuple and text;
+    assigning or deleting raises FrozenInstanceError.  Each subclass
+    registers itself as dataclass(init=False, repr=False, eq=False), which
+    compiles nothing (a frozen dataclass compiles these methods and __init__
+    with exec at import) but lets fields, asdict, astuple and replace read
+    it; _fields names the fields compared and shown, all but a finite law's
+    ints.  Each record writes its own __init__, which sets its fields with
+    object.__setattr__ and checks them.
     """
 
+    def __init_subclass__(cls) -> None:
+        dataclass(init=False, repr=False, eq=False)(cls)
+        cls._fields = tuple([f.name for f in fields(cls) if f.compare])
+
+    def _asdict(self) -> dict[str, object]:
+        """The fields as they stand; a nested record stays a record."""
+        return {name: getattr(self, name) for name in self._fields}
+
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._compared])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -243,7 +254,7 @@ class _Record:
 
     @reprlib.recursive_repr()
     def __repr__(self) -> str:
-        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._shown])
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{self.__class__.__qualname__}({shown})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -253,17 +264,6 @@ class _Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _record(cls: type) -> type:
-    """cls, a _Record, as a dataclass whose methods are _Record's and its own:
-    dataclass(init=False, repr=False, eq=False) compiles nothing but registers
-    the fields, so fields, asdict, astuple and replace work on it."""
-    dataclass(init=False, repr=False, eq=False)(cls)
-    cls._compared = tuple([f.name for f in fields(cls) if f.compare])
-    cls._shown = tuple([f.name for f in fields(cls) if f.repr])
-    return cls
-
-
-@_record
 class DiscreteDist(_Record):
     """Finite law: atoms sorted by value, positive probabilities, total mass 1.
 
@@ -308,7 +308,6 @@ class _Family(_Record):
     as_discrete is its exact law."""
 
 
-@_record
 class Normal(_Family):
     """Normal law N(mu, sigma^2)."""
 
@@ -338,7 +337,6 @@ class Normal(_Family):
         return (self.mu - t) * norm_cdf(z) + self.sigma * norm_pdf(z)
 
 
-@_record
 class Exponential(_Family):
     """Exponential law with the given rate (mean 1 / rate)."""
 
@@ -367,7 +365,6 @@ class Exponential(_Family):
         return math.exp(-self.rate * t) / self.rate
 
 
-@_record
 class Bernoulli(_Family):
     """Two-point law on {0, 1} with P(X = 1) = q."""
 
@@ -381,7 +378,6 @@ class Bernoulli(_Family):
             raise InputError(f"q must lie in [0, 1], got {q}")
 
 
-@_record
 class LogNormal(_Family):
     """Law of exp(Y) for Y normal N(mu, sigma^2)."""
 
@@ -418,7 +414,6 @@ class LogNormal(_Family):
         return m * norm_cdf(self.sigma - z) - t * norm_cdf(-z)
 
 
-@_record
 class PointMass(_Family):
     """Degenerate law: all mass at c."""
 
@@ -617,7 +612,6 @@ def as_discrete(d: Dist) -> DiscreteDist | None:
 # ---------------------------------------------------------------------------
 
 
-@_record
 class JointDist(_Record):
     """Finite joint law of a pair (W, Z): distinct (w, z) atoms, total mass 1."""
 
@@ -778,12 +772,17 @@ def affine(d: Dist, a: RationalLike, b: RationalLike) -> DiscreteDist:
 # The most atoms of a law and cells of a joint that the codecs read, checked
 # before any atom is parsed, and the most atoms discretize builds: one bound,
 # so that every discretize output reads back.  Each costs time linear in the
-# count.  Through the CLI at the cap, printing included (shared 2-vCPU Xeon
-# VM, Python 3.11; its speed varies by up to 1.7x): `discretize --grid 100000`
-# took 0.9-1.0 s on a Normal and 1.4-1.5 s on a LogNormal at a 77 MB peak;
-# `es --level 1/2` on a law of 100,000 atoms 0.86-0.94 s at 76 MB, 88 MB with
-# the atoms shuffled; `check-cond --which new` on a joint of 100 x 1,000 cells
-# 1.2-1.4 s at 107 MB, 1.4-1.6 s at 119 MB with the cells shuffled.
+# count only while the scales stay small.  On the coprime family of
+# scripts/bit_growth.py, whose scales grow with the count, normalize took 13,
+# 334 and 2,385 ms at n = 300, 1000 and 2000, and `es` on a law of 4000 atoms
+# ran 25.4 s and then exited 2; nothing below this cap bounds that cost
+# (ROADMAP.md item 23).  With small scales, through the CLI at the cap,
+# printing included (shared 2-vCPU Xeon VM, Python 3.11; its speed varies by
+# up to 1.7x): `discretize --grid 100000` took 0.9-1.0 s on a Normal and
+# 1.4-1.5 s on a LogNormal at a 77 MB peak; `es --level 1/2` on a law of
+# 100,000 atoms 0.86-0.94 s at 76 MB, 88 MB with the atoms shuffled;
+# `check-cond --which new` on a joint of 100 x 1,000 cells 1.2-1.4 s at
+# 107 MB, 1.4-1.6 s at 119 MB with the cells shuffled.
 _MAX_ATOMS = 100_000
 
 
@@ -849,7 +848,7 @@ def dist_from_json(obj: object) -> Dist:
     family = _FAMILIES.get(kind) if isinstance(kind, str) else None
     if family is None:
         raise InputError(f"unknown distribution type {kind!r}")
-    return family(*(_float_param(obj, f.name) for f in fields(family)))
+    return family(*(_float_param(obj, name) for name in family._fields))
 
 
 def dist_to_json(d: Dist) -> dict:
@@ -860,7 +859,7 @@ def dist_to_json(d: Dist) -> dict:
                 {"x": rational_to_json(v), "p": rational_to_json(p)} for v, p in d.atoms
             ],
         }
-    return {"type": _family(d).kind, **asdict(d)}
+    return {"type": _family(d).kind, **d._asdict()}
 
 
 def joint_from_json(obj: object) -> JointDist:

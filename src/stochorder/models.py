@@ -21,7 +21,6 @@ beyond binary64 is an InputError.
 from __future__ import annotations
 
 import math
-from dataclasses import fields
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -36,7 +35,6 @@ from .dists import (
     _check_finite,
     _real,
     _Record,
-    _record,
     as_discrete,
     as_fraction,
     bisection,
@@ -80,7 +78,6 @@ _ZERO = Fraction(0)
 # ---------------------------------------------------------------------------
 
 
-@_record
 class GaussianCase(_Record):
     """Jointly Gaussian (W, Z) with W standardized to N(0, 1)."""
 
@@ -98,7 +95,6 @@ class GaussianCase(_Record):
             raise InputError(f"rho must lie in [-1, 1], got {self.rho}")
 
 
-@_record
 class RegionFlags(_Record):
     """One region-table case: whether W + Z <=ssd W, and the two conditions."""
 
@@ -185,7 +181,6 @@ def gaussian_region(case: GaussianCase) -> RegionFlags:
 # ---------------------------------------------------------------------------
 
 
-@_record
 class FixedIndemnity(_Record):
     """Pays a flat amount once the loss reaches the threshold."""
 
@@ -203,7 +198,6 @@ class FixedIndemnity(_Record):
             )
 
 
-@_record
 class StopLossIndemnity(_Record):
     """Pays the excess of the loss over a deductible."""
 
@@ -215,7 +209,6 @@ class StopLossIndemnity(_Record):
             raise InputError("deductible must be nonnegative")
 
 
-@_record
 class PiecewiseIndemnity(_Record):
     """Piecewise-linear schedule through knots, extended by the last slope.
 
@@ -283,11 +276,10 @@ def indemnity_from_json(obj: object) -> IndemnitySchedule:
     kinds = {"fixed": FixedIndemnity, "stop_loss": StopLossIndemnity}
     cls = kinds.get(kind) if isinstance(kind, str) else None
     if cls is not None:
-        names = [f.name for f in fields(cls)]
-        for name in names:
+        for name in cls._fields:
             if name not in obj:
                 raise InputError(f"missing parameter {name!r}")
-        return cls(*(obj[name] for name in names))
+        return cls(*(obj[name] for name in cls._fields))
     if kind == "piecewise":
         knots = obj.get("knots")
         if not isinstance(knots, list):
@@ -370,7 +362,6 @@ def conditional_indemnity_mean(
 # ---------------------------------------------------------------------------
 
 
-@_record
 class LinearUtility(_Record):
     """u(t) = t: the indifference premium is the expected indemnity."""
 
@@ -378,7 +369,6 @@ class LinearUtility(_Record):
         pass
 
 
-@_record
 class ExponentialUtility(_Record):
     """u(t) = -exp(-a t) with a = aversion > 0 (constant absolute risk aversion)."""
 
@@ -391,7 +381,6 @@ class ExponentialUtility(_Record):
             raise InputError(f"aversion must be positive, got {a}")
 
 
-@_record
 class PowerUtility(_Record):
     """u(t) = t**gamma for t >= 0, with 0 < gamma < 1."""
 
@@ -507,7 +496,6 @@ def indifference_premium(
 # ---------------------------------------------------------------------------
 
 
-@_record
 class BSParams(_Record):
     """Zero-interest-rate model; the asset grows at a nonpositive real drift."""
 

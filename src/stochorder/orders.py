@@ -51,7 +51,6 @@ from .dists import (
     Normal,
     UnsupportedPairingError,
     _Record,
-    _record,
     as_discrete,
     as_integers,
     norm_cdf,
@@ -76,7 +75,6 @@ Number = Union[Fraction, float]
 WITNESS_KINDS = ("level_p", "threshold_x", "angle_t")
 
 
-@_record
 class Witness(_Record):
     """One point at which the claimed inequality is violated.
 
@@ -103,7 +101,6 @@ class Witness(_Record):
             raise ValueError(f"unknown witness kind {kind!r}")
 
 
-@_record
 class OrderVerdict(_Record):
     """Whether an order holds, and the witness of its failure when it does not."""
 

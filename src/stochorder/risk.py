@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from operator import itemgetter
 from typing import Sequence
 
 from .dists import (
@@ -133,10 +132,9 @@ def stop_loss(d: Dist, t: RationalLike) -> Fraction | float:
     """Stop-loss premium E[(X - t)+]."""
     disc = as_discrete(d)
     if disc is not None:
-        tf = as_fraction(t)
-        k = bisect_right(disc.atoms, tf, key=itemgetter(0))
         xs, V, ws, D = disc.ints
-        n, q = tf.as_integer_ratio()
+        n, q = as_fraction(t).as_integer_ratio()
+        k = bisect_right(xs, n * V // q)  # x / V <= n / q iff x <= n V // q
         L = math.lcm(V, q)
         above = [(x * (L // V), w) for x, w in zip(xs[k:], ws[k:])]
         _, (sl,) = stop_loss_transform(above, [n * (L // q)])

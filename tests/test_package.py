@@ -5,7 +5,8 @@ Newton-built Gauss-Legendre rule against numpy's, and the lazy package
 namespace (what each name loads, every library module listed in it, and
 `import *` binding the modules' public names), and the records: each is a
 dataclass built without generated code, which behaves as a frozen
-dataclass twin of it does."""
+dataclass twin of it does; only dists touches dataclasses, and each
+record's _fields and shallow _asdict agree with the field registry."""
 
 import ast
 import dataclasses
@@ -430,3 +431,64 @@ def test_record_behaves_as_its_frozen_dataclass_twin(r, other, name, new):
     assert _raised(lambda: type(t)(**kwargs, extra=1))[0] is TypeError
     back = pickle.loads(pickle.dumps(r))
     assert type(back) is type(r) and back == r and repr(back) == repr(r)
+
+
+def _registry_uses(path: Path) -> list[str]:
+    """A module's ties to the field registry: each import of dataclasses,
+    each name _record, and each call of dataclass or fields outside
+    _Record.__init_subclass__, sorted."""
+    tree = ast.parse(path.read_text())
+    hooks = [f for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "_Record"
+             for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "__init_subclass__"]
+    hook = {id(n) for f in hooks for n in ast.walk(f)}  # the nodes the hook may hold
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"):
+            found.append("import dataclasses")
+        if "_record" in (getattr(node, "id", None), getattr(node, "attr", None),
+                         getattr(node, "name", None), getattr(node, "asname", None)):
+            found.append("_record")
+        if isinstance(node, ast.Call) and id(node) not in hook:
+            called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if called in ("dataclass", "fields"):
+                found.append(f"{called}()")
+    return sorted(found)
+
+
+def test_only_dists_touches_the_field_registry():
+    uses = {p.name: _registry_uses(p) for p in MODULES if p.parent == SRC / "stochorder"}
+    assert {name: found for name, found in uses.items() if found} == {"dists.py": ["import dataclasses"]}
+
+
+def test_registry_use_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import dataclasses\nfrom dataclasses import fields\nfrom .dists import _record\n"
+                      "class _Record:\n    def __init_subclass__(cls):\n"
+                      "        dataclasses.dataclass(cls)\n        fields(cls)\n"
+                      "def f(cls):\n    return dataclasses.fields(cls), dataclass(_record)\n")
+    assert _registry_uses(module) == ["_record", "_record", "dataclass()", "fields()",
+                                      "import dataclasses", "import dataclasses"]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_record_fields_are_its_compared_and_shown_fields(cls):
+    registry = dataclasses.fields(cls)
+    compared = tuple(f.name for f in registry if f.compare)
+    shown = tuple(f.name for f in registry if f.repr)
+    assert cls._fields == compared == shown
+    assert {f.name for f in registry} - set(cls._fields) <= {"ints"}
+
+
+_FLAT = [case[0] for case in _cases() if type(case[0]).__name__ in ("Witness", "Normal", "Coupling")]
+
+
+@pytest.mark.parametrize("r", _FLAT, ids=lambda r: type(r).__name__)
+def test_asdict_of_a_record_without_nested_records_is_dataclasses_asdict(r):
+    assert r._asdict() == dataclasses.asdict(r) and list(r._asdict()) == list(r._fields)
+
+
+def test_asdict_is_shallow():
+    w = orders.Witness("level_p", F(1, 2), F(1), F(2))
+    shallow = orders.OrderVerdict(False, w)._asdict()
+    assert shallow == {"holds": False, "witness": w} and shallow["witness"] is w

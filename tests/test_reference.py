@@ -310,7 +310,12 @@ class TestCanonicalLawsMatchReference:
 class TestStopLossMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(laws(weights=st.one_of(st.integers(1, 59), coprime_weights)).flatmap(
-        lambda x: st.tuples(st.just(x), spelled(st.one_of(st.sampled_from(x.values), rationals, coprime)))
+        lambda x: st.tuples(st.just(x), spelled(st.one_of(
+            st.sampled_from(x.values), rationals, coprime,
+            # below and above the support, and midway between adjacent atoms
+            # (a one-atom law's atom itself)
+            st.just(min(x.values) - 1), st.just(max(x.values) + 1),
+            st.sampled_from([(a + b) / 2 for a, b in zip(x.values, x.values[1:] or x.values)]))))
     ))
     def test_stop_loss_at_a_point(self, case):
         x, t = case
