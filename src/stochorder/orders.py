@@ -21,9 +21,18 @@ integers (values over the lcm V of all value denominators, probabilities
 over the lcm D of all probability denominators): the integer form of each
 law (DiscreteDist.ints) moves onto V and D with one multiply per atom, and
 only a witness is turned back into exact Fractions; apps passes integer
-laws of its own merges to the same ssd routes.  Normal pairs use
-mean/deviation closed forms.  Every negative verdict carries a witness whose
-lhs/rhs re-evaluate to the violation.
+laws of its own merges to the same ssd routes.  Every negative verdict
+carries a witness whose lhs/rhs re-evaluate to the violation.
+
+A Normal pair is decided from its parameters, mu (m) and sigma (s), by one
+rule (_normal).  A mean failure's witness compares the means; a sigma
+failure's comes from a scan out into one tail, z = 0.25, 0.5, ..., 38:
+
+    order  holds iff               mean failure        sigma failure
+    ssd    mx >= my and sx <= sy   level_p at p = 1    level_p at p = Phi(-z): m p - s pdf(z)
+    icx    mx >= my and sx >= sy   level_p at p = 0    angle_t at t = my + z sy: E[(X - t)+]
+    cx     mx == my and sx <= sy   level_p at p = 1    as for ssd
+    st     mx >= my and sx == sy   threshold_x at (mx + my) / 2; sx != sy is unsupported
 
 oracle_ssd and oracle_icx decide the same discrete relations through an
 unrelated finite family of test functions (E[min(X, t)] and E[(X - t)+] over
@@ -44,7 +53,6 @@ from operator import mul
 from typing import Callable, Iterator, Sequence, Union
 
 from .dists import (
-    DiscreteDist,
     Dist,
     InternalError,
     LawInts,
@@ -121,25 +129,6 @@ _HOLDS = OrderVerdict(True, None)
 
 def _fails(kind: str, value: Number, lhs: Number, rhs: Number) -> OrderVerdict:
     return OrderVerdict(False, Witness(kind, value, lhs, rhs))
-
-
-def _decide(
-    op: str,
-    x: Dist,
-    y: Dist,
-    finite: Callable[[DiscreteDist, DiscreteDist], OrderVerdict],
-    normal: Callable[[Normal, Normal], OrderVerdict],
-) -> OrderVerdict:
-    """Run the exact route on a finite-support pair, the closed form on a Normal pair."""
-    dx, dy = as_discrete(x), as_discrete(y)
-    if dx is not None and dy is not None:
-        return finite(dx, dy)
-    if isinstance(x, Normal) and isinstance(y, Normal):
-        return normal(x, y)
-    raise UnsupportedPairingError(
-        f"{op} is defined for finite-support pairs and Normal/Normal pairs; "
-        f"got {type(x).__name__} vs {type(y).__name__} (discretize first)"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +217,15 @@ def _ssd_exact(
     return verdict
 
 
+def _cx_exact(
+    inputs: Callable[[], object], x: _IntLaw, y: _IntLaw, V: int, D: int
+) -> OrderVerdict:
+    mx, my = _mean(x), _mean(y)
+    if mx != my:
+        return _fails("level_p", Fraction(1), Fraction(mx, V * D), Fraction(my, V * D))
+    return _ssd_exact(inputs, x, y, V, D)
+
+
 def _st_walk(x: _IntLaw, y: _IntLaw, V: int, D: int) -> OrderVerdict:
     """X >=st Y: Q_X >= Q_Y on every stretch of the merged grid.  Where that
     first fails, t = Q_X is the least t with P(X <= t) > P(Y <= t)."""
@@ -244,38 +242,62 @@ def _st_walk(x: _IntLaw, y: _IntLaw, V: int, D: int) -> OrderVerdict:
 # ---------------------------------------------------------------------------
 
 
-def check_icx(x: Dist, y: Dist) -> OrderVerdict:
-    """Decide X >=icx Y, i.e. ES_p(X) >= ES_p(Y) for every p in [0, 1)."""
-    return _decide("icx order check", x, y,
-                   lambda dx, dy: _icx_walk(*_scale(dx.ints, dy.ints)), _icx_normal)
+def _decide(relation: str, x: Dist, y: Dist) -> OrderVerdict:
+    """Run the exact walk on a finite-support pair, the closed form on a Normal pair."""
+    dx, dy = as_discrete(x), as_discrete(y)
+    if dx is not None and dy is not None:
+        scaled = _scale(dx.ints, dy.ints)
+        if relation == "icx":
+            return _icx_walk(*scaled)
+        if relation == "st":
+            return _st_walk(*scaled)
+        return (_cx_exact if relation == "cx" else _ssd_exact)(lambda: (dx, dy), *scaled)
+    if isinstance(x, Normal) and isinstance(y, Normal):
+        return _normal(relation, x, y)
+    raise UnsupportedPairingError(
+        f"{relation} order check is defined for finite-support pairs and Normal/Normal "
+        f"pairs; got {type(x).__name__} vs {type(y).__name__} (discretize first)"
+    )
 
 
-def _icx_normal(nx: Normal, ny: Normal) -> OrderVerdict:
-    if nx.mu >= ny.mu and nx.sigma >= ny.sigma:
+def _normal(relation: str, nx: Normal, ny: Normal) -> OrderVerdict:
+    """The rule of the module docstring's table.  A tail scan that ends before
+    the gap shows in binary64 finds no float witness and raises InternalError."""
+    mx, my, sx, sy = nx.mu, ny.mu, nx.sigma, ny.sigma
+    if relation == "st":
+        if sx != sy:
+            raise UnsupportedPairingError(
+                "st order for Normal pairs needs equal sigma; discretize first"
+            )
+        if mx >= my:
+            return _HOLDS
+        t = 0.5 * (mx + my)
+        return _fails("threshold_x", t, 1.0 - norm_cdf((t - mx) / sx),
+                      1.0 - norm_cdf((t - my) / sy))
+    if mx < my or (relation == "cx" and mx != my):
+        return _fails("level_p", 0.0 if relation == "icx" else 1.0, mx, my)
+    if (sx >= sy) if relation == "icx" else (sx <= sy):
         return _HOLDS
-    if nx.mu < ny.mu:
-        return _fails("level_p", 0.0, nx.mu, ny.mu)
-    return OrderVerdict(False, _normal_tail_witness(nx, ny))
-
-
-def _normal_tail_witness(nx: Normal, ny: Normal) -> Witness:
-    """Stop-loss witness for a Normal pair with mu_x >= mu_y but sigma_x < sigma_y.
-
-    The gap flips deep in the upper tail; scan outward until the flip is
-    visible in binary64.  Beyond ~37 deviations both premiums underflow, in
-    which case no float witness exists and we fail loudly.
-    """
-    steps = [0.25 * k for k in range(1, 153)]
-    for zstep in steps:
-        t = ny.mu + zstep * ny.sigma
-        lhs, rhs = nx.stop_loss(t), ny.stop_loss(t)
+    for k in range(1, 153):
+        if relation == "icx":
+            t = my + 0.25 * k * sy
+            kind, value, lhs, rhs = "angle_t", t, nx.stop_loss(t), ny.stop_loss(t)
+        else:
+            p, d = norm_cdf(-0.25 * k), norm_pdf(-0.25 * k)  # p > 0 down to z = -38
+            kind, value, lhs, rhs = "level_p", p, mx * p - sx * d, my * p - sy * d
         if lhs < rhs:
-            return Witness("angle_t", t, lhs, rhs)
+            return _fails(kind, value, lhs, rhs)
     raise InternalError(
-        "icx violation exists but lies beyond binary64 tail resolution",
+        f"{'icx' if relation == 'icx' else 'ssd'} violation exists but lies beyond "
+        "binary64 tail resolution",
         {"closed_form": False, "tail_scan": None},
         (nx, ny),
     )
+
+
+def check_icx(x: Dist, y: Dist) -> OrderVerdict:
+    """Decide X >=icx Y, i.e. ES_p(X) >= ES_p(Y) for every p in [0, 1)."""
+    return _decide("icx", x, y)
 
 
 def check_ssd(x: Dist, y: Dist) -> OrderVerdict:
@@ -287,83 +309,17 @@ def check_ssd(x: Dist, y: Dist) -> OrderVerdict:
     both laws.  The witness reports the integrated lower quantile comparison
     at the first violating level (p = 1 compares the means).
     """
-    return _decide("ssd order check", x, y,
-                   lambda dx, dy: _ssd_exact(lambda: (dx, dy), *_scale(dx.ints, dy.ints)),
-                   _ssd_normal)
-
-
-def _ssd_normal(nx: Normal, ny: Normal) -> OrderVerdict:
-    if nx.mu >= ny.mu and nx.sigma <= ny.sigma:
-        return _HOLDS
-    if nx.mu < ny.mu:
-        # integrated quantile at p = 1 is the mean
-        return _fails("level_p", 1.0, nx.mu, ny.mu)
-    return OrderVerdict(False, _normal_lower_witness(nx, ny))
-
-
-def _normal_lower_witness(nx: Normal, ny: Normal) -> Witness:
-    """Integrated-quantile witness for mu_x >= mu_y but sigma_x > sigma_y.
-
-    integral of Q over (0, p) for Normal(mu, sigma) equals mu*p - sigma*pdf(z_p);
-    the violation sits at small p, where levels stay representable down to
-    about 1e-300.
-    """
-    for zstep in [-0.25 * k for k in range(1, 153)]:
-        p = norm_cdf(zstep)
-        if p <= 0.0:
-            break
-        lhs = nx.mu * p - nx.sigma * norm_pdf(zstep)
-        rhs = ny.mu * p - ny.sigma * norm_pdf(zstep)
-        if lhs < rhs:
-            return Witness("level_p", p, lhs, rhs)
-    raise InternalError(
-        "ssd violation exists but lies beyond binary64 tail resolution",
-        {"closed_form": False, "tail_scan": None},
-        (nx, ny),
-    )
+    return _decide("ssd", x, y)
 
 
 def check_cx(x: Dist, y: Dist) -> OrderVerdict:
     """Decide X <=cx Y: equal means and X >=ssd Y (Y spreads X)."""
-    return _decide("cx order check", x, y,
-                   lambda dx, dy: _cx_exact(lambda: (dx, dy), *_scale(dx.ints, dy.ints)),
-                   _cx_normal)
-
-
-def _cx_exact(
-    inputs: Callable[[], object], x: _IntLaw, y: _IntLaw, V: int, D: int
-) -> OrderVerdict:
-    mx, my = _mean(x), _mean(y)
-    if mx != my:
-        return _fails("level_p", Fraction(1), Fraction(mx, V * D), Fraction(my, V * D))
-    return _ssd_exact(inputs, x, y, V, D)
-
-
-def _cx_normal(nx: Normal, ny: Normal) -> OrderVerdict:
-    if nx.mu != ny.mu:
-        return _fails("level_p", 1.0, nx.mu, ny.mu)
-    if nx.sigma <= ny.sigma:
-        return _HOLDS
-    return OrderVerdict(False, _normal_lower_witness(nx, ny))
+    return _decide("cx", x, y)
 
 
 def check_st(x: Dist, y: Dist) -> OrderVerdict:
     """Decide X >=st Y: P(X > t) >= P(Y > t) for every t."""
-    return _decide("st order check", x, y,
-                   lambda dx, dy: _st_walk(*_scale(dx.ints, dy.ints)), _st_normal)
-
-
-def _st_normal(nx: Normal, ny: Normal) -> OrderVerdict:
-    if nx.sigma != ny.sigma:
-        raise UnsupportedPairingError(
-            "st order for Normal pairs needs equal sigma; discretize first"
-        )
-    if nx.mu >= ny.mu:
-        return _HOLDS
-    t = 0.5 * (nx.mu + ny.mu)
-    sx = 1.0 - norm_cdf((t - nx.mu) / nx.sigma)
-    sy = 1.0 - norm_cdf((t - ny.mu) / ny.sigma)
-    return _fails("threshold_x", t, sx, sy)
+    return _decide("st", x, y)
 
 
 # ---------------------------------------------------------------------------

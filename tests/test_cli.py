@@ -167,6 +167,20 @@ class TestCheckOrder:
         assert report["result"] == {"holds": False}
         assert report["witness"] == {"kind": "level_p", "value": 0.0, "lhs": 0.0, "rhs": 1.0}
 
+    @pytest.mark.parametrize("relation, x, y, expected", [
+        ("cx", (0, 1), (0, 2), 0),
+        ("st", (1, 2), (0, 2), 0),
+        ("st", (0, 2), (1, 2), 1),
+        ("ssd", (0, 2), (0, 1), 1),  # sigma failure: the lower tail scan's witness
+    ])
+    def test_parametric_normal_reports(self, run, tmp_path, relation, x, y, expected):
+        paths = [_write(tmp_path / f"{side}.json", {"type": "normal", "mu": mu, "sigma": sigma})
+                 for side, (mu, sigma) in (("x", x), ("y", y))]
+        code, report, _ = run("check-order", "--relation", relation, *paths)
+        assert code == expected and report["result"] == {"holds": code == 0}
+        w = report["witness"]
+        assert w is None if code == 0 else w["lhs"] < w["rhs"]
+
 
 class TestCheckCond:
     def test_new_holds(self, run, tmp_path):

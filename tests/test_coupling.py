@@ -393,8 +393,19 @@ class TestGuards:
             synth_supermartingale(Normal(0.0, 1.0), uniform(0, 1))
 
     def test_result_invariant(self):
-        with pytest.raises(Exception):
-            SynthResult(True, None, None)
+        x, y = uniform(0, 2), uniform(1)
+        pi = synth_martingale(y, x).coupling
+        cert = synth_martingale(x, y).certificate
+        assert pi is not None and cert is not None
+        feasible = "feasible result must carry a coupling and no certificate"
+        infeasible = "infeasible result must carry a certificate and no coupling"
+        for args, message in (((True, None, None), feasible),
+                              ((True, pi, cert), feasible),
+                              ((False, None, None), infeasible),
+                              ((False, pi, cert), infeasible)):
+            with pytest.raises(ValueError) as exc:
+                SynthResult(*args)
+            assert str(exc.value) == message
 
 
 def _chained_spreads(rng, atoms, splits):

@@ -7,6 +7,7 @@ that reproduces the violated inequality.
 import random
 from fractions import Fraction as F
 from itertools import accumulate
+from statistics import NormalDist
 
 import pytest
 from hypothesis import given, settings
@@ -208,6 +209,23 @@ class TestRiskReduction:
             assert not check_cx(two_x, shifted).holds
 
 
+_mus, _sigmas = st.floats(-10, 10), st.floats(0.1, 10)
+
+
+@st.composite
+def _scanned_normal_pairs(draw):
+    """Pairs with |mu_x - mu_y| <= 2 |sigma_x - sigma_y|, where a sigma
+    failure shows within the tail scans."""
+    mx, sx, sy = draw(_mus), draw(_sigmas), draw(_sigmas)
+    gap = 2 * abs(sx - sy)
+    my = draw(st.floats(max(-10.0, mx - gap), min(10.0, mx + gap)))
+    return Normal(mx, sx), Normal(my, sy)
+
+
+_equal_sigma_normal_pairs = st.builds(
+    lambda mx, my, s: (Normal(mx, s), Normal(my, s)), _mus, _mus, _sigmas)
+
+
 class TestNormalPairs:
     def test_mean_shift(self):
         assert check_ssd(Normal(1.0, 1.0), Normal(0.0, 1.0)).holds
@@ -253,15 +271,77 @@ class TestNormalPairs:
     def test_st_requires_equal_sigma(self):
         assert check_st(Normal(2.0, 1.5), Normal(0.0, 1.5)).holds
         assert not check_st(Normal(-2.0, 1.5), Normal(0.0, 1.5)).holds
-        with pytest.raises(UnsupportedPairingError):
+        with pytest.raises(UnsupportedPairingError) as exc:
             check_st(Normal(0.0, 1.0), Normal(0.0, 2.0))
+        assert str(exc.value) == "st order for Normal pairs needs equal sigma; discretize first"
 
+    # Each pair below fails its order, and a witness in z-space (ROADMAP
+    # item 12) will turn these errors into failing verdicts.  Today each
+    # tail scan ends at 38 deviations before the gap shows in binary64.
     def test_tail_beyond_binary64_is_internal_error(self):
         with pytest.raises(InternalError) as exc:
             check_icx(Normal(100.0, 1.0), Normal(0.0, 2.0))
         assert isinstance(exc.value, RuntimeError)
+        assert str(exc.value) == "icx violation exists but lies beyond binary64 tail resolution"
         assert exc.value.routes == {"closed_form": False, "tail_scan": None}
         assert exc.value.inputs == (Normal(100.0, 1.0), Normal(0.0, 2.0))
+
+    @pytest.mark.parametrize("x, y", [
+        (Normal(100.0, 2.0), Normal(0.0, 1.0)),  # the crossing lies near z = -100
+        (Normal(1e20, 2.0), Normal(1e20, 1.0)),  # the gap is lost in rounding mu p
+    ], ids=["far-means", "huge-means"])
+    def test_ssd_tail_beyond_binary64_is_internal_error(self, x, y):
+        with pytest.raises(InternalError) as exc:
+            check_ssd(x, y)
+        assert str(exc.value) == "ssd violation exists but lies beyond binary64 tail resolution"
+        assert exc.value.routes == {"closed_form": False, "tail_scan": None}
+        assert exc.value.inputs == (x, y)
+
+    @settings(max_examples=300)
+    @given(st.one_of(_scanned_normal_pairs(), _equal_sigma_normal_pairs))
+    def test_the_rule_and_its_witnesses(self, pair):
+        x, y = pair
+        (mx, sx), (my, sy) = (x.mu, x.sigma), (y.mu, y.sigma)
+        rules = {
+            check_ssd: mx >= my and sx <= sy,
+            check_icx: mx >= my and sx >= sy,
+            check_cx: mx == my and sx <= sy,
+            check_st: mx >= my and sx == sy,
+        }
+        for check, holds in rules.items():
+            if check is check_st and sx != sy:
+                with pytest.raises(UnsupportedPairingError):
+                    check_st(x, y)
+                continue
+            v = check(x, y)
+            assert v.holds == holds
+            if holds:
+                assert v.witness is None
+                continue
+            w = v.witness
+            if check is check_st:
+                t = w.value
+                assert w.kind == "threshold_x" and t == 0.5 * (mx + my)
+                # a gap of the means below binary64 resolution at the midpoint
+                # gives lhs == rhs, a witness that shows nothing (ROADMAP item 12)
+                assert w.lhs < w.rhs or (my - mx) / sx < 1e-15
+                # survival probabilities, each 1 - cdf, so exact to about 1e-16
+                for side, m in ((w.lhs, mx), (w.rhs, my)):
+                    assert side == pytest.approx(1 - NormalDist(m, sx).cdf(t), rel=1e-9, abs=1e-15)
+            elif mx < my or (check is check_cx and mx != my):
+                # cx fails on unequal means either way round
+                level = 0.0 if check is check_icx else 1.0
+                assert w == Witness("level_p", level, mx, my)
+            elif check is check_icx:
+                assert w.kind == "angle_t" and w.lhs < w.rhs
+                assert (w.lhs, w.rhs) == (stop_loss(x, w.value), stop_loss(y, w.value))
+            else:
+                p = w.value
+                assert w.kind == "level_p" and 0 < p < 1 and w.lhs < w.rhs
+                z = NormalDist().inv_cdf(p)
+                for side, m, s in ((w.lhs, mx, sx), (w.rhs, my, sy)):
+                    g = m * p - s * NormalDist().pdf(z)
+                    assert side == pytest.approx(g, rel=1e-9, abs=1e-9)
 
     def test_mixed_kind_rejected(self):
         with pytest.raises(UnsupportedPairingError):

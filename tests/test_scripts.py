@@ -127,3 +127,46 @@ def test_cli_startup_prints_the_mean_over_subcommands_and_its_paired_ratio(monke
     (mean, *means), (ratio, *ratios) = (line.split() for line in err.splitlines())
     assert (mean, [float(m) for m in means]) == ("(mean)", [40.0, 60.0, 20.0, 30.0])
     assert (ratio, ratios) == ("(ratio)", ["0.667", "-", "0.667", "-"])
+
+
+def test_line_coverage_lists_the_statements_a_tiny_suite_never_runs(tmp_path):
+    (tmp_path / "test_tiny.py").write_text(
+        "from stochorder.dists import Normal\n"
+        "from stochorder.orders import check_st\n\n\n"
+        "def test_st_fails_on_a_lower_mean():\n"
+        "    assert not check_st(Normal(0.0, 1.0), Normal(1.0, 1.0)).holds\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "line_coverage.py"), "test_tiny.py",
+         "-q", "-p", "no:cacheprovider", "-p", "no:hypothesispytest"],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "1 passed" in proc.stdout
+    rows = dict(line.split(": ", 1) for line in proc.stdout.splitlines()
+                if line.startswith(("src/", "total")))
+    assert len(rows) == 10
+
+    def missed(module):
+        # the lines of the runs of statements that never ran
+        count, _, runs = rows[f"src/stochorder/{module}"].partition(": ")
+        lines = set()
+        for run in filter(None, runs.split(", ")):
+            a, _, b = run.partition("-")
+            lines.update(range(int(a), int(b or a) + 1))
+        return count, lines
+
+    # cli is never imported, so none of its statements ran
+    count, lines = missed("cli.py")
+    never, _, of, *_ = count.split()
+    assert never == of and 1 in lines
+    source = (ROOT / "src" / "stochorder" / "orders.py").read_text().splitlines()
+
+    def line_of(text):
+        return next(n for n, line in enumerate(source, 1) if text in line)
+
+    _, lines = missed("orders.py")
+    assert line_of("t = 0.5 * (mx + my)") not in lines
+    assert line_of("def _normal(") not in lines  # run at import
+    assert line_of('"st order for Normal pairs needs equal sigma') in lines
+    assert line_of('kind, value, lhs, rhs = "angle_t"') in lines  # no tail scan ran
